@@ -25,12 +25,19 @@ from .suites import (
     run_suite,
     spectrum_to_csv,
 )
-from .trees import canonical_code, parse_tree_spec, tree_to_text
+from .trees import TreeError, canonical_code, parse_tree_spec, tree_to_text
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _add_common(p):
     p.add_argument("--tol", type=float, default=1e-12, help="certified interval width")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for scans")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for scans")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     p.add_argument("--json", action="store_true", help="emit JSON to stdout")
     p.add_argument("--out", help="write CSV to this path")
@@ -234,7 +241,11 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+    try:
+        return _HANDLERS[args.command](args)
+    except TreeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

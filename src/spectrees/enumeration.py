@@ -10,17 +10,25 @@ Three modes:
   parent-report (Pruefer) sequences and deduplicates by canonical code,
 * the double-comet family, deduplicated at parameter level.
 
-Free and labeled modes yield in canonical-code order, which makes stream
+Free and labeled streams yield in canonical-code order, which makes stream
 order and downstream tie-breaking reproducible; the double-comet mode
 yields in a fixed parameter order with O(1) memory per item.
+
+Searches and envelopes do not use the sorted free-tree stream: they take
+the level sequences in generation order, in fixed-size numpy chunks
+(``free_tree_level_chunks``), and never materialise or sort a class list
+or its codes.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 from .trees import DoubleCometParams, Tree, canonical_code, make_double_comet, make_path
 
 MAX_EXHAUSTIVE_ORDER = 24
 MAX_ORACLE_ORDER = 10
+CHUNK_ROWS = 2048
 _FULL_ORACLE_ORDER = 8  # full n^(n-2) scan up to here, covering subset beyond
 
 
@@ -91,38 +99,35 @@ class _ParamTrees:
 
 
 def _successor_rooted(seq, p=None):
-    """Next canonical rooted level sequence in the Beyer-Hedetniemi order."""
+    """Next canonical rooted level sequence in the Beyer-Hedetniemi order.
+
+    From the last position p deeper than 1 (or the given p), the tail is
+    the block seq[q:p] repeated, q being the last earlier position one
+    level up from seq[p].
+    """
     if p is None:
         p = len(seq) - 1
-        while p >= 0 and seq[p] <= 1:
+        while seq[p] <= 1:
             p -= 1
+            if p < 0:
+                return None
     if p <= 0:
         return None
+    target = seq[p] - 1
     q = p - 1
-    while seq[q] != seq[p] - 1:
+    while seq[q] != target:
         q -= 1
-    out = list(seq)
-    step = p - q
-    for i in range(p, len(out)):
-        out[i] = out[i - step]
-    return out
+    block = seq[q:p]
+    tail = len(seq) - p
+    return seq[:p] + (block * (tail // len(block) + 1))[:tail]
 
 
-def _split_first_subtree(seq):
-    """(first principal subtree shifted to root level, remainder with root)."""
-    m = None
-    seen_one = False
-    for i, lv in enumerate(seq):
-        if lv == 1:
-            if seen_one:
-                m = i
-                break
-            seen_one = True
-    if m is None:
-        m = len(seq)
-    left = [seq[i] - 1 for i in range(1, m)]
-    rest = [0] + list(seq[m:])
-    return left, rest
+def _first_subtree_end(seq):
+    """Index where the root's first principal subtree ends (seq[1] is its root)."""
+    try:
+        return seq.index(1, 2)
+    except ValueError:
+        return len(seq)
 
 
 def _advance_to_free(seq):
@@ -132,24 +137,23 @@ def _advance_to_free(seq):
     first principal subtree must not be higher than the rest, and on equal
     height must not be bigger, nor lexicographically later at equal size.
     """
-    left, rest = _split_first_subtree(seq)
-    left_h = max(left) if left else 0
-    rest_h = max(rest)
+    n = len(seq)
+    m = _first_subtree_end(seq)
+    left_h = max(seq[1:m]) - 1
+    rest_h = max(seq[m:]) if m < n else 0
     valid = rest_h >= left_h
     if valid and rest_h == left_h:
-        if len(left) > len(rest):
+        if m - 1 > n - m + 1:
             valid = False
-        elif len(left) == len(rest) and left > rest:
+        elif m - 1 == n - m + 1 and [lv - 1 for lv in seq[1:m]] > [0] + seq[m:]:
             valid = False
     if valid:
         return seq, True
-    p = len(left)
+    p = m - 1
     nxt = _successor_rooted(seq, p)
     if nxt is not None and seq[p] > 2:
-        new_left, _ = _split_first_subtree(nxt)
-        new_h = max(new_left) if new_left else 0
-        suffix = list(range(1, new_h + 2))
-        nxt[len(nxt) - len(suffix):] = suffix
+        k = max(nxt[1:_first_subtree_end(nxt)])  # new first subtree's height, plus one
+        nxt[n - k:] = range(1, k + 1)
     return nxt, False
 
 
@@ -165,13 +169,12 @@ def _level_seq_edges(seq):
     return edges
 
 
-def free_tree_edge_lists(n: int):
-    """Yield one edge list per isomorphism class, in generation order."""
-    if n == 1:
-        yield []
-        return
-    if n == 2:
-        yield [(0, 1)]
+def free_tree_levels(n: int):
+    """Yield one level sequence (a fresh list) per isomorphism class, in generation order."""
+    if not 1 <= n <= MAX_EXHAUSTIVE_ORDER:
+        raise ValueError(f"exhaustive enumeration supports 1 <= n <= {MAX_EXHAUSTIVE_ORDER}, got {n}")
+    if n <= 2:
+        yield list(range(n))
         return
     seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
     while seq is not None:
@@ -179,14 +182,34 @@ def free_tree_edge_lists(n: int):
         if seq is None:
             break
         if ok:
-            yield _level_seq_edges(seq)
+            yield seq
             seq = _successor_rooted(seq)
+
+
+def free_tree_level_chunks(n: int):
+    """Level sequences as (rows, n) int8 arrays of at most ``CHUNK_ROWS`` rows each.
+
+    Nothing is kept between chunks, so memory stays bounded by the chunk
+    size whatever the class count.
+    """
+    rows = []
+    for seq in free_tree_levels(n):
+        rows.append(bytes(seq))
+        if len(rows) == CHUNK_ROWS:
+            yield np.frombuffer(b"".join(rows), dtype=np.int8).reshape(CHUNK_ROWS, n)
+            rows = []
+    if rows:
+        yield np.frombuffer(b"".join(rows), dtype=np.int8).reshape(len(rows), n)
+
+
+def free_tree_edge_lists(n: int):
+    """Yield one edge list per isomorphism class, in generation order."""
+    for seq in free_tree_levels(n):
+        yield _level_seq_edges(seq)
 
 
 def coded_free_trees(n: int):
     """(canonical code, edge tuple) per class, sorted by code."""
-    if not 1 <= n <= MAX_EXHAUSTIVE_ORDER:
-        raise ValueError(f"exhaustive enumeration supports 1 <= n <= {MAX_EXHAUSTIVE_ORDER}, got {n}")
     coded = []
     for edges in free_tree_edge_lists(n):
         t = Tree(n, edges)
@@ -201,12 +224,7 @@ def enumerate_free_trees(n: int) -> TreeStream:
 
 
 def count_free_trees(n: int) -> int:
-    if n == 1:
-        return 1
-    total = 0
-    for _ in free_tree_edge_lists(n):
-        total += 1
-    return total
+    return sum(1 for _ in free_tree_levels(n))
 
 
 # -- labeled (Pruefer) oracle -----------------------------------------------

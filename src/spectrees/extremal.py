@@ -9,9 +9,17 @@ or a tie survives at the floor tolerance. All pruning bounds are one-sided
 certificates, so reported winners are exact regardless of worker count or
 scan order.
 
+Searches over all trees stream level-sequence chunks through the batched
+inertia kernel (``spectra.TreeBatch``) and build a Tree and a canonical
+code only for the survivors of the coarse scan; no class list is
+materialised or sorted. Single trees and the comet family keep the scalar
+kernel and the weighted-path quotient.
+
 The envelope treats each tree as the line alpha -> lam2 + alpha*(lam1 -
 lam2) and eliminates dominated lines by the usual slope-sorted convex-hull
 stack; breakpoints are exact pairwise intersections of supporting lines.
+Over all trees, codes are only built for lines on the hull and for trees
+whose rounded lines collide with different floats.
 """
 
 from __future__ import annotations
@@ -20,14 +28,16 @@ import math
 from dataclasses import dataclass
 from multiprocessing import get_context
 
+import numpy as np
+
 from .enumeration import (
     MAX_EXHAUSTIVE_ORDER,
-    coded_free_trees,
+    _level_seq_edges,
     double_comet_params,
+    free_tree_level_chunks,
 )
 from .spectra import (
-    _bisect_count,
-    _rooted,
+    TreeBatch,
     dc_top_two_closed,
     dc_top_two_quotient,
     path_eigenvalue,
@@ -98,6 +108,7 @@ class ExtremalResult:
 
 
 def _key_interval_from_pair(l1, l2, key: str, alpha: float | None):
+    """Key interval from (lo, hi) pairs of floats, or of arrays elementwise."""
     if key == "psi":
         return (alpha * l1[0] + (1 - alpha) * l2[0], alpha * l1[1] + (1 - alpha) * l2[1])
     if key == "sum":
@@ -107,7 +118,9 @@ def _key_interval_from_pair(l1, l2, key: str, alpha: float | None):
     if key == "lam2":
         return l2
     if key == "gap":
-        return (max(0.0, l1[0] - l2[1]), l1[1] - l2[0])
+        lo = l1[0] - l2[1]
+        lo = np.where(lo > 0.0, lo, 0.0) if isinstance(lo, np.ndarray) else max(0.0, lo)
+        return (lo, l1[1] - l2[0])
     raise ValueError(f"unknown key {key!r}")
 
 
@@ -229,118 +242,123 @@ def _dc_candidates(n: int, key: str, alpha, objective: str, tol: float, exclude)
 # -- free-tree scan ------------------------------------------------------------
 
 
-def _scan_rows_worker(args):
-    """Coarse scan of pre-coded (code, edges) rows; survivors by fixed-baseline pruning.
-
-    Rows are shipped to workers instead of re-enumerated there. The second
-    return value records whether anything was discarded; the baseline bound
-    is then the certificate on every discarded tree (each was shown to sit
-    on the wrong side of it).
-    """
-    (n, key, alpha, objective, lo_base, hi_base, rows, exclude) = args
-    pool = []
-    discarded = False
-    for code_bytes, edges in rows:
-        code = code_bytes.decode()
-        if code in exclude:
-            continue
-        t = Tree(n, edges)
-        t._code = code_bytes
-        iv = _coarse_eval(t, key, alpha, objective, lo_base, hi_base)
-        if iv is None:
-            discarded = True
-            continue
-        pool.append(Candidate(code, edges, iv[0], iv[1]))
-    return pool, discarded
-
-
-def _coarse_eval(t: Tree, key: str, alpha, objective: str, lo_base: float, hi_base: float):
-    """Key interval at coarse tolerance, or None when certified out.
+@dataclass(frozen=True)
+class _Scan:
+    """Coarse certified scan of one chunk of level sequences.
 
     lo_base/hi_base bound the final optimum from a fixed baseline, so every
-    early exit here is a certificate independent of scan order. Uses, for
-    trees, lam2 >= 0 (n >= 3) and lam1^2 + lam2^2 <= n - 1.
+    discard is a certificate independent of chunking and scan order. Uses,
+    for trees, lam2 >= 0 (n >= 3) and lam1^2 + lam2^2 <= n - 1. Called on a
+    chunk, it returns the surviving candidates, whether anything was
+    certified out, and the chunk's row count; only survivors get a Tree and
+    a canonical code.
     """
-    n = t.n
-    maximize = objective == "max"
-    if n == 2:
-        pair = ((1.0, 1.0), (-1.0, -1.0))
-        return _key_interval_from_pair(*pair, key, alpha)
-    if not maximize and key == "sum":
-        # two far-apart hubs force a big spectral sum: lam1+lam2 >= sqrt(d1)+sqrt(d2)
-        degs = sorted(range(n), key=t.degree, reverse=True)[:3]
-        for u in degs:
-            du = t.degree(u)
-            if math.sqrt(du) - _SAFETY > hi_base:
-                return None  # lam1 alone already exceeds the baseline
-            dist = _bfs_distances(t, u)
-            best = 0
-            for v in range(n):
-                if dist[v] >= 3 and t.degree(v) > best:
-                    best = t.degree(v)
-            if best and math.sqrt(du) + math.sqrt(best) - _SAFETY > hi_base:
-                return None
-    if t.max_degree() == n - 1:
+
+    n: int
+    key: str
+    alpha: float | None
+    objective: str
+    lo_base: float
+    hi_base: float
+    exclude: frozenset
+
+    def __call__(self, levels):
+        n, key, alpha, lo_base, hi_base = self.n, self.key, self.alpha, self.lo_base, self.hi_base
+        maximize = self.objective == "max"
+        batch = TreeBatch(levels)
+        rows = np.flatnonzero(~_excluded_rows(batch, self.exclude))
+        if n == 2:
+            iv = _key_interval_from_pair((1.0, 1.0), (-1.0, -1.0), key, alpha)
+            return [_candidate(batch, r, *iv) for r in rows], False, len(batch)
+        out = np.zeros(len(batch), dtype=bool)
+        if not maximize and key == "sum":
+            out[rows] = _two_hub_out(batch, rows, hi_base)
+        star = np.flatnonzero(~out & (batch.degrees.max(axis=1) == n - 1))
         s = math.sqrt(n - 1)
-        pair = ((s, s), (0.0, 0.0))
-        return _key_interval_from_pair(*pair, key, alpha)
-    order, children = _rooted(t)
-    hi0 = math.sqrt(n - 1)
-    stop_lo = stop_hi = None
-    if maximize:
-        # psi, lam1, lam2 are all at most lam1; the sum is at most 2*lam1
-        if key in ("psi", "lam1", "lam2"):
-            stop_hi = lo_base
-        elif key == "sum":
-            stop_hi = 0.5 * lo_base
-    if not maximize and key in ("sum", "lam1"):
-        stop_lo = hi_base  # lam2 >= 0 for n >= 3, so the sum is at least lam1
-    l1 = _bisect_count(order, children, 1, 0.0, hi0, _COARSE_TOL,
-                       stop_lo_above=stop_lo, stop_hi_below=stop_hi)
-    if maximize and (
-        (key in ("psi", "lam1", "lam2") and l1[1] < lo_base)
-        or (key == "sum" and 2.0 * l1[1] < lo_base)
-    ):
-        return None
-    if not maximize and key in ("sum", "lam1") and l1[0] > hi_base:
-        return None
-    if key == "lam1":
-        iv = l1
-        return None if _certified_out(iv, maximize, lo_base, hi_base) else iv
-    stop_lo = stop_hi = None
-    if maximize and key == "psi" and alpha < 1.0:
-        stop_hi = (lo_base - alpha * l1[1]) / (1.0 - alpha)
-    elif maximize and key == "sum":
-        stop_hi = lo_base - l1[1]
-    elif maximize and key == "lam2":
-        stop_hi = lo_base
-    elif not maximize and key == "sum":
-        stop_lo = hi_base - l1[0]
-    l2 = _bisect_count(order, children, 2, 0.0, l1[1], _COARSE_TOL,
-                       stop_lo_above=stop_lo, stop_hi_below=stop_hi)
-    iv = _key_interval_from_pair(l1, l2, key, alpha)
-    return None if _certified_out(iv, maximize, lo_base, hi_base) else iv
+        pool = [_candidate(batch, r, *_key_interval_from_pair((s, s), (0.0, 0.0), key, alpha))
+                for r in np.intersect1d(star, rows)]
+        rows = np.setdiff1d(rows[~out[rows]], star)
+        stop_lo = stop_hi = None
+        if maximize:
+            # psi, lam1, lam2 are all at most lam1; the sum is at most 2*lam1
+            if key in ("psi", "lam1", "lam2"):
+                stop_hi = lo_base
+            elif key == "sum":
+                stop_hi = 0.5 * lo_base
+        if not maximize and key in ("sum", "lam1"):
+            stop_lo = hi_base  # lam2 >= 0 for n >= 3, so the sum is at least lam1
+        l1_lo, l1_hi = batch.bisect(1, 0.0, s, _COARSE_TOL, rows, stop_lo, stop_hi)
+        if maximize and key in ("psi", "lam1", "lam2"):
+            l1_out = l1_hi < lo_base
+        elif maximize and key == "sum":
+            l1_out = 2.0 * l1_hi < lo_base
+        elif not maximize and key in ("sum", "lam1"):
+            l1_out = l1_lo > hi_base
+        else:
+            l1_out = np.zeros(len(rows), dtype=bool)
+        out[rows[l1_out]] = True
+        rows, l1_lo, l1_hi = rows[~l1_out], l1_lo[~l1_out], l1_hi[~l1_out]
+        if key == "lam1":
+            iv = (l1_lo, l1_hi)
+        else:
+            stop_lo = stop_hi = None
+            if maximize and key == "psi" and alpha < 1.0:
+                stop_hi = (lo_base - alpha * l1_hi) / (1.0 - alpha)
+            elif maximize and key == "sum":
+                stop_hi = lo_base - l1_hi
+            elif maximize and key == "lam2":
+                stop_hi = lo_base
+            elif not maximize and key == "sum":
+                stop_lo = hi_base - l1_lo
+            l2 = batch.bisect(2, 0.0, l1_hi, _COARSE_TOL, rows, stop_lo, stop_hi)
+            iv = _key_interval_from_pair((l1_lo, l1_hi), l2, key, alpha)
+        iv_out = iv[1] < lo_base if maximize else iv[0] > hi_base
+        out[rows[iv_out]] = True
+        keep = ~iv_out
+        pool += [_candidate(batch, r, lo, hi)
+                 for r, lo, hi in zip(rows[keep].tolist(), iv[0][keep].tolist(), iv[1][keep].tolist())]
+        return pool, bool(out.any()), len(batch)
 
 
-def _certified_out(iv, maximize: bool, lo_base: float, hi_base: float) -> bool:
-    if maximize:
-        return iv[1] < lo_base
-    return iv[0] > hi_base
+def _candidate(batch, row, lo: float, hi: float) -> Candidate:
+    edges = batch.edges(row)
+    return Candidate(_edges_code(batch.n, edges), edges, lo, hi)
 
 
-def _bfs_distances(t: Tree, source: int):
-    dist = [-1] * t.n
-    dist[source] = 0
-    frontier = [source]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in t.adjacency[v]:
-                if dist[w] < 0:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return dist
+def _edges_code(n: int, edges) -> str:
+    return canonical_code(Tree(n, edges)).decode()
+
+
+def _two_hub_out(batch, rows, hi_base: float):
+    """Rows whose two far-apart hubs force a spectral sum above hi_base.
+
+    lam1 + lam2 >= sqrt(d1) + sqrt(d2) for hubs at distance >= 3; the hubs
+    tried are the three highest-degree vertices, ties to the lower id.
+    """
+    deg = batch.degrees[rows]
+    par = batch.parents[rows]
+    m, n = deg.shape
+    ar = np.arange(m)
+    grand = np.where(par >= 0, np.take_along_axis(par, np.maximum(par, 0), axis=1), -1)
+    vs = np.arange(n)
+    out = np.zeros(m, dtype=bool)
+    for u in np.argsort(-deg, axis=1, kind="stable")[:, :3].T:
+        du = deg[ar, u]
+        out |= np.sqrt(du) - _SAFETY > hi_base  # lam1 alone already exceeds the baseline
+        pu, gu, u = par[ar, u][:, None], grand[ar, u][:, None], u[:, None]
+        near = (vs == u) | (par == u) | (vs == pu) | (grand == u) | (vs == gu) | ((par == pu) & (pu >= 0))
+        best = np.where(near, 0, deg).max(axis=1)
+        out |= (best > 0) & (np.sqrt(du) + np.sqrt(best) - _SAFETY > hi_base)
+    return out
+
+
+def _excluded_rows(batch, exclude):
+    """Rows whose canonical code is in ``exclude``."""
+    excluded = np.zeros(len(batch), dtype=bool)
+    if exclude:
+        for r in range(len(batch)):
+            excluded[r] = _edges_code(batch.n, batch.edges(r)) in exclude
+    return excluded
 
 
 def _baseline(n: int, key: str, alpha, objective: str, exclude):
@@ -402,6 +420,8 @@ def search_extremal(
             raise ValueError(f"psi needs alpha in [0, 1], got {alpha}")
     if n < 2:
         raise ValueError("searches need n >= 2")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     exclude = frozenset(exclude)
     maximize = objective == "max"
 
@@ -411,22 +431,16 @@ def search_extremal(
         if n > MAX_EXHAUSTIVE_ORDER:
             raise ValueError(f"family='all' supports n <= {MAX_EXHAUSTIVE_ORDER}")
         lo_base, hi_base = _baseline(n, key, alpha, objective, exclude)
-        rows = coded_free_trees(n)
-        total = len(rows)
-        scanned = total
-        if jobs <= 1 or total < 64:
-            chunks = [_scan_rows_worker((n, key, alpha, objective, lo_base, hi_base, rows, exclude))]
+        scan = _Scan(n, key, alpha, objective, lo_base, hi_base, exclude)
+        chunks = free_tree_level_chunks(n)
+        if jobs == 1:
+            results = list(map(scan, chunks))
         else:
-            bounds = [round(i * total / jobs) for i in range(jobs + 1)]
-            tasks = [
-                (n, key, alpha, objective, lo_base, hi_base, rows[bounds[i]:bounds[i + 1]], exclude)
-                for i in range(jobs)
-            ]
             with get_context("fork").Pool(jobs) as pool_proc:
-                chunks = pool_proc.map(_scan_rows_worker, tasks)
-        pool = [c for chunk, _ in chunks for c in chunk]
-        any_discarded = any(flag for _, flag in chunks)
-        if not any_discarded:
+                results = list(pool_proc.imap(scan, chunks))
+        pool = [c for chunk, _, _ in results for c in chunk]
+        scanned = sum(rows for _, _, rows in results)
+        if not any(flag for _, flag, _ in results):
             discard_bound = -math.inf if maximize else math.inf
         else:
             # every discarded tree was certified on the wrong side of the baseline
@@ -548,35 +562,61 @@ class PiecewiseLinear:
 
 
 def _envelope_lines(n: int, family: str, tol: float):
-    """(lam1, lam2, witness) per tree, deduplicated at 1e-12 resolution."""
-    lines = {}
+    """(lam1, lam2, witness) per line, deduplicated at 1e-12 resolution.
+
+    The witness names the smallest canonical code among the trees on the
+    line; see _free_tree_lines for the free-tree form.
+    """
     if family == "all":
         if n > MAX_EXHAUSTIVE_ORDER:
             raise ValueError(f"family='all' supports n <= {MAX_EXHAUSTIVE_ORDER}")
-
-        def _trees():
-            for code_bytes, edges in coded_free_trees(n):
-                t = Tree(n, edges)
-                t._code = code_bytes
-                yield t, None
-
-        items = _trees()
-    elif family == "dc":
-        items = ((make_double_comet(p), p) for p in double_comet_params(n))
-    else:
+        return _free_tree_lines(n, tol)
+    if family != "dc":
         raise ValueError(f"unknown family {family!r}")
-    for t, p in items:
-        if p is not None:
-            l1iv, l2iv = _dc_pair_interval(p, tol)
-            l1, l2 = 0.5 * (l1iv[0] + l1iv[1]), 0.5 * (l2iv[0] + l2iv[1])
-        else:
-            tt = top_two(t, tol)
-            l1, l2 = tt.lam1, tt.lam2
+    lines = {}
+    for p in double_comet_params(n):
+        t = make_double_comet(p)
+        l1iv, l2iv = _dc_pair_interval(p, tol)
+        l1, l2 = 0.5 * (l1iv[0] + l1iv[1]), 0.5 * (l2iv[0] + l2iv[1])
         code = canonical_code(t).decode()
         key = (round(l1, 12), round(l2, 12))
         if key not in lines or code < lines[key][2]:
             lines[key] = (l1, l2, code)
     return list(lines.values())
+
+
+def _free_tree_lines(n: int, tol: float):
+    """Lines of every free tree, from batched top_two over streamed chunks.
+
+    While all trees on a line share its exact floats, the witness is the
+    list of their level sequences (as bytes), coded only if the line
+    reaches the hull; trees that round together with different floats are
+    coded at once, and the smallest code brings its floats.
+    """
+    lines = {}
+    for levels in free_tree_level_chunks(n):
+        l1_lo, l1_hi, l2_lo, l2_hi = TreeBatch(levels).top_two(tol)
+        mids = zip((0.5 * (l1_lo + l1_hi)).tolist(), (0.5 * (l2_lo + l2_hi)).tolist())
+        for row, (l1, l2) in enumerate(mids):
+            key = (round(l1, 12), round(l2, 12))
+            seq = levels[row].tobytes()
+            cur = lines.get(key)
+            if cur is None:
+                lines[key] = (l1, l2, [seq])
+            elif isinstance(cur[2], list) and (l1, l2) == cur[:2]:
+                cur[2].append(seq)
+            else:
+                code = _witness_code(n, [seq])
+                cur_code = _witness_code(n, cur[2])
+                lines[key] = (l1, l2, code) if code < cur_code else (cur[0], cur[1], cur_code)
+    return list(lines.values())
+
+
+def _witness_code(n: int, witness) -> str:
+    """A line's witness: its code, or the smallest code of its level sequences."""
+    if isinstance(witness, str):
+        return witness
+    return min(_edges_code(n, _level_seq_edges(list(seq))) for seq in witness)
 
 
 def envelope(n: int, family: str = "all", tol: float = 1e-12) -> PiecewiseLinear:
@@ -585,11 +625,11 @@ def envelope(n: int, family: str = "all", tol: float = 1e-12) -> PiecewiseLinear
     # sort by slope; among equal slopes only the largest intercept can matter
     lines.sort(key=lambda r: (r[0] - r[1], r[1]))
     by_slope = {}
-    for l1, l2, code in lines:
+    for l1, l2, witness in lines:
         slope = round(l1 - l2, 12)
         cur = by_slope.get(slope)
         if cur is None or l2 > cur[1] + 1e-15:
-            by_slope[slope] = (l1, l2, code)
+            by_slope[slope] = (l1, l2, witness)
     ordered = [by_slope[s] for s in sorted(by_slope)]
 
     def isect(a, b):
@@ -615,10 +655,10 @@ def envelope(n: int, family: str = "all", tol: float = 1e-12) -> PiecewiseLinear
         cuts.append(isect(hull[i], hull[i - 1]))
     cuts.append(math.inf)
     segments = []
-    for i, (l1, l2, code) in enumerate(hull):
+    for i, (l1, l2, witness) in enumerate(hull):
         a_lo, a_hi = max(0.0, cuts[i]), min(1.0, cuts[i + 1])
         if a_lo < a_hi or (a_lo == a_hi and not segments and a_hi == 1.0):
-            segments.append(Segment(a_lo, a_hi, l1, l2, code))
+            segments.append(Segment(a_lo, a_hi, l1, l2, _witness_code(n, witness)))
     if segments:
         first = segments[0]
         segments[0] = Segment(0.0, first.alpha_hi, first.lam1, first.lam2, first.witness_code)

@@ -6,6 +6,8 @@ leaf-to-root pivoting, with the standard zero-pivot repair that replaces a
 zero child pivot by 2, the current pivot by -1/2 and severs the edge to the
 parent). Bisection on that count gives enclosing intervals for the two
 largest eigenvalues with no dependence on floating-point eigensolvers.
+``TreeBatch`` runs the same pass and bisection over many same-order trees
+at once with numpy and reproduces the scalar brackets bit for bit.
 
 Everything else builds on or cross-checks that kernel: closed forms for
 double comets with path order 2 or 3, the exact path spectrum, a dense
@@ -220,6 +222,159 @@ def top_two(t: Tree, tol: float = 1e-12) -> TopTwo:
     l1_lo, l1_hi = _bisect_count(order, children, 1, 0.0, hi0, tol)
     l2_lo, l2_hi = _bisect_count(order, children, 2, 0.0, l1_hi, tol)
     return TopTwo(l1_lo, l1_hi, l2_lo, l2_hi, tol)
+
+
+class TreeBatch:
+    """Many trees of one order, eliminated together over numpy arrays.
+
+    Rows are level sequences: preorder depths with the root 0 at depth 0,
+    so the parent of v is the last earlier vertex one level up and every
+    vertex's children come in ascending id. A probe eliminates all rows at
+    once in postorder, post(v) = v - depth(v) + size(v) - 1, which finishes
+    a vertex's children in ascending id, the order in which the scalar
+    ``_count_above`` sums them; every pivot is therefore the same float.
+
+    The zero-pivot repair runs in its limit form: a zero child pivot makes
+    its parent's sum +inf, so the parent's pivot is -inf and its term in
+    the grandparent's sum is -0.0, which severs that edge exactly. The
+    scalar repair instead moves the child's pivot to 2 (one more above, one
+    fewer equal) and the parent's to -1/2 (below in both forms), so each
+    vertex with a zero child shifts one count from equal to above.
+    """
+
+    def __init__(self, levels):
+        levels = np.asarray(levels, dtype=np.int64)
+        if levels.ndim != 2 or levels.shape[1] < 1:
+            raise ValueError("levels must be a 2-d array with one level sequence per row")
+        rows, n = levels.shape
+        if np.any(levels[:, 0] != 0) or np.any(levels[:, 1:] < 1) or np.any(np.diff(levels, axis=1) > 1):
+            raise ValueError("each row must be a level sequence: 0 first, then 1 <= depth <= previous + 1")
+        # tables are (n, rows), one vertex per table row, and are indexed flat
+        depth = np.ascontiguousarray(levels.T)
+        cols = np.arange(rows)
+        parent = np.full((n, rows), -1, dtype=np.int64)
+        last = np.zeros(n * rows, dtype=np.int64)  # last vertex seen at each depth
+        for v in range(1, n):
+            at = depth[v] * rows + cols
+            parent[v] = last[at - rows]
+            last[at] = v
+        size = np.ones((n, rows), dtype=np.int64)
+        flat = size.reshape(-1)
+        for v in range(n - 1, 0, -1):
+            flat[parent[v] * rows + cols] += size[v]
+        post = np.arange(n)[:, None] - depth + size - 1
+        # postorder slot of each postorder slot's parent; the root's is slot n
+        up = np.full(n * rows, n, dtype=np.int64)
+        up[post[1:] * rows + cols] = np.take_along_axis(post, parent[1:], axis=0)
+        self.n = n
+        self.parents = np.ascontiguousarray(parent.T)
+        children = np.bincount((parent[1:] * rows + cols).ravel(), minlength=n * rows)
+        self.degrees = np.ascontiguousarray((children.reshape(n, rows) + (np.arange(n) > 0)[:, None]).T)
+        self._up = up.reshape(n, rows)  # one postorder step per table row
+
+    def __len__(self) -> int:
+        return self._up.shape[1]
+
+    def edges(self, row: int):
+        """Edges (parent, child) of one row, the level sequence's own labelling."""
+        return tuple((p, v) for v, p in enumerate(self.parents[row].tolist()) if p >= 0)
+
+    def _steps(self, rows):
+        """Flat indices into an (n+1, len(rows)) table, one array per postorder step."""
+        m = len(rows)
+        return self._up[:, rows] * m + np.arange(m)
+
+    @staticmethod
+    def _eliminate(steps, x):
+        """(above, equal, repairs) per row at probe values x.
+
+        0.0 - x equals -x except at x = 0, where it signs a zero pivot +0.0
+        as the limit form needs (the scalar only tests == 0.0). Sums may
+        overflow to +-inf for probes within about 1e-300 of 0, exactly as in
+        the scalar kernel; no pivot can then be exactly zero, so an inf sum
+        never meets a zero child's +inf (numpy would warn of the NaN).
+        """
+        n, m = steps.shape
+        s = np.zeros((n + 1) * m)  # child sums, one table row per postorder slot
+        d = np.empty((n, m))
+        inv = np.empty(m)
+        acc = np.empty(m)
+        neg_x = 0.0 - x
+        with np.errstate(divide="ignore", over="ignore"):
+            for k in range(n):
+                np.subtract(neg_x, s[k * m:(k + 1) * m], out=d[k])
+                np.divide(1.0, d[k], out=inv)
+                at = steps[k]
+                np.take(s, at, out=acc)
+                acc += inv
+                s[at] = acc
+        above = (d > 0.0).sum(axis=0)
+        zero = d == 0.0
+        equal = zero.sum(axis=0)
+        repairs = np.zeros(m, dtype=np.int64)
+        if equal.any():
+            has_zero_child = np.zeros((n + 1) * m, dtype=bool)
+            has_zero_child[steps[zero]] = True
+            repairs = has_zero_child[:n * m].reshape(n, m).sum(axis=0)
+        return above + repairs, equal - repairs, repairs
+
+    def count_above(self, x):
+        """(above, equal, repairs) per row at probe x (a scalar or one value per row).
+
+        ``repairs`` counts the vertices whose zero-pivot child was repaired.
+        """
+        x = np.broadcast_to(np.asarray(x, dtype=float), (len(self),))
+        return self._eliminate(self._steps(np.arange(len(self))), x)
+
+    def bisect(self, k: int, lo, hi, tol: float, rows=None, stop_lo_above=None, stop_hi_below=None):
+        """``_bisect_count`` on every row at once; returns (lo, hi) arrays.
+
+        Bounds and stop thresholds are scalars or one value per row (None
+        disables a stop). Each row stops by the scalar rules (width, stop
+        thresholds, float resolution, 200 probes); those rules are monotone,
+        so a row frozen at its first stop holds the scalar bracket.
+        """
+        rows = np.arange(len(self)) if rows is None else np.asarray(rows)
+        m = len(rows)
+        lo = np.array(np.broadcast_to(lo, (m,)), dtype=float)
+        hi = np.array(np.broadcast_to(hi, (m,)), dtype=float)
+        stop_lo = np.broadcast_to(math.inf if stop_lo_above is None else stop_lo_above, (m,))
+        stop_hi = np.broadcast_to(-math.inf if stop_hi_below is None else stop_hi_below, (m,))
+        live = np.arange(m)
+        steps = self._steps(rows)
+        for _ in range(200):
+            a, b = lo[live], hi[live]
+            mid = 0.5 * (a + b)
+            go = ~(b - a <= tol) & ~(a > stop_lo[live]) & ~(b < stop_hi[live]) & ~(mid <= a) & ~(mid >= b)
+            if not go.all():
+                live, mid = live[go], mid[go]
+                steps = self._steps(rows[live])
+            if not len(live):
+                break
+            above = self._eliminate(steps, mid)[0]
+            up = above >= k
+            lo[live[up]] = mid[up]
+            hi[live[~up]] = mid[~up]
+        return lo, hi
+
+    def top_two(self, tol: float = 1e-12):
+        """``top_two`` of every row: arrays (lam1_lo, lam1_hi, lam2_lo, lam2_hi)."""
+        n, m = self.n, len(self)
+        if n < 2:
+            raise ValueError("top_two needs n >= 2: a single vertex has no second eigenvalue")
+        if tol <= 0:
+            raise ValueError(f"tol must be positive, got {tol}")
+        if n == 2:
+            one = np.ones(m)
+            return one, one.copy(), -one, -one
+        s = math.sqrt(n - 1)
+        star = self.degrees.max(axis=1) == n - 1
+        l1_lo, l1_hi = np.full(m, s), np.full(m, s)
+        l2_lo, l2_hi = np.zeros(m), np.zeros(m)
+        rest = np.flatnonzero(~star)
+        l1_lo[rest], l1_hi[rest] = self.bisect(1, 0.0, lambda1_upper_bracket(n), tol, rest)
+        l2_lo[rest], l2_hi[rest] = self.bisect(2, 0.0, l1_hi[rest], tol, rest)
+        return l1_lo, l1_hi, l2_lo, l2_hi
 
 
 def lambda1_interval_of_vertices(t: Tree, vertices, tol: float = 1e-12):

@@ -313,6 +313,13 @@ def tree_to_text(t: Tree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_token(token: str, reason: str, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise TreeError(reason, f"{what} must be an integer, got {token!r}") from None
+
+
 def tree_from_text(text: str) -> Tree:
     rows = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not rows:
@@ -326,7 +333,7 @@ def tree_from_text(text: str) -> Tree:
         parts = ln.split()
         if len(parts) != 2:
             raise TreeError("vertex-range", f"expected 'u v', got {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+        edges.append(tuple(_int_token(p, "vertex-range", f"vertex in edge line {ln!r}") for p in parts))
     return Tree(n, edges)
 
 
@@ -336,14 +343,15 @@ def parse_tree_spec(spec: str) -> Tree:
     if not sep:
         raise TreeError("vertex-count", f"tree spec needs 'kind:args', got {spec!r}")
     if kind == "path":
-        return make_path(int(rest))
+        return make_path(_int_token(rest, "vertex-count", "path order"))
     if kind == "star":
-        return make_star(int(rest))
+        return make_star(_int_token(rest, "vertex-count", "star order"))
     if kind == "dc":
         parts = rest.split(",")
         if len(parts) != 3:
             raise TreeError("vertex-count", f"dc spec needs k1,k2,l, got {rest!r}")
-        return make_double_comet(DoubleCometParams(int(parts[0]), int(parts[1]), int(parts[2])))
+        k1, k2, ell = (_int_token(p, "vertex-count", f"dc parameter in {rest!r}") for p in parts)
+        return make_double_comet(DoubleCometParams(k1, k2, ell))
     if kind == "file":
         with open(rest, "r", encoding="utf-8") as fh:
             return tree_from_text(fh.read())

@@ -122,6 +122,19 @@ def test_cli_gap(capsys):
     assert payload["gap_maximized_by_star"] is True
 
 
+def test_cli_bad_tree_spec_is_a_clean_error(capsys):
+    assert main(["spectrum", "--tree", "path:x"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'x'" in err and "Traceback" not in err
+
+
+def test_cli_rejects_nonpositive_jobs(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["extremal", "--n", "6", "--jobs", "0"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_cli_verify_exit_codes(capsys):
     assert main(["verify", "--suite", "figure2"]) == 0
     capsys.readouterr()

@@ -3,11 +3,14 @@ from collections import Counter
 import pytest
 
 from spectrees.enumeration import (
+    CHUNK_ROWS,
+    count_free_trees,
     decode_parent_report,
     double_comet_params,
     enumerate_double_comets,
     enumerate_free_trees,
     enumerate_labeled_oracle,
+    free_tree_level_chunks,
 )
 from spectrees.trees import DoubleCometParams, Tree, canonical_code, make_double_comet, make_path, make_star
 
@@ -33,6 +36,18 @@ def test_free_trees_are_distinct_valid_classes():
 def test_free_trees_yield_in_code_order():
     codes = [canonical_code(t) for t in enumerate_free_trees(9)]
     assert codes == sorted(codes)
+
+
+def test_level_chunks_stream_every_class_once():
+    # n=15 (7741 classes) spans several full chunks and a partial last one
+    for n in (1, 2, 9, 15):
+        chunks = list(free_tree_level_chunks(n))
+        assert all(len(c) == CHUNK_ROWS for c in chunks[:-1])
+        assert all(0 < len(c) <= CHUNK_ROWS and c.shape[1] == n for c in chunks)
+        seqs = [tuple(row) for c in chunks for row in c.tolist()]
+        assert len(seqs) == len(set(seqs)) == count_free_trees(n) == len(enumerate_free_trees(n))
+    with pytest.raises(ValueError):
+        next(free_tree_level_chunks(25))
 
 
 def test_oracle_agrees_with_generator_small():

@@ -102,6 +102,33 @@ class TestSearch:
         w = res.winners[0]
         assert abs(w.lo - 0.0) < 1e-12 and w.params == DoubleCometParams(0, 0, 2)
 
+    def test_jobs_below_one_rejected(self):
+        for jobs in (0, -3):
+            with pytest.raises(ValueError, match="jobs"):
+                search_extremal(8, jobs=jobs)
+            with pytest.raises(ValueError, match="jobs"):
+                spectral_gap_min(6, jobs=jobs)
+
+    def test_exclusion_matches_lambda2_second_suite(self):
+        # the lambda2-second suite's expected runner-up shapes, for any worker count
+        for n in (12, 14):
+            best = code_of((n - 4) // 2, (n - 4) // 2, 4)
+            want = (code_of((n - 4) // 2, (n - 2) // 2, 3),)
+            res = search_extremal(n, objective="max", family="all", key="lam2", exclude={best})
+            assert res.resolved and res.winner_codes == want
+            assert res.scanned == len(enumerate_free_trees(n))
+        par = search_extremal(12, objective="max", family="all", key="lam2", exclude={best}, jobs=2)
+        assert par == search_extremal(12, objective="max", family="all", key="lam2", exclude={best})
+
+    def test_excluded_trees_are_not_discards(self):
+        # only the path is left: nothing was certified out, so no runner-up bound exists
+        path = canonical_code(make_path(7)).decode()
+        others = {canonical_code(t).decode() for t in enumerate_free_trees(7)} - {path}
+        for key in ("lam2", "sum"):
+            res = search_extremal(7, objective="max", family="all", key=key, exclude=others)
+            assert res.winner_codes == (path,)
+            assert res.runner_up_gap is None
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             search_extremal(8, key="psi", alpha=2.0)

@@ -3,11 +3,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spectrees.enumeration import decode_parent_report, enumerate_free_trees
+from spectrees.enumeration import decode_parent_report, enumerate_free_trees, free_tree_level_chunks
 from spectrees.spectra import (
     EigenvectorData,
     Lambda2MultiplicityError,
+    TreeBatch,
+    _count_above,
+    _rooted,
     adjacency_matrix,
     char_poly_eval,
     char_poly_eval_edges,
@@ -375,3 +380,63 @@ class TestIdentities:
         tt = top_two(t)
         assert got <= tt.lam1_hi + tt.lam2_hi + 1e-8
         assert got > 2.0  # two disjoint 3-stars are worth sqrt(3) each
+
+
+# -- batched kernel ------------------------------------------------------------
+
+
+@st.composite
+def level_sequence(draw, n):
+    """A preorder depth sequence of a rooted tree on n vertices (any labelling)."""
+    levels = [0]
+    for _ in range(1, n):
+        levels.append(draw(st.integers(1, levels[-1] + 1)))
+    return levels
+
+
+def test_batched_counts_match_scalar_kernel():
+    repairs = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(3, 24))
+        rows = data.draw(st.lists(level_sequence(n), min_size=1, max_size=6))
+        batch = TreeBatch(rows)
+        top = math.sqrt(n - 1) + 0.5
+        probes = [0.5, 1.0, 1.5, 2.0, 3.0, data.draw(st.floats(0.0, top)), data.draw(st.floats(0.0, top))]
+        for x in probes:
+            above, equal, rep = batch.count_above(x)
+            repairs.append(int(rep.sum()))
+            for r in range(len(batch)):
+                order, children = _rooted(Tree(n, batch.edges(r)))
+                assert _count_above(order, children, x) == (above[r], equal[r])
+        # one probe per row, as the bisection issues them
+        xs = np.array([data.draw(st.sampled_from(probes)) for _ in rows])
+        above, equal, _ = batch.count_above(xs)
+        for r in range(len(batch)):
+            order, children = _rooted(Tree(n, batch.edges(r)))
+            assert _count_above(order, children, float(xs[r])) == (above[r], equal[r])
+
+    check()
+    assert sum(repairs) > 0, "the sample never exercised the zero-pivot repair"
+
+
+def test_batched_top_two_equals_scalar_for_every_class():
+    # 1e-300 runs every bracket down to float resolution, the other stop rule
+    for n, tol in [(n, 1e-12) for n in range(2, 13)] + [(n, 1e-300) for n in range(3, 9)]:
+        for levels in free_tree_level_chunks(n):
+            batch = TreeBatch(levels)
+            got = [a.tolist() for a in batch.top_two(tol)]
+            for r in range(len(batch)):
+                tt = top_two(Tree(n, batch.edges(r)), tol)
+                assert tuple(a[r] for a in got) == (tt.lam1_lo, tt.lam1_hi, tt.lam2_lo, tt.lam2_hi)
+
+
+def test_tree_batch_rejects_bad_levels():
+    with pytest.raises(ValueError):
+        TreeBatch([[0, 2, 1]])
+    with pytest.raises(ValueError):
+        TreeBatch([[1, 2]])
+    with pytest.raises(ValueError):
+        TreeBatch([[0]]).top_two()

@@ -130,3 +130,9 @@ def test_parse_tree_spec():
     assert parse_tree_spec("dc:2,2,3") == make_double_comet(DoubleCometParams(2, 2, 3))
     with pytest.raises(TreeError):
         parse_tree_spec("ring:5")
+    # non-integer tokens are named in a TreeError, not leaked as a bare int() error
+    for spec, token in (("path:x", "'x'"), ("star:4.5", "'4.5'"), ("dc:1,x,3", "'x'")):
+        with pytest.raises(TreeError, match=token):
+            parse_tree_spec(spec)
+    with pytest.raises(TreeError, match="'a'"):
+        tree_from_text("3\n0 a\n1 2\n")
