@@ -7,7 +7,6 @@ from .trees import (
     TreeError,
     canonical_code,
     centroids,
-    from_edge_list,
     make_double_comet,
     make_path,
     make_star,
@@ -17,7 +16,6 @@ from .trees import (
     tree_to_text,
 )
 from .enumeration import (
-    TreeStream,
     enumerate_double_comets,
     enumerate_free_trees,
     enumerate_labeled_oracle,
@@ -29,9 +27,7 @@ from .spectra import (
     Lambda2MultiplicityError,
     SignCount,
     TopTwo,
-    char_poly_eval,
     count_eigenvalues_above,
-    dc_char_quartic,
     dc_top_two_closed,
     dense_spectrum_oracle,
     eigenvector,

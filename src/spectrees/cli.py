@@ -4,7 +4,8 @@ Subcommands: enumerate, spectrum, extremal, envelope, gap, verify. Trees
 are passed as spec strings (path:N, star:N, dc:K1,K2,L, file:PATH); file
 output is CSV with 15-significant-digit floats and deterministic row
 order, machine-readable results via --json. The verify subcommand exits
-nonzero when any case fails.
+1 when any case fails; bad input (a tree spec, a file, a parameter out of
+range) prints ``error: ...`` to stderr and exits 2.
 """
 
 from __future__ import annotations
@@ -13,19 +14,18 @@ import argparse
 import json
 import sys
 
-from .enumeration import enumerate_trees
-from .extremal import envelope, normalized_envelope, search_extremal, spectral_gap_min
+from .enumeration import count_free_trees, double_comet_params, enumerate_trees
+from .extremal import KEYS, envelope, normalized_envelope, search_extremal, spectral_gap_min
 from .spectra import dense_spectrum_oracle, top_two
 from .suites import (
     SUITES,
-    SpectrumCache,
     emit_csv,
     envelope_to_csv,
     report_to_csv,
     run_suite,
     spectrum_to_csv,
 )
-from .trees import TreeError, canonical_code, parse_tree_spec, tree_to_text
+from .trees import parse_tree_spec, tree_to_text
 
 
 def _positive_int(text: str) -> int:
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--objective", choices=("max", "min"), default="max")
     p.add_argument("--family", choices=("all", "dc"), default="all")
-    p.add_argument("--key", choices=("psi", "sum", "lam1", "lam2", "gap"), default="psi")
+    p.add_argument("--key", choices=KEYS, default="psi")
     _add_common(p)
 
     p = sub.add_parser("envelope", help="piecewise-linear upper envelope over a family")
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, help=f"one of {sorted(SUITES)}")
+    p.add_argument("--suite", required=True, choices=sorted(SUITES))
     _add_common(p)
     return ap
 
@@ -90,13 +90,12 @@ def _maybe_write(args, text: str):
 
 
 def _cmd_enumerate(args) -> int:
-    stream = enumerate_trees(args.n, args.family)
     if args.count_only:
-        total = len(stream)
+        total = count_free_trees(args.n) if args.family == "all" else len(double_comet_params(args.n))
         print(json.dumps({"n": args.n, "family": args.family, "count": total})
               if args.json else total)
         return 0
-    blocks = [tree_to_text(t) for t in stream]
+    blocks = [tree_to_text(t) for t in enumerate_trees(args.n, args.family)]
     text = "\n".join(blocks)
     if args.out:
         emit_csv(text, args.out)
@@ -107,17 +106,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     t = parse_tree_spec(args.tree)
-    cache = SpectrumCache()
-    code = canonical_code(t).decode()
-    cached = cache.get(code, args.tol) if cache.enabled else None
-    if cached is not None:
-        l1lo, l1hi, l2lo, l2hi = cached
-    else:
-        tt = top_two(t, args.tol)
-        l1lo, l1hi, l2lo, l2hi = tt.lam1_lo, tt.lam1_hi, tt.lam2_lo, tt.lam2_hi
-        if cache.enabled:
-            cache.put(code, args.tol, (l1lo, l1hi, l2lo, l2hi))
-            cache.save()
+    tt = top_two(t, args.tol)
+    l1lo, l1hi, l2lo, l2hi = tt.lam1_lo, tt.lam1_hi, tt.lam2_lo, tt.lam2_hi
     payload = {"lambda1": {"lo": l1lo, "hi": l1hi}, "lambda2": {"lo": l2lo, "hi": l2hi}}
     if args.full:
         payload["spectrum"] = dense_spectrum_oracle(t)
@@ -243,7 +233,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except TreeError as exc:
+    except (ValueError, OSError) as exc:  # ValueError covers TreeError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,11 +10,15 @@ Three modes:
   parent-report (Pruefer) sequences and deduplicates by canonical code,
 * the double-comet family, deduplicated at parameter level.
 
-Free and labeled streams yield in canonical-code order, which makes stream
-order and downstream tie-breaking reproducible; the double-comet mode
-yields in a fixed parameter order with O(1) memory per item.
+``enumerate_free_trees`` and ``enumerate_labeled_oracle`` return
+generators of trees in canonical-code order, which makes iteration order
+and downstream tie-breaking reproducible; that order is only known once
+every class is coded, so both code and sort the class list when called.
+``enumerate_double_comets`` yields in a fixed parameter order, one tree at
+a time. Counting needs no trees: ``count_free_trees`` streams the level
+sequences and ``len(double_comet_params(n))`` counts the comets.
 
-Searches and envelopes do not use the sorted free-tree stream: they take
+Searches and envelopes do not use the sorted free-tree list: they take
 the level sequences in generation order, in fixed-size numpy chunks
 (``free_tree_level_chunks``), and never materialise or sort a class list
 or its codes.
@@ -24,75 +28,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .trees import DoubleCometParams, Tree, canonical_code, make_double_comet, make_path
+from .trees import DoubleCometParams, Tree, canonical_code, make_double_comet
 
 MAX_EXHAUSTIVE_ORDER = 24
 MAX_ORACLE_ORDER = 10
 CHUNK_ROWS = 2048
 _FULL_ORACLE_ORDER = 8  # full n^(n-2) scan up to here, covering subset beyond
-
-
-class TreeStream:
-    """A deterministic, resumable stream of pairwise non-isomorphic trees.
-
-    ``position`` is the index of the next tree to be yielded; ``slice``
-    restricts to an index range so consumers can partition work and merge
-    per-range results into the same class multiset.
-    """
-
-    def __init__(self, n: int, mode: str, items, start: int = 0, stop: int | None = None):
-        self.n = n
-        self.mode = mode
-        self._items = items  # callable index -> Tree, plus __len__ via _count
-        self._count = len(items)
-        self.position = start
-        self._stop = self._count if stop is None else min(stop, self._count)
-
-    def __len__(self) -> int:
-        return self._stop - self.position
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> Tree:
-        if self.position >= self._stop:
-            raise StopIteration
-        t = self._items[self.position]
-        self.position += 1
-        return t
-
-    def slice(self, start: int, stop: int | None = None) -> "TreeStream":
-        return TreeStream(self.n, self.mode, self._items, start, stop)
-
-
-class _CodeSortedTrees:
-    """Materialized (code, edges) list sorted by canonical code."""
-
-    def __init__(self, n, coded):
-        self.n = n
-        self.rows = sorted(coded)
-
-    def __len__(self):
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        code, edges = self.rows[i]
-        t = Tree(self.n, edges)
-        t._code = code
-        return t
-
-
-class _ParamTrees:
-    """Double-comet parameter list, decoded on demand."""
-
-    def __init__(self, params):
-        self.params = params
-
-    def __len__(self):
-        return len(self.params)
-
-    def __getitem__(self, i):
-        return make_double_comet(self.params[i])
 
 
 # -- free trees ----------------------------------------------------------------
@@ -218,9 +159,17 @@ def coded_free_trees(n: int):
     return coded
 
 
-def enumerate_free_trees(n: int) -> TreeStream:
+def _coded_trees(n: int, coded):
+    """Trees from code-sorted (code, edges) rows, each with its code cached."""
+    for code, edges in coded:
+        t = Tree(n, edges)
+        t._code = code
+        yield t
+
+
+def enumerate_free_trees(n: int):
     """Every free tree of order n exactly once, in canonical-code order."""
-    return TreeStream(n, "free-trees", _CodeSortedTrees(n, coded_free_trees(n)))
+    return _coded_trees(n, coded_free_trees(n))
 
 
 def count_free_trees(n: int) -> int:
@@ -305,7 +254,7 @@ def _nondecreasing_sequences(n: int):
             seq[j] = seq[i]
 
 
-def enumerate_labeled_oracle(n: int) -> TreeStream:
+def enumerate_labeled_oracle(n: int):
     """Brute-force class oracle from labeled-tree decoding; n <= 10.
 
     Up to n = 8 this decodes every one of the n^(n-2) sequences. For
@@ -316,11 +265,6 @@ def enumerate_labeled_oracle(n: int) -> TreeStream:
     """
     if not 1 <= n <= MAX_ORACLE_ORDER:
         raise ValueError(f"labeled oracle supports 1 <= n <= {MAX_ORACLE_ORDER}, got {n}")
-    if n == 1:
-        return TreeStream(n, "labeled-dedup-oracle", _CodeSortedTrees(1, [(canonical_code(make_path(1)), ())]))
-    if n == 2:
-        k2 = Tree(2, [(0, 1)])
-        return TreeStream(n, "labeled-dedup-oracle", _CodeSortedTrees(2, [(canonical_code(k2), ((0, 1),))]))
     gen = _all_sequences(n) if n <= _FULL_ORACLE_ORDER else _nondecreasing_sequences(n)
     seen = {}
     for seq in gen:
@@ -328,7 +272,7 @@ def enumerate_labeled_oracle(n: int) -> TreeStream:
         code = canonical_code(t)
         if code not in seen:
             seen[code] = tuple(t.edges())
-    return TreeStream(n, "labeled-dedup-oracle", _CodeSortedTrees(n, list(seen.items())))
+    return _coded_trees(n, sorted(seen.items()))
 
 
 # -- double comets -------------------------------------------------------------
@@ -358,12 +302,12 @@ def double_comet_params(n: int):
     return out
 
 
-def enumerate_double_comets(n: int) -> TreeStream:
-    """All double comets of order n, one per isomorphism class."""
-    return TreeStream(n, "double-comets", _ParamTrees(double_comet_params(n)))
+def enumerate_double_comets(n: int):
+    """All double comets of order n, one per isomorphism class, in parameter order."""
+    return (make_double_comet(p) for p in double_comet_params(n))
 
 
-def enumerate_trees(n: int, family: str = "all") -> TreeStream:
+def enumerate_trees(n: int, family: str = "all"):
     if family == "all":
         return enumerate_free_trees(n)
     if family == "dc":

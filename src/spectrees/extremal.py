@@ -1,9 +1,13 @@
 """Extremal search over tree families and the piecewise-linear envelope.
 
-The objective is the convex combination alpha*lam1 + (1-alpha)*lam2 (plus
-the spectral-sum, second-eigenvalue and spectral-gap variants). Searches
-keep certified enclosures for every candidate, prune against a
-deterministic baseline (the double-comet family for maxima, path and star
+Every key is a linear functional c1*lam1 + c2*lam2 of the two largest
+eigenvalues (``_coeffs``): psi is the convex combination alpha*lam1 +
+(1-alpha)*lam2, and the spectral sum, lam1, lam2 and the gap are (1, 1),
+(1, 0), (0, 1) and (1, -1). Key intervals, the comet screening bound and
+the scan's early stops all derive from (c1, c2) and the tree facts
+0 <= lam2 <= lam1 (n >= 3); the one bound tied to a key is the two-hub
+bound on the spectral sum. Searches keep certified enclosures for every
+candidate, prune against a deterministic baseline (the double-comet family for maxima, path and star
 for minima), and refine tolerances adaptively until the winner separates
 or a tie survives at the floor tolerance. All pruning bounds are one-sided
 certificates, so reported winners are exact regardless of worker count or
@@ -52,7 +56,8 @@ from .trees import (
     make_star,
 )
 
-KEYS = ("psi", "sum", "lam1", "lam2", "gap")
+_FIXED_COEFFS = {"sum": (1.0, 1.0), "lam1": (1.0, 0.0), "lam2": (0.0, 1.0), "gap": (1.0, -1.0)}
+KEYS = ("psi", *_FIXED_COEFFS)
 _TOL_SCHEDULE = (1e-10, 1e-12, 1e-14)
 _COARSE_TOL = 1e-6
 _SAFETY = 1e-9  # slack on closed-form baselines before any certified discard
@@ -71,11 +76,10 @@ class PsiValue:
 
 
 def psi(t: Tree, alpha: float, tol: float = 1e-12) -> PsiValue:
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    c1, c2 = _coeffs("psi", alpha)
     tt = top_two(t, tol)
-    lo, hi = tt.combo_interval(alpha)
-    return PsiValue(alpha, tt.lam1, tt.lam2, alpha * tt.lam1 + (1 - alpha) * tt.lam2, lo, hi)
+    lo, hi = _key_interval((c1, c2), (tt.lam1_lo, tt.lam1_hi), (tt.lam2_lo, tt.lam2_hi))
+    return PsiValue(alpha, tt.lam1, tt.lam2, c1 * tt.lam1 + c2 * tt.lam2, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -107,26 +111,34 @@ class ExtremalResult:
         return tuple(w.code for w in self.winners)
 
 
-def _key_interval_from_pair(l1, l2, key: str, alpha: float | None):
-    """Key interval from (lo, hi) pairs of floats, or of arrays elementwise."""
+def _coeffs(key: str, alpha):
+    """(c1, c2) with the key's value c1*lam1 + c2*lam2; c1 >= 0 for every key."""
     if key == "psi":
-        return (alpha * l1[0] + (1 - alpha) * l2[0], alpha * l1[1] + (1 - alpha) * l2[1])
-    if key == "sum":
-        return (l1[0] + l2[0], l1[1] + l2[1])
-    if key == "lam1":
-        return l1
-    if key == "lam2":
-        return l2
-    if key == "gap":
-        lo = l1[0] - l2[1]
-        lo = np.where(lo > 0.0, lo, 0.0) if isinstance(lo, np.ndarray) else max(0.0, lo)
-        return (lo, l1[1] - l2[0])
-    raise ValueError(f"unknown key {key!r}")
+        if alpha is None or not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"psi needs alpha in [0, 1], got {alpha}")
+        return alpha, 1.0 - alpha
+    if key not in _FIXED_COEFFS:
+        raise ValueError(f"key must be one of {KEYS}, got {key!r}")
+    return _FIXED_COEFFS[key]
 
 
-def _tree_key_interval(t: Tree, key: str, alpha, tol: float):
+def _key_interval(c, l1, l2):
+    """Interval of c1*lam1 + c2*lam2 from (lo, hi) pairs of floats, or of arrays elementwise.
+
+    A negative c2 (the gap) pairs lam2's upper end with the lower bound,
+    which is clamped at 0: lam2 <= lam1 and c1 + c2 >= 0.
+    """
+    c1, c2 = c
+    if c2 >= 0:
+        return c1 * l1[0] + c2 * l2[0], c1 * l1[1] + c2 * l2[1]
+    lo = c1 * l1[0] + c2 * l2[1]
+    lo = np.where(lo > 0.0, lo, 0.0) if isinstance(lo, np.ndarray) else max(0.0, lo)
+    return lo, c1 * l1[1] + c2 * l2[0]
+
+
+def _tree_key_interval(t: Tree, c, tol: float):
     tt = top_two(t, tol)
-    return _key_interval_from_pair((tt.lam1_lo, tt.lam1_hi), (tt.lam2_lo, tt.lam2_hi), key, alpha)
+    return _key_interval(c, (tt.lam1_lo, tt.lam1_hi), (tt.lam2_lo, tt.lam2_hi))
 
 
 # -- double-comet family evaluation ------------------------------------------
@@ -150,44 +162,34 @@ def _dc_pair_interval(p: DoubleCometParams, tol: float):
     return dc_top_two_quotient(p.k1, p.k2, p.ell, tol)
 
 
-def _dc_psi_upper_bound(p: DoubleCometParams, key: str, alpha) -> float:
-    """One-sided bound used to discard long comets without bisection.
+def _dc_upper_bound(p: DoubleCometParams, c) -> float:
+    """Upper bound on c1*lam1 + c2*lam2 for c2 >= 0, to discard long comets unbisected.
 
     Valid for ell >= 4: lam1^2 is at most the largest row sum of A^2,
     which is max(k)+3, and lam2 is at most lam1 of the broom left after
     deleting the bigger hub (interlacing), at most sqrt(min(k)+3); the
     constant 4 floors both for nearly bare paths.
     """
-    kmax = max(p.k1, p.k2)
-    kmin = min(p.k1, p.k2)
-    u1 = math.sqrt(max(4.0, kmax + 3.0))
-    u2 = math.sqrt(max(4.0, kmin + 3.0))
-    if key == "psi":
-        return alpha * u1 + (1 - alpha) * u2
-    if key == "sum":
-        return u1 + u2
-    if key == "lam1":
-        return u1
-    if key == "lam2":
-        return u2
-    raise ValueError(f"no upper bound for key {key!r}")
+    u1 = math.sqrt(max(4.0, max(p.k1, p.k2) + 3.0))
+    u2 = math.sqrt(max(4.0, min(p.k1, p.k2) + 3.0))
+    return c[0] * u1 + c[1] * u2
 
 
-def _dc_candidates(n: int, key: str, alpha, objective: str, tol: float, exclude):
+def _dc_candidates(n: int, c, objective: str, tol: float, exclude):
     """Certified double-comet candidate pool plus a discard bound.
 
     Short path orders are evaluated outright (closed forms); for maximizing
-    keys the ell >= 4 comets are first screened by _dc_psi_upper_bound
-    against the best short-order value, which discards all but a thin
-    parameter band. Trees and canonical codes are only built for comets
-    that survive a certified pre-filter; the returned ``discard_bound``
+    keys with c2 >= 0 the ell >= 4 comets are first screened by
+    _dc_upper_bound against the best short-order value, which discards all
+    but a thin parameter band. Trees and canonical codes are only built for
+    comets that survive a certified pre-filter; the returned ``discard_bound``
     caps the key value of everything dropped on the way, so margins
     reported downstream stay certificates. With a nonempty ``exclude`` the
     pre-filter is skipped (codes are needed for every member).
     """
     params = double_comet_params(n)
     maximize = objective == "max"
-    prune = maximize and key in ("psi", "sum", "lam1", "lam2")
+    prune = maximize and c[1] >= 0
 
     def excluded(p):
         # codes are only materialized when an exclusion set is in play
@@ -199,15 +201,15 @@ def _dc_candidates(n: int, key: str, alpha, objective: str, tol: float, exclude)
         for p in params:
             if p.ell <= 3 and not excluded(p):
                 l1, l2 = _dc_pair_interval(p, tol)
-                lo, hi = _key_interval_from_pair(l1, l2, key, alpha)
+                lo, hi = _key_interval(c, l1, l2)
                 rows.append((p, lo, hi))
                 screen_bar = max(screen_bar, lo)
         for p in params:
-            if p.ell >= 4 and _dc_psi_upper_bound(p, key, alpha) >= screen_bar - _SAFETY:
+            if p.ell >= 4 and _dc_upper_bound(p, c) >= screen_bar - _SAFETY:
                 if excluded(p):
                     continue
                 l1, l2 = _dc_pair_interval(p, tol)
-                lo, hi = _key_interval_from_pair(l1, l2, key, alpha)
+                lo, hi = _key_interval(c, l1, l2)
                 rows.append((p, lo, hi))
         discard_bound = screen_bar  # everything screened out sits below the bar
     else:
@@ -215,7 +217,7 @@ def _dc_candidates(n: int, key: str, alpha, objective: str, tol: float, exclude)
             if excluded(p):
                 continue
             l1, l2 = _dc_pair_interval(p, tol)
-            lo, hi = _key_interval_from_pair(l1, l2, key, alpha)
+            lo, hi = _key_interval(c, l1, l2)
             rows.append((p, lo, hi))
         discard_bound = -math.inf if maximize else math.inf
     # pre-filter so trees and codes are only built for near-extremal comets
@@ -247,71 +249,59 @@ class _Scan:
     """Coarse certified scan of one chunk of level sequences.
 
     lo_base/hi_base bound the final optimum from a fixed baseline, so every
-    discard is a certificate independent of chunking and scan order. Uses,
-    for trees, lam2 >= 0 (n >= 3) and lam1^2 + lam2^2 <= n - 1. Called on a
-    chunk, it returns the surviving candidates, whether anything was
-    certified out, and the chunk's row count; only survivors get a Tree and
-    a canonical code.
+    discard is a certificate independent of chunking and scan order. For
+    n >= 3, 0 <= lam2 <= lam1 puts the key between c_lo*lam1 and c_hi*lam1
+    (c_lo = c1 + min(c2, 0), c_hi = c1 + max(c2, 0)), which stops and
+    discards on the lam1 bracket alone; the lam2 bisection stops once lam2
+    is certified past the point where c1*lam1 + c2*lam2 crosses the
+    baseline. Called on a chunk, it returns the surviving candidates,
+    whether anything was certified out, and the chunk's row count; only
+    survivors get a Tree and a canonical code.
     """
 
     n: int
-    key: str
-    alpha: float | None
+    key: str  # only the two-hub bound, a theorem about the sum, reads it
+    coeffs: tuple
     objective: str
     lo_base: float
     hi_base: float
     exclude: frozenset
 
     def __call__(self, levels):
-        n, key, alpha, lo_base, hi_base = self.n, self.key, self.alpha, self.lo_base, self.hi_base
+        n, coeffs, lo_base, hi_base = self.n, self.coeffs, self.lo_base, self.hi_base
+        c1, c2 = coeffs
         maximize = self.objective == "max"
         batch = TreeBatch(levels)
         rows = np.flatnonzero(~_excluded_rows(batch, self.exclude))
         if n == 2:
-            iv = _key_interval_from_pair((1.0, 1.0), (-1.0, -1.0), key, alpha)
+            iv = _key_interval(coeffs, (1.0, 1.0), (-1.0, -1.0))
             return [_candidate(batch, r, *iv) for r in rows], False, len(batch)
         out = np.zeros(len(batch), dtype=bool)
-        if not maximize and key == "sum":
+        if not maximize and self.key == "sum":
             out[rows] = _two_hub_out(batch, rows, hi_base)
         star = np.flatnonzero(~out & (batch.degrees.max(axis=1) == n - 1))
         s = math.sqrt(n - 1)
-        pool = [_candidate(batch, r, *_key_interval_from_pair((s, s), (0.0, 0.0), key, alpha))
+        pool = [_candidate(batch, r, *_key_interval(coeffs, (s, s), (0.0, 0.0)))
                 for r in np.intersect1d(star, rows)]
         rows = np.setdiff1d(rows[~out[rows]], star)
-        stop_lo = stop_hi = None
+        c_lo, c_hi = c1 + min(c2, 0.0), c1 + max(c2, 0.0)
         if maximize:
-            # psi, lam1, lam2 are all at most lam1; the sum is at most 2*lam1
-            if key in ("psi", "lam1", "lam2"):
-                stop_hi = lo_base
-            elif key == "sum":
-                stop_hi = 0.5 * lo_base
-        if not maximize and key in ("sum", "lam1"):
-            stop_lo = hi_base  # lam2 >= 0 for n >= 3, so the sum is at least lam1
-        l1_lo, l1_hi = batch.bisect(1, 0.0, s, _COARSE_TOL, rows, stop_lo, stop_hi)
-        if maximize and key in ("psi", "lam1", "lam2"):
-            l1_out = l1_hi < lo_base
-        elif maximize and key == "sum":
-            l1_out = 2.0 * l1_hi < lo_base
-        elif not maximize and key in ("sum", "lam1"):
-            l1_out = l1_lo > hi_base
+            l1_lo, l1_hi = batch.bisect(1, 0.0, s, _COARSE_TOL, rows, None, lo_base / c_hi)
+            l1_out = c_hi * l1_hi < lo_base
         else:
-            l1_out = np.zeros(len(rows), dtype=bool)
+            stop_lo = hi_base / c_lo if c_lo > 0 else None
+            l1_lo, l1_hi = batch.bisect(1, 0.0, s, _COARSE_TOL, rows, stop_lo, None)
+            l1_out = c_lo * l1_lo > hi_base
         out[rows[l1_out]] = True
         rows, l1_lo, l1_hi = rows[~l1_out], l1_lo[~l1_out], l1_hi[~l1_out]
-        if key == "lam1":
-            iv = (l1_lo, l1_hi)
-        else:
-            stop_lo = stop_hi = None
-            if maximize and key == "psi" and alpha < 1.0:
-                stop_hi = (lo_base - alpha * l1_hi) / (1.0 - alpha)
-            elif maximize and key == "sum":
-                stop_hi = lo_base - l1_hi
-            elif maximize and key == "lam2":
-                stop_hi = lo_base
-            elif not maximize and key == "sum":
-                stop_lo = hi_base - l1_lo
-            l2 = batch.bisect(2, 0.0, l1_hi, _COARSE_TOL, rows, stop_lo, stop_hi)
-            iv = _key_interval_from_pair((l1_lo, l1_hi), l2, key, alpha)
+        l2 = (0.0, 0.0)  # c2 == 0: lam2 does not enter the key
+        if c2 != 0:
+            # the key crosses the baseline where lam2 = (base - c1*lam1)/c2, lam1 at its
+            # far end; lam2 past that point, on the side the sign of c2 gives, is out
+            cross = (lo_base - c1 * l1_hi) / c2 if maximize else (hi_base - c1 * l1_lo) / c2
+            stops = (None, cross) if maximize == (c2 > 0) else (cross, None)
+            l2 = batch.bisect(2, 0.0, l1_hi, _COARSE_TOL, rows, *stops)
+        iv = _key_interval(coeffs, (l1_lo, l1_hi), l2)
         iv_out = iv[1] < lo_base if maximize else iv[0] > hi_base
         out[rows[iv_out]] = True
         keep = ~iv_out
@@ -361,7 +351,7 @@ def _excluded_rows(batch, exclude):
     return excluded
 
 
-def _baseline(n: int, key: str, alpha, objective: str, exclude):
+def _baseline(n: int, coeffs, objective: str, exclude):
     """Deterministic certified baseline interval for pruning.
 
     Maximizing keys use the best double comet (closed forms plus the
@@ -369,12 +359,12 @@ def _baseline(n: int, key: str, alpha, objective: str, exclude):
     and star. Returns (lo, hi) enclosing the baseline value.
     """
     if objective == "max":
-        cands, _, _ = _dc_candidates(n, key, alpha, "max", 1e-12, exclude)
+        cands, _, _ = _dc_candidates(n, coeffs, "max", 1e-12, exclude)
         best = max(cands, key=lambda c: c.lo)
         return best.lo, best.hi
     best = (-math.inf, math.inf)
     for t in (make_path(n), make_star(n)) if n >= 2 else (make_path(n),):
-        iv = _tree_key_interval(t, key, alpha, 1e-12)
+        iv = _tree_key_interval(t, coeffs, 1e-12)
         if canonical_code(t).decode() in exclude:
             continue
         if iv[1] < best[1]:
@@ -411,13 +401,9 @@ def search_extremal(
     candidate. Surviving ties are reported as a set, flagged ``tie_proven``
     when closed forms prove exact equality (short comets only).
     """
-    if key not in KEYS:
-        raise ValueError(f"key must be one of {KEYS}, got {key!r}")
+    coeffs = _coeffs(key, alpha)
     if objective not in ("max", "min"):
         raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
-    if key == "psi":
-        if alpha is None or not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"psi needs alpha in [0, 1], got {alpha}")
     if n < 2:
         raise ValueError("searches need n >= 2")
     if jobs < 1:
@@ -426,12 +412,12 @@ def search_extremal(
     maximize = objective == "max"
 
     if family == "dc":
-        pool, scanned, discard_bound = _dc_candidates(n, key, alpha, objective, 1e-12, exclude)
+        pool, scanned, discard_bound = _dc_candidates(n, coeffs, objective, 1e-12, exclude)
     elif family == "all":
         if n > MAX_EXHAUSTIVE_ORDER:
             raise ValueError(f"family='all' supports n <= {MAX_EXHAUSTIVE_ORDER}")
-        lo_base, hi_base = _baseline(n, key, alpha, objective, exclude)
-        scan = _Scan(n, key, alpha, objective, lo_base, hi_base, exclude)
+        lo_base, hi_base = _baseline(n, coeffs, objective, exclude)
+        scan = _Scan(n, key, coeffs, objective, lo_base, hi_base, exclude)
         chunks = free_tree_level_chunks(n)
         if jobs == 1:
             results = list(map(scan, chunks))
@@ -460,9 +446,9 @@ def search_extremal(
                 continue
             if c.params is not None:
                 l1, l2 = _dc_pair_interval(c.params, tol)
-                lo, hi = _key_interval_from_pair(l1, l2, key, alpha)
+                lo, hi = _key_interval(coeffs, l1, l2)
             else:
-                lo, hi = _tree_key_interval(Tree(n, c.edges), key, alpha, tol)
+                lo, hi = _tree_key_interval(Tree(n, c.edges), coeffs, tol)
             out.append(Candidate(c.code, c.edges, lo, hi, c.params))
         return out
 

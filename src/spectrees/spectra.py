@@ -6,6 +6,9 @@ leaf-to-root pivoting, with the standard zero-pivot repair that replaces a
 zero child pivot by 2, the current pivot by -1/2 and severs the edge to the
 parent). Bisection on that count gives enclosing intervals for the two
 largest eigenvalues with no dependence on floating-point eigensolvers.
+``_bisect_count`` is the one scalar bisection loop: it takes any count
+function, so whole trees, induced forests and the double-comet quotient
+(a weighted path with its own pivot recurrence) all share it.
 ``TreeBatch`` runs the same pass and bisection over many same-order trees
 at once with numpy and reproduces the scalar brackets bit for bit.
 
@@ -70,19 +73,6 @@ class TopTwo:
     @property
     def lam2(self) -> float:
         return 0.5 * (self.lam2_lo + self.lam2_hi)
-
-    def sum_interval(self):
-        return (self.lam1_lo + self.lam2_lo, self.lam1_hi + self.lam2_hi)
-
-    def gap_interval(self):
-        return (max(0.0, self.lam1_lo - self.lam2_hi), self.lam1_hi - self.lam2_lo)
-
-    def combo_interval(self, alpha: float):
-        """Interval for alpha*lam1 + (1-alpha)*lam2; needs 0 <= alpha <= 1."""
-        return (
-            alpha * self.lam1_lo + (1.0 - alpha) * self.lam2_lo,
-            alpha * self.lam1_hi + (1.0 - alpha) * self.lam2_hi,
-        )
 
 
 # -- elimination kernel ----------------------------------------------------
@@ -154,6 +144,11 @@ def _count_above(order, children, x: float):
     return above, equal
 
 
+def _above_counter(order, children):
+    """The eigenvalue count above x of a rooted forest, as a function of x."""
+    return lambda x: _count_above(order, children, x)[0]
+
+
 def count_eigenvalues_above(t: Tree, x: float) -> SignCount:
     """Exact eigenvalue counts of A(t) relative to x.
 
@@ -165,28 +160,21 @@ def count_eigenvalues_above(t: Tree, x: float) -> SignCount:
     return SignCount(above, equal, t.n - above - equal)
 
 
-def _bisect_count(order, children, k: int, lo: float, hi: float, tol: float,
-                  stop_lo_above: float | None = None,
-                  stop_hi_below: float | None = None):
+def _bisect_count(above, k: int, lo: float, hi: float, tol: float):
     """Shrink [lo, hi] around the k-th largest eigenvalue.
 
-    Precondition: at least k eigenvalues exceed lo (or lo is a known valid
-    floor) and fewer than k exceed hi. The optional stop parameters abandon
-    the bisection early once the bracket certifies the eigenvalue is above
-    (resp. below) the given threshold; the partial bracket is returned.
+    ``above(x)`` counts the eigenvalues greater than x. Precondition: at
+    least k eigenvalues exceed lo (or lo is a known valid floor) and fewer
+    than k exceed hi. Stops at width tol, at float resolution, or after 200
+    probes.
     """
     for _ in range(200):
         if hi - lo <= tol:
             break
-        if stop_lo_above is not None and lo > stop_lo_above:
-            break
-        if stop_hi_below is not None and hi < stop_hi_below:
-            break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        above, _ = _count_above(order, children, mid)
-        if above >= k:
+        if above(mid) >= k:
             lo = mid
         else:
             hi = mid
@@ -217,10 +205,9 @@ def top_two(t: Tree, tol: float = 1e-12) -> TopTwo:
     if t.max_degree() == n - 1:
         s = math.sqrt(n - 1)
         return TopTwo(s, s, 0.0, 0.0, tol)
-    order, children = _rooted(t)
-    hi0 = lambda1_upper_bracket(n)
-    l1_lo, l1_hi = _bisect_count(order, children, 1, 0.0, hi0, tol)
-    l2_lo, l2_hi = _bisect_count(order, children, 2, 0.0, l1_hi, tol)
+    above = _above_counter(*_rooted(t))
+    l1_lo, l1_hi = _bisect_count(above, 1, 0.0, lambda1_upper_bracket(n), tol)
+    l2_lo, l2_hi = _bisect_count(above, 2, 0.0, l1_hi, tol)
     return TopTwo(l1_lo, l1_hi, l2_lo, l2_hi, tol)
 
 
@@ -329,10 +316,12 @@ class TreeBatch:
     def bisect(self, k: int, lo, hi, tol: float, rows=None, stop_lo_above=None, stop_hi_below=None):
         """``_bisect_count`` on every row at once; returns (lo, hi) arrays.
 
-        Bounds and stop thresholds are scalars or one value per row (None
-        disables a stop). Each row stops by the scalar rules (width, stop
-        thresholds, float resolution, 200 probes); those rules are monotone,
-        so a row frozen at its first stop holds the scalar bracket.
+        Each row stops by the scalar rules (width, float resolution, 200
+        probes) and, in addition, once its bracket is certified above
+        ``stop_lo_above`` or below ``stop_hi_below``. Bounds and thresholds
+        are scalars or one value per row (None disables a stop). All these
+        rules are monotone, so a row frozen at its first stop holds the
+        bracket a scalar bisection with the same stops would return.
         """
         rows = np.arange(len(self)) if rows is None else np.asarray(rows)
         m = len(rows)
@@ -395,32 +384,11 @@ def lambda1_interval_of_vertices(t: Tree, vertices, tol: float = 1e-12):
                 adj[index[v]].append(index[w])
     if all(not a for a in adj):
         return (0.0, 0.0)
-    order, children = _root_forest(adj)
     hi0 = math.sqrt(len(vs) - 1) * (1.0 + 1e-12) + 1e-12
-    return _bisect_count(order, children, 1, 0.0, hi0, tol)
+    return _bisect_count(_above_counter(*_root_forest(adj)), 1, 0.0, hi0, tol)
 
 
 # -- closed forms ----------------------------------------------------------
-
-
-def dc_char_quartic(params: DoubleCometParams):
-    """Coefficients (x^4, x^3, x^2, x, 1) of the nonzero-spectrum factor.
-
-    For path order 3 the factor is x^4 - (n-1)x^2 + (k1*k2 + k1 + k2); for
-    path order 2 it is x^4 - (n-1)x^2 + k1*k2. The remaining n-4
-    eigenvalues are zero.
-    """
-    k1, k2, ell = params.k1, params.k2, params.ell
-    if ell not in (2, 3):
-        raise ValueError(f"quartic factor exists only for path order 2 or 3, got {ell}")
-    if k1 + k2 < 1:
-        raise ValueError("need at least one pendant leaf")
-    n = params.n
-    if ell == 3:
-        c = k1 * k2 + k1 + k2
-    else:
-        c = k1 * k2
-    return (1, 0, -(n - 1), 0, c)
 
 
 def dc_top_two_closed(params: DoubleCometParams):
@@ -497,83 +465,8 @@ def dc_top_two_quotient(k1: int, k2: int, ell: int, tol: float = 1e-12):
         return count
 
     hi0 = math.sqrt(n - 1) * (1.0 + 1e-12) + 1e-12
-    lo1, hi1 = 0.0, hi0
-    for _ in range(200):
-        if hi1 - lo1 <= tol:
-            break
-        mid = 0.5 * (lo1 + hi1)
-        if mid <= lo1 or mid >= hi1:
-            break
-        if above(mid) >= 1:
-            lo1 = mid
-        else:
-            hi1 = mid
-    lo2, hi2 = 0.0, hi1
-    for _ in range(200):
-        if hi2 - lo2 <= tol:
-            break
-        mid = 0.5 * (lo2 + hi2)
-        if mid <= lo2 or mid >= hi2:
-            break
-        if above(mid) >= 2:
-            lo2 = mid
-        else:
-            hi2 = mid
-    return (lo1, hi1), (lo2, hi2)
-
-
-# -- characteristic polynomial ----------------------------------------------
-
-
-def char_poly_eval_edges(n: int, edges, x: float) -> float:
-    """det(xI - A) for the forest on vertices 0..n-1 with the given edges.
-
-    Bottom-up two-value recursion per rooted subtree: with P the subtree
-    polynomial and Q the polynomial of the subtree minus its root,
-    P(v) = x * prod_c P(c) - sum_c Q(c) * prod_{c' != c} P(c'). This is the
-    iterated pendant-edge deletion identity and never divides, so probe
-    values that are exact eigenvalues simply evaluate to 0.
-    """
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    order, children = _root_forest(adj)
-    P = [0.0] * n
-    Q = [0.0] * n
-    for idx in range(n - 1, -1, -1):
-        v = order[idx]
-        cs = children[v]
-        if not cs:
-            P[v] = x
-            Q[v] = 1.0
-            continue
-        k = len(cs)
-        pre = [1.0] * (k + 1)
-        for i, c in enumerate(cs):
-            pre[i + 1] = pre[i] * P[c]
-        suf = [1.0] * (k + 1)
-        for i in range(k - 1, -1, -1):
-            suf[i] = suf[i + 1] * P[cs[i]]
-        s = 0.0
-        for i, c in enumerate(cs):
-            s += Q[c] * pre[i] * suf[i + 1]
-        P[v] = x * pre[k] - s
-        Q[v] = pre[k]
-    # det over the forest = product over component roots
-    roots = set(order)
-    for v in order:
-        for c in children[v]:
-            roots.discard(c)
-    det = 1.0
-    for r in sorted(roots):
-        det *= P[r]
-    return det
-
-
-def char_poly_eval(t: Tree, x: float) -> float:
-    """det(xI - A(t)); returns 0 when x is an eigenvalue."""
-    return char_poly_eval_edges(t.n, t.edges(), x)
+    lam1 = _bisect_count(above, 1, 0.0, hi0, tol)
+    return lam1, _bisect_count(above, 2, 0.0, lam1[1], tol)
 
 
 # -- dense oracle ------------------------------------------------------------

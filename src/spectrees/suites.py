@@ -17,9 +17,7 @@ probes; enum-counts cross-checks the two independent enumerators.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -64,6 +62,7 @@ from .transforms import (
     contract_internal_edge,
     hanging_path_shift,
     kelmans,
+    rotate,
     rotation_gain,
 )
 from .trees import (
@@ -461,9 +460,7 @@ def suite_lemmas(seed: int = 0, cases: int = 500, **_):
             continue
         done += 1
         before = psi(t, alpha)
-        edges = [(a, b) for a, b in t.edges() if {a, b} != {v, w}]
-        edges.append((u, w))
-        after = psi(Tree(n, edges), alpha)
+        after = psi(rotate(t, u, v, w).after, alpha)
         if not after.lo > before.hi:
             violations += 1
     rep.case(f"rotation-gain-implication-{cases}", 0, violations, 0.0, violations == 0)
@@ -726,55 +723,3 @@ def emit_csv(text: str, path: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise OSError(f"could not write {path}: {exc}") from exc
-
-
-# -- cache --------------------------------------------------------------------
-
-CACHE_ENV = "SPECTREES_CACHE"
-
-
-class SpectrumCache:
-    """Advisory JSON-lines cache of certified intervals keyed by canonical code.
-
-    Entries are only served when they were computed at a tolerance at least
-    as tight as requested; anything else is recomputed and overwritten.
-    """
-
-    def __init__(self, path: str | None = None):
-        self.path = path or os.environ.get(CACHE_ENV)
-        self._data = {}
-        if self.path and os.path.exists(self.path):
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    row = json.loads(line)
-                    self._data[row["code"]] = row
-
-    @property
-    def enabled(self) -> bool:
-        return bool(self.path)
-
-    def get(self, code: str, tol: float):
-        row = self._data.get(code)
-        if row is None or row["tol"] > tol:
-            return None
-        return row["lam1_lo"], row["lam1_hi"], row["lam2_lo"], row["lam2_hi"]
-
-    def put(self, code: str, tol: float, intervals) -> None:
-        self._data[code] = {
-            "code": code,
-            "tol": tol,
-            "lam1_lo": intervals[0],
-            "lam1_hi": intervals[1],
-            "lam2_lo": intervals[2],
-            "lam2_hi": intervals[3],
-        }
-
-    def save(self) -> None:
-        if not self.path:
-            return
-        with open(self.path, "w", encoding="utf-8", newline="\n") as fh:
-            for code in sorted(self._data):
-                fh.write(json.dumps(self._data[code], sort_keys=True) + "\n")

@@ -58,10 +58,10 @@ class DoubleCometParams:
 class Tree:
     """An unrooted tree on vertices ``0..n-1``.
 
-    ``adjacency[v]`` is the sorted tuple of neighbors of ``v``. Use
-    :func:`from_edge_list` or the family constructors rather than calling
-    the constructor with hand-built edges, unless validation errors are
-    wanted as control flow.
+    ``adjacency[v]`` is the sorted tuple of neighbors of ``v``. The
+    constructor validates the edge list and raises :class:`TreeError` for
+    anything that is not a tree; the family constructors build the named
+    shapes.
     """
 
     __slots__ = ("n", "adjacency", "_code", "_rooted")
@@ -206,11 +206,6 @@ def make_double_comet(params: DoubleCometParams) -> Tree:
     for _ in range(k2):
         edges.append((t2, v))
         v += 1
-    return Tree(n, edges)
-
-
-def from_edge_list(n: int, edges) -> Tree:
-    """Validated construction; see :class:`TreeError` for the failure modes."""
     return Tree(n, edges)
 
 

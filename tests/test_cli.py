@@ -1,10 +1,11 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from spectrees.cli import main
 from spectrees.suites import (
-    SpectrumCache,
     envelope_to_csv,
     report_to_csv,
     run_suite,
@@ -56,18 +57,6 @@ def test_spectrum_csv_full_comet():
     assert len(rows) == 1 + 7  # header plus one row per eigenvalue
 
 
-def test_cache_roundtrip(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    c = SpectrumCache(str(path))
-    c.put("CODE", 1e-12, (1.0, 1.0 + 1e-12, 0.5, 0.5 + 1e-12))
-    c.save()
-    again = SpectrumCache(str(path))
-    assert again.get("CODE", 1e-12) is not None
-    # stale tolerance is not served
-    assert again.get("CODE", 1e-13) is None
-    assert again.get("OTHER", 1e-12) is None
-
-
 def test_cli_enumerate_count(capsys):
     assert main(["enumerate", "--n", "8", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "23"
@@ -85,17 +74,6 @@ def test_cli_spectrum_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert abs(payload["lambda1"]["hi"] - 2.0) < 1e-9
     assert len(payload["spectrum"]) == 7
-
-
-def test_cli_spectrum_uses_cache(tmp_path, monkeypatch, capsys):
-    cache = tmp_path / "c.jsonl"
-    monkeypatch.setenv("SPECTREES_CACHE", str(cache))
-    assert main(["spectrum", "--tree", "path:6", "--json"]) == 0
-    first = json.loads(capsys.readouterr().out)
-    assert cache.exists()
-    assert main(["spectrum", "--tree", "path:6", "--json"]) == 0
-    second = json.loads(capsys.readouterr().out)
-    assert first == second
 
 
 def test_cli_extremal_json(capsys):
@@ -122,10 +100,27 @@ def test_cli_gap(capsys):
     assert payload["gap_maximized_by_star"] is True
 
 
-def test_cli_bad_tree_spec_is_a_clean_error(capsys):
-    assert main(["spectrum", "--tree", "path:x"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "'x'" in err and "Traceback" not in err
+def test_cli_bad_tree_spec_is_a_clean_error(tmp_path, capsys):
+    # bad input of every kind: one "error: ..." line on stderr and exit code 2
+    cases = [
+        (["spectrum", "--tree", "path:x"], "'x'"),
+        (["spectrum", "--tree", "path:1"], "n >= 2"),
+        (["spectrum", "--tree", f"file:{tmp_path / 'missing.txt'}"], "missing.txt"),
+        (["spectrum", "--tree", "path:5", "--out", str(tmp_path / "no-dir" / "x.csv")], "x.csv"),
+        (["extremal", "--n", "30"], "n <= 24"),
+        (["extremal", "--n", "6", "--alpha", "1.5"], "alpha"),
+        (["envelope", "--n", "30"], "n <= 24"),
+        (["enumerate", "--n", "30", "--count-only"], "n <= 24"),
+        (["verify", "--suite", "nope"], "'nope'"),
+    ]
+    for argv, says in cases:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a bad choice while parsing
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert "error: " in err.splitlines()[-1] and says in err and "Traceback" not in err, argv
 
 
 def test_cli_rejects_nonpositive_jobs(capsys):
@@ -138,8 +133,9 @@ def test_cli_rejects_nonpositive_jobs(capsys):
 def test_cli_verify_exit_codes(capsys):
     assert main(["verify", "--suite", "figure2"]) == 0
     capsys.readouterr()
-    with pytest.raises(ValueError):
+    with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "not-a-suite"])
+    assert exc.value.code == 2
 
 
 def test_cli_verify_report_out(tmp_path, capsys):
@@ -150,3 +146,15 @@ def test_cli_verify_report_out(tmp_path, capsys):
     assert text.splitlines()[1] == "id,expected,got,tolerance,pass"
     assert main(["verify", "--suite", "figure2", "--out", str(out)]) == 0
     assert out.read_text() == text
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # every command README documents must still parse and succeed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("spectrees ")]
+    assert len(commands) >= 10
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    capsys.readouterr()

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from spectrees.enumeration import enumerate_free_trees
+from spectrees.enumeration import count_free_trees, enumerate_free_trees
 from spectrees.extremal import (
     AsymptoticParams,
     dc_structure_probe,
@@ -18,6 +18,7 @@ from spectrees.extremal import (
     tuned_dc2_params,
     tuned_dc3_params,
 )
+from spectrees.spectra import top_two
 from spectrees.trees import (
     DoubleCometParams,
     canonical_code,
@@ -96,6 +97,25 @@ class TestSearch:
         assert set(res0.winner_codes) == set(lam2.winner_codes)
         assert len(lam2.winner_codes) == 3 and not lam2.resolved
 
+    def test_every_key_matches_brute_force(self):
+        # winners and runner-up margin against top_two of every class, both objectives
+        value = {"sum": lambda l1, l2: l1 + l2, "lam1": lambda l1, l2: l1,
+                 "lam2": lambda l1, l2: l2, "gap": lambda l1, l2: l1 - l2}
+        for n in range(3, 12):
+            pairs = {canonical_code(t).decode(): top_two(t) for t in enumerate_free_trees(n)}
+            for key, alpha in (("psi", 0.0), ("psi", 0.3), ("psi", 0.5), ("psi", 1.0),
+                               ("sum", None), ("lam1", None), ("lam2", None), ("gap", None)):
+                f = value.get(key, lambda l1, l2: alpha * l1 + (1 - alpha) * l2)
+                vals = {code: f(tt.lam1, tt.lam2) for code, tt in pairs.items()}
+                for objective, pick in (("max", max), ("min", min)):
+                    res = search_extremal(n, alpha=alpha, objective=objective, key=key)
+                    best = pick(vals.values())
+                    for w in res.winners:
+                        assert abs(0.5 * (w.lo + w.hi) - best) < 1e-9, (n, key, alpha, objective)
+                    margin = math.inf if res.runner_up_gap is None else res.runner_up_gap
+                    near = {code for code, v in vals.items() if abs(v - best) < margin - 1e-9}
+                    assert near <= set(res.winner_codes), (n, key, alpha, objective)
+
     def test_two_vertex_comet_family(self):
         # DC(0,0,2) is the 2-path with lam2 = -1; the family search must see it
         res = search_extremal(2, objective="min", family="dc", key="sum")
@@ -116,7 +136,7 @@ class TestSearch:
             want = (code_of((n - 4) // 2, (n - 2) // 2, 3),)
             res = search_extremal(n, objective="max", family="all", key="lam2", exclude={best})
             assert res.resolved and res.winner_codes == want
-            assert res.scanned == len(enumerate_free_trees(n))
+            assert res.scanned == count_free_trees(n)
         par = search_extremal(12, objective="max", family="all", key="lam2", exclude={best}, jobs=2)
         assert par == search_extremal(12, objective="max", family="all", key="lam2", exclude={best})
 

@@ -14,10 +14,7 @@ from spectrees.spectra import (
     _count_above,
     _rooted,
     adjacency_matrix,
-    char_poly_eval,
-    char_poly_eval_edges,
     count_eigenvalues_above,
-    dc_char_quartic,
     dc_top_two_closed,
     dc_top_two_quotient,
     dense_eigh,
@@ -111,14 +108,7 @@ class TestTopTwo:
 
 
 class TestClosedForms:
-    def test_quartics(self):
-        assert dc_char_quartic(DoubleCometParams(2, 2, 3)) == (1, 0, -6, 0, 8)
-        assert dc_char_quartic(DoubleCometParams(12, 12, 2)) == (1, 0, -25, 0, 144)
-        assert dc_char_quartic(DoubleCometParams(0, 1, 3)) == (1, 0, -3, 0, 1)
-
     def test_quartic_rejects_long_path(self):
-        with pytest.raises(ValueError):
-            dc_char_quartic(DoubleCometParams(2, 2, 4))
         with pytest.raises(ValueError):
             dc_top_two_closed(DoubleCometParams(2, 2, 5))
 
@@ -166,34 +156,6 @@ class TestClosedForms:
         assert abs(path_eigenvalue(6, 2) - 1.24697) < 1e-5
         with pytest.raises(ValueError):
             path_eigenvalue(5, 6)
-
-
-class TestCharPoly:
-    def test_values(self):
-        assert char_poly_eval(make_path(2), 2.0) == 3.0
-        assert char_poly_eval(make_path(4), 0.0) == 1.0
-
-    def test_eigenvalue_root(self):
-        assert abs(char_poly_eval(DC223, 2.0)) < 1e-9
-
-    def test_edge_deletion_identity(self):
-        # det(xI - A) for T equals the forest value for T - uv minus T - u - v
-        rng = random.Random(9)
-        for _ in range(40):
-            n = rng.randrange(3, 10)
-            t = random_tree(rng, n)
-            edges = t.edges()
-            u, v = edges[rng.randrange(len(edges))]
-            x = rng.uniform(-2.5, 2.5)
-            minus_edge = [e for e in edges if e != (u, v) and e != (v, u)]
-            minus_both = [
-                (a - (a > u) - (a > v), b - (b > u) - (b > v))
-                for a, b in minus_edge
-                if u not in (a, b) and v not in (a, b)
-            ]
-            lhs = char_poly_eval(t, x)
-            rhs = char_poly_eval_edges(n, minus_edge, x) - char_poly_eval_edges(n - 2, minus_both, x)
-            assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(lhs), abs(rhs))
 
 
 class TestOracle:

@@ -15,7 +15,6 @@ from spectrees.trees import (
     DoubleCometParams,
     Tree,
     canonical_code,
-    from_edge_list,
     make_double_comet,
     make_path,
     make_star,
@@ -149,7 +148,7 @@ class TestContraction:
         assert out.strict_expected and certified_increase(out)
 
     def test_subdivided_star_has_no_internal_edge(self):
-        sub = from_edge_list(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
+        sub = Tree(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
         for u, v in sub.edges():
             with pytest.raises(ValueError):
                 contract_internal_edge(sub, u, v)
@@ -166,7 +165,7 @@ class TestContraction:
 
 class TestHangingPathShift:
     def test_spider_strictly_decreases(self):
-        sp = from_edge_list(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
+        sp = Tree(7, [(0, 1), (0, 2), (2, 3), (0, 4), (4, 5), (5, 6)])
         out = hanging_path_shift(sp, 0, 3, 2)
         assert out.certificates["after"].lam1_hi < out.certificates["before"].lam1_lo
 
@@ -176,7 +175,7 @@ class TestHangingPathShift:
         assert canonical_code(out.after) == canonical_code(make_path(5))
 
     def test_leg_becomes_empty(self):
-        sp = from_edge_list(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
+        sp = Tree(6, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5)])
         out = hanging_path_shift(sp, 0, 3, 1)
         assert out.after.n == 6
         assert out.certificates["after"].lam1_hi < out.certificates["before"].lam1_lo

@@ -8,7 +8,6 @@ from spectrees.trees import (
     TreeError,
     canonical_code,
     centroids,
-    from_edge_list,
     make_double_comet,
     make_path,
     make_star,
@@ -70,18 +69,18 @@ def test_double_comet_rejects_bad_params():
 )
 def test_from_edge_list_errors(n, edges, reason):
     with pytest.raises(TreeError) as err:
-        from_edge_list(n, edges)
+        Tree(n, edges)
     assert err.value.reason == reason
 
 
 def test_from_edge_list_ok():
-    t = from_edge_list(2, [(0, 1)])
+    t = Tree(2, [(0, 1)])
     assert t.n == 2 and t.degree(0) == 1
 
 
 def test_tree_is_immutable_value():
-    a = from_edge_list(3, [(0, 1), (1, 2)])
-    b = from_edge_list(3, [(1, 2), (0, 1)])
+    a = Tree(3, [(0, 1), (1, 2)])
+    b = Tree(3, [(1, 2), (0, 1)])
     assert a == b and hash(a) == hash(b)
 
 
@@ -99,7 +98,7 @@ def test_canonical_code_relabeling_invariance():
         make_path(7),
         make_star(7),
         make_double_comet(DoubleCometParams(3, 2, 4)),
-        from_edge_list(8, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6), (5, 7)]),
+        Tree(8, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (5, 6), (5, 7)]),
     ]
     for t in samples:
         want = canonical_code(t)
