@@ -35,10 +35,11 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_common(p):
-    p.add_argument("--tol", type=float, default=1e-12, help="certified interval width")
+def _add_jobs(p):
     p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes for scans")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+
+
+def _add_output(p):
     p.add_argument("--json", action="store_true", help="emit JSON to stdout")
     p.add_argument("--out", help="write CSV to this path")
 
@@ -52,12 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", choices=("all", "dc"), default="all")
     p.add_argument("--count-only", action="store_true")
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("spectrum", help="top two eigenvalues of one tree")
     p.add_argument("--tree", required=True, help="path:N | star:N | dc:K1,K2,L | file:PATH")
     p.add_argument("--full", action="store_true", help="full oracle spectrum (n <= 64)")
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=1e-12, help="certified interval width")
+    _add_output(p)
 
     p = sub.add_parser("extremal", help="extremal tree for a spectral objective")
     p.add_argument("--n", type=int, required=True)
@@ -65,22 +67,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", choices=("max", "min"), default="max")
     p.add_argument("--family", choices=("all", "dc"), default="all")
     p.add_argument("--key", choices=KEYS, default="psi")
-    _add_common(p)
+    _add_jobs(p)
+    _add_output(p)
 
     p = sub.add_parser("envelope", help="piecewise-linear upper envelope over a family")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", choices=("all", "dc"), default="all")
     p.add_argument("--normalized", action="store_true")
-    _add_common(p)
+    _add_output(p)
 
     p = sub.add_parser("gap", help="spectral-gap minimizers (exploration)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--family", choices=("all", "dc"), default="all")
-    _add_common(p)
+    _add_jobs(p)
+    _add_output(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
+    _add_jobs(p)
+    _add_output(p)
     return ap
 
 

@@ -143,16 +143,11 @@ def free_tree_level_chunks(n: int):
         yield np.frombuffer(b"".join(rows), dtype=np.int8).reshape(len(rows), n)
 
 
-def free_tree_edge_lists(n: int):
-    """Yield one edge list per isomorphism class, in generation order."""
-    for seq in free_tree_levels(n):
-        yield _level_seq_edges(seq)
-
-
 def coded_free_trees(n: int):
     """(canonical code, edge tuple) per class, sorted by code."""
     coded = []
-    for edges in free_tree_edge_lists(n):
+    for seq in free_tree_levels(n):
+        edges = _level_seq_edges(seq)
         t = Tree(n, edges)
         coded.append((canonical_code(t), tuple(edges)))
     coded.sort()

@@ -22,8 +22,8 @@ kernel and the weighted-path quotient.
 The envelope treats each tree as the line alpha -> lam2 + alpha*(lam1 -
 lam2) and eliminates dominated lines by the usual slope-sorted convex-hull
 stack; breakpoints are exact pairwise intersections of supporting lines.
-Over all trees, codes are only built for lines on the hull and for trees
-whose rounded lines collide with different floats.
+Both families share one line pass: codes are only built for lines on the
+hull and for members whose rounded lines collide with different floats.
 """
 
 from __future__ import annotations
@@ -184,8 +184,9 @@ def _dc_candidates(n: int, c, objective: str, tol: float, exclude):
     but a thin parameter band. Trees and canonical codes are only built for
     comets that survive a certified pre-filter; the returned ``discard_bound``
     caps the key value of everything dropped on the way, so margins
-    reported downstream stay certificates. With a nonempty ``exclude`` the
-    pre-filter is skipped (codes are needed for every member).
+    reported downstream stay certificates. A nonempty ``exclude`` also
+    codes every comet that gets evaluated (never a screened-out one), to
+    test it against the set.
     """
     params = double_comet_params(n)
     maximize = objective == "max"
@@ -195,31 +196,16 @@ def _dc_candidates(n: int, c, objective: str, tol: float, exclude):
         # codes are only materialized when an exclusion set is in play
         return bool(exclude) and canonical_code(make_double_comet(p)).decode() in exclude
 
-    rows = []
+    def row(p):
+        return (p, *_key_interval(c, *_dc_pair_interval(p, tol)))
+
+    rows = [row(p) for p in params if not (prune and p.ell >= 4) and not excluded(p)]
+    discard_bound = -math.inf if maximize else math.inf
     if prune:
-        screen_bar = -math.inf
-        for p in params:
-            if p.ell <= 3 and not excluded(p):
-                l1, l2 = _dc_pair_interval(p, tol)
-                lo, hi = _key_interval(c, l1, l2)
-                rows.append((p, lo, hi))
-                screen_bar = max(screen_bar, lo)
-        for p in params:
-            if p.ell >= 4 and _dc_upper_bound(p, c) >= screen_bar - _SAFETY:
-                if excluded(p):
-                    continue
-                l1, l2 = _dc_pair_interval(p, tol)
-                lo, hi = _key_interval(c, l1, l2)
-                rows.append((p, lo, hi))
-        discard_bound = screen_bar  # everything screened out sits below the bar
-    else:
-        for p in params:
-            if excluded(p):
-                continue
-            l1, l2 = _dc_pair_interval(p, tol)
-            lo, hi = _key_interval(c, l1, l2)
-            rows.append((p, lo, hi))
-        discard_bound = -math.inf if maximize else math.inf
+        # everything screened out sits below the bar
+        discard_bound = max((lo for _, lo, _ in rows), default=-math.inf)
+        rows += [row(p) for p in params
+                 if p.ell >= 4 and _dc_upper_bound(p, c) >= discard_bound - _SAFETY and not excluded(p)]
     # pre-filter so trees and codes are only built for near-extremal comets
     if maximize:
         bar = max(lo for _, lo, _ in rows)
@@ -392,7 +378,6 @@ def search_extremal(
     key: str = "psi",
     jobs: int = 1,
     exclude=(),
-    final_tol: float = 1e-12,
 ) -> ExtremalResult:
     """Certified extremal tree(s) for the key over T(n) or the comet family.
 
@@ -468,7 +453,7 @@ def search_extremal(
         for c in pool:
             latest[c.code] = c
         pool = survivors(pool)
-    pool = refine(pool, final_tol)
+    pool = refine(pool, 1e-12)
     winners = tuple(sorted(pool, key=lambda c: c.code))
     resolved = len(winners) == 1
     tie_proven = False
@@ -525,12 +510,6 @@ class PiecewiseLinear:
     segments: tuple
     scale: float = 1.0
 
-    @property
-    def breakpoints(self):
-        pts = [self.segments[0].alpha_lo]
-        pts.extend(s.alpha_hi for s in self.segments)
-        return tuple(pts)
-
     def value(self, alpha: float) -> float:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -547,75 +526,70 @@ class PiecewiseLinear:
         return PiecewiseLinear(self.n, self.family, segs, self.scale * factor)
 
 
-def _envelope_lines(n: int, family: str, tol: float):
-    """(lam1, lam2, witness) per line, deduplicated at 1e-12 resolution.
+def _free_tree_members(n: int):
+    """(lam1, lam2, level sequence as bytes) per free tree, from batched top_two."""
+    for levels in free_tree_level_chunks(n):
+        l1_lo, l1_hi, l2_lo, l2_hi = TreeBatch(levels).top_two(1e-12)
+        yield from zip((0.5 * (l1_lo + l1_hi)).tolist(), (0.5 * (l2_lo + l2_hi)).tolist(),
+                       (seq.tobytes() for seq in levels))
 
-    The witness names the smallest canonical code among the trees on the
-    line; see _free_tree_lines for the free-tree form.
+
+def _comet_members(n: int):
+    """(lam1, lam2, params) per double comet."""
+    for p in double_comet_params(n):
+        (l1_lo, l1_hi), (l2_lo, l2_hi) = _dc_pair_interval(p, 1e-12)
+        yield 0.5 * (l1_lo + l1_hi), 0.5 * (l2_lo + l2_hi), p
+
+
+def _envelope_lines(n: int, family: str):
+    """(lam1, lam2, members) per line, deduplicated at 1e-12 resolution, and ``code_of``.
+
+    Members are level sequences (all trees) or comet parameters, and
+    ``code_of`` gives a member's canonical code. Members with the line's
+    exact floats stay uncoded in its list; a member that rounds onto the
+    line with different floats is coded at once against the list, and
+    replaces it, bringing its floats, if its code is smaller. A line's
+    witness, the smallest code of its members, is only built for lines on
+    the hull.
     """
     if family == "all":
         if n > MAX_EXHAUSTIVE_ORDER:
             raise ValueError(f"family='all' supports n <= {MAX_EXHAUSTIVE_ORDER}")
-        return _free_tree_lines(n, tol)
-    if family != "dc":
+        members = _free_tree_members(n)
+
+        def code_of(seq):
+            return _edges_code(n, _level_seq_edges(list(seq)))
+    elif family == "dc":
+        members = _comet_members(n)
+
+        def code_of(p):
+            return canonical_code(make_double_comet(p)).decode()
+    else:
         raise ValueError(f"unknown family {family!r}")
     lines = {}
-    for p in double_comet_params(n):
-        t = make_double_comet(p)
-        l1iv, l2iv = _dc_pair_interval(p, tol)
-        l1, l2 = 0.5 * (l1iv[0] + l1iv[1]), 0.5 * (l2iv[0] + l2iv[1])
-        code = canonical_code(t).decode()
+    for l1, l2, member in members:
         key = (round(l1, 12), round(l2, 12))
-        if key not in lines or code < lines[key][2]:
-            lines[key] = (l1, l2, code)
-    return list(lines.values())
+        cur = lines.get(key)
+        if cur is None:
+            lines[key] = (l1, l2, [member])
+        elif (l1, l2) == cur[:2]:
+            cur[2].append(member)
+        elif code_of(member) < min(map(code_of, cur[2])):
+            lines[key] = (l1, l2, [member])
+    return list(lines.values()), code_of
 
 
-def _free_tree_lines(n: int, tol: float):
-    """Lines of every free tree, from batched top_two over streamed chunks.
-
-    While all trees on a line share its exact floats, the witness is the
-    list of their level sequences (as bytes), coded only if the line
-    reaches the hull; trees that round together with different floats are
-    coded at once, and the smallest code brings its floats.
-    """
-    lines = {}
-    for levels in free_tree_level_chunks(n):
-        l1_lo, l1_hi, l2_lo, l2_hi = TreeBatch(levels).top_two(tol)
-        mids = zip((0.5 * (l1_lo + l1_hi)).tolist(), (0.5 * (l2_lo + l2_hi)).tolist())
-        for row, (l1, l2) in enumerate(mids):
-            key = (round(l1, 12), round(l2, 12))
-            seq = levels[row].tobytes()
-            cur = lines.get(key)
-            if cur is None:
-                lines[key] = (l1, l2, [seq])
-            elif isinstance(cur[2], list) and (l1, l2) == cur[:2]:
-                cur[2].append(seq)
-            else:
-                code = _witness_code(n, [seq])
-                cur_code = _witness_code(n, cur[2])
-                lines[key] = (l1, l2, code) if code < cur_code else (cur[0], cur[1], cur_code)
-    return list(lines.values())
-
-
-def _witness_code(n: int, witness) -> str:
-    """A line's witness: its code, or the smallest code of its level sequences."""
-    if isinstance(witness, str):
-        return witness
-    return min(_edges_code(n, _level_seq_edges(list(seq))) for seq in witness)
-
-
-def envelope(n: int, family: str = "all", tol: float = 1e-12) -> PiecewiseLinear:
+def envelope(n: int, family: str = "all") -> PiecewiseLinear:
     """Exact upper envelope of the family's lines over alpha in [0, 1]."""
-    lines = _envelope_lines(n, family, tol)
+    lines, code_of = _envelope_lines(n, family)
     # sort by slope; among equal slopes only the largest intercept can matter
     lines.sort(key=lambda r: (r[0] - r[1], r[1]))
     by_slope = {}
-    for l1, l2, witness in lines:
+    for l1, l2, members in lines:
         slope = round(l1 - l2, 12)
         cur = by_slope.get(slope)
         if cur is None or l2 > cur[1] + 1e-15:
-            by_slope[slope] = (l1, l2, witness)
+            by_slope[slope] = (l1, l2, members)
     ordered = [by_slope[s] for s in sorted(by_slope)]
 
     def isect(a, b):
@@ -641,10 +615,10 @@ def envelope(n: int, family: str = "all", tol: float = 1e-12) -> PiecewiseLinear
         cuts.append(isect(hull[i], hull[i - 1]))
     cuts.append(math.inf)
     segments = []
-    for i, (l1, l2, witness) in enumerate(hull):
+    for i, (l1, l2, members) in enumerate(hull):
         a_lo, a_hi = max(0.0, cuts[i]), min(1.0, cuts[i + 1])
         if a_lo < a_hi or (a_lo == a_hi and not segments and a_hi == 1.0):
-            segments.append(Segment(a_lo, a_hi, l1, l2, _witness_code(n, witness)))
+            segments.append(Segment(a_lo, a_hi, l1, l2, min(map(code_of, members))))
     if segments:
         first = segments[0]
         segments[0] = Segment(0.0, first.alpha_hi, first.lam1, first.lam2, first.witness_code)
@@ -653,13 +627,13 @@ def envelope(n: int, family: str = "all", tol: float = 1e-12) -> PiecewiseLinear
     return PiecewiseLinear(n, family, tuple(segments))
 
 
-def normalized_envelope(n: int, family: str = "all", tol: float = 1e-12) -> PiecewiseLinear:
+def normalized_envelope(n: int, family: str = "all") -> PiecewiseLinear:
     """Envelope scaled by 1/sqrt(n-1); its range sits inside [0, 1] for n >= 3.
 
     (The 2-vertex tree alone has a negative second eigenvalue, so its
     normalized line starts below zero.)
     """
-    return envelope(n, family, tol).scaled(1.0 / math.sqrt(n - 1))
+    return envelope(n, family).scaled(1.0 / math.sqrt(n - 1))
 
 
 def limit_curve(alpha: float) -> float:

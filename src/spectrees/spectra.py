@@ -181,19 +181,15 @@ def _bisect_count(above, k: int, lo: float, hi: float, tol: float):
     return lo, hi
 
 
-def lambda1_upper_bracket(n: int) -> float:
-    """sqrt(n-1), the star's spectral radius: no tree of order n exceeds it."""
-    return math.sqrt(n - 1)
-
-
 def top_two(t: Tree, tol: float = 1e-12) -> TopTwo:
     """Certified enclosures of the two largest adjacency eigenvalues.
 
     Stars short-circuit to the exact pair (sqrt(n-1), 0); the n=2 edge is
     the one tree with a negative second eigenvalue and returns (1, -1)
     exactly. Everything else is bisection on the inertia counts over
-    [0, sqrt(n-1)], which keeps lam2's bracket valid because every
-    non-star tree on n >= 3 vertices has lam2 >= 0.
+    [0, sqrt(n-1)], the star's spectral radius, which no tree of order n
+    exceeds; the bracket stays valid for lam2 because every non-star tree
+    on n >= 3 vertices has lam2 >= 0.
     """
     n = t.n
     if n < 2:
@@ -206,7 +202,7 @@ def top_two(t: Tree, tol: float = 1e-12) -> TopTwo:
         s = math.sqrt(n - 1)
         return TopTwo(s, s, 0.0, 0.0, tol)
     above = _above_counter(*_rooted(t))
-    l1_lo, l1_hi = _bisect_count(above, 1, 0.0, lambda1_upper_bracket(n), tol)
+    l1_lo, l1_hi = _bisect_count(above, 1, 0.0, math.sqrt(n - 1), tol)
     l2_lo, l2_hi = _bisect_count(above, 2, 0.0, l1_hi, tol)
     return TopTwo(l1_lo, l1_hi, l2_lo, l2_hi, tol)
 
@@ -361,7 +357,7 @@ class TreeBatch:
         l1_lo, l1_hi = np.full(m, s), np.full(m, s)
         l2_lo, l2_hi = np.zeros(m), np.zeros(m)
         rest = np.flatnonzero(~star)
-        l1_lo[rest], l1_hi[rest] = self.bisect(1, 0.0, lambda1_upper_bracket(n), tol, rest)
+        l1_lo[rest], l1_hi[rest] = self.bisect(1, 0.0, s, tol, rest)
         l2_lo[rest], l2_hi[rest] = self.bisect(2, 0.0, l1_hi[rest], tol, rest)
         return l1_lo, l1_hi, l2_lo, l2_hi
 

@@ -152,9 +152,6 @@ class Tree:
                     queue.append(x)
         raise AssertionError("tree invariant violated: unreachable vertex")
 
-    def leaves(self):
-        return tuple(v for v in range(self.n) if len(self.adjacency[v]) == 1)
-
     # -- identity --------------------------------------------------------
 
     def __eq__(self, other):

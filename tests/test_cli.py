@@ -130,6 +130,21 @@ def test_cli_rejects_nonpositive_jobs(capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+def test_cli_rejects_options_a_command_ignores(capsys):
+    # each subcommand takes only the options its handler reads
+    required = {"enumerate": ["--n", "5"], "spectrum": ["--tree", "path:5"], "extremal": ["--n", "6"],
+                "envelope": ["--n", "6"], "gap": ["--n", "6"], "verify": ["--suite", "figure2"]}
+    ignored = [("--tol", "1e-3", ("enumerate", "extremal", "envelope", "gap", "verify")),
+               ("--jobs", "2", ("enumerate", "spectrum", "envelope")),
+               ("--seed", "1", ("enumerate", "spectrum", "extremal", "envelope", "gap"))]
+    for option, value, commands in ignored:
+        for command in commands:
+            with pytest.raises(SystemExit) as exc:
+                main([command, *required[command], option, value])
+            assert exc.value.code == 2, (command, option)
+            assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
 def test_cli_verify_exit_codes(capsys):
     assert main(["verify", "--suite", "figure2"]) == 0
     capsys.readouterr()

@@ -2,9 +2,11 @@ import math
 
 import pytest
 
-from spectrees.enumeration import count_free_trees, enumerate_free_trees
+from spectrees import extremal
+from spectrees.enumeration import count_free_trees, double_comet_params, enumerate_free_trees
 from spectrees.extremal import (
     AsymptoticParams,
+    _dc_pair_interval,
     dc_structure_probe,
     envelope,
     exact_psi_dc,
@@ -190,6 +192,37 @@ class TestEnvelope:
     def test_dc_envelope_n26_contains_flat_line(self):
         env = envelope(26, "dc")
         assert any(abs(s.lam1 - 4.0) < 1e-9 and abs(s.lam2 - 3.0) < 1e-9 for s in env.segments)
+
+    def test_comet_witnesses_match_brute_force(self):
+        # a segment's witness is the smallest code among the comets whose certified
+        # midpoints round onto its line, and the line carries that comet's floats
+        for n in range(5, 41):
+            on_line = {}
+            for p in double_comet_params(n):
+                (l1_lo, l1_hi), (l2_lo, l2_hi) = _dc_pair_interval(p, 1e-12)
+                l1, l2 = 0.5 * (l1_lo + l1_hi), 0.5 * (l2_lo + l2_hi)
+                on_line.setdefault((round(l1, 12), round(l2, 12)), []).append((code_of(p.k1, p.k2, p.ell), l1, l2))
+            for s in envelope(n, "dc").segments:
+                assert (s.witness_code, s.lam1, s.lam2) == min(on_line[round(s.lam1, 12), round(s.lam2, 12)]), n
+        # at n = 8, DC(3,3,2) and the broom (4,0,4) share a hull line with different
+        # floats; the broom has the smaller code, so its floats stay
+        assert 0.5 * sum(_dc_pair_interval(DoubleCometParams(3, 3, 2), 1e-12)[0]) == 2.302775637731995
+        seg = next(s for s in envelope(8, "dc").segments if s.alpha_lo < 0.63 < s.alpha_hi)
+        assert seg.witness_code == code_of(4, 0, 4) == "1(((()))()()()())"
+        assert seg.lam1 == 2.3027756377318678
+
+    def test_only_hull_lines_are_coded(self, monkeypatch):
+        calls = [0]
+
+        def counting(t):
+            calls[0] += 1
+            return canonical_code(t)
+
+        monkeypatch.setattr(extremal, "canonical_code", counting)
+        for n, family in ((26, "dc"), (60, "dc"), (12, "all")):
+            calls[0] = 0
+            env = envelope(n, family)
+            assert calls[0] < 2 * len(env.segments), (n, family, calls[0])
 
     def test_degenerate_small_family(self):
         env = envelope(5, "dc")
