@@ -13,22 +13,29 @@ or a tie survives at the floor tolerance. All pruning bounds are one-sided
 certificates, so reported winners are exact regardless of worker count or
 scan order.
 
+Both families (all trees, double comets) are ``_Family`` objects whose
+members are level sequences stored as bytes or ``DoubleCometParams``.
+Searches carry uncoded (member, lo, hi) rows through one survivor filter,
+which folds the far end of every row it drops into one discard bound, and
+one refinement loop; a Tree and a canonical code are built only for the
+winners, or for every evaluated member when ``exclude`` is nonempty.
 Searches over all trees stream level-sequence chunks through the batched
-inertia kernel (``spectra.TreeBatch``) and build a Tree and a canonical
-code only for the survivors of the coarse scan; no class list is
-materialised or sorted. Single trees and the comet family keep the scalar
-kernel and the weighted-path quotient.
+inertia kernel (``spectra.TreeBatch``) and never materialise a class
+list; single trees and the comet family keep the scalar kernel and the
+weighted-path quotient.
 
 The envelope treats each tree as the line alpha -> lam2 + alpha*(lam1 -
 lam2) and eliminates dominated lines by the usual slope-sorted convex-hull
 stack; breakpoints are exact pairwise intersections of supporting lines.
-Both families share one line pass: codes are only built for lines on the
-hull and for members whose rounded lines collide with different floats.
+Both families share one line pass: codes are only built for the witnesses
+of hull lines and for members whose rounded lines collide with different
+floats.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from multiprocessing import get_context
 
@@ -52,7 +59,6 @@ from .trees import (
     Tree,
     canonical_code,
     make_double_comet,
-    make_path,
     make_star,
 )
 
@@ -84,7 +90,11 @@ def psi(t: Tree, alpha: float, tol: float = 1e-12) -> PsiValue:
 
 @dataclass(frozen=True)
 class Candidate:
-    """A surviving tree with its certified key interval."""
+    """A reported tree (a search winner) with its certified key interval.
+
+    ``edges`` keep the member's own labelling; ``params`` is set for
+    comet-family winners only.
+    """
 
     code: str
     edges: tuple
@@ -136,11 +146,6 @@ def _key_interval(c, l1, l2):
     return lo, c1 * l1[1] + c2 * l2[0]
 
 
-def _tree_key_interval(t: Tree, c, tol: float):
-    tt = top_two(t, tol)
-    return _key_interval(c, (tt.lam1_lo, tt.lam1_hi), (tt.lam2_lo, tt.lam2_hi))
-
-
 # -- double-comet family evaluation ------------------------------------------
 
 
@@ -175,29 +180,26 @@ def _dc_upper_bound(p: DoubleCometParams, c) -> float:
     return c[0] * u1 + c[1] * u2
 
 
-def _dc_candidates(n: int, c, objective: str, tol: float, exclude):
-    """Certified double-comet candidate pool plus a discard bound.
+def _dc_candidates(fam, c, objective: str, exclude):
+    """Certified (params, lo, hi) rows of the comet family, its size and a discard bound.
 
     Short path orders are evaluated outright (closed forms); for maximizing
     keys with c2 >= 0 the ell >= 4 comets are first screened by
     _dc_upper_bound against the best short-order value, which discards all
-    but a thin parameter band. Trees and canonical codes are only built for
-    comets that survive a certified pre-filter; the returned ``discard_bound``
-    caps the key value of everything dropped on the way, so margins
-    reported downstream stay certificates. A nonempty ``exclude`` also
-    codes every comet that gets evaluated (never a screened-out one), to
-    test it against the set.
+    but a thin parameter band, and ``discard_bound`` caps the key value of
+    everything screened out. Nothing is built or coded, except that a
+    nonempty ``exclude`` codes every comet that gets evaluated (never a
+    screened-out one), to test it against the set.
     """
-    params = double_comet_params(n)
+    params = double_comet_params(fam.n)
     maximize = objective == "max"
     prune = maximize and c[1] >= 0
 
     def excluded(p):
-        # codes are only materialized when an exclusion set is in play
-        return bool(exclude) and canonical_code(make_double_comet(p)).decode() in exclude
+        return bool(exclude) and fam.code(p) in exclude
 
     def row(p):
-        return (p, *_key_interval(c, *_dc_pair_interval(p, tol)))
+        return (p, *_key_interval(c, *_dc_pair_interval(p, 1e-12)))
 
     rows = [row(p) for p in params if not (prune and p.ell >= 4) and not excluded(p)]
     discard_bound = -math.inf if maximize else math.inf
@@ -206,25 +208,7 @@ def _dc_candidates(n: int, c, objective: str, tol: float, exclude):
         discard_bound = max((lo for _, lo, _ in rows), default=-math.inf)
         rows += [row(p) for p in params
                  if p.ell >= 4 and _dc_upper_bound(p, c) >= discard_bound - _SAFETY and not excluded(p)]
-    # pre-filter so trees and codes are only built for near-extremal comets
-    if maximize:
-        bar = max(lo for _, lo, _ in rows)
-        kept = [r for r in rows if r[2] >= bar]
-        dropped = [r[2] for r in rows if r[2] < bar]
-        if dropped:
-            discard_bound = max(discard_bound, max(dropped))
-    else:
-        bar = min(hi for _, _, hi in rows)
-        kept = [r for r in rows if r[1] <= bar]
-        dropped = [r[1] for r in rows if r[1] > bar]
-        if dropped:
-            discard_bound = min(discard_bound, min(dropped))
-    out = []
-    for p, lo, hi in kept:
-        t = make_double_comet(p)
-        code = canonical_code(t).decode()
-        out.append(Candidate(code, tuple(t.edges()), lo, hi, p))
-    return out, len(params), discard_bound
+    return rows, len(params), discard_bound
 
 
 # -- free-tree scan ------------------------------------------------------------
@@ -240,12 +224,13 @@ class _Scan:
     (c_lo = c1 + min(c2, 0), c_hi = c1 + max(c2, 0)), which stops and
     discards on the lam1 bracket alone; the lam2 bisection stops once lam2
     is certified past the point where c1*lam1 + c2*lam2 crosses the
-    baseline. Called on a chunk, it returns the surviving candidates,
-    whether anything was certified out, and the chunk's row count; only
-    survivors get a Tree and a canonical code.
+    baseline. Called on a chunk, it returns the surviving rows (level
+    sequence as bytes, lo, hi), whether anything was certified out, and the
+    chunk's row count. It builds no Tree and no code unless ``exclude`` is
+    nonempty.
     """
 
-    n: int
+    fam: _AllTrees
     key: str  # only the two-hub bound, a theorem about the sum, reads it
     coeffs: tuple
     objective: str
@@ -254,20 +239,20 @@ class _Scan:
     exclude: frozenset
 
     def __call__(self, levels):
-        n, coeffs, lo_base, hi_base = self.n, self.coeffs, self.lo_base, self.hi_base
+        n, coeffs, lo_base, hi_base = self.fam.n, self.coeffs, self.lo_base, self.hi_base
         c1, c2 = coeffs
         maximize = self.objective == "max"
         batch = TreeBatch(levels)
-        rows = np.flatnonzero(~_excluded_rows(batch, self.exclude))
+        rows = np.flatnonzero(~_excluded_rows(self.fam, levels, self.exclude))
         if n == 2:
             iv = _key_interval(coeffs, (1.0, 1.0), (-1.0, -1.0))
-            return [_candidate(batch, r, *iv) for r in rows], False, len(batch)
+            return [(levels[r].tobytes(), *iv) for r in rows], False, len(batch)
         out = np.zeros(len(batch), dtype=bool)
         if not maximize and self.key == "sum":
             out[rows] = _two_hub_out(batch, rows, hi_base)
         star = np.flatnonzero(~out & (batch.degrees.max(axis=1) == n - 1))
         s = math.sqrt(n - 1)
-        pool = [_candidate(batch, r, *_key_interval(coeffs, (s, s), (0.0, 0.0)))
+        pool = [(levels[r].tobytes(), *_key_interval(coeffs, (s, s), (0.0, 0.0)))
                 for r in np.intersect1d(star, rows)]
         rows = np.setdiff1d(rows[~out[rows]], star)
         c_lo, c_hi = c1 + min(c2, 0.0), c1 + max(c2, 0.0)
@@ -291,18 +276,9 @@ class _Scan:
         iv_out = iv[1] < lo_base if maximize else iv[0] > hi_base
         out[rows[iv_out]] = True
         keep = ~iv_out
-        pool += [_candidate(batch, r, lo, hi)
+        pool += [(levels[r].tobytes(), lo, hi)
                  for r, lo, hi in zip(rows[keep].tolist(), iv[0][keep].tolist(), iv[1][keep].tolist())]
         return pool, bool(out.any()), len(batch)
-
-
-def _candidate(batch, row, lo: float, hi: float) -> Candidate:
-    edges = batch.edges(row)
-    return Candidate(_edges_code(batch.n, edges), edges, lo, hi)
-
-
-def _edges_code(n: int, edges) -> str:
-    return canonical_code(Tree(n, edges)).decode()
 
 
 def _two_hub_out(batch, rows, hi_base: float):
@@ -328,34 +304,137 @@ def _two_hub_out(batch, rows, hi_base: float):
     return out
 
 
-def _excluded_rows(batch, exclude):
+def _excluded_rows(fam, levels, exclude):
     """Rows whose canonical code is in ``exclude``."""
-    excluded = np.zeros(len(batch), dtype=bool)
+    excluded = np.zeros(len(levels), dtype=bool)
     if exclude:
-        for r in range(len(batch)):
-            excluded[r] = _edges_code(batch.n, batch.edges(r)) in exclude
+        for r, seq in enumerate(levels):
+            excluded[r] = fam.code(seq.tobytes()) in exclude
     return excluded
 
 
-def _baseline(n: int, coeffs, objective: str, exclude):
-    """Deterministic certified baseline interval for pruning.
+def _baseline(fam, coeffs, objective: str, exclude):
+    """Deterministic certified baseline interval for pruning a free-tree scan.
 
     Maximizing keys use the best double comet (closed forms plus the
     screened quotient evaluations); minimizing keys use the better of path
-    and star. Returns (lo, hi) enclosing the baseline value.
+    and star. Returns (lo, hi) enclosing the baseline value, or (-inf, inf)
+    when ``exclude`` holds every baseline tree, which prunes nothing.
     """
     if objective == "max":
-        cands, _, _ = _dc_candidates(n, coeffs, "max", 1e-12, exclude)
-        best = max(cands, key=lambda c: c.lo)
-        return best.lo, best.hi
+        rows, _, _ = _dc_candidates(_Comets(fam.n), coeffs, "max", exclude)
+        _, lo, hi = max(rows, key=lambda r: r[1], default=(None, -math.inf, math.inf))
+        return lo, hi
     best = (-math.inf, math.inf)
-    for t in (make_path(n), make_star(n)) if n >= 2 else (make_path(n),):
-        iv = _tree_key_interval(t, coeffs, 1e-12)
-        if canonical_code(t).decode() in exclude:
+    for m in (bytes(range(fam.n)), bytes([0] + [1] * (fam.n - 1))):  # level sequences of path and star
+        if exclude and fam.code(m) in exclude:
             continue
+        iv = _key_interval(coeffs, *fam.pair_interval(m, 1e-12))
         if iv[1] < best[1]:
             best = iv
     return best
+
+
+# -- families --------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Family:
+    """The members of one tree family: how to evaluate, build and code each.
+
+    Searches carry members uncoded in (member, lo, hi) rows and envelopes
+    in (lam1, lam2, member) midpoints; ``code`` and ``candidate`` are only
+    called for the members a search reports or an envelope witnesses.
+    """
+
+    n: int
+
+    def code(self, m) -> str:
+        return canonical_code(self.tree(m)).decode()
+
+
+class _AllTrees(_Family):
+    """All free trees of order n; a member is a level sequence stored as bytes."""
+
+    def midpoints(self):
+        """(lam1, lam2, member) per free tree, from the batched top_two."""
+        for levels in free_tree_level_chunks(self.n):
+            l1_lo, l1_hi, l2_lo, l2_hi = TreeBatch(levels).top_two(1e-12)
+            yield from zip((0.5 * (l1_lo + l1_hi)).tolist(), (0.5 * (l2_lo + l2_hi)).tolist(),
+                           (seq.tobytes() for seq in levels))
+
+    def edges(self, m):
+        """Edges (parent, child) in level-sequence order, as ``TreeBatch.edges`` gives them."""
+        return tuple(_level_seq_edges(m))
+
+    def tree(self, m) -> Tree:
+        return Tree(self.n, self.edges(m))
+
+    def pair_interval(self, m, tol: float):
+        tt = top_two(self.tree(m), tol)
+        return (tt.lam1_lo, tt.lam1_hi), (tt.lam2_lo, tt.lam2_hi)
+
+    def candidate(self, m, lo: float, hi: float) -> Candidate:
+        return Candidate(self.code(m), self.edges(m), lo, hi)
+
+    def search_rows(self, key: str, coeffs, objective: str, exclude, jobs: int):
+        """Rows surviving the coarse scan, the class count and the scan's discard bound."""
+        lo_base, hi_base = _baseline(self, coeffs, objective, exclude)
+        scan = _Scan(self, key, coeffs, objective, lo_base, hi_base, exclude)
+        chunks = free_tree_level_chunks(self.n)
+        if jobs == 1:
+            results = list(map(scan, chunks))
+        else:
+            with get_context("fork").Pool(jobs) as workers:
+                results = list(workers.imap(scan, chunks))
+        rows = [r for chunk, _, _ in results for r in chunk]
+        scanned = sum(count for _, _, count in results)
+        maximize = objective == "max"
+        if not any(flag for _, flag, _ in results):
+            return rows, scanned, -math.inf if maximize else math.inf
+        # every discarded tree was certified on the wrong side of the baseline
+        return rows, scanned, lo_base if maximize else hi_base
+
+
+class _Comets(_Family):
+    """The double comets of order n; a member is its ``DoubleCometParams``."""
+
+    def midpoints(self):
+        """(lam1, lam2, member) per comet."""
+        for p in double_comet_params(self.n):
+            (l1_lo, l1_hi), (l2_lo, l2_hi) = _dc_pair_interval(p, 1e-12)
+            yield 0.5 * (l1_lo + l1_hi), 0.5 * (l2_lo + l2_hi), p
+
+    def tree(self, m) -> Tree:
+        return make_double_comet(m)
+
+    def pair_interval(self, m, tol: float):
+        return _dc_pair_interval(m, tol)
+
+    def candidate(self, m, lo: float, hi: float) -> Candidate:
+        t = self.tree(m)
+        return Candidate(canonical_code(t).decode(), tuple(t.edges()), lo, hi, m)
+
+    def search_rows(self, key: str, coeffs, objective: str, exclude, jobs: int):
+        """Every evaluated comet's row, the family size and the screen's discard bound."""
+        return _dc_candidates(self, coeffs, objective, exclude)
+
+
+def _family(n, family: str) -> _Family:
+    """The family object for order n; the one place ``n`` and ``family`` are checked."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"n must be an integer, got n={n!r}") from None
+    if n < 2:
+        raise ValueError(f"tree families need n >= 2, got n={n}")
+    if family == "all":
+        if n > MAX_EXHAUSTIVE_ORDER:
+            raise ValueError(f"family='all' supports n <= {MAX_EXHAUSTIVE_ORDER}, got n={n}")
+        return _AllTrees(n)
+    if family == "dc":
+        return _Comets(n)
+    raise ValueError(f"unknown family {family!r}")
 
 
 def _tie_proven_exact(winners) -> bool:
@@ -386,94 +465,54 @@ def search_extremal(
     candidate. Surviving ties are reported as a set, flagged ``tie_proven``
     when closed forms prove exact equality (short comets only).
     """
+    fam = _family(n, family)
     coeffs = _coeffs(key, alpha)
     if objective not in ("max", "min"):
         raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
-    if n < 2:
-        raise ValueError("searches need n >= 2")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     exclude = frozenset(exclude)
     maximize = objective == "max"
-
-    if family == "dc":
-        pool, scanned, discard_bound = _dc_candidates(n, coeffs, objective, 1e-12, exclude)
-    elif family == "all":
-        if n > MAX_EXHAUSTIVE_ORDER:
-            raise ValueError(f"family='all' supports n <= {MAX_EXHAUSTIVE_ORDER}")
-        lo_base, hi_base = _baseline(n, coeffs, objective, exclude)
-        scan = _Scan(n, key, coeffs, objective, lo_base, hi_base, exclude)
-        chunks = free_tree_level_chunks(n)
-        if jobs == 1:
-            results = list(map(scan, chunks))
-        else:
-            with get_context("fork").Pool(jobs) as pool_proc:
-                results = list(pool_proc.imap(scan, chunks))
-        pool = [c for chunk, _, _ in results for c in chunk]
-        scanned = sum(rows for _, _, rows in results)
-        if not any(flag for _, flag, _ in results):
-            discard_bound = -math.inf if maximize else math.inf
-        else:
-            # every discarded tree was certified on the wrong side of the baseline
-            discard_bound = lo_base if maximize else hi_base
-    else:
-        raise ValueError(f"unknown family {family!r}")
-
-    pool.sort(key=lambda c: c.code)
+    pool, scanned, discard_bound = fam.search_rows(key, coeffs, objective, exclude, jobs)
     if not pool:
         raise ValueError("search excluded every tree in the family")
 
-    def refine(cands, tol):
-        out = []
-        for c in cands:
-            if c.hi - c.lo <= tol:
-                out.append(c)
-                continue
-            if c.params is not None:
-                l1, l2 = _dc_pair_interval(c.params, tol)
-                lo, hi = _key_interval(coeffs, l1, l2)
-            else:
-                lo, hi = _tree_key_interval(Tree(n, c.edges), coeffs, tol)
-            out.append(Candidate(c.code, c.edges, lo, hi, c.params))
-        return out
+    def refine(rows, tol):
+        return [(m, lo, hi) if hi - lo <= tol else (m, *_key_interval(coeffs, *fam.pair_interval(m, tol)))
+                for m, lo, hi in rows]
 
-    def survivors(cands):
+    def survivors(rows):
+        # each non-winner is dropped exactly once; its far end at that point
+        # joins discard_bound, which is all the runner-up margin needs
+        nonlocal discard_bound
         if maximize:
-            bar = max(c.lo for c in cands)
-            return [c for c in cands if c.hi >= bar]
-        bar = min(c.hi for c in cands)
-        return [c for c in cands if c.lo <= bar]
+            bar = max(lo for _, lo, _ in rows)
+            discard_bound = max([hi for _, _, hi in rows if hi < bar] + [discard_bound])
+            return [r for r in rows if r[2] >= bar]
+        bar = min(hi for _, _, hi in rows)
+        discard_bound = min([lo for _, lo, _ in rows if lo > bar] + [discard_bound])
+        return [r for r in rows if r[1] <= bar]
 
-    latest = {c.code: c for c in pool}
     pool = survivors(pool)
     for tol in _TOL_SCHEDULE:
         if len(pool) == 1:
             break
-        pool = refine(pool, tol)
-        for c in pool:
-            latest[c.code] = c
-        pool = survivors(pool)
-    pool = refine(pool, 1e-12)
-    winners = tuple(sorted(pool, key=lambda c: c.code))
+        pool = survivors(refine(pool, tol))
+    winners = tuple(sorted((fam.candidate(*r) for r in refine(pool, 1e-12)), key=lambda c: c.code))
     resolved = len(winners) == 1
     tie_proven = False
     if not resolved:
         tie_proven = _tie_proven_exact(winners)
         resolved = tie_proven
 
-    winner_codes = {w.code for w in winners}
-    others = [c for c in latest.values() if c.code not in winner_codes]
     runner_up_gap = None
-    if maximize:
-        bound = max([c.hi for c in others] + [discard_bound])
-        if math.isfinite(bound):
-            runner_up_gap = min(w.lo for w in winners) - bound
-    else:
-        bound = min([c.lo for c in others] + [discard_bound])
-        if math.isfinite(bound):
-            runner_up_gap = bound - max(w.hi for w in winners)
+    if math.isfinite(discard_bound):
+        if maximize:
+            runner_up_gap = min(w.lo for w in winners) - discard_bound
+        else:
+            runner_up_gap = discard_bound - max(w.hi for w in winners)
     return ExtremalResult(
-        n=n,
+        n=fam.n,
         key=key,
         objective=objective,
         family=family,
@@ -526,62 +565,32 @@ class PiecewiseLinear:
         return PiecewiseLinear(self.n, self.family, segs, self.scale * factor)
 
 
-def _free_tree_members(n: int):
-    """(lam1, lam2, level sequence as bytes) per free tree, from batched top_two."""
-    for levels in free_tree_level_chunks(n):
-        l1_lo, l1_hi, l2_lo, l2_hi = TreeBatch(levels).top_two(1e-12)
-        yield from zip((0.5 * (l1_lo + l1_hi)).tolist(), (0.5 * (l2_lo + l2_hi)).tolist(),
-                       (seq.tobytes() for seq in levels))
+def _envelope_lines(fam: _Family):
+    """(lam1, lam2, members) per line of the family, deduplicated at 1e-12 resolution.
 
-
-def _comet_members(n: int):
-    """(lam1, lam2, params) per double comet."""
-    for p in double_comet_params(n):
-        (l1_lo, l1_hi), (l2_lo, l2_hi) = _dc_pair_interval(p, 1e-12)
-        yield 0.5 * (l1_lo + l1_hi), 0.5 * (l2_lo + l2_hi), p
-
-
-def _envelope_lines(n: int, family: str):
-    """(lam1, lam2, members) per line, deduplicated at 1e-12 resolution, and ``code_of``.
-
-    Members are level sequences (all trees) or comet parameters, and
-    ``code_of`` gives a member's canonical code. Members with the line's
-    exact floats stay uncoded in its list; a member that rounds onto the
-    line with different floats is coded at once against the list, and
-    replaces it, bringing its floats, if its code is smaller. A line's
-    witness, the smallest code of its members, is only built for lines on
-    the hull.
+    Members with the line's exact floats stay uncoded in its list; a
+    member that rounds onto the line with different floats is coded at
+    once against the list, and replaces it, bringing its floats, if its
+    code is smaller. A line's witness, the smallest code of its members,
+    is only built for lines on the hull.
     """
-    if family == "all":
-        if n > MAX_EXHAUSTIVE_ORDER:
-            raise ValueError(f"family='all' supports n <= {MAX_EXHAUSTIVE_ORDER}")
-        members = _free_tree_members(n)
-
-        def code_of(seq):
-            return _edges_code(n, _level_seq_edges(list(seq)))
-    elif family == "dc":
-        members = _comet_members(n)
-
-        def code_of(p):
-            return canonical_code(make_double_comet(p)).decode()
-    else:
-        raise ValueError(f"unknown family {family!r}")
     lines = {}
-    for l1, l2, member in members:
+    for l1, l2, member in fam.midpoints():
         key = (round(l1, 12), round(l2, 12))
         cur = lines.get(key)
         if cur is None:
             lines[key] = (l1, l2, [member])
         elif (l1, l2) == cur[:2]:
             cur[2].append(member)
-        elif code_of(member) < min(map(code_of, cur[2])):
+        elif fam.code(member) < min(map(fam.code, cur[2])):
             lines[key] = (l1, l2, [member])
-    return list(lines.values()), code_of
+    return list(lines.values())
 
 
 def envelope(n: int, family: str = "all") -> PiecewiseLinear:
     """Exact upper envelope of the family's lines over alpha in [0, 1]."""
-    lines, code_of = _envelope_lines(n, family)
+    fam = _family(n, family)
+    lines = _envelope_lines(fam)
     # sort by slope; among equal slopes only the largest intercept can matter
     lines.sort(key=lambda r: (r[0] - r[1], r[1]))
     by_slope = {}
@@ -618,7 +627,7 @@ def envelope(n: int, family: str = "all") -> PiecewiseLinear:
     for i, (l1, l2, members) in enumerate(hull):
         a_lo, a_hi = max(0.0, cuts[i]), min(1.0, cuts[i + 1])
         if a_lo < a_hi or (a_lo == a_hi and not segments and a_hi == 1.0):
-            segments.append(Segment(a_lo, a_hi, l1, l2, min(map(code_of, members))))
+            segments.append(Segment(a_lo, a_hi, l1, l2, min(map(fam.code, members))))
     if segments:
         first = segments[0]
         segments[0] = Segment(0.0, first.alpha_hi, first.lam1, first.lam2, first.witness_code)

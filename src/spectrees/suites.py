@@ -151,6 +151,12 @@ FIGURE3_PAIRS = (
 )
 
 
+def _envelope_deviation(n: int, trees) -> float:
+    """Largest distance of envelope(n) from the pointwise max of psi over trees, at 101 alphas."""
+    env = envelope(n, "all")
+    return max(abs(env.value(i / 100.0) - max(psi(t, i / 100.0).value for t in trees)) for i in range(101))
+
+
 def suite_figure2(seed: int = 0, **_):
     rep = VerifyReport("figure2", seed)
     trees = list(enumerate_free_trees(6))
@@ -170,13 +176,7 @@ def suite_figure2(seed: int = 0, **_):
         used.add(best[1])
         e1, e2 = FIGURE2_PAIRS[best[1]]
         rep.case(f"pair-({e1},{e2})", 0.0, best[0], 1e-5)
-    env = envelope(6, "all")
-    worst = 0.0
-    for i in range(101):
-        a = i / 100.0
-        brute = max(psi(t, a).value for t in trees)
-        worst = max(worst, abs(env.value(a) - brute))
-    rep.case("envelope-vs-pointwise-max", 0.0, worst, 1e-10)
+    rep.case("envelope-vs-pointwise-max", 0.0, _envelope_deviation(6, trees), 1e-10)
     return rep
 
 
@@ -312,13 +312,7 @@ def suite_envelope_oracle(seed: int = 0, n_hi: int = 10, **_):
         rep.case(f"n={n}-enclosure", True, enclosed, 0.0, enclosed)
         rep.case(f"n={n}-count-agreement", 0, count_mismatch, 0.0, count_mismatch == 0)
     for n in (8, 9, 10):
-        trees = list(enumerate_free_trees(n))
-        env = envelope(n, "all")
-        worst = 0.0
-        for i in range(101):
-            a = i / 100.0
-            worst = max(worst, abs(env.value(a) - max(psi(t, a).value for t in trees)))
-        rep.case(f"n={n}-envelope-vs-max", 0.0, worst, 1e-10)
+        rep.case(f"n={n}-envelope-vs-max", 0.0, _envelope_deviation(n, list(enumerate_free_trees(n))), 1e-10)
     return rep
 
 
@@ -336,6 +330,17 @@ def _sample_kelmans(rng: random.Random):
         nv = set(t.adjacency[v]) - {u}
         if (not nu <= nv) and (not nv <= nu):
             return t, u, v
+
+
+def _spider(legs) -> Tree:
+    """Paths of the given lengths hung from vertex 0, numbered leg by leg."""
+    edges = []
+    for leg in legs:
+        prev = 0
+        for _ in range(leg):
+            edges.append((prev, len(edges) + 1))
+            prev = len(edges)
+    return Tree(len(edges) + 1, edges)
 
 
 def suite_lemmas(seed: int = 0, cases: int = 500, **_):
@@ -394,15 +399,7 @@ def suite_lemmas(seed: int = 0, cases: int = 500, **_):
                 left -= take
         if len(legs) < 3:
             continue
-        edges = []
-        nxt = 1
-        for leg in legs:
-            prev = 0
-            for _ in range(leg):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-        t = Tree(n, edges)
+        t = _spider(legs)
         pair = [leg for leg in legs]
         rng.shuffle(pair)
         k, ell = max(pair[0], pair[1]), min(pair[0], pair[1])
@@ -417,15 +414,7 @@ def suite_lemmas(seed: int = 0, cases: int = 500, **_):
     checked = 0
     for n in range(5, 15):
         for legs in _partitions_at_least(n - 1, 3):
-            edges = []
-            nxt = 1
-            for leg in legs:
-                prev = 0
-                for _ in range(leg):
-                    edges.append((prev, nxt))
-                    prev = nxt
-                    nxt += 1
-            t = Tree(n, edges)
+            t = _spider(legs)
             seen_pairs = set()
             for i in range(len(legs)):
                 for j in range(len(legs)):

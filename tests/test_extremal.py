@@ -151,7 +151,51 @@ class TestSearch:
             assert res.winner_codes == (path,)
             assert res.runner_up_gap is None
 
+    def test_excluding_every_comet(self):
+        # the comet baseline is gone, so an all-tree search runs unpruned
+        comets = {code_of(p.k1, p.k2, p.ell) for p in double_comet_params(6)}
+        res = search_extremal(6, family="all", exclude=comets)
+        assert res.winner_codes == ("1((())(())())",) and res.runner_up_gap is None
+        comets = {code_of(p.k1, p.k2, p.ell) for p in double_comet_params(9)}
+        res = search_extremal(9, family="all", exclude=comets)
+        vals = {canonical_code(t).decode(): psi(t, 0.5).value for t in enumerate_free_trees(9)}
+        others = sorted(v for code, v in vals.items() if code not in comets)
+        assert res.winner_codes == ("1(((())())(()()()))",)
+        assert vals[res.winner_codes[0]] == others[-1]
+        assert others[-2] < others[-1] - res.runner_up_gap + 1e-12
+        for objective in ("max", "min"):
+            with pytest.raises(ValueError, match="search excluded every tree in the family"):
+                search_extremal(9, objective=objective, family="dc", exclude=comets)
+
+    def test_searches_code_only_winners(self, monkeypatch):
+        calls = [0]
+
+        def counting(t):
+            calls[0] += 1
+            return canonical_code(t)
+
+        monkeypatch.setattr(extremal, "canonical_code", counting)
+        for n, family in ((12, "all"), (16, "all"), (26, "dc"), (60, "dc")):
+            for key, objective, alpha in (("sum", "max", None), ("sum", "min", None), ("psi", "max", 0.7),
+                                          ("gap", "min", None), ("lam2", "max", None)):
+                calls[0] = 0
+                res = search_extremal(n, alpha=alpha, objective=objective, family=family, key=key)
+                assert calls[0] == len(res.winners), (n, family, key, objective, calls[0])
+
+    def test_discard_fold_is_worker_independent(self):
+        # n = 15 has 7741 classes in 4 chunks; the lam2 runs exclude the maximizers
+        best = set(search_extremal(15, objective="max", key="lam2").winner_codes)
+        for key, objective, exclude in (("gap", "min", ()), ("lam2", "max", best)):
+            r1 = search_extremal(15, alpha=None, objective=objective, key=key, exclude=exclude)
+            r2 = search_extremal(15, alpha=None, objective=objective, key=key, exclude=exclude, jobs=2)
+            assert r1 == r2 and r1.runner_up_gap is not None
+
     def test_bad_arguments(self):
+        for bad in (3.5, "7", 1, 0, -2):
+            for call in (lambda: search_extremal(bad), lambda: search_extremal(bad, family="dc"),
+                         lambda: envelope(bad, "all"), lambda: envelope(bad, "dc")):
+                with pytest.raises(ValueError, match=f"n={bad!r}"):
+                    call()
         with pytest.raises(ValueError):
             search_extremal(8, key="psi", alpha=2.0)
         with pytest.raises(ValueError):
