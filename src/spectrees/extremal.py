@@ -344,7 +344,8 @@ class _Family:
 
     Searches carry members uncoded in (member, lo, hi) rows and envelopes
     in (lam1, lam2, member) midpoints; ``code`` and ``candidate`` are only
-    called for the members a search reports or an envelope witnesses.
+    called for the members a search reports or an envelope witnesses, and
+    for the members a nonempty ``exclude`` must be tested against.
     """
 
     n: int
