@@ -21,8 +21,8 @@ one refinement loop; a Tree and a canonical code are built only for the
 winners, or for every evaluated member when ``exclude`` is nonempty.
 Searches over all trees stream level-sequence chunks through the batched
 inertia kernel (``spectra.TreeBatch``) and never materialise a class
-list; single trees and the comet family keep the scalar kernel and the
-weighted-path quotient.
+list. Comets without a closed form go through the same kernel as their
+quotients, weighted paths (``_dc_pair_intervals``).
 
 The envelope treats each tree as the line alpha -> lam2 + alpha*(lam1 -
 lam2) and eliminates dominated lines by the usual slope-sorted convex-hull
@@ -42,6 +42,7 @@ from multiprocessing import get_context
 import numpy as np
 
 from .enumeration import (
+    CHUNK_ROWS,
     MAX_EXHAUSTIVE_ORDER,
     _level_seq_edges,
     double_comet_params,
@@ -50,7 +51,6 @@ from .enumeration import (
 from .spectra import (
     TreeBatch,
     dc_top_two_closed,
-    dc_top_two_quotient,
     path_eigenvalue,
     top_two,
 )
@@ -149,8 +149,8 @@ def _key_interval(c, l1, l2):
 # -- double-comet family evaluation ------------------------------------------
 
 
-def _dc_pair_interval(p: DoubleCometParams, tol: float):
-    """Certified (lam1, lam2) intervals for one comet, cheapest exact route."""
+def _dc_closed_interval(p: DoubleCometParams):
+    """Exact or closed-form (lam1, lam2) intervals for a path, a star or path order 2 or 3, else None."""
     n = p.n
     if p.k1 == 0 and p.k2 == 0:
         # pure path; in particular the 2-path, whose lam2 = -1 is the one
@@ -164,7 +164,36 @@ def _dc_pair_interval(p: DoubleCometParams, tol: float):
     if p.ell in (2, 3):
         l1, l2 = dc_top_two_closed(p)
         return (l1 - _SAFETY * 1e-3, l1 + _SAFETY * 1e-3), (l2 - _SAFETY * 1e-3, l2 + _SAFETY * 1e-3)
-    return dc_top_two_quotient(p.k1, p.k2, p.ell, tol)
+    return None
+
+
+def _dc_pair_intervals(params, tol: float):
+    """Certified (lam1, lam2) intervals for each comet of ``params``, in order.
+
+    Comets with a closed form take it. The others go through ``TreeBatch``
+    as their equitable-partition quotient, which has the comet's nonzero
+    spectrum: a path on at most ell + 2 vertices with edge weights k1, 1,
+    ..., 1, k2 (zero-leaf classes dropped), the k1 end deepest. Sorted by
+    path order, they run ``CHUNK_ROWS`` at a time, weight-0 edges padding
+    each to its chunk's longest path, which changes no bracket. lam1 is
+    bisected over [0, sqrt(n-1)], slightly widened, and lam2 over [0, lam1_hi].
+    """
+    out = [_dc_closed_interval(p) for p in params]
+    todo = sorted((i for i, iv in enumerate(out) if iv is None), key=lambda i: params[i].ell)
+    for start in range(0, len(todo), CHUNK_ROWS):
+        idx = todo[start:start + CHUNK_ROWS]
+        k1, k2, ell = np.array([(params[i].k1, params[i].k2, params[i].ell) for i in idx]).T
+        order = ell + (k1 > 0) + (k2 > 0)
+        depth = np.arange(order.max())
+        weights = ((depth >= 1) & (depth < order[:, None])).astype(float)
+        weights[np.arange(len(idx)), order - 1] = np.maximum(k1, 1)
+        weights[:, 1] = np.maximum(k2, 1)
+        batch = TreeBatch(np.broadcast_to(depth, weights.shape), weights)
+        l1_lo, l1_hi = batch.bisect(1, 0.0, np.sqrt(k1 + k2 + ell - 1) * (1.0 + 1e-12) + 1e-12, tol)
+        l2_lo, l2_hi = batch.bisect(2, 0.0, l1_hi, tol)
+        for i, a, b, c, d in zip(idx, l1_lo.tolist(), l1_hi.tolist(), l2_lo.tolist(), l2_hi.tolist()):
+            out[i] = (a, b), (c, d)
+    return out
 
 
 def _dc_upper_bound(p: DoubleCometParams, c) -> float:
@@ -183,32 +212,29 @@ def _dc_upper_bound(p: DoubleCometParams, c) -> float:
 def _dc_candidates(fam, c, objective: str, exclude):
     """Certified (params, lo, hi) rows of the comet family, its size and a discard bound.
 
-    Short path orders are evaluated outright (closed forms); for maximizing
-    keys with c2 >= 0 the ell >= 4 comets are first screened by
-    _dc_upper_bound against the best short-order value, which discards all
-    but a thin parameter band, and ``discard_bound`` caps the key value of
-    everything screened out. Nothing is built or coded, except that a
-    nonempty ``exclude`` codes every comet that gets evaluated (never a
+    For maximizing keys with c2 >= 0 the ell >= 4 comets are first screened
+    by _dc_upper_bound against the best value of the shorter ones, which
+    discards all but a thin parameter band, and ``discard_bound`` caps the
+    key value of everything screened out. Each group left is evaluated in
+    one ``_dc_pair_intervals`` call. Nothing is built or coded, except that
+    a nonempty ``exclude`` codes every comet that gets evaluated (never a
     screened-out one), to test it against the set.
     """
     params = double_comet_params(fam.n)
     maximize = objective == "max"
     prune = maximize and c[1] >= 0
 
-    def excluded(p):
-        return bool(exclude) and fam.code(p) in exclude
+    def rows(ps):
+        ps = [p for p in ps if not (exclude and fam.code(p) in exclude)]
+        return [(p, *_key_interval(c, *iv)) for p, iv in zip(ps, _dc_pair_intervals(ps, 1e-12))]
 
-    def row(p):
-        return (p, *_key_interval(c, *_dc_pair_interval(p, 1e-12)))
-
-    rows = [row(p) for p in params if not (prune and p.ell >= 4) and not excluded(p)]
+    pool = rows(p for p in params if not (prune and p.ell >= 4))
     discard_bound = -math.inf if maximize else math.inf
     if prune:
         # everything screened out sits below the bar
-        discard_bound = max((lo for _, lo, _ in rows), default=-math.inf)
-        rows += [row(p) for p in params
-                 if p.ell >= 4 and _dc_upper_bound(p, c) >= discard_bound - _SAFETY and not excluded(p)]
-    return rows, len(params), discard_bound
+        discard_bound = max((lo for _, lo, _ in pool), default=-math.inf)
+        pool += rows(p for p in params if p.ell >= 4 and _dc_upper_bound(p, c) >= discard_bound - _SAFETY)
+    return pool, len(params), discard_bound
 
 
 # -- free-tree scan ------------------------------------------------------------
@@ -317,7 +343,7 @@ def _baseline(fam, coeffs, objective: str, exclude):
     """Deterministic certified baseline interval for pruning a free-tree scan.
 
     Maximizing keys use the best double comet (closed forms plus the
-    screened quotient evaluations); minimizing keys use the better of path
+    screened batched evaluations); minimizing keys use the better of path
     and star. Returns (lo, hi) enclosing the baseline value, or (-inf, inf)
     when ``exclude`` holds every baseline tree, which prunes nothing.
     """
@@ -325,14 +351,10 @@ def _baseline(fam, coeffs, objective: str, exclude):
         rows, _, _ = _dc_candidates(_Comets(fam.n), coeffs, "max", exclude)
         _, lo, hi = max(rows, key=lambda r: r[1], default=(None, -math.inf, math.inf))
         return lo, hi
-    best = (-math.inf, math.inf)
-    for m in (bytes(range(fam.n)), bytes([0] + [1] * (fam.n - 1))):  # level sequences of path and star
-        if exclude and fam.code(m) in exclude:
-            continue
-        iv = _key_interval(coeffs, *fam.pair_interval(m, 1e-12))
-        if iv[1] < best[1]:
-            best = iv
-    return best
+    ms = [m for m in (bytes(range(fam.n)), bytes([0] + [1] * (fam.n - 1)))  # level sequences of path and star
+          if not (exclude and fam.code(m) in exclude)]
+    ivs = [_key_interval(coeffs, *iv) for iv in fam.pair_intervals(ms, 1e-12)]
+    return min(ivs, key=lambda iv: iv[1], default=(-math.inf, math.inf))
 
 
 # -- families --------------------------------------------------------------------
@@ -371,9 +393,9 @@ class _AllTrees(_Family):
     def tree(self, m) -> Tree:
         return Tree(self.n, self.edges(m))
 
-    def pair_interval(self, m, tol: float):
-        tt = top_two(self.tree(m), tol)
-        return (tt.lam1_lo, tt.lam1_hi), (tt.lam2_lo, tt.lam2_hi)
+    def pair_intervals(self, ms, tol: float):
+        tts = [top_two(self.tree(m), tol) for m in ms]
+        return [((tt.lam1_lo, tt.lam1_hi), (tt.lam2_lo, tt.lam2_hi)) for tt in tts]
 
     def candidate(self, m, lo: float, hi: float) -> Candidate:
         return Candidate(self.code(m), self.edges(m), lo, hi)
@@ -402,15 +424,15 @@ class _Comets(_Family):
 
     def midpoints(self):
         """(lam1, lam2, member) per comet."""
-        for p in double_comet_params(self.n):
-            (l1_lo, l1_hi), (l2_lo, l2_hi) = _dc_pair_interval(p, 1e-12)
+        params = double_comet_params(self.n)
+        for p, ((l1_lo, l1_hi), (l2_lo, l2_hi)) in zip(params, _dc_pair_intervals(params, 1e-12)):
             yield 0.5 * (l1_lo + l1_hi), 0.5 * (l2_lo + l2_hi), p
 
     def tree(self, m) -> Tree:
         return make_double_comet(m)
 
-    def pair_interval(self, m, tol: float):
-        return _dc_pair_interval(m, tol)
+    def pair_intervals(self, ms, tol: float):
+        return _dc_pair_intervals(ms, tol)
 
     def candidate(self, m, lo: float, hi: float) -> Candidate:
         t = self.tree(m)
@@ -421,14 +443,20 @@ class _Comets(_Family):
         return _dc_candidates(self, coeffs, objective, exclude)
 
 
+def _at_least(name: str, value, least: int) -> int:
+    """``value`` as an int, or a ValueError naming ``name`` unless it is an integer >= least."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {name}={value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {name}={value}")
+    return value
+
+
 def _family(n, family: str) -> _Family:
     """The family object for order n; the one place ``n`` and ``family`` are checked."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"n must be an integer, got n={n!r}") from None
-    if n < 2:
-        raise ValueError(f"tree families need n >= 2, got n={n}")
+    n = _at_least("n", n, 2)
     if family == "all":
         if n > MAX_EXHAUSTIVE_ORDER:
             raise ValueError(f"family='all' supports n <= {MAX_EXHAUSTIVE_ORDER}, got n={n}")
@@ -470,8 +498,7 @@ def search_extremal(
     coeffs = _coeffs(key, alpha)
     if objective not in ("max", "min"):
         raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = _at_least("jobs", jobs, 1)
     exclude = frozenset(exclude)
     maximize = objective == "max"
     pool, scanned, discard_bound = fam.search_rows(key, coeffs, objective, exclude, jobs)
@@ -479,7 +506,8 @@ def search_extremal(
         raise ValueError("search excluded every tree in the family")
 
     def refine(rows, tol):
-        return [(m, lo, hi) if hi - lo <= tol else (m, *_key_interval(coeffs, *fam.pair_interval(m, tol)))
+        ivs = iter(fam.pair_intervals([m for m, lo, hi in rows if hi - lo > tol], tol))
+        return [(m, lo, hi) if hi - lo <= tol else (m, *_key_interval(coeffs, *next(ivs)))
                 for m, lo, hi in rows]
 
     def survivors(rows):

@@ -7,10 +7,10 @@ zero child pivot by 2, the current pivot by -1/2 and severs the edge to the
 parent). Bisection on that count gives enclosing intervals for the two
 largest eigenvalues with no dependence on floating-point eigensolvers.
 ``_bisect_count`` is the one scalar bisection loop: it takes any count
-function, so whole trees, induced forests and the double-comet quotient
-(a weighted path with its own pivot recurrence) all share it.
-``TreeBatch`` runs the same pass and bisection over many same-order trees
-at once with numpy and reproduces the scalar brackets bit for bit.
+function, so whole trees and induced forests share it. ``TreeBatch`` runs
+the same pass and bisection over many same-order trees at once with numpy,
+reproducing the scalar brackets bit for bit; with edge weights it also runs
+the double comets' equitable-partition quotients, which are weighted paths.
 
 Everything else builds on or cross-checks that kernel: closed forms for
 double comets with path order 2 or 3, the exact path spectrum, a dense
@@ -223,9 +223,17 @@ class TreeBatch:
     scalar repair instead moves the child's pivot to 2 (one more above, one
     fewer equal) and the parent's to -1/2 (below in both forms), so each
     vertex with a zero child shifts one count from equal to above.
+
+    ``weights``, shaped like ``levels``, weight each vertex's edge to its
+    parent: a child adds w/d, not 1/d, to its parent's sum, the pivot
+    recurrence for off-diagonals sqrt(w). Trees pass none. Weight-0 edges
+    pad short weighted paths: such an edge is no edge, its child's step
+    going to the root's spare slot, so a zero pivot below it is no repair.
+    The root's entry is ignored; ``parents``, ``degrees``, ``edges`` and
+    ``top_two`` describe unit-weight trees.
     """
 
-    def __init__(self, levels):
+    def __init__(self, levels, weights=None):
         levels = np.asarray(levels, dtype=np.int64)
         if levels.ndim != 2 or levels.shape[1] < 1:
             raise ValueError("levels must be a 2-d array with one level sequence per row")
@@ -253,6 +261,16 @@ class TreeBatch:
         self.parents = np.ascontiguousarray(parent.T)
         children = np.bincount((parent[1:] * rows + cols).ravel(), minlength=n * rows)
         self.degrees = np.ascontiguousarray((children.reshape(n, rows) + (np.arange(n) > 0)[:, None]).T)
+        self._w = None  # unit weights
+        if weights is not None:
+            weights = np.asarray(weights, dtype=float)
+            if weights.shape != levels.shape or not np.isfinite(weights).all() or (weights < 0).any():
+                raise ValueError(f"weights must be finite, nonnegative and shaped like levels {levels.shape}")
+            w = np.empty(n * rows)
+            w[post * rows + cols] = weights.T
+            up[w == 0.0] = n
+            w[w == 0.0] = 1.0  # every weight is positive, so no step divides 0/0
+            self._w = w.reshape(n, rows)
         self._up = up.reshape(n, rows)  # one postorder step per table row
 
     def __len__(self) -> int:
@@ -263,12 +281,13 @@ class TreeBatch:
         return tuple((p, v) for v, p in enumerate(self.parents[row].tolist()) if p >= 0)
 
     def _steps(self, rows):
-        """Flat indices into an (n+1, len(rows)) table, one array per postorder step."""
+        """Flat indices into an (n+1, len(rows)) table, one array per postorder step, and its weights."""
         m = len(rows)
-        return self._up[:, rows] * m + np.arange(m)
+        w = np.ones((self.n, 1)) if self._w is None else self._w[:, rows]
+        return self._up[:, rows] * m + np.arange(m), w
 
     @staticmethod
-    def _eliminate(steps, x):
+    def _eliminate(steps, w, x):
         """(above, equal, repairs) per row at probe values x.
 
         0.0 - x equals -x except at x = 0, where it signs a zero pivot +0.0
@@ -286,7 +305,7 @@ class TreeBatch:
         with np.errstate(divide="ignore", over="ignore"):
             for k in range(n):
                 np.subtract(neg_x, s[k * m:(k + 1) * m], out=d[k])
-                np.divide(1.0, d[k], out=inv)
+                np.divide(w[k], d[k], out=inv)
                 at = steps[k]
                 np.take(s, at, out=acc)
                 acc += inv
@@ -307,7 +326,7 @@ class TreeBatch:
         ``repairs`` counts the vertices whose zero-pivot child was repaired.
         """
         x = np.broadcast_to(np.asarray(x, dtype=float), (len(self),))
-        return self._eliminate(self._steps(np.arange(len(self))), x)
+        return self._eliminate(*self._steps(np.arange(len(self))), x)
 
     def bisect(self, k: int, lo, hi, tol: float, rows=None, stop_lo_above=None, stop_hi_below=None):
         """``_bisect_count`` on every row at once; returns (lo, hi) arrays.
@@ -336,7 +355,7 @@ class TreeBatch:
                 steps = self._steps(rows[live])
             if not len(live):
                 break
-            above = self._eliminate(steps, mid)[0]
+            above = self._eliminate(*steps, mid)[0]
             up = above >= k
             lo[live[up]] = mid[up]
             hi[live[~up]] = mid[~up]
@@ -345,6 +364,8 @@ class TreeBatch:
     def top_two(self, tol: float = 1e-12):
         """``top_two`` of every row: arrays (lam1_lo, lam1_hi, lam2_lo, lam2_hi)."""
         n, m = self.n, len(self)
+        if self._w is not None:
+            raise ValueError("top_two brackets unit-weight trees; bisect weighted rows directly")
         if n < 2:
             raise ValueError("top_two needs n >= 2: a single vertex has no second eigenvalue")
         if tol <= 0:
@@ -413,56 +434,6 @@ def path_eigenvalue(n: int, j: int) -> float:
     if not 1 <= j <= n:
         raise ValueError(f"need 1 <= j <= n, got j={j}, n={n}")
     return 2.0 * math.cos(math.pi * j / (n + 1))
-
-
-def dc_top_two_quotient(k1: int, k2: int, ell: int, tol: float = 1e-12):
-    """Certified (lam1, lam2) intervals for any double comet, at O(ell) cost.
-
-    Interchangeable leaves form an equitable partition, so the nonzero
-    spectrum of DC(k1,k2,ell) equals the spectrum of a weighted path on at
-    most ell+2 vertices (edge weights sqrt(k1), 1, ..., 1, sqrt(k2), with
-    zero-leaf classes dropped). Sturm-type pivot counts on that tridiagonal
-    drive the same bisection as the full-tree kernel, and the two largest
-    eigenvalues are nonnegative whenever the comet has at least 3 vertices.
-    """
-    n = k1 + k2 + ell
-    if n < 3:
-        raise ValueError("quotient bisection needs n >= 3")
-    if ell == 1 or (ell == 2 and min(k1, k2) == 0):
-        s = math.sqrt(n - 1)
-        return (s, s), (0.0, 0.0)
-    ws = []
-    if k1 > 0:
-        ws.append(float(k1))
-    ws.extend([1.0] * (ell - 1))
-    if k2 > 0:
-        ws.append(float(k2))
-
-    def above(x: float) -> int:
-        child = None
-        count = 0
-        pivots = []
-        for i in range(len(ws) + 1):
-            if child is None:
-                cur = -x
-            elif child == 0.0:
-                pivots[-1] = 2.0
-                cur = -0.5
-                pivots.append(cur)
-                child = None
-                continue
-            else:
-                cur = -x - ws[i - 1] / child
-            pivots.append(cur)
-            child = cur
-        for p in pivots:
-            if p > 0.0:
-                count += 1
-        return count
-
-    hi0 = math.sqrt(n - 1) * (1.0 + 1e-12) + 1e-12
-    lam1 = _bisect_count(above, 1, 0.0, hi0, tol)
-    return lam1, _bisect_count(above, 2, 0.0, lam1[1], tol)
 
 
 # -- dense oracle ------------------------------------------------------------

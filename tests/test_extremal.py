@@ -6,7 +6,7 @@ from spectrees import extremal
 from spectrees.enumeration import count_free_trees, double_comet_params, enumerate_free_trees
 from spectrees.extremal import (
     AsymptoticParams,
-    _dc_pair_interval,
+    _dc_pair_intervals,
     dc_structure_probe,
     envelope,
     exact_psi_dc,
@@ -204,6 +204,10 @@ class TestSearch:
             search_extremal(8, objective="between")
         with pytest.raises(ValueError):
             search_extremal(30, family="all", key="sum")
+        for bad in (2.5, "2", None):
+            for fam in ("all", "dc"):
+                with pytest.raises(ValueError, match=f"jobs={bad!r}"):
+                    search_extremal(10, family=fam, jobs=bad)
 
 
 class TestEnvelope:
@@ -242,18 +246,27 @@ class TestEnvelope:
         # midpoints round onto its line, and the line carries that comet's floats
         for n in range(5, 41):
             on_line = {}
-            for p in double_comet_params(n):
-                (l1_lo, l1_hi), (l2_lo, l2_hi) = _dc_pair_interval(p, 1e-12)
+            params = double_comet_params(n)
+            for p, ((l1_lo, l1_hi), (l2_lo, l2_hi)) in zip(params, _dc_pair_intervals(params, 1e-12)):
                 l1, l2 = 0.5 * (l1_lo + l1_hi), 0.5 * (l2_lo + l2_hi)
                 on_line.setdefault((round(l1, 12), round(l2, 12)), []).append((code_of(p.k1, p.k2, p.ell), l1, l2))
             for s in envelope(n, "dc").segments:
                 assert (s.witness_code, s.lam1, s.lam2) == min(on_line[round(s.lam1, 12), round(s.lam2, 12)]), n
         # at n = 8, DC(3,3,2) and the broom (4,0,4) share a hull line with different
         # floats; the broom has the smaller code, so its floats stay
-        assert 0.5 * sum(_dc_pair_interval(DoubleCometParams(3, 3, 2), 1e-12)[0]) == 2.302775637731995
+        assert 0.5 * sum(_dc_pair_intervals([DoubleCometParams(3, 3, 2)], 1e-12)[0][0]) == 2.302775637731995
         seg = next(s for s in envelope(8, "dc").segments if s.alpha_lo < 0.63 < s.alpha_hi)
         assert seg.witness_code == code_of(4, 0, 4) == "1(((()))()()()())"
         assert seg.lam1 == 2.3027756377318678
+
+    def test_comet_batch_matches_one_at_a_time(self, monkeypatch):
+        # comets of mixed orders in chunks of 7 rows, each padded to its longest
+        # quotient path, get the brackets each gets alone, bit for bit
+        monkeypatch.setattr(extremal, "CHUNK_ROWS", 7)
+        params = double_comet_params(9) + double_comet_params(16)[::-1] + [
+            DoubleCometParams(1, 3, 6), DoubleCometParams(5, 1, 4), DoubleCometParams(0, 2, 5)]
+        alone = [_dc_pair_intervals([p], 1e-14)[0] for p in params]
+        assert repr(_dc_pair_intervals(params, 1e-14)) == repr(alone)
 
     def test_only_hull_lines_are_coded(self, monkeypatch):
         calls = [0]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectrees.enumeration import decode_parent_report, enumerate_free_trees, free_tree_level_chunks
+from spectrees.extremal import _dc_pair_intervals
 from spectrees.spectra import (
     EigenvectorData,
     Lambda2MultiplicityError,
@@ -16,7 +17,6 @@ from spectrees.spectra import (
     adjacency_matrix,
     count_eigenvalues_above,
     dc_top_two_closed,
-    dc_top_two_quotient,
     dense_eigh,
     dense_spectrum_oracle,
     eigenvector,
@@ -134,7 +134,7 @@ class TestClosedForms:
             c1, c2 = dc_top_two_closed(p)
             tt = top_two(make_double_comet(p))
             assert abs(tt.lam1 - c1) < 1e-9 and abs(tt.lam2 - c2) < 1e-9
-            (q1l, q1h), (q2l, q2h) = dc_top_two_quotient(p.k1, p.k2, p.ell)
+            [((q1l, q1h), (q2l, q2h))] = _dc_pair_intervals([p], 1e-12)
             assert abs(0.5 * (q1l + q1h) - c1) < 1e-9
             assert abs(0.5 * (q2l + q2h) - c2) < 1e-9
 
@@ -146,7 +146,7 @@ class TestClosedForms:
             k1 = rng.randrange(0, n - ell + 1)
             k2 = n - ell - k1
             tt = top_two(make_double_comet(DoubleCometParams(k1, k2, ell)))
-            (q1l, q1h), (q2l, q2h) = dc_top_two_quotient(k1, k2, ell)
+            [((q1l, q1h), (q2l, q2h))] = _dc_pair_intervals([DoubleCometParams(k1, k2, ell)], 1e-12)
             assert abs(tt.lam1 - 0.5 * (q1l + q1h)) < 1e-9
             assert abs(tt.lam2 - 0.5 * (q2l + q2h)) < 1e-9
 
@@ -395,6 +395,35 @@ def test_batched_top_two_equals_scalar_for_every_class():
                 assert tuple(a[r] for a in got) == (tt.lam1_lo, tt.lam1_hi, tt.lam2_lo, tt.lam2_hi)
 
 
+def test_weighted_path_counts_match_dense_oracle():
+    # the quotient of a double comet is a weighted path: the tridiagonal with
+    # off-diagonals sqrt(w); weight-0 edges split it, as padding does
+    repairs = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 16))
+        weight = st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0, 0.5, 7.0])
+        rows = data.draw(st.lists(st.lists(weight, min_size=n, max_size=n), min_size=1, max_size=5))
+        batch = TreeBatch([list(range(n))] * len(rows), rows)
+        top = math.sqrt(8.0 * n)
+        probes = [0.0, 0.5, 1.0, 2.0, math.sqrt(2.0), data.draw(st.floats(0.0, top)), data.draw(st.floats(-top, top))]
+        for x in probes:
+            above, equal, rep = batch.count_above(x)
+            repairs.append(int(rep.sum()))
+            for r, w in enumerate(rows):
+                off = np.sqrt(w[1:])
+                vals, _ = jacobi_eigh(np.diag(off, 1) + np.diag(off, -1))
+                # an eigenvalue within the oracle's resolution of x may fall on
+                # either side; every other one must be counted on its own side
+                far_above, near = int(np.sum(vals > x + 1e-9)), int(np.sum(abs(vals - x) <= 1e-9))
+                assert far_above <= above[r] <= above[r] + equal[r] <= far_above + near, (w, x)
+
+    check()
+    assert sum(repairs) > 0, "the sample never exercised the zero-pivot repair"
+
+
 def test_tree_batch_rejects_bad_levels():
     with pytest.raises(ValueError):
         TreeBatch([[0, 2, 1]])
@@ -402,3 +431,17 @@ def test_tree_batch_rejects_bad_levels():
         TreeBatch([[1, 2]])
     with pytest.raises(ValueError):
         TreeBatch([[0]]).top_two()
+    for bad in ([[0.0, 1.0]], [1.0, 1.0, 1.0], [[0.0, 1.0, 1.0]] * 2, [[0.0, -1.0, 1.0]],
+                [[0.0, math.inf, 1.0]], [[0.0, 1.0, math.nan]]):
+        with pytest.raises(ValueError, match="weights"):
+            TreeBatch([[0, 1, 2]], bad)
+    with pytest.raises(ValueError, match="unit-weight"):
+        TreeBatch([[0, 1, 2]], [[0.0, 2.0, 2.0]]).top_two()
+    # no probe divides 0/0 (a RuntimeWarning, so an error here): not at x = 0
+    # below weight-0 padding, not at a zero root pivot (x = 1 on the 2-path)
+    # whatever the root's entry; row 0 is the 2-path plus two isolated
+    # vertices, row 1 the unit 4-path
+    batch = TreeBatch([[0, 1, 2, 3]] * 2, [[0.0, 1.0, 0.0, 0.0], [3.0, 1.0, 1.0, 1.0]])
+    for x, want in ((0.0, [(1, 2), (2, 0)]), (1.0, [(0, 1), (1, 0)]), (-1.0, [(3, 1), (3, 0)])):
+        above, equal, _ = batch.count_above(x)
+        assert list(zip(above.tolist(), equal.tolist())) == want
