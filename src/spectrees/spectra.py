@@ -281,9 +281,9 @@ class TreeBatch:
         return tuple((p, v) for v, p in enumerate(self.parents[row].tolist()) if p >= 0)
 
     def _steps(self, rows):
-        """Flat indices into an (n+1, len(rows)) table, one array per postorder step, and its weights."""
+        """Flat indices into an (n+1, len(rows)) table, one array per postorder step, and their weights."""
         m = len(rows)
-        w = np.ones((self.n, 1)) if self._w is None else self._w[:, rows]
+        w = [1.0] * self.n if self._w is None else list(self._w[:, rows])
         return self._up[:, rows] * m + np.arange(m), w
 
     @staticmethod
@@ -303,9 +303,9 @@ class TreeBatch:
         acc = np.empty(m)
         neg_x = 0.0 - x
         with np.errstate(divide="ignore", over="ignore"):
-            for k in range(n):
-                np.subtract(neg_x, s[k * m:(k + 1) * m], out=d[k])
-                np.divide(w[k], d[k], out=inv)
+            for k, dk in enumerate(d):
+                np.subtract(neg_x, s[k * m:(k + 1) * m], out=dk)
+                np.divide(w[k], dk, out=inv)
                 at = steps[k]
                 np.take(s, at, out=acc)
                 acc += inv
@@ -313,11 +313,11 @@ class TreeBatch:
         above = (d > 0.0).sum(axis=0)
         zero = d == 0.0
         equal = zero.sum(axis=0)
-        repairs = np.zeros(m, dtype=np.int64)
-        if equal.any():
-            has_zero_child = np.zeros((n + 1) * m, dtype=bool)
-            has_zero_child[steps[zero]] = True
-            repairs = has_zero_child[:n * m].reshape(n, m).sum(axis=0)
+        if not equal.any():
+            return above, equal, equal
+        has_zero_child = np.zeros((n + 1) * m, dtype=bool)
+        has_zero_child[steps[zero]] = True
+        repairs = has_zero_child[:n * m].reshape(n, m).sum(axis=0)
         return above + repairs, equal - repairs, repairs
 
     def count_above(self, x):
@@ -349,7 +349,7 @@ class TreeBatch:
         for _ in range(200):
             a, b = lo[live], hi[live]
             mid = 0.5 * (a + b)
-            go = ~(b - a <= tol) & ~(a > stop_lo[live]) & ~(b < stop_hi[live]) & ~(mid <= a) & ~(mid >= b)
+            go = ~((b - a <= tol) | (a > stop_lo[live]) | (b < stop_hi[live]) | (mid <= a) | (mid >= b))
             if not go.all():
                 live, mid = live[go], mid[go]
                 steps = self._steps(rows[live])

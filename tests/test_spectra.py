@@ -407,14 +407,13 @@ def test_weighted_path_counts_match_dense_oracle():
         weight = st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0, 0.5, 7.0])
         rows = data.draw(st.lists(st.lists(weight, min_size=n, max_size=n), min_size=1, max_size=5))
         batch = TreeBatch([list(range(n))] * len(rows), rows)
+        spectra = [jacobi_eigh(np.diag(off, 1) + np.diag(off, -1))[0] for off in np.sqrt(np.array(rows)[:, 1:])]
         top = math.sqrt(8.0 * n)
         probes = [0.0, 0.5, 1.0, 2.0, math.sqrt(2.0), data.draw(st.floats(0.0, top)), data.draw(st.floats(-top, top))]
         for x in probes:
             above, equal, rep = batch.count_above(x)
             repairs.append(int(rep.sum()))
-            for r, w in enumerate(rows):
-                off = np.sqrt(w[1:])
-                vals, _ = jacobi_eigh(np.diag(off, 1) + np.diag(off, -1))
+            for r, (w, vals) in enumerate(zip(rows, spectra)):
                 # an eigenvalue within the oracle's resolution of x may fall on
                 # either side; every other one must be counted on its own side
                 far_above, near = int(np.sum(vals > x + 1e-9)), int(np.sum(abs(vals - x) <= 1e-9))
