@@ -314,7 +314,7 @@ class TreeBatch:
         zero = d == 0.0
         equal = zero.sum(axis=0)
         if not equal.any():
-            return above, equal, equal
+            return above, equal, equal  # no zero pivot, so no repair
         has_zero_child = np.zeros((n + 1) * m, dtype=bool)
         has_zero_child[steps[zero]] = True
         repairs = has_zero_child[:n * m].reshape(n, m).sum(axis=0)
