@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 
-from .enumeration import count_free_trees, double_comet_params, enumerate_trees
+from .enumeration import count_double_comets, count_free_trees, enumerate_trees
 from .extremal import KEYS, envelope, normalized_envelope, search_extremal, spectral_gap_min
 from .spectra import dense_spectrum_oracle, top_two
 from .suites import (
@@ -97,7 +97,7 @@ def _maybe_write(args, text: str):
 
 def _cmd_enumerate(args) -> int:
     if args.count_only:
-        total = count_free_trees(args.n) if args.family == "all" else len(double_comet_params(args.n))
+        total = count_free_trees(args.n) if args.family == "all" else count_double_comets(args.n)
         print(json.dumps({"n": args.n, "family": args.family, "count": total})
               if args.json else total)
         return 0

@@ -8,7 +8,8 @@ Three modes:
   root's first principal subtree),
 * an independent brute-force oracle that decodes labeled trees from their
   parent-report (Pruefer) sequences and deduplicates by canonical code,
-* the double-comet family, deduplicated at parameter level.
+* the double-comet family, deduplicated at parameter level and generated
+  one path order at a time as arrays of leaf counts.
 
 ``enumerate_free_trees`` and ``enumerate_labeled_oracle`` return
 generators of trees in canonical-code order, which makes iteration order
@@ -16,7 +17,8 @@ and downstream tie-breaking reproducible; that order is only known once
 every class is coded, so both code and sort the class list when called.
 ``enumerate_double_comets`` yields in a fixed parameter order, one tree at
 a time. Counting needs no trees: ``count_free_trees`` streams the level
-sequences and ``len(double_comet_params(n))`` counts the comets.
+sequences and ``count_double_comets`` sums the array lengths of
+``double_comet_arrays``, building no parameter object.
 
 Searches and envelopes do not use the sorted free-tree list: they take
 the level sequences in generation order, in fixed-size numpy chunks
@@ -273,28 +275,42 @@ def enumerate_labeled_oracle(n: int):
 # -- double comets -------------------------------------------------------------
 
 
-def double_comet_params(n: int):
-    """Parameter triples covering each double-comet isomorphism class once.
+def double_comet_arrays(n: int):
+    """The double-comet family one path order at a time, as ``(ell, k1, k2)``.
 
-    Degenerate overlaps are removed at parameter level: the path is
-    (0, 0, n); the star is (n-1, 0, 1) and only exists apart from the path
-    for n >= 4; brooms (k, 0, ell) need k >= 2 and ell >= 3 (a 2-path broom
-    is a star); proper comets need k1 >= k2 >= 2 and ell >= 2.
+    ``ell`` is the path order and ``k1``, ``k2`` the int64 leaf-count
+    arrays of its comets, each isomorphism class once. The path (0, 0, n)
+    comes first, then the star (n-1, 0, 1) for n >= 4 (below that it is a
+    path), then ell = 2 to n - 2: the broom (n-ell, 0, ell) when ell >= 3
+    (a 2-path broom is a star), then the proper comets, k1 >= k2 >= 2 by
+    increasing k2.
     """
     if n < 2:
         raise ValueError(f"double comets need n >= 2, got {n}")
-    out = [DoubleCometParams(0, 0, n)]
+    zero = np.zeros(1, dtype=np.int64)
+    yield n, zero, zero
     if n >= 4:
-        out.append(DoubleCometParams(n - 1, 0, 1))
-    for ell in range(2, n + 1):
+        yield 1, np.array([n - 1], dtype=np.int64), zero
+    for ell in range(2, n - 1):
         rest = n - ell
-        if ell >= 3 and rest >= 2:
-            out.append(DoubleCometParams(rest, 0, ell))
-        for k2 in range(2, rest // 2 + 1):
-            k1 = rest - k2
-            if k1 >= k2:
-                out.append(DoubleCometParams(k1, k2, ell))
-    return out
+        k2 = np.arange(2, rest // 2 + 1, dtype=np.int64)
+        if ell >= 3:
+            k2 = np.concatenate((zero, k2))
+        yield ell, rest - k2, k2
+
+
+def double_comet_group_params(ell: int, k1, k2):
+    """``DoubleCometParams`` for one path order's leaf-count arrays, in array order."""
+    return [DoubleCometParams(a, b, ell) for a, b in zip(k1.tolist(), k2.tolist())]
+
+
+def double_comet_params(n: int):
+    """Parameters of each double-comet isomorphism class once, in ``double_comet_arrays`` order."""
+    return [p for group in double_comet_arrays(n) for p in double_comet_group_params(*group)]
+
+
+def count_double_comets(n: int) -> int:
+    return sum(len(k1) for _, k1, _ in double_comet_arrays(n))
 
 
 def enumerate_double_comets(n: int):

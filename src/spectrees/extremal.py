@@ -22,7 +22,9 @@ winners, or for every evaluated member when ``exclude`` is nonempty.
 Searches over all trees stream level-sequence chunks through the batched
 inertia kernel (``spectra.TreeBatch``) and never materialise a class
 list. Comets without a closed form go through the same kernel as their
-quotients, weighted paths (``_dc_pair_intervals``).
+quotients, weighted paths (``_dc_pair_intervals``). A comet search screens
+its long comets as leaf-count arrays, one path order at a time, and builds
+parameters only for the comets it evaluates (``_dc_candidates``).
 
 The envelope treats each tree as the line alpha -> lam2 + alpha*(lam1 -
 lam2) and eliminates dominated lines by the usual slope-sorted convex-hull
@@ -45,6 +47,8 @@ from .enumeration import (
     CHUNK_ROWS,
     MAX_EXHAUSTIVE_ORDER,
     _level_seq_edges,
+    double_comet_arrays,
+    double_comet_group_params,
     double_comet_params,
     free_tree_level_chunks,
 )
@@ -196,45 +200,60 @@ def _dc_pair_intervals(params, tol: float):
     return out
 
 
-def _dc_upper_bound(p: DoubleCometParams, c) -> float:
-    """Upper bound on c1*lam1 + c2*lam2 for c2 >= 0, to discard long comets unbisected.
+def _dc_upper_bound(k1, k2, c):
+    """Elementwise upper bounds on c1*lam1 + c2*lam2 (c2 >= 0), to discard long comets unbisected.
 
-    Valid for ell >= 4: lam1^2 is at most the largest row sum of A^2,
-    which is max(k)+3, and lam2 is at most lam1 of the broom left after
-    deleting the bigger hub (interlacing), at most sqrt(min(k)+3); the
-    constant 4 floors both for nearly bare paths.
+    ``k1`` and ``k2`` are leaf-count arrays. Valid for ell >= 4: lam1^2 is
+    at most the largest row sum of A^2, which is max(k)+3, and lam2 is at
+    most lam1 of the broom left after deleting the bigger hub
+    (interlacing), at most sqrt(min(k)+3); the constant 4 floors both for
+    nearly bare paths.
     """
-    u1 = math.sqrt(max(4.0, max(p.k1, p.k2) + 3.0))
-    u2 = math.sqrt(max(4.0, min(p.k1, p.k2) + 3.0))
+    u1 = np.sqrt(np.maximum(4.0, np.maximum(k1, k2) + 3.0))
+    u2 = np.sqrt(np.maximum(4.0, np.minimum(k1, k2) + 3.0))
     return c[0] * u1 + c[1] * u2
 
 
 def _dc_candidates(fam, c, objective: str, exclude):
     """Certified (params, lo, hi) rows of the comet family, its size and a discard bound.
 
-    For maximizing keys with c2 >= 0 the ell >= 4 comets are first screened
-    by _dc_upper_bound against the best value of the shorter ones, which
-    discards all but a thin parameter band, and ``discard_bound`` caps the
-    key value of everything screened out. Each group left is evaluated in
-    one ``_dc_pair_intervals`` call. Nothing is built or coded, except that
-    a nonempty ``exclude`` codes every comet that gets evaluated (never a
-    screened-out one), to test it against the set.
+    Minimizing keys and keys with c2 < 0 evaluate every comet. For the
+    other maximizing keys the short comets (path order at most 3, the star,
+    and the path when n <= 3) are evaluated first; the ell >= 4 comets are
+    then screened as leaf-count arrays, one path order at a time from
+    ``double_comet_arrays``, by _dc_upper_bound against the best lower end
+    among the short ones. That discards all but a thin parameter band, and
+    ``discard_bound`` caps the key value of everything screened out. A
+    ``DoubleCometParams`` is built only for a comet that gets evaluated,
+    and each group is evaluated in one ``_dc_pair_intervals`` call. A
+    nonempty ``exclude`` codes every evaluated comet (never a screened-out
+    one), to test it against the set.
     """
-    params = double_comet_params(fam.n)
     maximize = objective == "max"
-    prune = maximize and c[1] >= 0
 
     def rows(ps):
         ps = [p for p in ps if not (exclude and fam.code(p) in exclude)]
         return [(p, *_key_interval(c, *iv)) for p, iv in zip(ps, _dc_pair_intervals(ps, 1e-12))]
 
-    pool = rows(p for p in params if not (prune and p.ell >= 4))
-    discard_bound = -math.inf if maximize else math.inf
-    if prune:
-        # everything screened out sits below the bar
-        discard_bound = max((lo for _, lo, _ in pool), default=-math.inf)
-        pool += rows(p for p in params if p.ell >= 4 and _dc_upper_bound(p, c) >= discard_bound - _SAFETY)
-    return pool, len(params), discard_bound
+    if not (maximize and c[1] >= 0):
+        params = double_comet_params(fam.n)
+        return rows(params), len(params), -math.inf if maximize else math.inf
+    short = []
+    for ell, k1, k2 in double_comet_arrays(fam.n):
+        if 4 <= ell < fam.n:
+            break  # the path (ell = n) came first; path orders only rise from here
+        if ell <= 3:
+            short += double_comet_group_params(ell, k1, k2)
+    pool = rows(short)
+    # everything screened out sits below the bar
+    discard_bound = max((lo for _, lo, _ in pool), default=-math.inf)
+    size, kept = 0, []
+    for ell, k1, k2 in double_comet_arrays(fam.n):
+        size += len(k1)
+        if ell >= 4:
+            hit = _dc_upper_bound(k1, k2, c) >= discard_bound - _SAFETY
+            kept += double_comet_group_params(ell, k1[hit], k2[hit])
+    return pool + rows(kept), size, discard_bound
 
 
 # -- free-tree scan ------------------------------------------------------------

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from spectrees.cli import main
+from spectrees.enumeration import double_comet_params
 from spectrees.suites import (
     envelope_to_csv,
     report_to_csv,
@@ -60,6 +61,8 @@ def test_spectrum_csv_full_comet():
 def test_cli_enumerate_count(capsys):
     assert main(["enumerate", "--n", "8", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "23"
+    assert main(["enumerate", "--n", "2000", "--family", "dc", "--count-only"]) == 0
+    assert capsys.readouterr().out.strip() == str(len(double_comet_params(2000)))
 
 
 def test_cli_enumerate_writes_blocks(capsys):

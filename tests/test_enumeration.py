@@ -2,6 +2,7 @@ import pytest
 
 from spectrees.enumeration import (
     CHUNK_ROWS,
+    count_double_comets,
     count_free_trees,
     decode_parent_report,
     double_comet_params,
@@ -80,9 +81,33 @@ def test_double_comets_n4():
     assert codes == {canonical_code(make_path(4)), canonical_code(make_star(4))}
 
 
+def _reference_double_comet_params(n):
+    """The comet family as one explicit loop: path, star, then brooms and proper comets by path order."""
+    out = [DoubleCometParams(0, 0, n)]
+    if n >= 4:
+        out.append(DoubleCometParams(n - 1, 0, 1))
+    for ell in range(2, n + 1):
+        rest = n - ell
+        if ell >= 3 and rest >= 2:
+            out.append(DoubleCometParams(rest, 0, ell))
+        for k2 in range(2, rest // 2 + 1):
+            k1 = rest - k2
+            if k1 >= k2:
+                out.append(DoubleCometParams(k1, k2, ell))
+    return out
+
+
+def test_double_comet_params_match_reference_loop():
+    for n in range(2, 61):
+        want = _reference_double_comet_params(n)
+        # repr also pins plain int fields, which == alone would not tell from numpy ints
+        assert repr(double_comet_params(n)) == repr(want), n
+        assert count_double_comets(n) == len(want)
+
+
 def test_double_comets_dedup_against_free_trees():
     # every comet class appears once, and all are genuine tree classes
-    for n in (6, 7, 8):
+    for n in range(2, 15):
         comets = [canonical_code(t) for t in enumerate_double_comets(n)]
         assert len(comets) == len(set(comets))
         free = {canonical_code(t) for t in enumerate_free_trees(n)}

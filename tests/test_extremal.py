@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from spectrees import extremal
+from spectrees import enumeration, extremal
 from spectrees.enumeration import count_free_trees, double_comet_params, enumerate_free_trees
 from spectrees.extremal import (
     AsymptoticParams,
@@ -166,6 +166,32 @@ class TestSearch:
         for objective in ("max", "min"):
             with pytest.raises(ValueError, match="search excluded every tree in the family"):
                 search_extremal(9, objective=objective, family="dc", exclude=comets)
+
+    def test_comet_screen_is_sound(self, monkeypatch):
+        # every long comet the screen leaves out of the pool is certified below the
+        # discard bound, and no DoubleCometParams is built for it
+        built = []
+
+        def counting(*p):
+            built.append(p)
+            return DoubleCometParams(*p)
+
+        monkeypatch.setattr(enumeration, "DoubleCometParams", counting)
+        keys = [("psi", a) for a in (0.0, 0.3, 0.5, 0.7, 1.0)] + [(k, None) for k in ("sum", "lam1", "lam2")]
+        for n in (30, 61, 90):
+            family = double_comet_params(n)
+            long_comets = [p for p in family if p.ell >= 4]
+            intervals = dict(zip(long_comets, _dc_pair_intervals(long_comets, 1e-12)))
+            for key, alpha in keys:
+                c = extremal._coeffs(key, alpha)
+                built.clear()
+                pool, size, discard_bound = extremal._dc_candidates(extremal._Comets(n), c, "max", ())
+                assert size == len(family) and len(built) == len(pool)
+                kept = {p for p, _, _ in pool}
+                dropped = [p for p in long_comets if p not in kept]
+                assert dropped, (n, key, alpha)
+                for p in dropped:
+                    assert extremal._key_interval(c, *intervals[p])[1] < discard_bound, (n, key, alpha, p)
 
     def test_searches_code_only_winners(self, monkeypatch):
         calls = [0]
