@@ -16,7 +16,7 @@ import sys
 
 from .enumeration import count_double_comets, count_free_trees, enumerate_trees
 from .extremal import KEYS, envelope, normalized_envelope, search_extremal, spectral_gap_min
-from .spectra import dense_spectrum_oracle, top_two
+from .spectra import TOL, dense_spectrum_oracle, top_two
 from .suites import (
     SUITES,
     emit_csv,
@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="top two eigenvalues of one tree")
     p.add_argument("--tree", required=True, help="path:N | star:N | dc:K1,K2,L | file:PATH")
     p.add_argument("--full", action="store_true", help="full oracle spectrum (n <= 64)")
-    p.add_argument("--tol", type=float, default=1e-12, help="certified interval width")
+    p.add_argument("--tol", type=float, default=TOL, help="certified interval width")
     _add_output(p)
 
     p = sub.add_parser("extremal", help="extremal tree for a spectral objective")

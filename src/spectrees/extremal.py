@@ -37,6 +37,7 @@ floats.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -53,6 +54,7 @@ from .enumeration import (
     free_tree_level_chunks,
 )
 from .spectra import (
+    TOL,
     TreeBatch,
     dc_top_two_closed,
     path_eigenvalue,
@@ -85,9 +87,9 @@ class PsiValue:
     hi: float
 
 
-def psi(t: Tree, alpha: float, tol: float = 1e-12) -> PsiValue:
+def psi(t: Tree, alpha: float) -> PsiValue:
     c1, c2 = _coeffs("psi", alpha)
-    tt = top_two(t, tol)
+    tt = top_two(t, TOL)
     lo, hi = _key_interval((c1, c2), (tt.lam1_lo, tt.lam1_hi), (tt.lam2_lo, tt.lam2_hi))
     return PsiValue(alpha, tt.lam1, tt.lam2, c1 * tt.lam1 + c2 * tt.lam2, lo, hi)
 
@@ -128,8 +130,8 @@ class ExtremalResult:
 def _coeffs(key: str, alpha):
     """(c1, c2) with the key's value c1*lam1 + c2*lam2; c1 >= 0 for every key."""
     if key == "psi":
-        if alpha is None or not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"psi needs alpha in [0, 1], got {alpha}")
+        if not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"psi needs alpha in [0, 1], got alpha={alpha!r}")
         return alpha, 1.0 - alpha
     if key not in _FIXED_COEFFS:
         raise ValueError(f"key must be one of {KEYS}, got {key!r}")
@@ -217,27 +219,24 @@ def _dc_upper_bound(k1, k2, c):
 def _dc_candidates(fam, c, objective: str, exclude):
     """Certified (params, lo, hi) rows of the comet family, its size and a discard bound.
 
-    Minimizing keys and keys with c2 < 0 evaluate every comet. For the
-    other maximizing keys the short comets (path order at most 3, the star,
-    and the path when n <= 3) are evaluated first; the ell >= 4 comets are
-    then screened as leaf-count arrays, one path order at a time from
-    ``double_comet_arrays``, by _dc_upper_bound against the best lower end
-    among the short ones. That discards all but a thin parameter band, and
-    ``discard_bound`` caps the key value of everything screened out. A
-    ``DoubleCometParams`` is built only for a comet that gets evaluated,
-    and each group is evaluated in one ``_dc_pair_intervals`` call. A
-    nonempty ``exclude`` codes every evaluated comet (never a screened-out
-    one), to test it against the set.
+    The short comets (path order at most 3, the star, and the path when
+    n <= 3) are evaluated first, then the ell >= 4 comets, taken as
+    leaf-count arrays one path order at a time from ``double_comet_arrays``.
+    Maximizing keys with c2 >= 0 screen those by _dc_upper_bound against
+    the best lower end among the short ones. That discards all but a thin
+    parameter band, and ``discard_bound`` caps the key value of everything
+    screened out. Other keys screen nothing, with discard bound -inf (max)
+    or +inf (min). A ``DoubleCometParams`` is built only for a comet that
+    gets evaluated, and each group is evaluated in one
+    ``_dc_pair_intervals`` call. A nonempty ``exclude`` codes every
+    evaluated comet (never a screened-out one), to test it against the set.
     """
     maximize = objective == "max"
 
     def rows(ps):
         ps = [p for p in ps if not (exclude and fam.code(p) in exclude)]
-        return [(p, *_key_interval(c, *iv)) for p, iv in zip(ps, _dc_pair_intervals(ps, 1e-12))]
+        return [(p, *_key_interval(c, *iv)) for p, iv in zip(ps, _dc_pair_intervals(ps, TOL))]
 
-    if not (maximize and c[1] >= 0):
-        params = double_comet_params(fam.n)
-        return rows(params), len(params), -math.inf if maximize else math.inf
     short = []
     for ell, k1, k2 in double_comet_arrays(fam.n):
         if 4 <= ell < fam.n:
@@ -245,15 +244,15 @@ def _dc_candidates(fam, c, objective: str, exclude):
         if ell <= 3:
             short += double_comet_group_params(ell, k1, k2)
     pool = rows(short)
-    # everything screened out sits below the bar
-    discard_bound = max((lo for _, lo, _ in pool), default=-math.inf)
+    # everything screened out sits below the bar; unpruned keys screen nothing out
+    bar = max((lo for _, lo, _ in pool), default=-math.inf) if maximize and c[1] >= 0 else -math.inf
     size, kept = 0, []
     for ell, k1, k2 in double_comet_arrays(fam.n):
         size += len(k1)
         if ell >= 4:
-            hit = _dc_upper_bound(k1, k2, c) >= discard_bound - _SAFETY
+            hit = _dc_upper_bound(k1, k2, c) >= bar - _SAFETY
             kept += double_comet_group_params(ell, k1[hit], k2[hit])
-    return pool + rows(kept), size, discard_bound
+    return pool + rows(kept), size, bar if maximize else math.inf
 
 
 # -- free-tree scan ------------------------------------------------------------
@@ -372,7 +371,7 @@ def _baseline(fam, coeffs, objective: str, exclude):
         return lo, hi
     ms = [m for m in (bytes(range(fam.n)), bytes([0] + [1] * (fam.n - 1)))  # level sequences of path and star
           if not (exclude and fam.code(m) in exclude)]
-    ivs = [_key_interval(coeffs, *iv) for iv in fam.pair_intervals(ms, 1e-12)]
+    ivs = [_key_interval(coeffs, *iv) for iv in fam.pair_intervals(ms, TOL)]
     return min(ivs, key=lambda iv: iv[1], default=(-math.inf, math.inf))
 
 
@@ -401,12 +400,12 @@ class _AllTrees(_Family):
     def midpoints(self):
         """(lam1, lam2, member) per free tree, from the batched top_two."""
         for levels in free_tree_level_chunks(self.n):
-            l1_lo, l1_hi, l2_lo, l2_hi = TreeBatch(levels).top_two(1e-12)
+            l1_lo, l1_hi, l2_lo, l2_hi = TreeBatch(levels).top_two(TOL)
             yield from zip((0.5 * (l1_lo + l1_hi)).tolist(), (0.5 * (l2_lo + l2_hi)).tolist(),
                            (seq.tobytes() for seq in levels))
 
     def edges(self, m):
-        """Edges (parent, child) in level-sequence order, as ``TreeBatch.edges`` gives them."""
+        """Edges (parent, child) in level-sequence order, the level sequence's own labelling."""
         return tuple(_level_seq_edges(m))
 
     def tree(self, m) -> Tree:
@@ -444,7 +443,7 @@ class _Comets(_Family):
     def midpoints(self):
         """(lam1, lam2, member) per comet."""
         params = double_comet_params(self.n)
-        for p, ((l1_lo, l1_hi), (l2_lo, l2_hi)) in zip(params, _dc_pair_intervals(params, 1e-12)):
+        for p, ((l1_lo, l1_hi), (l2_lo, l2_hi)) in zip(params, _dc_pair_intervals(params, TOL)):
             yield 0.5 * (l1_lo + l1_hi), 0.5 * (l2_lo + l2_hi), p
 
     def tree(self, m) -> Tree:
@@ -546,7 +545,7 @@ def search_extremal(
         if len(pool) == 1:
             break
         pool = survivors(refine(pool, tol))
-    winners = tuple(sorted((fam.candidate(*r) for r in refine(pool, 1e-12)), key=lambda c: c.code))
+    winners = tuple(sorted((fam.candidate(*r) for r in refine(pool, TOL)), key=lambda c: c.code))
     resolved = len(winners) == 1
     tie_proven = False
     if not resolved:

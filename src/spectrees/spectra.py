@@ -6,6 +6,8 @@ leaf-to-root pivoting, with the standard zero-pivot repair that replaces a
 zero child pivot by 2, the current pivot by -1/2 and severs the edge to the
 parent). Bisection on that count gives enclosing intervals for the two
 largest eigenvalues with no dependence on floating-point eigensolvers.
+``TOL`` is the width of every public enclosure; only ``top_two`` and
+``TreeBatch.top_two`` take another, which ``spectrum --tol`` sets.
 ``_bisect_count`` is the one scalar bisection loop: it takes any count
 function, so whole trees and induced forests share it. ``TreeBatch`` runs
 the same pass and bisection over many same-order trees at once with numpy,
@@ -28,6 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .trees import DoubleCometParams, Tree
+
+TOL = 1e-12  # the interval width every certified answer is given at
 
 
 class Lambda2MultiplicityError(ValueError):
@@ -181,7 +185,7 @@ def _bisect_count(above, k: int, lo: float, hi: float, tol: float):
     return lo, hi
 
 
-def top_two(t: Tree, tol: float = 1e-12) -> TopTwo:
+def top_two(t: Tree, tol: float = TOL) -> TopTwo:
     """Certified enclosures of the two largest adjacency eigenvalues.
 
     Stars short-circuit to the exact pair (sqrt(n-1), 0); the n=2 edge is
@@ -229,8 +233,8 @@ class TreeBatch:
     recurrence for off-diagonals sqrt(w). Trees pass none. Weight-0 edges
     pad short weighted paths: such an edge is no edge, its child's step
     going to the root's spare slot, so a zero pivot below it is no repair.
-    The root's entry is ignored; ``parents``, ``degrees``, ``edges`` and
-    ``top_two`` describe unit-weight trees.
+    The root's entry is ignored; ``parents``, ``degrees`` and ``top_two``
+    describe unit-weight trees.
     """
 
     def __init__(self, levels, weights=None):
@@ -275,10 +279,6 @@ class TreeBatch:
 
     def __len__(self) -> int:
         return self._up.shape[1]
-
-    def edges(self, row: int):
-        """Edges (parent, child) of one row, the level sequence's own labelling."""
-        return tuple((p, v) for v, p in enumerate(self.parents[row].tolist()) if p >= 0)
 
     def _steps(self, rows):
         """Flat indices into an (n+1, len(rows)) table, one array per postorder step, and their weights."""
@@ -361,7 +361,7 @@ class TreeBatch:
             hi[live[~up]] = mid[~up]
         return lo, hi
 
-    def top_two(self, tol: float = 1e-12):
+    def top_two(self, tol: float = TOL):
         """``top_two`` of every row: arrays (lam1_lo, lam1_hi, lam2_lo, lam2_hi)."""
         n, m = self.n, len(self)
         if self._w is not None:
@@ -383,7 +383,7 @@ class TreeBatch:
         return l1_lo, l1_hi, l2_lo, l2_hi
 
 
-def lambda1_interval_of_vertices(t: Tree, vertices, tol: float = 1e-12):
+def lambda1_interval_of_vertices(t: Tree, vertices):
     """Enclosure of the largest eigenvalue of the subgraph induced by ``vertices``.
 
     The induced subgraph of a tree is a forest; the elimination kernel
@@ -402,7 +402,7 @@ def lambda1_interval_of_vertices(t: Tree, vertices, tol: float = 1e-12):
     if all(not a for a in adj):
         return (0.0, 0.0)
     hi0 = math.sqrt(len(vs) - 1) * (1.0 + 1e-12) + 1e-12
-    return _bisect_count(_above_counter(*_root_forest(adj)), 1, 0.0, hi0, tol)
+    return _bisect_count(_above_counter(*_root_forest(adj)), 1, 0.0, hi0, TOL)
 
 
 # -- closed forms ----------------------------------------------------------
@@ -559,12 +559,12 @@ def _tree_solve(order, children, mu: float, b):
 def _lambda2_multiplicity(t: Tree, tt: TopTwo) -> int:
     """Number of eigenvalues in a snug window around lam2 (1 means simple)."""
     order, children = _rooted(t)
-    probe = tt.lam2_lo - max(tt.tol, 1e-12)
+    probe = tt.lam2_lo - tt.tol
     above, _ = _count_above(order, children, probe)
     return above - 1
 
 
-def eigenvector(t: Tree, which: int, tol: float = 1e-12) -> EigenvectorData:
+def eigenvector(t: Tree, which: int) -> EigenvectorData:
     """Unit eigenvector for lam1 (Perron) or lam2, by inverse iteration.
 
     The shift comes from the certified bisection bracket. For which=2 the
@@ -578,7 +578,7 @@ def eigenvector(t: Tree, which: int, tol: float = 1e-12) -> EigenvectorData:
     n = t.n
     if n < 2:
         raise ValueError("eigenvectors need n >= 2")
-    tt = top_two(t, min(tol, 1e-12))
+    tt = top_two(t, TOL)
     if which == 2:
         mult = _lambda2_multiplicity(t, tt)
         if mult > 1:
@@ -594,7 +594,7 @@ def eigenvector(t: Tree, which: int, tol: float = 1e-12) -> EigenvectorData:
     lam = mu
     residual = math.inf
     for attempt in range(6):
-        shift = mu + attempt * 3.0 * tol * (1 if attempt % 2 else -1)
+        shift = mu + attempt * 3.0 * TOL * (1 if attempt % 2 else -1)
         for _ in range(3 + attempt):
             z = _tree_solve(order, children, shift, z)
             norm = math.sqrt(sum(v * v for v in z))
@@ -649,15 +649,15 @@ class CenterReport:
     tau: float = 0.0
 
 
-def spectral_center(t: Tree, tol: float = 1e-12) -> CenterReport:
+def spectral_center(t: Tree) -> CenterReport:
     """Locate the spectral center from the lam2 eigenvector's sign pattern."""
-    ev = eigenvector(t, 2, tol)
-    tt = top_two(t, tol)
+    ev = eigenvector(t, 2)
+    tt = top_two(t, TOL)
     s_plus, s_minus, s_zero = ev.s_plus, ev.s_minus, ev.s_zero
     h1, h2 = s_plus, s_minus
 
     def lam1_mid(vertices):
-        iv = lambda1_interval_of_vertices(t, vertices, tol)
+        iv = lambda1_interval_of_vertices(t, vertices)
         if iv is None:
             return -math.inf
         return 0.5 * (iv[0] + iv[1])

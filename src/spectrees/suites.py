@@ -1,7 +1,9 @@
 """Verification suites keyed to the published extremal results and figures.
 
 Each suite runs a batch of checks and returns a VerifyReport whose cases
-carry (id, expected, got, tolerance, pass). Suites are deterministic: the
+carry (id, expected, got, tolerance, pass). A suite takes exactly (seed,
+jobs), its orders and case counts fixed in its body; ``jobs`` only sets the
+worker count of its exhaustive searches. Suites are deterministic: the
 randomized ones draw from a seeded generator recorded in the report, so
 reruns and CSV emissions are byte-identical.
 
@@ -44,6 +46,7 @@ from .extremal import (
     tuned_dc3_params,
 )
 from .spectra import (
+    TOL,
     EigenvectorData,
     Lambda2MultiplicityError,
     count_eigenvalues_above,
@@ -157,7 +160,7 @@ def _envelope_deviation(n: int, trees) -> float:
     return max(abs(env.value(i / 100.0) - max(psi(t, i / 100.0).value for t in trees)) for i in range(101))
 
 
-def suite_figure2(seed: int = 0, **_):
+def suite_figure2(seed: int, jobs: int):
     rep = VerifyReport("figure2", seed)
     trees = list(enumerate_free_trees(6))
     got_pairs = []
@@ -180,7 +183,7 @@ def suite_figure2(seed: int = 0, **_):
     return rep
 
 
-def suite_figure3(seed: int = 0, **_):
+def suite_figure3(seed: int, jobs: int):
     rep = VerifyReport("figure3", seed)
     env = envelope(26, "dc")
     lines = {(s.lam1, s.lam2) for s in env.segments}
@@ -190,9 +193,9 @@ def suite_figure3(seed: int = 0, **_):
     return rep
 
 
-def suite_max_sum(seed: int = 0, n_lo: int = 5, n_hi: int = 14, jobs: int = 1, **_):
+def suite_max_sum(seed: int, jobs: int):
     rep = VerifyReport("max-sum", seed)
-    for n in range(n_lo, n_hi + 1):
+    for n in range(5, 15):
         res = search_extremal(n, objective="max", family="all", key="sum", jobs=jobs)
         want = _dc_code((n - 3) // 2, (n - 3) - (n - 3) // 2, 3)
         ok = res.resolved and res.winner_codes == (want,)
@@ -200,10 +203,10 @@ def suite_max_sum(seed: int = 0, n_lo: int = 5, n_hi: int = 14, jobs: int = 1, *
     return rep
 
 
-def suite_min_sum(seed: int = 0, n_lo: int = 10, n_hi: int = 18, jobs: int = 1, **_):
+def suite_min_sum(seed: int, jobs: int):
     rep = VerifyReport("min-sum", seed)
     winner16 = None
-    for n in range(n_lo, n_hi + 1):
+    for n in range(10, 19):
         res = search_extremal(n, objective="min", family="all", key="sum", jobs=jobs)
         if n <= 15:
             want = _code(make_star(n))
@@ -229,7 +232,7 @@ def suite_min_sum(seed: int = 0, n_lo: int = 10, n_hi: int = 18, jobs: int = 1, 
     return rep
 
 
-def suite_lambda2_max(seed: int = 0, jobs: int = 1, **_):
+def suite_lambda2_max(seed: int, jobs: int):
     rep = VerifyReport("lambda2-max", seed)
     for n in (11, 13):
         res = search_extremal(n, objective="max", family="all", key="lam2", jobs=jobs)
@@ -248,7 +251,7 @@ def suite_lambda2_max(seed: int = 0, jobs: int = 1, **_):
     return rep
 
 
-def suite_lambda2_second(seed: int = 0, jobs: int = 1, **_):
+def suite_lambda2_second(seed: int, jobs: int):
     rep = VerifyReport("lambda2-second", seed)
     for n in (12, 14):
         best = _dc_code((n - 4) // 2, (n - 4) // 2, 4)
@@ -262,8 +265,9 @@ def suite_lambda2_second(seed: int = 0, jobs: int = 1, **_):
     return rep
 
 
-def suite_closed_forms(seed: int = 0, dc_cases: int = 1000, path_cases: int = 500, **_):
+def suite_closed_forms(seed: int, jobs: int):
     rep = VerifyReport("closed-forms", seed)
+    dc_cases, path_cases = 1000, 500
     rng = random.Random(seed)
     worst1 = worst2 = 0.0
     for _ in range(dc_cases):
@@ -289,10 +293,10 @@ def suite_closed_forms(seed: int = 0, dc_cases: int = 1000, path_cases: int = 50
     return rep
 
 
-def suite_envelope_oracle(seed: int = 0, n_hi: int = 10, **_):
+def suite_envelope_oracle(seed: int, jobs: int):
     rep = VerifyReport("envelope-oracle", seed)
     rng = random.Random(seed)
-    for n in range(2, n_hi + 1):
+    for n in range(2, 11):
         trees = list(enumerate_free_trees(n))
         enclosed = True
         count_mismatch = 0
@@ -343,9 +347,10 @@ def _spider(legs) -> Tree:
     return Tree(len(edges) + 1, edges)
 
 
-def suite_lemmas(seed: int = 0, cases: int = 500, **_):
+def suite_lemmas(seed: int, jobs: int):
     rep = VerifyReport("lemmas", seed)
     rng = random.Random(seed)
+    cases = 500
 
     violations = 0
     for _ in range(cases):
@@ -474,9 +479,10 @@ def _partitions_at_least(total: int, min_parts: int):
     return out
 
 
-def suite_identity(seed: int = 0, cases: int = 200, **_):
+def suite_identity(seed: int, jobs: int):
     rep = VerifyReport("identity", seed)
     rng = random.Random(seed)
+    cases = 200
 
     worst = 0.0
     done = 0
@@ -544,12 +550,12 @@ def suite_identity(seed: int = 0, cases: int = 200, **_):
     return rep
 
 
-def suite_center(seed: int = 0, n_hi: int = 10, **_):
+def suite_center(seed: int, jobs: int):
     rep = VerifyReport("center", seed)
     vertex_cases = edge_cases = reported = 0
     worst_vertex = 0.0
     worst_margin = math.inf
-    for n in range(2, n_hi + 1):
+    for n in range(2, 11):
         for t in enumerate_free_trees(n):
             try:
                 c = spectral_center(t)
@@ -577,8 +583,9 @@ def suite_center(seed: int = 0, n_hi: int = 10, **_):
     return rep
 
 
-def suite_asymptotics(seed: int = 0, big_n: int = 2000, **_):
+def suite_asymptotics(seed: int, jobs: int):
     rep = VerifyReport("asymptotics", seed)
+    big_n = 2000
     for alpha in (0.3, 0.5, 0.7, 0.9):
         res = search_extremal(big_n, alpha=alpha, objective="max", family="dc", key="psi")
         w = res.winners[0]
@@ -623,10 +630,10 @@ def suite_asymptotics(seed: int = 0, big_n: int = 2000, **_):
     return rep
 
 
-def suite_enum_counts(seed: int = 0, n_hi: int = 10, **_):
+def suite_enum_counts(seed: int, jobs: int):
     rep = VerifyReport("enum-counts", seed)
     prev = 0
-    for n in range(1, n_hi + 1):
+    for n in range(1, 11):
         free = {_code(t) for t in enumerate_free_trees(n)}
         orac = {_code(t) for t in enumerate_labeled_oracle(n)}
         rep.case(f"n={n}-class-sets-equal", len(orac), len(free), 0.0, free == orac)
@@ -656,11 +663,11 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int = 0, **options) -> VerifyReport:
+def run_suite(name: str, seed: int = 0, jobs: int = 1) -> VerifyReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     start = time.perf_counter()
-    rep = SUITES[name](seed=seed, **options)
+    rep = SUITES[name](seed, jobs)
     rep.runtime = time.perf_counter() - start
     return rep
 
@@ -693,7 +700,7 @@ def envelope_to_csv(env) -> str:
     return "\n".join(lines) + "\n"
 
 
-def spectrum_to_csv(t: Tree, full: bool = False, tol: float = 1e-12) -> str:
+def spectrum_to_csv(t: Tree, full: bool = False, tol: float = TOL) -> str:
     if full:
         lines = ["index,eigenvalue"]
         for i, v in enumerate(dense_spectrum_oracle(t), start=1):

@@ -1,8 +1,9 @@
 """Eigenvalue-monotone tree operations, each carrying its contract data.
 
-Every operation returns a TransformOutcome with the input tree, the result
-tree and certified spectral quantities, so property suites can check the
-contracted inequality directly:
+Every operation returns a TransformOutcome with the input tree and the
+result tree. All but ``rotate`` also carry both trees' top-two enclosures,
+certified at ``spectra.TOL``, so property suites can check the contracted
+inequality directly (a rotation's contract is checked through ``psi``):
 
 * neighbor rewiring from u to v strictly raises lam1 when u keeps a
   neighbor outside N(v),
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .spectra import eigenvector, top_two
+from .spectra import TOL, eigenvector, top_two
 from .trees import Tree
 
 
@@ -34,9 +35,9 @@ class TransformOutcome:
     strict_expected: bool = False
 
 
-def _certify(before: Tree, after: Tree, tol: float):
-    tb = top_two(before, tol)
-    ta = top_two(after, tol)
+def _certify(before: Tree, after: Tree):
+    tb = top_two(before, TOL)
+    ta = top_two(after, TOL)
     quantities = {
         "lam1_before": tb.lam1,
         "lam1_after": ta.lam1,
@@ -46,7 +47,7 @@ def _certify(before: Tree, after: Tree, tol: float):
     return quantities, {"before": tb, "after": ta}
 
 
-def kelmans(t: Tree, u: int, v: int, tol: float = 1e-12) -> TransformOutcome:
+def kelmans(t: Tree, u: int, v: int) -> TransformOutcome:
     """Rewire every neighbor of u that is not adjacent to v over to v.
 
     On a tree this is only tree-preserving when u and v are at distance at
@@ -73,12 +74,12 @@ def kelmans(t: Tree, u: int, v: int, tol: float = 1e-12) -> TransformOutcome:
         else:
             edges.append((a, b))
     after = Tree(t.n, edges)
-    quantities, certs = _certify(t, after, tol)
+    quantities, certs = _certify(t, after)
     strict = (not nu <= nv) and (not nv <= nu)
     return TransformOutcome("kelmans", t, after, quantities, certs, strict_expected=strict)
 
 
-def rotate(t: Tree, u: int, v: int, w: int, tol: float = 1e-12) -> TransformOutcome:
+def rotate(t: Tree, u: int, v: int, w: int) -> TransformOutcome:
     """Replace the edge vw by uw; requires u~v, v~w and u != w."""
     if u == w:
         raise ValueError("rotation endpoints must differ")
@@ -125,7 +126,7 @@ def _internal_path_reaches_branch(t: Tree, start: int, avoid: int) -> bool:
         prev, cur = cur, nxt
 
 
-def contract_internal_edge(t: Tree, u: int, v: int, tol: float = 1e-12) -> TransformOutcome:
+def contract_internal_edge(t: Tree, u: int, v: int) -> TransformOutcome:
     """Contract the edge uv of an internal path (ends of degree >= 3).
 
     The neighbors of u other than v are moved to v and u is deleted, giving
@@ -146,7 +147,7 @@ def contract_internal_edge(t: Tree, u: int, v: int, tol: float = 1e-12) -> Trans
         else:
             edges.append((relabeled[a], relabeled[b]))
     after = Tree(t.n - 1, edges)
-    quantities, certs = _certify(t, after, tol)
+    quantities, certs = _certify(t, after)
     strict = abs(quantities["lam1_before"] - 2.0) > 1e-6
     return TransformOutcome("contract-internal-edge", t, after, quantities, certs, strict_expected=strict)
 
@@ -165,7 +166,7 @@ def _pendant_paths(t: Tree, root: int):
     return out
 
 
-def hanging_path_shift(t: Tree, root: int, k: int, ell: int, tol: float = 1e-12) -> TransformOutcome:
+def hanging_path_shift(t: Tree, root: int, k: int, ell: int) -> TransformOutcome:
     """Move one vertex from an order-l pendant path at root to an order-k one.
 
     Requires pendant paths of orders k and l at root with k >= l >= 1. The
@@ -184,5 +185,5 @@ def hanging_path_shift(t: Tree, root: int, k: int, ell: int, tol: float = 1e-12)
     edges = [(a, b) for a, b in t.edges() if {a, b} != {tip, anchor}]
     edges.append((tip, k_path[-1]))
     after = Tree(t.n, edges)
-    quantities, certs = _certify(t, after, tol)
+    quantities, certs = _certify(t, after)
     return TransformOutcome("hanging-path-shift", t, after, quantities, certs, strict_expected=True)

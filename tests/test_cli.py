@@ -19,6 +19,9 @@ from spectrees.trees import DoubleCometParams, make_double_comet
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError):
         run_suite("figure9")
+    # a suite takes only (seed, jobs); an option it does not know is an error, not ignored
+    with pytest.raises(TypeError):
+        run_suite("figure2", n_hi=3)
 
 
 def test_figure2_report_shape():

@@ -234,6 +234,14 @@ class TestSearch:
             for fam in ("all", "dc"):
                 with pytest.raises(ValueError, match=f"jobs={bad!r}"):
                     search_extremal(10, family=fam, jobs=bad)
+        for bad in ("0.5", [0.5], None, 1.5, -0.1, math.nan):
+            calls = [lambda fam=fam: search_extremal(6, alpha=bad, family=fam) for fam in ("all", "dc")]
+            for call in calls + [lambda: psi(make_path(4), bad)]:
+                with pytest.raises(ValueError, match="alpha="):
+                    call()
+        for a in (0, 1):  # ints stay valid alphas
+            assert psi(make_path(4), a) == psi(make_path(4), float(a))
+            assert search_extremal(6, alpha=a).winners == search_extremal(6, alpha=float(a)).winners
 
 
 class TestEnvelope:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectrees.enumeration import decode_parent_report, enumerate_free_trees, free_tree_level_chunks
+from spectrees.enumeration import _level_seq_edges, decode_parent_report, enumerate_free_trees, free_tree_level_chunks
 from spectrees.extremal import _dc_pair_intervals
 from spectrees.spectra import (
     EigenvectorData,
@@ -371,13 +371,13 @@ def test_batched_counts_match_scalar_kernel():
             above, equal, rep = batch.count_above(x)
             repairs.append(int(rep.sum()))
             for r in range(len(batch)):
-                order, children = _rooted(Tree(n, batch.edges(r)))
+                order, children = _rooted(Tree(n, _level_seq_edges(rows[r])))
                 assert _count_above(order, children, x) == (above[r], equal[r])
         # one probe per row, as the bisection issues them
         xs = np.array([data.draw(st.sampled_from(probes)) for _ in rows])
         above, equal, _ = batch.count_above(xs)
         for r in range(len(batch)):
-            order, children = _rooted(Tree(n, batch.edges(r)))
+            order, children = _rooted(Tree(n, _level_seq_edges(rows[r])))
             assert _count_above(order, children, float(xs[r])) == (above[r], equal[r])
 
     check()
@@ -391,7 +391,7 @@ def test_batched_top_two_equals_scalar_for_every_class():
             batch = TreeBatch(levels)
             got = [a.tolist() for a in batch.top_two(tol)]
             for r in range(len(batch)):
-                tt = top_two(Tree(n, batch.edges(r)), tol)
+                tt = top_two(Tree(n, _level_seq_edges(levels[r])), tol)
                 assert tuple(a[r] for a in got) == (tt.lam1_lo, tt.lam1_hi, tt.lam2_lo, tt.lam2_hi)
 
 
