@@ -27,8 +27,9 @@ its long comets as leaf-count arrays, one path order at a time, and builds
 parameters only for the comets it evaluates (``_dc_candidates``).
 
 The envelope treats each tree as the line alpha -> lam2 + alpha*(lam1 -
-lam2) and eliminates dominated lines by the usual slope-sorted convex-hull
-stack; breakpoints are exact pairwise intersections of supporting lines.
+lam2) and keeps the upper hull in one monotone-chain pass over the lines
+sorted by slope; breakpoints are exact pairwise intersections of
+supporting lines.
 Both families share one line pass: codes are only built for the witnesses
 of hull lines and for members whose rounded lines collide with different
 floats.
@@ -223,10 +224,12 @@ def _dc_candidates(fam, c, objective: str, exclude):
     n <= 3) are evaluated first, then the ell >= 4 comets, taken as
     leaf-count arrays one path order at a time from ``double_comet_arrays``.
     Maximizing keys with c2 >= 0 screen those by _dc_upper_bound against
-    the best lower end among the short ones. That discards all but a thin
-    parameter band, and ``discard_bound`` caps the key value of everything
-    screened out. Other keys screen nothing, with discard bound -inf (max)
-    or +inf (min). A ``DoubleCometParams`` is built only for a comet that
+    the best lower end among the short ones (the bar), one ``max`` per path
+    order deciding whether any of its comets survives. That discards all
+    but a thin parameter band. ``discard_bound`` is the largest bound
+    screened out, plus _SAFETY for its rounding, so a short comet that wins
+    keeps a positive margin; it is -inf when nothing is screened out, and
+    +inf for a minimum. A ``DoubleCometParams`` is built only for a comet that
     gets evaluated, and each group is evaluated in one
     ``_dc_pair_intervals`` call. A nonempty ``exclude`` codes every
     evaluated comet (never a screened-out one), to test it against the set.
@@ -244,15 +247,20 @@ def _dc_candidates(fam, c, objective: str, exclude):
         if ell <= 3:
             short += double_comet_group_params(ell, k1, k2)
     pool = rows(short)
-    # everything screened out sits below the bar; unpruned keys screen nothing out
+    # a comet is screened out when its bound is below the bar; unpruned keys screen nothing out
     bar = max((lo for _, lo, _ in pool), default=-math.inf) if maximize and c[1] >= 0 else -math.inf
-    size, kept = 0, []
+    size, kept, discard_bound = 0, [], -math.inf
     for ell, k1, k2 in double_comet_arrays(fam.n):
         size += len(k1)
         if ell >= 4:
-            hit = _dc_upper_bound(k1, k2, c) >= bar - _SAFETY
-            kept += double_comet_group_params(ell, k1[hit], k2[hit])
-    return pool + rows(kept), size, bar if maximize else math.inf
+            ub = _dc_upper_bound(k1, k2, c)
+            top = float(ub.max())
+            if top >= bar - _SAFETY:  # some comet of this path order passes
+                hit = ub >= bar - _SAFETY
+                kept += double_comet_group_params(ell, k1[hit], k2[hit])
+                top = -math.inf if hit.all() else float(ub[~hit].max())
+            discard_bound = max(discard_bound, top + _SAFETY)
+    return pool + rows(kept), size, discard_bound if maximize else math.inf
 
 
 # -- free-tree scan ------------------------------------------------------------
@@ -635,51 +643,35 @@ def _envelope_lines(fam: _Family):
 
 
 def envelope(n: int, family: str = "all") -> PiecewiseLinear:
-    """Exact upper envelope of the family's lines over alpha in [0, 1]."""
+    """Exact upper envelope of the family's lines over alpha in [0, 1].
+
+    One monotone-chain pass over the lines sorted by (slope, intercept): a
+    line whose slope rounds to 12 decimals like the hull top's replaces the
+    top if its intercept is more than 1e-15 higher, and is skipped if not.
+    The breakpoints, 0, the crossings of consecutive hull lines and 1, are
+    clipped to [0, 1], and segments of zero width are dropped.
+    """
     fam = _family(n, family)
-    lines = _envelope_lines(fam)
-    # sort by slope; among equal slopes only the largest intercept can matter
-    lines.sort(key=lambda r: (r[0] - r[1], r[1]))
-    by_slope = {}
-    for l1, l2, members in lines:
-        slope = round(l1 - l2, 12)
-        cur = by_slope.get(slope)
-        if cur is None or l2 > cur[1] + 1e-15:
-            by_slope[slope] = (l1, l2, members)
-    ordered = [by_slope[s] for s in sorted(by_slope)]
 
     def isect(a, b):
         # alpha where line a and line b cross
         return (b[1] - a[1]) / ((a[0] - a[1]) - (b[0] - b[1]))
 
     hull = []
-    for line in ordered:
-        while hull:
-            if len(hull) == 1:
-                if abs((hull[0][0] - hull[0][1]) - (line[0] - line[1])) < 1e-15:
-                    hull.pop()
-                    continue
-                break
-            if isect(line, hull[-2]) <= isect(hull[-1], hull[-2]):
-                hull.pop()
-            else:
-                break
+    for line in sorted(_envelope_lines(fam), key=lambda r: (r[0] - r[1], r[1])):
+        if hull and round(line[0] - line[1], 12) == round(hull[-1][0] - hull[-1][1], 12):
+            if line[1] <= hull[-1][1] + 1e-15:
+                continue
+            hull.pop()
+        while len(hull) >= 2 and isect(line, hull[-2]) <= isect(hull[-1], hull[-2]):
+            hull.pop()
         hull.append(line)
-    # breakpoints between consecutive hull lines, clipped to [0, 1]
-    cuts = [-math.inf]
-    for i in range(1, len(hull)):
-        cuts.append(isect(hull[i], hull[i - 1]))
-    cuts.append(math.inf)
+    cuts = [0.0] + [isect(b, a) for a, b in zip(hull, hull[1:])] + [1.0]
     segments = []
-    for i, (l1, l2, members) in enumerate(hull):
-        a_lo, a_hi = max(0.0, cuts[i]), min(1.0, cuts[i + 1])
-        if a_lo < a_hi or (a_lo == a_hi and not segments and a_hi == 1.0):
-            segments.append(Segment(a_lo, a_hi, l1, l2, min(map(fam.code, members))))
-    if segments:
-        first = segments[0]
-        segments[0] = Segment(0.0, first.alpha_hi, first.lam1, first.lam2, first.witness_code)
-        last = segments[-1]
-        segments[-1] = Segment(last.alpha_lo, 1.0, last.lam1, last.lam2, last.witness_code)
+    for (l1, l2, members), lo, hi in zip(hull, cuts, cuts[1:]):
+        lo, hi = max(0.0, lo), min(1.0, hi)
+        if lo < hi:
+            segments.append(Segment(lo, hi, l1, l2, min(map(fam.code, members))))
     return PiecewiseLinear(n, family, tuple(segments))
 
 

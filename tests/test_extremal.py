@@ -21,6 +21,7 @@ from spectrees.extremal import (
     tuned_dc3_params,
 )
 from spectrees.spectra import top_two
+from spectrees.suites import envelope_to_csv
 from spectrees.trees import (
     DoubleCometParams,
     canonical_code,
@@ -28,6 +29,46 @@ from spectrees.trees import (
     make_path,
     make_star,
 )
+
+ENVELOPE_26_DC = """\
+alpha_lo,alpha_hi,lambda1,lambda2,witness_code
+0,0.253970479886348,3.52089262608441,3.43137529615794,2((()()()()()()()()()()()))((()()()()()()()()()()()))
+0.253970479886348,0.529319682653892,3.69026204879137,3.37371694296515,2((()()()()()()()()()()()))(()()()()()()()()()()()())
+0.529319682653892,0.545353139589322,3.78190106133569,3.27066115063423,1(((()()()()()()()()()()))()()()()()()()()()()()()())
+0.545353139589322,0.562942138169879,3.89776633516778,3.13167967653666,1(((()()()()()()()()()))()()()()()()()()()()()()()())
+0.562942138169879,0.572920454412559,4,3,2(()()()()()()()()()()()())(()()()()()()()()()()()())
+0.572920454412559,0.578619068751458,4.01746872354226,2.97656598370668,1(((()()()()()()()()))()()()()()()()()()()()()()()())
+0.578619068751458,0.589185345999304,4.06584909633268,2.91013249283443,1((()()()()()()()()()())()()()()()()()()()()()()()())
+0.589185345999304,0.603554575087631,4.13639604349565,2.80895492511958,1(((()()()()()()()))()()()()()()()()()()()()()()()())
+0.603554575087631,0.614810933910914,4.22079055466714,2.6804714312286,1((()()()()()()()())()()()()()()()()()()()()()()()())
+0.614810933910914,0.624180905575597,4.2532540417602,2.62865556059567,1(((()()()()()()))()()()()()()()()()()()()()()()()())
+0.624180905575597,0.636245225802287,4.3131517255792,2.52917421150326,1((()()()()()()())()()()()()()()()()()()()()()()()())
+0.636245225802287,0.64692645698525,4.36766221438689,2.43382965324549,1(((()()()()()))()()()()()()()()()()()()()()()()()())
+0.64692645698525,0.660075143637234,4.40978706909131,2.356645498431,1((()()()()()())()()()()()()()()()()()()()()()()()())
+0.660075143637234,0.672198069560155,4.47955053272209,2.22117694585308,1(((()()()()))()()()()()()()()()()()()()()()()()()())
+0.672198069560155,0.686877960204012,4.50846292224404,2.16188854447928,1((()()()()())()()()()()()()()()()()()()()()()()()())
+0.686877960204012,0.700805107827233,4.58896735489716,1.9852905620307,1(((()()()))()()()()()()()()()()()()()()()()()()()())
+0.700805107827233,0.717790647663527,4.60783296119624,1.94110159489747,1((()()()())()()()()()()()()()()()()()()()()()()()())
+0.717790647663527,0.734263016359891,4.6960075156745,1.71683237758629,1(((()()))()()()()()()()()()()()()()()()()()()()()())
+0.734263016359891,0.75510678670033,4.70708019454884,1.68623724371336,1((()()())()()()()()()()()()()()()()()()()()()()()())
+0.75510678670033,0.775712137900584,4.80078238986757,1.39731472658623,1(((()))()()()()()()()()()()()()()()()()()()()()()())
+0.775712137900584,0.804569698198667,4.80570598873969,1.38028618401817,1((()())()()()()()()()()()()()()()()()()()()()()()())
+0.804569698198667,0.910116799084502,4.90340660975767,0.978061153192787,1((())()()()()()()()()()()()()()()()()()()()()()()())
+0.910116799084502,1,5,0,1(()()()()()()()()()()()()()()()()()()()()()()()()())
+"""
+
+ENVELOPE_10_ALL = """\
+alpha_lo,alpha_hi,lambda1,lambda2,witness_code
+0,0.299131671439644,2.19869124351578,1.91222917848477,2((()()()))((()()()))
+0.299131671439644,0.583677297370038,2.37023922605897,1.83901223792812,2((()()()))(()()()())
+0.583677297370038,0.612869670869262,2.51053293898542,1.64232285567337,1(((()()))()()()()())
+0.612869670869262,0.629017751260824,2.56155281280883,1.56155281280911,2(()()()())(()()()())
+0.629017751260824,0.651341845719645,2.60600994769345,1.4861736616296,1((()()())()()()()())
+0.651341845719645,0.673179541808242,2.6818990293383,1.34440231940889,1(((()))()()()()()())
+0.673179541808242,0.716505941367054,2.71519452770292,1.2758207855068,1((()())()()()()()())
+0.716505941367054,0.863233613706635,2.85307815256408,0.927332224911736,1((())()()()()()()())
+0.863233613706635,1,3,0,1(()()()()()()()()())
+"""
 
 
 def code_of(*params):
@@ -124,6 +165,23 @@ class TestSearch:
         w = res.winners[0]
         assert abs(w.lo - 0.0) < 1e-12 and w.params == DoubleCometParams(0, 0, 2)
 
+    def test_two_vertex_search(self):
+        # K2 is the one tree of order 2, and its lam2 = -1 is negative
+        want = {"sum": 0.0, "lam1": 1.0, "lam2": -1.0, "gap": 2.0, "psi": -0.5}
+        for key, value in want.items():
+            for objective in ("max", "min"):
+                res = search_extremal(2, alpha=0.25, objective=objective, key=key)
+                assert [(w.lo, w.hi) for w in res.winners] == [(value, value)], (key, objective)
+                assert res.scanned == 1 and res.runner_up_gap is None and res.resolved
+
+    def test_proven_comet_tie(self):
+        # DC(6,2,3) and DC(5,4,2) share the quartic: k1*k2 + k1 + k2 = k1'*k2' = 20
+        res = search_extremal(11, alpha=0.6, family="dc")
+        assert {w.params for w in res.winners} == {DoubleCometParams(6, 2, 3), DoubleCometParams(5, 4, 2)}
+        assert res.resolved and res.tie_proven
+        assert len({(w.lo, w.hi) for w in res.winners}) == 1
+        assert res.runner_up_gap > 0
+
     def test_jobs_below_one_rejected(self):
         for jobs in (0, -3):
             with pytest.raises(ValueError, match="jobs"):
@@ -169,7 +227,8 @@ class TestSearch:
 
     def test_comet_screen_is_sound(self, monkeypatch):
         # every long comet the screen leaves out of the pool is certified below the
-        # discard bound, and no DoubleCometParams is built for it
+        # discard bound, and no DoubleCometParams is built for it; a resolved search
+        # then has a positive margin, which every other comet's far end respects
         built = []
 
         def counting(*p):
@@ -181,7 +240,7 @@ class TestSearch:
         for n in (30, 61, 90):
             family = double_comet_params(n)
             long_comets = [p for p in family if p.ell >= 4]
-            intervals = dict(zip(long_comets, _dc_pair_intervals(long_comets, 1e-12)))
+            intervals = dict(zip(family, _dc_pair_intervals(family, 1e-14)))
             for key, alpha in keys:
                 c = extremal._coeffs(key, alpha)
                 built.clear()
@@ -192,6 +251,13 @@ class TestSearch:
                 assert dropped, (n, key, alpha)
                 for p in dropped:
                     assert extremal._key_interval(c, *intervals[p])[1] < discard_bound, (n, key, alpha, p)
+                res = search_extremal(n, alpha=alpha, family="dc", key=key)
+                assert res.runner_up_gap > 0 or not res.resolved, (n, key, alpha)
+                bound = min(w.lo for w in res.winners) - res.runner_up_gap
+                winners = {w.params for w in res.winners}
+                for p in family:
+                    if p not in winners:
+                        assert extremal._key_interval(c, *intervals[p])[1] <= bound, (n, key, alpha, p)
 
     def test_searches_code_only_winners(self, monkeypatch):
         calls = [0]
@@ -314,6 +380,21 @@ class TestEnvelope:
             calls[0] = 0
             env = envelope(n, family)
             assert calls[0] < 2 * len(env.segments), (n, family, calls[0])
+
+    def test_straddling_slopes_keep_the_higher_line(self, monkeypatch):
+        # slopes 2.2e-16 apart on either side of a 12-decimal rounding boundary: the
+        # first line lies 0.5 above the second on all of [0, 1] and alone makes the hull
+        high = (1.0 + 0.12345678901249979, 1.0, [DoubleCometParams(2, 2, 3)])
+        low = (0.5 + 0.12345678901250001, 0.5, [DoubleCometParams(4, 1, 2)])
+        monkeypatch.setattr(extremal, "_envelope_lines", lambda fam: [low, high])
+        (seg,) = envelope(7, "dc").segments
+        assert (seg.alpha_lo, seg.alpha_hi, seg.lam1, seg.lam2) == (0.0, 1.0, *high[:2])
+        assert seg.witness_code == code_of(2, 2, 3)
+
+    def test_pinned_csv(self):
+        # breakpoints, lines and witnesses of two envelopes, byte for byte
+        assert envelope_to_csv(envelope(26, "dc")) == ENVELOPE_26_DC
+        assert envelope_to_csv(envelope(10, "all")) == ENVELOPE_10_ALL
 
     def test_degenerate_small_family(self):
         env = envelope(5, "dc")
