@@ -101,12 +101,13 @@ def _cmd_enumerate(args) -> int:
         print(json.dumps({"n": args.n, "family": args.family, "count": total})
               if args.json else total)
         return 0
-    blocks = [tree_to_text(t) for t in enumerate_trees(args.n, args.family)]
-    text = "\n".join(blocks)
-    if args.out:
-        emit_csv(text, args.out)
-    else:
+    trees = list(enumerate_trees(args.n, args.family))
+    text = "\n".join(tree_to_text(t) for t in trees)
+    if args.json:
+        print(json.dumps({"n": args.n, "family": args.family, "trees": [t.edges() for t in trees]}))
+    elif not args.out:
         print(text, end="")
+    _maybe_write(args, text)
     return 0
 
 
@@ -125,7 +126,7 @@ def _cmd_spectrum(args) -> int:
         if args.full:
             for v in payload["spectrum"]:
                 print(f"{v:.15g}")
-    _maybe_write(args, spectrum_to_csv(t, full=args.full, tol=args.tol))
+    _maybe_write(args, spectrum_to_csv(tt, payload.get("spectrum")))
     return 0
 
 

@@ -15,10 +15,12 @@ scan order.
 
 Both families (all trees, double comets) are ``_Family`` objects whose
 members are level sequences stored as bytes or ``DoubleCometParams``.
-Searches carry uncoded (member, lo, hi) rows through one survivor filter,
-which folds the far end of every row it drops into one discard bound, and
-one refinement loop; a Tree and a canonical code are built only for the
-winners, or for every evaluated member when ``exclude`` is nonempty.
+Searches carry uncoded (member, lo, hi) rows through one survivor filter
+and one refinement loop. The all-tree scan, the comet screen and the
+filter follow one discard rule: each dropped row's far end joins the
+bound the runner-up margin is measured against. A Tree and a canonical
+code are built only for the winners, or for every evaluated member when
+``exclude`` is nonempty.
 Searches over all trees stream level-sequence chunks through the batched
 inertia kernel (``spectra.TreeBatch``) and never materialise a class
 list. Comets without a closed form go through the same kernel as their
@@ -159,11 +161,10 @@ def _key_interval(c, l1, l2):
 def _dc_closed_interval(p: DoubleCometParams):
     """Exact or closed-form (lam1, lam2) intervals for a path, a star or path order 2 or 3, else None."""
     n = p.n
-    if p.k1 == 0 and p.k2 == 0:
-        # pure path; in particular the 2-path, whose lam2 = -1 is the one
-        # negative second eigenvalue in the family
-        l1 = path_eigenvalue(n, 1)
-        l2 = path_eigenvalue(n, 2)
+    if n == 2:  # K2, whose lam2 = -1 is the one negative second eigenvalue in the family
+        return (1.0, 1.0), (-1.0, -1.0)
+    if p.k1 == 0 and p.k2 == 0:  # a bare path, at the floating-point cosines
+        l1, l2 = path_eigenvalue(n, 1), path_eigenvalue(n, 2)
         return (l1, l1), (l2, l2)
     if p.ell == 1 or (p.ell == 2 and min(p.k1, p.k2) == 0) or max(p.k1, p.k2) == n - 1:
         s = math.sqrt(n - 1)
@@ -273,13 +274,15 @@ class _Scan:
     lo_base/hi_base bound the final optimum from a fixed baseline, so every
     discard is a certificate independent of chunking and scan order. For
     n >= 3, 0 <= lam2 <= lam1 puts the key between c_lo*lam1 and c_hi*lam1
-    (c_lo = c1 + min(c2, 0), c_hi = c1 + max(c2, 0)), which stops and
-    discards on the lam1 bracket alone; the lam2 bisection stops once lam2
-    is certified past the point where c1*lam1 + c2*lam2 crosses the
-    baseline. Called on a chunk, it returns the surviving rows (level
-    sequence as bytes, lo, hi), whether anything was certified out, and the
-    chunk's row count. It builds no Tree and no code unless ``exclude`` is
-    nonempty.
+    (c_lo = c1 + min(c2, 0), c_hi = c1 + max(c2, 0)), which stops the lam1
+    bisection; the lam2 bisection stops once lam2 is certified past the
+    point where c1*lam1 + c2*lam2 crosses the baseline (at once for a row
+    out on lam1 alone). Like ``survivors``, every dropped row folds its far
+    end (hi when maximizing, lo when minimizing) into ``far``, which stays
+    -inf or +inf when nothing is dropped; excluded rows are never dropped.
+    Called on a chunk, it returns the surviving rows (level sequence as
+    bytes, lo, hi), ``far`` and the chunk's row count. It builds no Tree
+    and no code unless ``exclude`` is nonempty.
     """
 
     fam: _AllTrees
@@ -294,29 +297,26 @@ class _Scan:
         n, coeffs, lo_base, hi_base = self.fam.n, self.coeffs, self.lo_base, self.hi_base
         c1, c2 = coeffs
         maximize = self.objective == "max"
+        far = -math.inf if maximize else math.inf
         batch = TreeBatch(levels)
         rows = np.flatnonzero(~_excluded_rows(self.fam, levels, self.exclude))
         if n == 2:
             iv = _key_interval(coeffs, (1.0, 1.0), (-1.0, -1.0))
-            return [(levels[r].tobytes(), *iv) for r in rows], False, len(batch)
-        out = np.zeros(len(batch), dtype=bool)
+            return [(levels[r].tobytes(), *iv) for r in rows], far, len(batch)
         if not maximize and self.key == "sum":
-            out[rows] = _two_hub_out(batch, rows, hi_base)
-        star = np.flatnonzero(~out & (batch.degrees.max(axis=1) == n - 1))
+            bound = _two_hub_bound(batch, rows)
+            out = bound > hi_base
+            far = float(np.min(bound[out], initial=far))
+            rows = rows[~out]
+        star = batch.degrees[rows].max(axis=1) == n - 1
         s = math.sqrt(n - 1)
-        pool = [(levels[r].tobytes(), *_key_interval(coeffs, (s, s), (0.0, 0.0)))
-                for r in np.intersect1d(star, rows)]
-        rows = np.setdiff1d(rows[~out[rows]], star)
+        pool = [(levels[r].tobytes(), *_key_interval(coeffs, (s, s), (0.0, 0.0))) for r in rows[star]]
+        rows = rows[~star]
         c_lo, c_hi = c1 + min(c2, 0.0), c1 + max(c2, 0.0)
         if maximize:
             l1_lo, l1_hi = batch.bisect(1, 0.0, s, _COARSE_TOL, rows, None, lo_base / c_hi)
-            l1_out = c_hi * l1_hi < lo_base
         else:
-            stop_lo = hi_base / c_lo if c_lo > 0 else None
-            l1_lo, l1_hi = batch.bisect(1, 0.0, s, _COARSE_TOL, rows, stop_lo, None)
-            l1_out = c_lo * l1_lo > hi_base
-        out[rows[l1_out]] = True
-        rows, l1_lo, l1_hi = rows[~l1_out], l1_lo[~l1_out], l1_hi[~l1_out]
+            l1_lo, l1_hi = batch.bisect(1, 0.0, s, _COARSE_TOL, rows, hi_base / c_lo if c_lo > 0 else None)
         l2 = (0.0, 0.0)  # c2 == 0: lam2 does not enter the key
         if c2 != 0:
             # the key crosses the baseline where lam2 = (base - c1*lam1)/c2, lam1 at its
@@ -324,20 +324,21 @@ class _Scan:
             cross = (lo_base - c1 * l1_hi) / c2 if maximize else (hi_base - c1 * l1_lo) / c2
             stops = (None, cross) if maximize == (c2 > 0) else (cross, None)
             l2 = batch.bisect(2, 0.0, l1_hi, _COARSE_TOL, rows, *stops)
-        iv = _key_interval(coeffs, (l1_lo, l1_hi), l2)
-        iv_out = iv[1] < lo_base if maximize else iv[0] > hi_base
-        out[rows[iv_out]] = True
-        keep = ~iv_out
-        pool += [(levels[r].tobytes(), lo, hi)
-                 for r, lo, hi in zip(rows[keep].tolist(), iv[0][keep].tolist(), iv[1][keep].tolist())]
-        return pool, bool(out.any()), len(batch)
+        lo, hi = _key_interval(coeffs, (l1_lo, l1_hi), l2)
+        out = hi < lo_base if maximize else lo > hi_base
+        far = float(np.max(hi[out], initial=far) if maximize else np.min(lo[out], initial=far))
+        keep = ~out
+        pool += [(levels[r].tobytes(), a, b)
+                 for r, a, b in zip(rows[keep].tolist(), lo[keep].tolist(), hi[keep].tolist())]
+        return pool, far, len(batch)
 
 
-def _two_hub_out(batch, rows, hi_base: float):
-    """Rows whose two far-apart hubs force a spectral sum above hi_base.
+def _two_hub_bound(batch, rows):
+    """Certified lower bounds on the spectral sum of each row.
 
-    lam1 + lam2 >= sqrt(d1) + sqrt(d2) for hubs at distance >= 3; the hubs
-    tried are the three highest-degree vertices, ties to the lower id.
+    lam1 + lam2 >= sqrt(d1) + sqrt(d2) for hubs at distance >= 3, and
+    lam1 >= sqrt(d1) alone, which is d2 = 0 when no vertex is that far;
+    the hubs tried are the three highest-degree vertices, ties to the lower id.
     """
     deg = batch.degrees[rows]
     par = batch.parents[rows]
@@ -345,15 +346,14 @@ def _two_hub_out(batch, rows, hi_base: float):
     ar = np.arange(m)
     grand = np.where(par >= 0, np.take_along_axis(par, np.maximum(par, 0), axis=1), -1)
     vs = np.arange(n)
-    out = np.zeros(m, dtype=bool)
+    bound = np.full(m, -math.inf)
     for u in np.argsort(-deg, axis=1, kind="stable")[:, :3].T:
         du = deg[ar, u]
-        out |= np.sqrt(du) - _SAFETY > hi_base  # lam1 alone already exceeds the baseline
         pu, gu, u = par[ar, u][:, None], grand[ar, u][:, None], u[:, None]
         near = (vs == u) | (par == u) | (vs == pu) | (grand == u) | (vs == gu) | ((par == pu) & (pu >= 0))
         best = np.where(near, 0, deg).max(axis=1)
-        out |= (best > 0) & (np.sqrt(du) + np.sqrt(best) - _SAFETY > hi_base)
-    return out
+        bound = np.maximum(bound, np.sqrt(du) + np.sqrt(best) - _SAFETY)
+    return bound
 
 
 def _excluded_rows(fam, levels, exclude):
@@ -427,7 +427,7 @@ class _AllTrees(_Family):
         return Candidate(self.code(m), self.edges(m), lo, hi)
 
     def search_rows(self, key: str, coeffs, objective: str, exclude, jobs: int):
-        """Rows surviving the coarse scan, the class count and the scan's discard bound."""
+        """Rows surviving the coarse scan, the class count and the best far end among the rows it dropped."""
         lo_base, hi_base = _baseline(self, coeffs, objective, exclude)
         scan = _Scan(self, key, coeffs, objective, lo_base, hi_base, exclude)
         chunks = free_tree_level_chunks(self.n)
@@ -438,11 +438,9 @@ class _AllTrees(_Family):
                 results = list(workers.imap(scan, chunks))
         rows = [r for chunk, _, _ in results for r in chunk]
         scanned = sum(count for _, _, count in results)
-        maximize = objective == "max"
-        if not any(flag for _, flag, _ in results):
-            return rows, scanned, -math.inf if maximize else math.inf
-        # every discarded tree was certified on the wrong side of the baseline
-        return rows, scanned, lo_base if maximize else hi_base
+        # a fold of the chunks' folds, so the bound does not depend on chunk order
+        fold = max if objective == "max" else min
+        return rows, scanned, fold(far for _, far, _ in results)
 
 
 class _Comets(_Family):

@@ -46,9 +46,9 @@ from .extremal import (
     tuned_dc3_params,
 )
 from .spectra import (
-    TOL,
     EigenvectorData,
     Lambda2MultiplicityError,
+    TopTwo,
     count_eigenvalues_above,
     dc_top_two_closed,
     dense_eigh,
@@ -157,7 +157,9 @@ FIGURE3_PAIRS = (
 def _envelope_deviation(n: int, trees) -> float:
     """Largest distance of envelope(n) from the pointwise max of psi over trees, at 101 alphas."""
     env = envelope(n, "all")
-    return max(abs(env.value(i / 100.0) - max(psi(t, i / 100.0).value for t in trees)) for i in range(101))
+    tts = [top_two(t) for t in trees]  # psi's own arithmetic, on one certification per tree
+    alphas = [i / 100.0 for i in range(101)]
+    return max(abs(env.value(a) - max(a * tt.lam1 + (1.0 - a) * tt.lam2 for tt in tts)) for a in alphas)
 
 
 def suite_figure2(seed: int, jobs: int):
@@ -700,16 +702,13 @@ def envelope_to_csv(env) -> str:
     return "\n".join(lines) + "\n"
 
 
-def spectrum_to_csv(t: Tree, full: bool = False, tol: float = TOL) -> str:
-    if full:
-        lines = ["index,eigenvalue"]
-        for i, v in enumerate(dense_spectrum_oracle(t), start=1):
-            lines.append(f"{i},{_fmt(v)}")
-        return "\n".join(lines) + "\n"
-    tt = top_two(t, tol)
-    lines = ["quantity,lo,hi"]
-    lines.append(f"lambda1,{_fmt(tt.lam1_lo)},{_fmt(tt.lam1_hi)}")
-    lines.append(f"lambda2,{_fmt(tt.lam2_lo)},{_fmt(tt.lam2_hi)}")
+def spectrum_to_csv(tt: TopTwo, spectrum=None) -> str:
+    """CSV of a tree's ``top_two`` enclosures, or of its full spectrum when one is given."""
+    if spectrum is not None:
+        lines = ["index,eigenvalue", *(f"{i},{_fmt(v)}" for i, v in enumerate(spectrum, start=1))]
+    else:
+        lines = ["quantity,lo,hi", f"lambda1,{_fmt(tt.lam1_lo)},{_fmt(tt.lam1_hi)}",
+                 f"lambda2,{_fmt(tt.lam2_lo)},{_fmt(tt.lam2_hi)}"]
     return "\n".join(lines) + "\n"
 
 

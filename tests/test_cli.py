@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from spectrees import cli, suites
 from spectrees.cli import main
-from spectrees.enumeration import double_comet_params
+from spectrees.enumeration import double_comet_params, enumerate_trees
 from spectrees.suites import (
     envelope_to_csv,
     report_to_csv,
@@ -13,6 +14,7 @@ from spectrees.suites import (
     spectrum_to_csv,
 )
 from spectrees.extremal import envelope
+from spectrees.spectra import dense_spectrum_oracle, top_two
 from spectrees.trees import DoubleCometParams, make_double_comet
 
 
@@ -57,8 +59,29 @@ def test_envelope_csv_rows():
 
 def test_spectrum_csv_full_comet():
     t = make_double_comet(DoubleCometParams(2, 2, 3))
-    rows = spectrum_to_csv(t, full=True).strip().splitlines()
+    rows = spectrum_to_csv(top_two(t), dense_spectrum_oracle(t)).strip().splitlines()
     assert len(rows) == 1 + 7  # header plus one row per eigenvalue
+
+
+def test_cli_spectrum_certifies_once(tmp_path, monkeypatch, capsys):
+    # stdout and the CSV share one top_two and at most one oracle spectrum, --out or not
+    calls = {"top_two": 0, "oracle": 0}
+
+    def counting(name, f):
+        def wrapped(*a, **k):
+            calls[name] += 1
+            return f(*a, **k)
+        return wrapped
+
+    for module in (cli, suites):
+        monkeypatch.setattr(module, "top_two", counting("top_two", top_two))
+        monkeypatch.setattr(module, "dense_spectrum_oracle", counting("oracle", dense_spectrum_oracle))
+    out = tmp_path / "s.csv"
+    for extra, oracle in (([], 0), (["--out", str(out)], 0), (["--full"], 1), (["--full", "--out", str(out)], 1)):
+        calls.update(top_two=0, oracle=0)
+        assert main(["spectrum", "--tree", "path:9", *extra]) == 0
+        assert calls == {"top_two": 1, "oracle": oracle}, extra
+    assert out.read_text().splitlines()[1] == "1,1.90211303259031"
 
 
 def test_cli_enumerate_count(capsys):
@@ -73,6 +96,17 @@ def test_cli_enumerate_writes_blocks(capsys):
     out = capsys.readouterr().out
     blocks = [b for b in out.split("\n\n") if b.strip()]
     assert len(blocks) == 2
+
+
+def test_cli_enumerate_json(capsys):
+    # without --count-only, --json lists every class's edges in enumeration order
+    assert main(["enumerate", "--n", "5", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n"] == 5 and payload["family"] == "all"
+    assert payload["trees"] == [[list(e) for e in t.edges()] for t in enumerate_trees(5, "all")]
+    assert len(payload["trees"]) == 3
+    assert main(["enumerate", "--n", "4", "--family", "dc", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["trees"]) == 2
 
 
 def test_cli_spectrum_json(capsys):

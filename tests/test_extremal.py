@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from spectrees import enumeration, extremal
@@ -20,7 +21,7 @@ from spectrees.extremal import (
     tuned_dc2_params,
     tuned_dc3_params,
 )
-from spectrees.spectra import top_two
+from spectrees.spectra import TreeBatch, top_two
 from spectrees.suites import envelope_to_csv
 from spectrees.trees import (
     DoubleCometParams,
@@ -158,6 +159,15 @@ class TestSearch:
                     margin = math.inf if res.runner_up_gap is None else res.runner_up_gap
                     near = {code for code, v in vals.items() if abs(v - best) < margin - 1e-9}
                     assert near <= set(res.winner_codes), (n, key, alpha, objective)
+                    if res.runner_up_gap is None:
+                        continue
+                    # the margin is measured against the far end of every tree ruled out
+                    assert res.runner_up_gap >= 0, (n, key, alpha, objective, res.runner_up_gap)
+                    others = [v for code, v in vals.items() if code not in res.winner_codes]
+                    if objective == "max":
+                        assert max(others) <= min(w.lo for w in res.winners) - res.runner_up_gap + 1e-12
+                    else:
+                        assert min(others) >= max(w.hi for w in res.winners) + res.runner_up_gap - 1e-12
 
     def test_two_vertex_comet_family(self):
         # DC(0,0,2) is the 2-path with lam2 = -1; the family search must see it
@@ -166,13 +176,16 @@ class TestSearch:
         assert abs(w.lo - 0.0) < 1e-12 and w.params == DoubleCometParams(0, 0, 2)
 
     def test_two_vertex_search(self):
-        # K2 is the one tree of order 2, and its lam2 = -1 is negative
+        # K2 is the one tree of order 2, and its lam2 = -1 is negative; both families enclose it exactly
         want = {"sum": 0.0, "lam1": 1.0, "lam2": -1.0, "gap": 2.0, "psi": -0.5}
-        for key, value in want.items():
-            for objective in ("max", "min"):
-                res = search_extremal(2, alpha=0.25, objective=objective, key=key)
-                assert [(w.lo, w.hi) for w in res.winners] == [(value, value)], (key, objective)
-                assert res.scanned == 1 and res.runner_up_gap is None and res.resolved
+        for family in ("all", "dc"):
+            for key, value in want.items():
+                for objective in ("max", "min"):
+                    res = search_extremal(2, alpha=0.25, objective=objective, family=family, key=key)
+                    assert [(w.lo, w.hi) for w in res.winners] == [(value, value)], (family, key, objective)
+                    assert res.scanned == 1 and res.runner_up_gap is None and res.resolved
+        seg, = envelope(2, "dc").segments
+        assert (seg.lam1, seg.lam2) == (1.0, -1.0)
 
     def test_proven_comet_tie(self):
         # DC(6,2,3) and DC(5,4,2) share the quartic: k1*k2 + k1 + k2 = k1'*k2' = 20
@@ -281,6 +294,30 @@ class TestSearch:
             r1 = search_extremal(15, alpha=None, objective=objective, key=key, exclude=exclude)
             r2 = search_extremal(15, alpha=None, objective=objective, key=key, exclude=exclude, jobs=2)
             assert r1 == r2 and r1.runner_up_gap is not None
+
+    def test_scan_margin_bounds_every_other_class(self):
+        # the all-tree scan folds the far end of every row it drops, so these margins,
+        # once within 1e-12 of zero, reflect the runner-up; every other class's
+        # certified key interval lies on the far side of the bound
+        cases = {16: (("sum", "max"), ("sum", "min"), ("lam1", "min")), 12: (("lam2", "max"),),
+                 14: (("lam2", "max"),)}
+        for n, keys in cases.items():
+            fam = extremal._AllTrees(n)
+            chunks = [(levels, TreeBatch(levels).top_two()) for levels in enumeration.free_tree_level_chunks(n)]
+            for key, objective in keys:
+                res = search_extremal(n, alpha=None, objective=objective, key=key)
+                gap, c = res.runner_up_gap, extremal._coeffs(key, None)
+                assert res.resolved and gap > 1e-7, (n, key, objective, gap)
+                if objective == "max":
+                    bound = min(w.lo for w in res.winners) - gap
+                else:
+                    bound = max(w.hi for w in res.winners) + gap
+                past = set()
+                for levels, (l1_lo, l1_hi, l2_lo, l2_hi) in chunks:
+                    lo, hi = extremal._key_interval(c, (l1_lo, l1_hi), (l2_lo, l2_hi))
+                    rows = np.flatnonzero(hi > bound if objective == "max" else lo < bound)
+                    past |= {fam.code(levels[r].tobytes()) for r in rows}
+                assert past == set(res.winner_codes), (n, key, objective)
 
     def test_bad_arguments(self):
         for bad in (3.5, "7", 1, 0, -2):
