@@ -14,7 +14,8 @@ Three modes:
 ``enumerate_free_trees`` and ``enumerate_labeled_oracle`` return
 generators of trees in canonical-code order, which makes iteration order
 and downstream tie-breaking reproducible; that order is only known once
-every class is coded, so both code and sort the class list when called.
+every class is coded, so both code and sort the class list (the oracle
+once per order: its decode dominates).
 ``enumerate_double_comets`` yields in a fixed parameter order, one tree at
 a time. Counting needs no trees: ``count_free_trees`` streams the level
 sequences and ``count_double_comets`` sums the array lengths of
@@ -36,6 +37,7 @@ MAX_EXHAUSTIVE_ORDER = 24
 MAX_ORACLE_ORDER = 10
 CHUNK_ROWS = 2048
 _FULL_ORACLE_ORDER = 8  # full n^(n-2) scan up to here, covering subset beyond
+_ORACLE_ROWS = {}  # n -> the oracle's code-sorted (code, edges) rows, read only
 
 
 # -- free trees ----------------------------------------------------------------
@@ -258,18 +260,21 @@ def enumerate_labeled_oracle(n: int):
     n in {9, 10} it scans the nondecreasing sequences only, a provably
     class-complete subset (see _nondecreasing_sequences) that keeps the
     cross-check affordable. Either way the result is the full set of
-    isomorphism classes, deduplicated by canonical code.
+    isomorphism classes, deduplicated by canonical code. The decode runs
+    once per order and process; every call yields fresh trees.
     """
     if not 1 <= n <= MAX_ORACLE_ORDER:
         raise ValueError(f"labeled oracle supports 1 <= n <= {MAX_ORACLE_ORDER}, got {n}")
-    gen = _all_sequences(n) if n <= _FULL_ORACLE_ORDER else _nondecreasing_sequences(n)
-    seen = {}
-    for seq in gen:
-        t = Tree(n, decode_parent_report(seq, n))
-        code = canonical_code(t)
-        if code not in seen:
-            seen[code] = tuple(t.edges())
-    return _coded_trees(n, sorted(seen.items()))
+    if n not in _ORACLE_ROWS:
+        gen = _all_sequences(n) if n <= _FULL_ORACLE_ORDER else _nondecreasing_sequences(n)
+        seen = {}
+        for seq in gen:
+            t = Tree(n, decode_parent_report(seq, n))
+            code = canonical_code(t)
+            if code not in seen:
+                seen[code] = tuple(t.edges())
+        _ORACLE_ROWS[n] = sorted(seen.items())
+    return _coded_trees(n, _ORACLE_ROWS[n])
 
 
 # -- double comets -------------------------------------------------------------

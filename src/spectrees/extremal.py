@@ -23,8 +23,8 @@ code are built only for the winners, or for every evaluated member when
 ``exclude`` is nonempty.
 Searches over all trees stream level-sequence chunks through the batched
 inertia kernel (``spectra.TreeBatch``) and never materialise a class
-list. Comets without a closed form go through the same kernel as their
-quotients, weighted paths (``_dc_pair_intervals``). A comet search screens
+list. Every comet but the star goes through the same kernel as its
+quotient, a weighted path (``_dc_pair_intervals``). A comet search screens
 its long comets as leaf-count arrays, one path order at a time, and builds
 parameters only for the comets it evaluates (``_dc_candidates``).
 
@@ -59,8 +59,8 @@ from .enumeration import (
 from .spectra import (
     TOL,
     TreeBatch,
+    _star_intervals,
     dc_top_two_closed,
-    path_eigenvalue,
     top_two,
 )
 from .trees import (
@@ -75,7 +75,7 @@ _FIXED_COEFFS = {"sum": (1.0, 1.0), "lam1": (1.0, 0.0), "lam2": (0.0, 1.0), "gap
 KEYS = ("psi", *_FIXED_COEFFS)
 _TOL_SCHEDULE = (1e-10, 1e-12, 1e-14)
 _COARSE_TOL = 1e-6
-_SAFETY = 1e-9  # slack on closed-form baselines before any certified discard
+_SAFETY = 1e-9  # slack for the rounding of the float-evaluated comet screen and two-hub bounds
 
 
 @dataclass(frozen=True)
@@ -158,35 +158,20 @@ def _key_interval(c, l1, l2):
 # -- double-comet family evaluation ------------------------------------------
 
 
-def _dc_closed_interval(p: DoubleCometParams):
-    """Exact or closed-form (lam1, lam2) intervals for a path, a star or path order 2 or 3, else None."""
-    n = p.n
-    if n == 2:  # K2, whose lam2 = -1 is the one negative second eigenvalue in the family
-        return (1.0, 1.0), (-1.0, -1.0)
-    if p.k1 == 0 and p.k2 == 0:  # a bare path, at the floating-point cosines
-        l1, l2 = path_eigenvalue(n, 1), path_eigenvalue(n, 2)
-        return (l1, l1), (l2, l2)
-    if p.ell == 1 or (p.ell == 2 and min(p.k1, p.k2) == 0) or max(p.k1, p.k2) == n - 1:
-        s = math.sqrt(n - 1)
-        return (s, s), (0.0, 0.0)
-    if p.ell in (2, 3):
-        l1, l2 = dc_top_two_closed(p)
-        return (l1 - _SAFETY * 1e-3, l1 + _SAFETY * 1e-3), (l2 - _SAFETY * 1e-3, l2 + _SAFETY * 1e-3)
-    return None
-
-
 def _dc_pair_intervals(params, tol: float):
     """Certified (lam1, lam2) intervals for each comet of ``params``, in order.
 
-    Comets with a closed form take it. The others go through ``TreeBatch``
-    as their equitable-partition quotient, which has the comet's nonzero
+    A star (path order 1, or a quotient on at most 3 vertices, K2 included)
+    takes ``_star_intervals``. Every other comet goes through ``TreeBatch``
+    as its equitable-partition quotient, which has the comet's nonzero
     spectrum: a path on at most ell + 2 vertices with edge weights k1, 1,
     ..., 1, k2 (zero-leaf classes dropped), the k1 end deepest. Sorted by
     path order, they run ``CHUNK_ROWS`` at a time, weight-0 edges padding
     each to its chunk's longest path, which changes no bracket. lam1 is
     bisected over [0, sqrt(n-1)], slightly widened, and lam2 over [0, lam1_hi].
     """
-    out = [_dc_closed_interval(p) for p in params]
+    out = [_star_intervals(p.n) if p.ell == 1 or p.ell + (p.k1 > 0) + (p.k2 > 0) <= 3 else None
+           for p in params]
     todo = sorted((i for i, iv in enumerate(out) if iv is None), key=lambda i: params[i].ell)
     for start in range(0, len(todo), CHUNK_ROWS):
         idx = todo[start:start + CHUNK_ROWS]
@@ -300,17 +285,14 @@ class _Scan:
         far = -math.inf if maximize else math.inf
         batch = TreeBatch(levels)
         rows = np.flatnonzero(~_excluded_rows(self.fam, levels, self.exclude))
-        if n == 2:
-            iv = _key_interval(coeffs, (1.0, 1.0), (-1.0, -1.0))
-            return [(levels[r].tobytes(), *iv) for r in rows], far, len(batch)
-        if not maximize and self.key == "sum":
+        if not maximize and self.key == "sum" and n > 2:  # the bound needs lam2 >= 0, which K2 breaks
             bound = _two_hub_bound(batch, rows)
             out = bound > hi_base
             far = float(np.min(bound[out], initial=far))
             rows = rows[~out]
         star = batch.degrees[rows].max(axis=1) == n - 1
         s = math.sqrt(n - 1)
-        pool = [(levels[r].tobytes(), *_key_interval(coeffs, (s, s), (0.0, 0.0))) for r in rows[star]]
+        pool = [(levels[r].tobytes(), *_key_interval(coeffs, *_star_intervals(n))) for r in rows[star]]
         rows = rows[~star]
         c_lo, c_hi = c1 + min(c2, 0.0), c1 + max(c2, 0.0)
         if maximize:
@@ -368,8 +350,8 @@ def _excluded_rows(fam, levels, exclude):
 def _baseline(fam, coeffs, objective: str, exclude):
     """Deterministic certified baseline interval for pruning a free-tree scan.
 
-    Maximizing keys use the best double comet (closed forms plus the
-    screened batched evaluations); minimizing keys use the better of path
+    Maximizing keys use the best double comet (the comet search's own
+    screened evaluations); minimizing keys use the better of path
     and star. Returns (lo, hi) enclosing the baseline value, or (-inf, inf)
     when ``exclude`` holds every baseline tree, which prunes nothing.
     """

@@ -13,9 +13,11 @@ function, so whole trees and induced forests share it. ``TreeBatch`` runs
 the same pass and bisection over many same-order trees at once with numpy,
 reproducing the scalar brackets bit for bit; with edge weights it also runs
 the double comets' equitable-partition quotients, which are weighted paths.
+The one enclosure not from counts is the star's (``_star_intervals``).
 
-Everything else builds on or cross-checks that kernel: closed forms for
-double comets with path order 2 or 3, the exact path spectrum, a dense
+Everything else builds on or cross-checks that kernel: float closed forms
+for double comets with path order 2 or 3 and for paths (checked against,
+never used as enclosures), a dense
 cyclic plane-rotation (Jacobi) oracle for small orders, eigenvectors by
 inverse iteration with O(n) tree solves, the spectral-center decomposition
 driven by the second eigenvector's sign pattern, and residual checks for
@@ -185,26 +187,39 @@ def _bisect_count(above, k: int, lo: float, hi: float, tol: float):
     return lo, hi
 
 
+def _star_intervals(n: int):
+    """(lam1, lam2) enclosures of the star on n >= 2 vertices (K2 at n = 2).
+
+    ``sqrt`` is correctly rounded, so sqrt(n-1) widened outward by one ulp
+    (unless exact) encloses lam1; lam2 is exactly 0, or -1 for K2.
+    """
+    s = math.sqrt(n - 1)
+    l1 = (s, s) if math.isqrt(n - 1) ** 2 == n - 1 else (math.nextafter(s, 0.0), math.nextafter(s, math.inf))
+    l2 = -1.0 if n == 2 else 0.0
+    return l1, (l2, l2)
+
+
+def _check_top_two(n: int, tol: float):
+    if n < 2:
+        raise ValueError("top_two needs n >= 2: a single vertex has no second eigenvalue")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def top_two(t: Tree, tol: float = TOL) -> TopTwo:
     """Certified enclosures of the two largest adjacency eigenvalues.
 
-    Stars short-circuit to the exact pair (sqrt(n-1), 0); the n=2 edge is
-    the one tree with a negative second eigenvalue and returns (1, -1)
-    exactly. Everything else is bisection on the inertia counts over
-    [0, sqrt(n-1)], the star's spectral radius, which no tree of order n
-    exceeds; the bracket stays valid for lam2 because every non-star tree
-    on n >= 3 vertices has lam2 >= 0.
+    A star (K2 included) takes ``_star_intervals``: sqrt(n-1), widened by
+    one ulp unless exact, and the exact lam2. Everything else is bisection
+    on the inertia counts over [0, sqrt(n-1)], the star's spectral radius,
+    which no other tree of order n reaches; the bracket stays valid for
+    lam2 because every non-star tree on n >= 3 vertices has lam2 >= 0.
     """
     n = t.n
-    if n < 2:
-        raise ValueError("top_two needs n >= 2: a single vertex has no second eigenvalue")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if n == 2:
-        return TopTwo(1.0, 1.0, -1.0, -1.0, tol)
+    _check_top_two(n, tol)
     if t.max_degree() == n - 1:
-        s = math.sqrt(n - 1)
-        return TopTwo(s, s, 0.0, 0.0, tol)
+        l1, l2 = _star_intervals(n)
+        return TopTwo(*l1, *l2, tol)
     above = _above_counter(*_rooted(t))
     l1_lo, l1_hi = _bisect_count(above, 1, 0.0, math.sqrt(n - 1), tol)
     l2_lo, l2_hi = _bisect_count(above, 2, 0.0, l1_hi, tol)
@@ -366,19 +381,11 @@ class TreeBatch:
         n, m = self.n, len(self)
         if self._w is not None:
             raise ValueError("top_two brackets unit-weight trees; bisect weighted rows directly")
-        if n < 2:
-            raise ValueError("top_two needs n >= 2: a single vertex has no second eigenvalue")
-        if tol <= 0:
-            raise ValueError(f"tol must be positive, got {tol}")
-        if n == 2:
-            one = np.ones(m)
-            return one, one.copy(), -one, -one
-        s = math.sqrt(n - 1)
-        star = self.degrees.max(axis=1) == n - 1
-        l1_lo, l1_hi = np.full(m, s), np.full(m, s)
-        l2_lo, l2_hi = np.zeros(m), np.zeros(m)
-        rest = np.flatnonzero(~star)
-        l1_lo[rest], l1_hi[rest] = self.bisect(1, 0.0, s, tol, rest)
+        _check_top_two(n, tol)
+        l1, l2 = _star_intervals(n)
+        l1_lo, l1_hi, l2_lo, l2_hi = (np.full(m, v) for v in (*l1, *l2))
+        rest = np.flatnonzero(self.degrees.max(axis=1) != n - 1)
+        l1_lo[rest], l1_hi[rest] = self.bisect(1, 0.0, math.sqrt(n - 1), tol, rest)
         l2_lo[rest], l2_hi[rest] = self.bisect(2, 0.0, l1_hi[rest], tol, rest)
         return l1_lo, l1_hi, l2_lo, l2_hi
 
@@ -409,7 +416,10 @@ def lambda1_interval_of_vertices(t: Tree, vertices):
 
 
 def dc_top_two_closed(params: DoubleCometParams):
-    """Exact (lam1, lam2) for double comets with path order 2 or 3.
+    """(lam1, lam2) of a double comet with path order 2 or 3, in float, not enclosed.
+
+    Path order 2's lam2 cancels in n-1 - sqrt(...) for large n; searches
+    bisect every comet, and this serves the closed-forms and asymptotics suites.
 
     Path order 3: lam = sqrt((n-1 +- sqrt((k1-k2)^2 + 4))/2).
     Path order 2: lam = sqrt((n-1 +- sqrt((n-1)^2 - 4*k1*k2))/2).

@@ -147,6 +147,9 @@ def test_cli_bad_tree_spec_is_a_clean_error(tmp_path, capsys):
         (["spectrum", "--tree", "path:1"], "n >= 2"),
         (["spectrum", "--tree", f"file:{tmp_path / 'missing.txt'}"], "missing.txt"),
         (["spectrum", "--tree", "path:5", "--out", str(tmp_path / "no-dir" / "x.csv")], "x.csv"),
+        (["spectrum", "--tree", "path:5", "--tol", "nan"], "tol"),
+        (["spectrum", "--tree", "path:5", "--tol", "inf"], "tol"),
+        (["spectrum", "--tree", "star:5", "--tol", "0"], "tol"),
         (["extremal", "--n", "30"], "n <= 24"),
         (["extremal", "--n", "6", "--alpha", "1.5"], "alpha"),
         (["envelope", "--n", "30"], "n <= 24"),

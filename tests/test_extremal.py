@@ -1,4 +1,6 @@
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from spectrees.extremal import (
     tuned_dc2_params,
     tuned_dc3_params,
 )
-from spectrees.spectra import TreeBatch, top_two
+from spectrees.spectra import TOL, TreeBatch, top_two
 from spectrees.suites import envelope_to_csv
 from spectrees.trees import (
     DoubleCometParams,
@@ -33,29 +35,29 @@ from spectrees.trees import (
 
 ENVELOPE_26_DC = """\
 alpha_lo,alpha_hi,lambda1,lambda2,witness_code
-0,0.253970479886348,3.52089262608441,3.43137529615794,2((()()()()()()()()()()()))((()()()()()()()()()()()))
-0.253970479886348,0.529319682653892,3.69026204879137,3.37371694296515,2((()()()()()()()()()()()))(()()()()()()()()()()()())
-0.529319682653892,0.545353139589322,3.78190106133569,3.27066115063423,1(((()()()()()()()()()()))()()()()()()()()()()()()())
-0.545353139589322,0.562942138169879,3.89776633516778,3.13167967653666,1(((()()()()()()()()()))()()()()()()()()()()()()()())
-0.562942138169879,0.572920454412559,4,3,2(()()()()()()()()()()()())(()()()()()()()()()()()())
-0.572920454412559,0.578619068751458,4.01746872354226,2.97656598370668,1(((()()()()()()()()))()()()()()()()()()()()()()()())
-0.578619068751458,0.589185345999304,4.06584909633268,2.91013249283443,1((()()()()()()()()()())()()()()()()()()()()()()()())
-0.589185345999304,0.603554575087631,4.13639604349565,2.80895492511958,1(((()()()()()()()))()()()()()()()()()()()()()()()())
-0.603554575087631,0.614810933910914,4.22079055466714,2.6804714312286,1((()()()()()()()())()()()()()()()()()()()()()()()())
-0.614810933910914,0.624180905575597,4.2532540417602,2.62865556059567,1(((()()()()()()))()()()()()()()()()()()()()()()()())
-0.624180905575597,0.636245225802287,4.3131517255792,2.52917421150326,1((()()()()()()())()()()()()()()()()()()()()()()()())
-0.636245225802287,0.64692645698525,4.36766221438689,2.43382965324549,1(((()()()()()))()()()()()()()()()()()()()()()()()())
-0.64692645698525,0.660075143637234,4.40978706909131,2.356645498431,1((()()()()()())()()()()()()()()()()()()()()()()()())
-0.660075143637234,0.672198069560155,4.47955053272209,2.22117694585308,1(((()()()()))()()()()()()()()()()()()()()()()()()())
-0.672198069560155,0.686877960204012,4.50846292224404,2.16188854447928,1((()()()()())()()()()()()()()()()()()()()()()()()())
-0.686877960204012,0.700805107827233,4.58896735489716,1.9852905620307,1(((()()()))()()()()()()()()()()()()()()()()()()()())
-0.700805107827233,0.717790647663527,4.60783296119624,1.94110159489747,1((()()()())()()()()()()()()()()()()()()()()()()()())
-0.717790647663527,0.734263016359891,4.6960075156745,1.71683237758629,1(((()()))()()()()()()()()()()()()()()()()()()()()())
-0.734263016359891,0.75510678670033,4.70708019454884,1.68623724371336,1((()()())()()()()()()()()()()()()()()()()()()()()())
-0.75510678670033,0.775712137900584,4.80078238986757,1.39731472658623,1(((()))()()()()()()()()()()()()()()()()()()()()()())
-0.775712137900584,0.804569698198667,4.80570598873969,1.38028618401817,1((()())()()()()()()()()()()()()()()()()()()()()()())
-0.804569698198667,0.910116799084502,4.90340660975767,0.978061153192787,1((())()()()()()()()()()()()()()()()()()()()()()()())
-0.910116799084502,1,5,0,1(()()()()()()()()()()()()()()()()()()()()()()()()())
+0,0.253970479885691,3.52089262608441,3.43137529615794,2((()()()()()()()()()()()))((()()()()()()()()()()()))
+0.253970479885691,0.529319682652895,3.69026204879122,3.3737169429654,2((()()()()()()()()()()()))(()()()()()()()()()()()())
+0.529319682652895,0.545353139589531,3.78190106133586,3.27066115063452,1(((()()()()()()()()()()))()()()()()()()()()()()()())
+0.545353139589531,0.562942138172083,3.89776633516802,3.13167967653676,1(((()()()()()()()()()))()()()()()()()()()()()()()())
+0.562942138172083,0.572920454404841,3.99999999999974,2.99999999999956,2(()()()()()()()()()()()())(()()()()()()()()()()()())
+0.572920454404841,0.578619068753132,4.01746872354237,2.97656598370649,1(((()()()()()()()()))()()()()()()()()()()()()()()())
+0.578619068753132,0.589185345997958,4.06584909633243,2.91013249283427,1((()()()()()()()()()())()()()()()()()()()()()()()())
+0.589185345997958,0.60355457508866,4.13639604349569,2.80895492511958,1(((()()()()()()()))()()()()()()()()()()()()()()()())
+0.60355457508866,0.614810933909109,4.22079055466691,2.68047143122844,1((()()()()()()()())()()()()()()()()()()()()()()()())
+0.614810933909109,0.624180905575378,4.25325404175992,2.628655560596,1(((()()()()()()))()()()()()()()()()()()()()()()()())
+0.624180905575378,0.636245225802907,4.31315172557936,2.52917421150295,1((()()()()()()())()()()()()()()()()()()()()()()()())
+0.636245225802907,0.646926456983618,4.36766221438672,2.43382965324548,1(((()()()()()))()()()()()()()()()()()()()()()()()())
+0.646926456983618,0.660075143637552,4.40978706909153,2.35664549843085,1((()()()()()())()()()()()()()()()()()()()()()()()())
+0.660075143637552,0.672198069560704,4.47955053272208,2.22117694585319,1(((()()()()))()()()()()()()()()()()()()()()()()()())
+0.672198069560704,0.686877960203738,4.50846292224413,2.16188854447903,1((()()()()())()()()()()()()()()()()()()()()()()()())
+0.686877960203738,0.700805107831373,4.58896735489713,1.98529056203094,1(((()()()))()()()()()()()()()()()()()()()()()()()())
+0.700805107831373,0.717790647662585,4.607832961196,1.94110159489733,1((()()()())()()()()()()()()()()()()()()()()()()()())
+0.717790647662585,0.734263016367009,4.69600751567465,1.71683237758621,1(((()()))()()()()()()()()()()()()()()()()()()()()())
+0.734263016367009,0.755106786699767,4.70708019454857,1.68623724371331,1((()()())()()()()()()()()()()()()()()()()()()()()())
+0.755106786699767,0.775712137895784,4.80078238986757,1.39731472658623,1(((()))()()()()()()()()()()()()()()()()()()()()()())
+0.775712137895784,0.804569698198695,4.8057059887399,1.38028618401792,1((()())()()()()()()()()()()()()()()()()()()()()()())
+0.804569698198695,0.910116799084619,4.90340660975781,0.978061153192738,1((())()()()()()()()()()()()()()()()()()()()()()()())
+0.910116799084619,1,5,0,1(()()()()()()()()()()()()()()()()()()()()()()()()())
 """
 
 ENVELOPE_10_ALL = """\
@@ -74,6 +76,35 @@ alpha_lo,alpha_hi,lambda1,lambda2,witness_code
 
 def code_of(*params):
     return canonical_code(make_double_comet(DoubleCometParams(*params))).decode()
+
+
+def exact_quotient_counts(p, x):
+    """(above, equal) of comet p's quotient path at x, by the pivot recurrence over Fractions.
+
+    The path runs k1-class, ell path vertices, k2-class (empty classes
+    dropped) with edge weights k1, 1, ..., 1, k2, and each pivot is
+    d = -x - w/d_child. A zero child pivot takes the repair: it becomes 2,
+    the parent's -1/2, and the parent's edge onward is cut.
+    """
+    weights = [p.k1] * (p.k1 > 0) + [1] * (p.ell - 1) + [p.k2] * (p.k2 > 0)
+    x = Fraction(x)
+    d, fed = [], False  # fed: the last vertex still feeds the next
+    for w in [None, *weights]:
+        if fed and d[-1] == 0:
+            d[-1] = Fraction(2)
+            d.append(Fraction(-1, 2))
+            fed = False
+        else:
+            d.append(-x - (w / d[-1] if fed else 0))
+            fed = True
+    return sum(v > 0 for v in d), sum(v == 0 for v in d)
+
+
+def assert_star_pair(n, l1, l2):
+    # sqrt(n-1) inside lam1's bracket, lam2 exact
+    (lo, hi), (a, b) = l1, l2
+    assert Fraction(lo) ** 2 <= n - 1 <= Fraction(hi) ** 2, (n, l1)
+    assert a == b == (-1.0 if n == 2 else 0.0), (n, l2)
 
 
 class TestPsi:
@@ -347,6 +378,33 @@ class TestSearch:
             assert search_extremal(6, alpha=a).winners == search_extremal(6, alpha=float(a)).winners
 
 
+def test_comet_and_star_brackets_pass_exact_inertia():
+    # every comet bracket holds its eigenvalue by exact counts at both ends: at
+    # least k eigenvalues at or above lo, fewer than k above hi; every star's
+    # bracket holds sqrt(n-1)
+    rng = random.Random(11)
+    sample = [DoubleCometParams(0, 0, 3), DoubleCometParams(0, 0, 5), DoubleCometParams(99996, 2, 2)]
+    for n, longest in ((10**3, 40), (10**5, 12)):
+        for _ in range(20):
+            ell = rng.randrange(2, longest + 1)
+            k2 = rng.randrange(ell == 2, (n - ell) // 2 + 1)
+            sample.append(DoubleCometParams(n - ell - k2, k2, ell))
+    params = [p for n in (3, 10, 60) for p in double_comet_params(n)] + sample
+    for p, (l1, l2) in zip(params, _dc_pair_intervals(params, TOL)):
+        if p.ell == 1 or p.n <= 3 or max(p.k1, p.k2) + 1 == p.n - 1:  # a vertex of degree n-1
+            assert_star_pair(p.n, l1, l2)
+            continue
+        for k, (lo, hi) in ((1, l1), (2, l2)):
+            assert sum(exact_quotient_counts(p, lo)) >= k and exact_quotient_counts(p, hi)[0] < k, (p, k, lo, hi)
+    for n in (3, 6, 1001):
+        tt = top_two(make_star(n))
+        b = [a[0] for a in TreeBatch([[0] + [1] * (n - 1)]).top_two()]
+        pairs = [((tt.lam1_lo, tt.lam1_hi), (tt.lam2_lo, tt.lam2_hi)), ((b[0], b[1]), (b[2], b[3]))]
+        for l1, l2 in pairs + _dc_pair_intervals([DoubleCometParams(n - 1, 0, 1)], TOL):
+            assert Fraction(l1[0]) ** 2 < n - 1 < Fraction(l1[1]) ** 2, (n, l1)
+            assert_star_pair(n, l1, l2)
+
+
 class TestEnvelope:
     def test_n6_structure(self):
         env = envelope(6, "all")
@@ -389,12 +447,17 @@ class TestEnvelope:
                 on_line.setdefault((round(l1, 12), round(l2, 12)), []).append((code_of(p.k1, p.k2, p.ell), l1, l2))
             for s in envelope(n, "dc").segments:
                 assert (s.witness_code, s.lam1, s.lam2) == min(on_line[round(s.lam1, 12), round(s.lam2, 12)]), n
-        # at n = 8, DC(3,3,2) and the broom (4,0,4) share a hull line with different
-        # floats; the broom has the smaller code, so its floats stay
-        assert 0.5 * sum(_dc_pair_intervals([DoubleCometParams(3, 3, 2)], 1e-12)[0][0]) == 2.302775637731995
-        seg = next(s for s in envelope(8, "dc").segments if s.alpha_lo < 0.63 < s.alpha_hi)
-        assert seg.witness_code == code_of(4, 0, 4) == "1(((()))()()()())"
-        assert seg.lam1 == 2.3027756377318678
+
+    def test_colliding_members_keep_the_smaller_codes_floats(self, monkeypatch):
+        # DC(3,3,2) and the broom (4,0,4) round onto one line with different floats;
+        # in either order the broom, whose code is smaller, witnesses it with its floats
+        comet = (2.302775637731995, 1.3, DoubleCometParams(3, 3, 2))
+        broom = (2.3027756377318678, 1.3, DoubleCometParams(4, 0, 4))
+        assert code_of(4, 0, 4) < code_of(3, 3, 2)
+        for members in ([comet, broom], [broom, comet]):
+            monkeypatch.setattr(extremal._Comets, "midpoints", lambda self, members=members: iter(members))
+            (seg,) = envelope(8, "dc").segments
+            assert (seg.lam1, seg.lam2, seg.witness_code) == (*broom[:2], code_of(4, 0, 4))
 
     def test_comet_batch_matches_one_at_a_time(self, monkeypatch):
         # comets of mixed orders in chunks of 7 rows, each padded to its longest

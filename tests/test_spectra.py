@@ -99,6 +99,11 @@ class TestTopTwo:
     def test_single_vertex_rejected(self):
         with pytest.raises(ValueError):
             top_two(make_path(1))
+        for bad in (0.0, -1e-12, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol"):
+                top_two(make_path(4), bad)
+            with pytest.raises(ValueError, match="tol"):
+                top_two(make_star(4), bad)
 
     def test_path_is_lambda1_minimal_exhaustively(self):
         for n in range(3, 13):
@@ -430,6 +435,9 @@ def test_tree_batch_rejects_bad_levels():
         TreeBatch([[1, 2]])
     with pytest.raises(ValueError):
         TreeBatch([[0]]).top_two()
+    for bad in (0.0, -1e-12, math.nan, math.inf):
+        with pytest.raises(ValueError, match="tol"):
+            TreeBatch([[0, 1, 2, 3], [0, 1, 1, 1]]).top_two(bad)
     for bad in ([[0.0, 1.0]], [1.0, 1.0, 1.0], [[0.0, 1.0, 1.0]] * 2, [[0.0, -1.0, 1.0]],
                 [[0.0, math.inf, 1.0]], [[0.0, 1.0, math.nan]]):
         with pytest.raises(ValueError, match="weights"):
