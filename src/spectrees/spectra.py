@@ -2,10 +2,10 @@
 
 The workhorse is an O(n) elimination pass on A - xI that returns the exact
 number of eigenvalues above, equal to, and below x (Sylvester inertia via
-leaf-to-root pivoting, with the standard zero-pivot repair that replaces a
-zero child pivot by 2, the current pivot by -1/2 and severs the edge to the
-parent). Bisection on that count gives enclosing intervals for the two
-largest eigenvalues with no dependence on floating-point eigensolvers.
+leaf-to-root pivoting; a zero child pivot severs the edge to the parent in
+its limit form, the parent's pivot -inf). Bisection on that count gives
+enclosing intervals for the two largest eigenvalues with no dependence on
+floating-point eigensolvers.
 ``TOL`` is the width of every public enclosure; only ``top_two`` and
 ``TreeBatch.top_two`` take another, which ``spectrum --tol`` sets.
 ``_bisect_count`` is the one scalar bisection loop: it takes any count
@@ -15,23 +15,24 @@ reproducing the scalar brackets bit for bit; with edge weights it also runs
 the double comets' equitable-partition quotients, which are weighted paths.
 The one enclosure not from counts is the star's (``_star_intervals``).
 
-Everything else builds on or cross-checks that kernel: float closed forms
-for double comets with path order 2 or 3 and for paths (checked against,
-never used as enclosures), a dense
-cyclic plane-rotation (Jacobi) oracle for small orders, eigenvectors by
-inverse iteration with O(n) tree solves, the spectral-center decomposition
-driven by the second eigenvector's sign pattern, and residual checks for
-the local eigen-equations and the eigenvector-eigenvalue identity.
+Everything else builds on or cross-checks that kernel: ``_branches``, the
+same pass over every branch of the tree, whose pivots give eigenvectors (a
+twisted factorization) and whose counts locate the spectral center; float
+closed forms for double comets with path order 2 or 3 and for paths
+(checked against, never used as enclosures); a dense cyclic plane-rotation
+(Jacobi) oracle for small orders; and residual checks for the local
+eigen-equations and the eigenvector-eigenvalue identity.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .trees import DoubleCometParams, Tree
+from .trees import DoubleCometParams, Tree, TreeError
 
 TOL = 1e-12  # the interval width every certified answer is given at
 
@@ -117,36 +118,39 @@ def _root_forest(adj):
     return order, children
 
 
-def _count_above(order, children, x: float):
-    """(above, equal) counts for the forest described by (order, children)."""
-    n = len(order)
-    d = [0.0] * n
-    severed = [False] * n
-    for idx in range(n - 1, -1, -1):
-        v = order[idx]
+def _pivots(order, children, x: float):
+    """Postorder pivots of A - xI: d[v] is the pivot of v's subtree, eliminated toward v.
+
+    A zero child pivot adds +inf to its parent's sum (the limit form): the
+    parent's pivot is -inf, and its -0.0 term severs its own parent edge.
+    """
+    d = [0.0] * len(order)
+    neg_x = 0.0 - x
+    for v in reversed(order):
         s = 0.0
-        zero_child = -1
         for c in children[v]:
-            if severed[c]:
-                continue
             dc = d[c]
-            if dc == 0.0:
-                zero_child = c
-            else:
-                s += 1.0 / dc
-        if zero_child >= 0:
-            d[zero_child] = 2.0
-            d[v] = -0.5
-            severed[v] = True
-        else:
-            d[v] = -x - s
-    above = 0
-    equal = 0
+            s += 1.0 / dc if dc else math.inf
+        d[v] = neg_x - s
+    return d
+
+
+def _count_above(order, children, x: float):
+    """(above, equal) counts for the forest described by (order, children).
+
+    Each vertex with a zero child shifts one count from equal to above, as
+    the classic repair (child pivot 2, its own -1/2) would.
+    """
+    d = _pivots(order, children, x)
+    above = equal = 0
     for val in d:
         if val > 0.0:
             above += 1
         elif val == 0.0:
             equal += 1
+    if equal:
+        repairs = sum(1 for v in order if d[v] == -math.inf and 0.0 in [d[c] for c in children[v]])
+        return above + repairs, equal - repairs
     return above, equal
 
 
@@ -161,8 +165,10 @@ def count_eigenvalues_above(t: Tree, x: float) -> SignCount:
     The counts are exact for the floating-point value actually probed; no
     eigenvalue is ever computed.
     """
-    order, children = _rooted(t)
-    above, equal = _count_above(order, children, float(x))
+    x = float(x)
+    if math.isnan(x):
+        raise ValueError("probe x is NaN")
+    above, equal = _count_above(*_rooted(t), x)
     return SignCount(above, equal, t.n - above - equal)
 
 
@@ -234,14 +240,9 @@ class TreeBatch:
     vertex's children come in ascending id. A probe eliminates all rows at
     once in postorder, post(v) = v - depth(v) + size(v) - 1, which finishes
     a vertex's children in ascending id, the order in which the scalar
-    ``_count_above`` sums them; every pivot is therefore the same float.
-
-    The zero-pivot repair runs in its limit form: a zero child pivot makes
-    its parent's sum +inf, so the parent's pivot is -inf and its term in
-    the grandparent's sum is -0.0, which severs that edge exactly. The
-    scalar repair instead moves the child's pivot to 2 (one more above, one
-    fewer equal) and the parent's to -1/2 (below in both forms), so each
-    vertex with a zero child shifts one count from equal to above.
+    ``_pivots`` sums them; every pivot is therefore the same float, the
+    zero-pivot limit form included, and each vertex with a zero child
+    shifts one count from equal to above as in ``_count_above``.
 
     ``weights``, shaped like ``levels``, weight each vertex's edge to its
     parent: a child adds w/d, not 1/d, to its parent's sum, the pivot
@@ -341,6 +342,8 @@ class TreeBatch:
         ``repairs`` counts the vertices whose zero-pivot child was repaired.
         """
         x = np.broadcast_to(np.asarray(x, dtype=float), (len(self),))
+        if np.isnan(x).any():
+            raise ValueError("probe x is NaN")
         return self._eliminate(*self._steps(np.arange(len(self))), x)
 
     def bisect(self, k: int, lo, hi, tol: float, rows=None, stop_lo_above=None, stop_hi_below=None):
@@ -400,13 +403,12 @@ def lambda1_interval_of_vertices(t: Tree, vertices):
     vs = sorted(set(vertices))
     if not vs:
         return None
+    for v in (vs[0], vs[-1]):
+        if not 0 <= v < t.n:
+            raise TreeError("vertex-range", f"vertex {v} out of range for n={t.n}")
     index = {v: i for i, v in enumerate(vs)}
-    adj = [[] for _ in vs]
-    for v in vs:
-        for w in t.adjacency[v]:
-            if w in index:
-                adj[index[v]].append(index[w])
-    if all(not a for a in adj):
+    adj = [[index[w] for w in t.adjacency[v] if w in index] for v in vs]
+    if not any(adj):
         return (0.0, 0.0)
     hi0 = math.sqrt(len(vs) - 1) * (1.0 + 1e-12) + 1e-12
     return _bisect_count(_above_counter(*_root_forest(adj)), 1, 0.0, hi0, TOL)
@@ -521,133 +523,123 @@ def dense_spectrum_oracle(t: Tree):
     return [float(v) for v in vals]
 
 
-# -- eigenvectors ------------------------------------------------------------
+# -- eigenvectors and the spectral center ------------------------------------
+
+
+def _branches(order, children, x: float):
+    """Pivot and eigenvalue count above x of every branch of a rooted tree.
+
+    The branch at w avoiding v is the component of T - v holding its
+    neighbour w, eliminated toward w. Returns (parent, pivot, count), the
+    last two over 3n slots (``_slot``): slot v is v's subtree (``_pivots``),
+    slot n + v the branch at v's parent avoiding v, slot 2n + v the whole
+    tree eliminated toward v. The preorder pass sums the other neighbours'
+    terms as prefix plus suffix, never a difference, so its counts are as
+    exact as ``_count_above``'s; a zero pivot takes the same limit form.
+    """
+    n = len(order)
+    piv = _pivots(order, children, x) + [0.0] * (2 * n)
+    cnt = [0] * (3 * n)
+    parent = [-1] * n
+    for v in reversed(order):
+        cs = children[v]
+        for c in cs:
+            parent[c] = v
+        cnt[v] = (piv[v] > 0.0) + (0.0 in [piv[c] for c in cs]) + sum(cnt[c] for c in cs)
+    neg_x = 0.0 - x
+    for v in order:
+        nb = children[v] if parent[v] < 0 else [n + v, *children[v]]  # v's neighbours' branches
+        terms = [1.0 / piv[j] if piv[j] else math.inf for j in nb]
+        suffix = list(accumulate(reversed(terms), initial=0.0))[::-1]
+        zeros = sum(not piv[j] for j in nb)
+        k = sum(cnt[j] for j in nb)
+        s = 0.0
+        for i, j in enumerate(nb):
+            if j < n:
+                piv[n + j] = u = neg_x - (s + suffix[i + 1])
+                cnt[n + j] = (u > 0.0) + (zeros > (not piv[j])) + k - cnt[j]
+            s += terms[i]
+        piv[2 * n + v] = g = neg_x - s
+        cnt[2 * n + v] = (g > 0.0) + (zeros > 0) + k
+    return parent, piv, cnt
+
+
+def _slot(parent, w: int, v: int) -> int:
+    """Where ``_branches`` keeps the branch at w avoiding v."""
+    return w if parent[w] == v else len(parent) + v
+
+
+def _simple_lam2(t: Tree) -> TopTwo:
+    """``top_two(t)``, or Lambda2MultiplicityError if lam2 is not simple."""
+    tt = top_two(t, TOL)
+    mult = _count_above(*_rooted(t), tt.lam2_lo - TOL)[0] - 1
+    if mult > 1:
+        raise Lambda2MultiplicityError(mult)
+    return tt
 
 
 @dataclass(frozen=True)
 class EigenvectorData:
-    """A unit eigenvector with its support classification.
-
-    tau is the zero threshold (1e-8 times the largest entry magnitude) used
-    to split vertices into positive support, negative support and zero set.
-    """
+    """A unit eigenvector, its Rayleigh quotient and its residual max|Az - value*z|."""
 
     value: float
     entries: tuple
-    s_plus: frozenset
-    s_minus: frozenset
-    s_zero: frozenset
-    tau: float
     residual: float
 
 
-def _tree_solve(order, children, mu: float, b):
-    """Solve (A - mu*I) z = b on the rooted tree in O(n)."""
-    n = len(order)
-    piv = [0.0] * n
-    u = [0.0] * n
-    for idx in range(n - 1, -1, -1):
-        v = order[idx]
-        p = -mu
-        acc = b[v]
-        for c in children[v]:
-            p -= 1.0 / piv[c]
-            acc -= u[c] / piv[c]
-        if p == 0.0:
-            p = 1e-18
-        piv[v] = p
-        u[v] = acc
-    z = [0.0] * n
-    root = order[0]
-    z[root] = u[root] / piv[root]
-    for v in order:
-        for c in children[v]:
-            z[c] = (u[c] - z[v]) / piv[c]
-    return z
-
-
-def _lambda2_multiplicity(t: Tree, tt: TopTwo) -> int:
-    """Number of eigenvalues in a snug window around lam2 (1 means simple)."""
-    order, children = _rooted(t)
-    probe = tt.lam2_lo - tt.tol
-    above, _ = _count_above(order, children, probe)
-    return above - 1
-
-
 def eigenvector(t: Tree, which: int) -> EigenvectorData:
-    """Unit eigenvector for lam1 (Perron) or lam2, by inverse iteration.
+    """Unit eigenvector for lam1 (Perron) or lam2 (which must be simple).
 
-    The shift comes from the certified bisection bracket. For which=2 the
-    eigenvalue must be simple; otherwise Lambda2MultiplicityError is raised
-    (no minimal-support representative is selected in the degenerate case).
-    Sign conventions: the Perron vector is positive; the lam2 eigenvector is
-    oriented so that the smallest-id supported vertex sits in S+.
+    At mu, the midpoint of the certified bracket, z is 1 at the vertex of
+    smallest whole-tree pivot |gamma| and spreads out by z_w = -z_v / pivot
+    of the branch at w avoiding v: a twisted factorization (Dhillon and
+    Parlett) on a tree. A branch whose pivot is exactly 0 has mu as an
+    eigenvalue (P3 at mu = 0); its root comes from v's eigen-equation once
+    v's other neighbours are set. The first entry of largest magnitude is
+    positive, so the Perron vector is positive.
     """
     if which not in (1, 2):
         raise ValueError(f"which must be 1 or 2, got {which}")
     n = t.n
     if n < 2:
         raise ValueError("eigenvectors need n >= 2")
-    tt = top_two(t, TOL)
-    if which == 2:
-        mult = _lambda2_multiplicity(t, tt)
-        if mult > 1:
-            raise Lambda2MultiplicityError(mult)
-        mu = tt.lam2
-    else:
-        mu = tt.lam1
-    order, children = _rooted(t)
+    mu = _simple_lam2(t).lam2 if which == 2 else top_two(t, TOL).lam1
+    parent, piv, _ = _branches(*_rooted(t), mu)
     A = t.adjacency
-    z = [math.cos(1.7 * i + 0.3) + 0.05 for i in range(n)]
-    if which == 1:
-        z = [abs(v) + 0.01 for v in z]
-    lam = mu
-    residual = math.inf
-    for attempt in range(6):
-        shift = mu + attempt * 3.0 * TOL * (1 if attempt % 2 else -1)
-        for _ in range(3 + attempt):
-            z = _tree_solve(order, children, shift, z)
-            norm = math.sqrt(sum(v * v for v in z))
-            if not math.isfinite(norm) or norm == 0.0:
-                z = [math.sin(2.3 * i + 0.7) + 0.02 for i in range(n)]
-                continue
-            z = [v / norm for v in z]
-        Az = [sum(z[w] for w in A[v]) for v in range(n)]
-        lam = sum(Az[v] * z[v] for v in range(n))
-        residual = max(abs(Az[v] - lam * z[v]) for v in range(n))
-        if residual <= 1e-9:
-            break
-    if residual > 1e-9:
-        raise RuntimeError(f"inverse iteration stalled (residual {residual:.3g})")
-    big = max(abs(v) for v in z)
-    tau = 1e-8 * big
-    if which == 1:
-        if sum(z) < 0:
-            z = [-v for v in z]
-    else:
-        for v in range(n):
-            if abs(z[v]) > tau:
-                if z[v] < 0:
-                    z = [-w for w in z]
-                break
-    s_plus = frozenset(v for v in range(n) if z[v] > tau)
-    s_minus = frozenset(v for v in range(n) if z[v] < -tau)
-    s_zero = frozenset(range(n)) - s_plus - s_minus
-    return EigenvectorData(lam, tuple(z), s_plus, s_minus, s_zero, tau, residual)
-
-
-# -- spectral center ---------------------------------------------------------
+    start = min(range(n), key=lambda v: abs(piv[2 * n + v]))
+    z = [0.0] * n
+    z[start] = 1.0
+    queue = [(start, -1)]
+    for v, u in queue:
+        held = []
+        for w in A[v]:
+            if w != u:
+                queue.append((w, v))
+                d = piv[_slot(parent, w, v)]
+                if d:
+                    z[w] = -z[v] / d
+                else:
+                    held.append(w)
+        for w in held:
+            z[w] = mu * z[v] - sum(z[x] for x in A[v])
+    norm = math.sqrt(sum(v * v for v in z))
+    z = [v / norm for v in z]
+    if max(z, key=abs) < 0:
+        z = [-v for v in z]
+    Az = [sum(z[w] for w in A[v]) for v in range(n)]
+    lam = sum(Az[v] * z[v] for v in range(n))
+    residual = max(abs(Az[v] - lam * z[v]) for v in range(n))
+    return EigenvectorData(lam, tuple(z), residual)
 
 
 @dataclass(frozen=True)
 class CenterReport:
     """Spectral vertex or spectral edge of a tree with simple lam2.
 
-    H1 and H2 are the positive and negative supports of the lam2
-    eigenvector. In the vertex case a unique zero vertex separates them and
-    lam1(H1) = lam1(H2) = lam2(T); in the edge case the supports partition
-    the tree across one edge (a, b) with the strict sandwich
-    lam1(Hi - root) < lam2(T) < lam1(Hi).
+    Vertex case: H1 and H2 are two branches at the vertex, with
+    lam1(H1) = lam1(H2) = lam2(T). Edge case: they are the two sides of the
+    edge (a, b), a in H1, with lam1(Hi - root) < lam2(T) < lam1(Hi). H1
+    holds the smaller vertex id; ``checks`` holds the enclosure midpoints.
     """
 
     kind: str
@@ -656,54 +648,62 @@ class CenterReport:
     h1: frozenset
     h2: frozenset
     checks: dict = field(compare=False)
-    tau: float = 0.0
+
+
+def _branch_vertices(t: Tree, w: int, v: int) -> frozenset:
+    """The vertices of the branch at w avoiding v."""
+    seen, stack = {v, w}, [w]
+    while stack:
+        for x in t.adjacency[stack.pop()]:
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
+    return frozenset(seen - {v})
 
 
 def spectral_center(t: Tree) -> CenterReport:
-    """Locate the spectral center from the lam2 eigenvector's sign pattern."""
-    ev = eigenvector(t, 2)
-    tt = top_two(t, TOL)
-    s_plus, s_minus, s_zero = ev.s_plus, ev.s_minus, ev.s_zero
-    h1, h2 = s_plus, s_minus
+    """Locate the spectral center from branch counts at lam2's bracket ends.
+
+    By interlacing, at most one branch at a vertex has lam1 above lam2. From
+    vertex 0, the walk steps into the branch whose count is positive at
+    lam2's ``hi``, or else into the only one positive at ``lo``. Stepping
+    back where it came from marks the spectral edge; two branches positive
+    at ``lo`` mark the spectral vertex, and are H1 and H2. The exact star
+    brackets (P3, K2) are probed one float below ``lo``. Where branch values
+    fall inside the bracket, nothing is certified at ``TOL``: the walk
+    reports the first place the counts stop resolving, and its checks hold
+    only within 2*TOL.
+    """
+    tt = _simple_lam2(t)
+    lo = tt.lam2_lo if tt.lam2_lo < tt.lam2_hi else math.nextafter(tt.lam2_lo, -math.inf)
+    parent, _, at_lo = _branches(*_rooted(t), lo)
+    at_hi = _branches(*_rooted(t), tt.lam2_hi)[2]
+    prev, v = -1, 0
+    while True:
+        step = [w for w in t.adjacency[v] if at_hi[_slot(parent, w, v)]]
+        if not step:
+            step = [w for w in t.adjacency[v] if at_lo[_slot(parent, w, v)]]
+            if len(step) > 1:
+                kind, sides = "spectral-vertex", [(step[0], v), (step[1], v)]
+                break
+        # no branch resolves only past vertex 0, whose counts repeat the
+        # bisection's: the walk then stops on the edge it came by
+        if (step[0] if step else prev) == prev:
+            kind, sides = "spectral-edge", [(prev, v), (v, prev)]
+            break
+        prev, v = v, step[0]
+    h1, h2 = sorted((_branch_vertices(t, *side) for side in sides), key=min)
 
     def lam1_mid(vertices):
         iv = lambda1_interval_of_vertices(t, vertices)
-        if iv is None:
-            return -math.inf
-        return 0.5 * (iv[0] + iv[1])
+        return -math.inf if iv is None else 0.5 * (iv[0] + iv[1])
 
-    separators = []
-    for v in s_zero:
-        nbrs = t.adjacency[v]
-        if any(w in s_plus for w in nbrs) and any(w in s_minus for w in nbrs):
-            separators.append(v)
-    if separators:
-        if len(separators) != 1:
-            raise RuntimeError(f"expected a unique separating zero vertex, found {separators}")
-        v = separators[0]
-        checks = {
-            "lam2": tt.lam2,
-            "lam1_h1": lam1_mid(h1),
-            "lam1_h2": lam1_mid(h2),
-        }
-        return CenterReport("spectral-vertex", v, None, h1, h2, checks, ev.tau)
-    crossing = [
-        (u, w)
-        for u, w in t.edges()
-        if (u in s_plus and w in s_minus) or (u in s_minus and w in s_plus)
-    ]
-    if len(crossing) != 1:
-        raise RuntimeError(f"expected a unique crossing edge, found {crossing}")
-    u, w = crossing[0]
-    a, b = (u, w) if u in s_plus else (w, u)
-    checks = {
-        "lam2": tt.lam2,
-        "lam1_h1": lam1_mid(h1),
-        "lam1_h2": lam1_mid(h2),
-        "lam1_h1_minus_a": lam1_mid(h1 - {a}),
-        "lam1_h2_minus_b": lam1_mid(h2 - {b}),
-    }
-    return CenterReport("spectral-edge", None, (a, b), h1, h2, checks, ev.tau)
+    checks = {"lam2": tt.lam2, "lam1_h1": lam1_mid(h1), "lam1_h2": lam1_mid(h2)}
+    if kind == "spectral-vertex":
+        return CenterReport(kind, v, None, h1, h2, checks)
+    checks["lam1_h1_minus_a"] = lam1_mid(h1 - {prev})
+    checks["lam1_h2_minus_b"] = lam1_mid(h2 - {v})
+    return CenterReport(kind, None, (prev, v), h1, h2, checks)
 
 
 # -- identities ---------------------------------------------------------------

@@ -506,8 +506,7 @@ def suite_identity(seed: int, jobs: int):
         t = _random_tree(rng, n)
         vals, vecs = dense_eigh(t)
         for k in (0, 1):
-            ev = EigenvectorData(float(vals[k]), tuple(float(x) for x in vecs[:, k]),
-                                 frozenset(), frozenset(), frozenset(), 0.0, 0.0)
+            ev = EigenvectorData(float(vals[k]), tuple(float(x) for x in vecs[:, k]), 0.0)
             r1, r2 = local_equation_residuals(t, ev)
             worst1 = max(worst1, r1)
             worst2 = max(worst2, r2)
@@ -518,8 +517,7 @@ def suite_identity(seed: int, jobs: int):
     # (a path, where the shifted vector is not in the identity's kernel)
     t = make_path(6)
     vals, vecs = dense_eigh(t)
-    bad = EigenvectorData(float(vals[0]), tuple(float(x) + 0.01 for x in vecs[:, 0]),
-                          frozenset(), frozenset(), frozenset(), 0.0, 0.0)
+    bad = EigenvectorData(float(vals[0]), tuple(float(x) + 0.01 for x in vecs[:, 0]), 0.0)
     r1, _ = local_equation_residuals(t, bad)
     rep.case("local-eq-rejects-perturbed", True, r1 > 1e-3, 0.0, r1 > 1e-3)
 

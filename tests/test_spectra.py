@@ -11,9 +11,14 @@ from spectrees.extremal import _dc_pair_intervals
 from spectrees.spectra import (
     EigenvectorData,
     Lambda2MultiplicityError,
+    SignCount,
+    TOL,
     TreeBatch,
+    _branches,
     _count_above,
+    _root_forest,
     _rooted,
+    _slot,
     adjacency_matrix,
     count_eigenvalues_above,
     dc_top_two_closed,
@@ -29,7 +34,7 @@ from spectrees.spectra import (
     spectral_sum_lower_bound,
     top_two,
 )
-from spectrees.trees import DoubleCometParams, Tree, make_double_comet, make_path, make_star
+from spectrees.trees import DoubleCometParams, Tree, TreeError, make_double_comet, make_path, make_star
 
 
 def random_tree(rng, n):
@@ -65,6 +70,43 @@ class TestCounting:
             t = random_tree(rng, rng.randrange(2, 14))
             c = count_eigenvalues_above(t, rng.uniform(-3, 3))
             assert c.n == t.n
+
+    def test_nan_probe_rejected(self):
+        p5 = make_path(5)
+        with pytest.raises(ValueError, match="NaN"):
+            count_eigenvalues_above(p5, math.nan)
+        batch = TreeBatch([[0, 1, 2, 3, 4], [0, 1, 1, 1, 1]])
+        for x in (math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError, match="NaN"):
+                batch.count_above(x)
+        assert count_eigenvalues_above(p5, math.inf) == SignCount(0, 0, 5)
+        assert count_eigenvalues_above(p5, -math.inf) == SignCount(5, 0, 0)
+
+    def test_branch_pass_counts_every_branch(self):
+        # each vertex's whole-tree count is the rooted count, and its branch
+        # counts sum to the count of the forest T - v. The integer probes
+        # meet zero pivots; they run on the small trees only, as on larger
+        # ones an eigenvalue at an integer may round to either side
+        rng = random.Random(17)
+        small = [t for n in range(2, 9) for t in enumerate_free_trees(n)]
+        large = [random_tree(rng, rng.randrange(9, 40)) for _ in range(30)]
+        zeros = 0
+        for t in small + large:
+            order, children = _rooted(t)
+            n = t.n
+            probes = [0.0, rng.uniform(-3, 3)] + ([1.0, -1.0, 2.0] if n <= 8 else [])
+            for x in probes:
+                above = _count_above(order, children, x)[0]
+                parent, piv, cnt = _branches(order, children, x)
+                for v in range(n):
+                    zeros += sum(piv[_slot(parent, w, v)] == 0.0 for w in t.adjacency[v])
+                    assert cnt[2 * n + v] == above, (t.edges(), x, v)
+                    keep = [u for u in range(n) if u != v]
+                    index = {u: i for i, u in enumerate(keep)}
+                    forest = [[index[w] for w in t.adjacency[u] if w != v] for u in keep]
+                    branches = sum(cnt[_slot(parent, w, v)] for w in t.adjacency[v])
+                    assert branches == _count_above(*_root_forest(forest), x)[0], (t.edges(), x, v)
+        assert zeros > 0, "no probe met a zero branch pivot"
 
 
 class TestTopTwo:
@@ -218,7 +260,7 @@ class TestEigenvectors:
 
     def test_comet_second_vector_antisymmetric(self):
         ev = eigenvector(DC223, 2)
-        assert ev.s_zero == {1}
+        assert abs(ev.entries[1]) < 1e-9
         # halves carry opposite signs
         assert ev.entries[0] * ev.entries[2] < 0
 
@@ -246,9 +288,25 @@ class TestEigenvectors:
             except Lambda2MultiplicityError:
                 continue
             assert ev2.residual <= 1e-8
-            # sign convention: first supported vertex is positive
-            lead = min(v for v in range(t.n) if abs(ev2.entries[v]) > ev2.tau)
-            assert ev2.entries[lead] > 0
+            # sign convention: the first entry of largest magnitude is positive
+            assert max(ev2.entries, key=abs) > 0
+
+    def test_every_small_tree_and_exact_zero_pivots(self):
+        # P3's lam2 vector meets exact zero branch pivots (mu = 0); K2 has
+        # exact brackets, P5 and DC(2,2,3) integer and square-root spectra
+        special = [make_path(3), make_path(2), make_path(5), DC223]
+        for t in special + [t for n in range(2, 11) for t in enumerate_free_trees(n)]:
+            vals = dense_spectrum_oracle(t)
+            for which in (1, 2):
+                try:
+                    ev = eigenvector(t, which)
+                except Lambda2MultiplicityError:
+                    continue
+                assert all(math.isfinite(x) for x in ev.entries)
+                assert abs(math.fsum(x * x for x in ev.entries) - 1.0) < 1e-12
+                assert ev.residual <= 1e-11, (t.edges(), which)
+                assert abs(ev.value - vals[which - 1]) < 1e-9
+            assert all(x > 0 for x in eigenvector(t, 1).entries), t.edges()
 
 
 class TestSpectralCenter:
@@ -278,13 +336,41 @@ class TestSpectralCenter:
         assert lambda1_interval_of_vertices(make_path(6), []) is None
         assert lambda1_interval_of_vertices(make_path(6), [0]) == (0.0, 0.0)
 
+    def test_induced_lambda1_rejects_bad_vertices(self):
+        for bad in ([-1, 3], [7], [0, 5]):
+            with pytest.raises(TreeError) as err:
+                lambda1_interval_of_vertices(make_path(5), bad)
+            assert err.value.reason == "vertex-range"
+
+    def test_random_trees_of_order_200_to_800(self):
+        rng = random.Random(4)
+        for _ in range(10):
+            t = random_tree(rng, rng.randrange(200, 801))
+            rep = spectral_center(t)
+            c, lam2 = rep.checks, rep.checks["lam2"]
+            assert not rep.h1 & rep.h2 and min(rep.h1) < min(rep.h2)
+            if rep.kind == "spectral-vertex":
+                # H1 and H2 are two components of T - vertex
+                v = rep.vertex
+                assert v not in rep.h1 | rep.h2
+                for h in (rep.h1, rep.h2):
+                    outside = {w for u in h for w in t.adjacency[u]} - h
+                    assert outside == {v}
+                assert abs(c["lam1_h1"] - lam2) <= 2 * TOL and abs(c["lam1_h2"] - lam2) <= 2 * TOL
+            else:
+                a, b = rep.edge
+                assert rep.h1 | rep.h2 == set(range(t.n)) and a in rep.h1 and b in rep.h2
+                assert [(u, w) for u in rep.h1 for w in t.adjacency[u] if w in rep.h2] == [(a, b)]
+                margin = min(c["lam1_h1"] - lam2, c["lam1_h2"] - lam2,
+                             lam2 - c["lam1_h1_minus_a"], lam2 - c["lam1_h2_minus_b"])
+                assert margin >= -2 * TOL
+
 
 class TestIdentities:
     def test_local_equations_on_oracle_pair(self):
         t = make_double_comet(DoubleCometParams(3, 1, 4))
         vals, vecs = dense_eigh(t)
-        ev = EigenvectorData(float(vals[0]), tuple(map(float, vecs[:, 0])),
-                             frozenset(), frozenset(), frozenset(), 0.0, 0.0)
+        ev = EigenvectorData(float(vals[0]), tuple(map(float, vecs[:, 0])), 0.0)
         r1, r2 = local_equation_residuals(t, ev)
         assert r1 <= 1e-8 and r2 <= 1e-8
 
@@ -297,8 +383,7 @@ class TestIdentities:
     def test_perturbed_vector_detected(self):
         t = make_path(6)
         vals, vecs = dense_eigh(t)
-        bad = EigenvectorData(float(vals[0]), tuple(float(x) + 0.01 for x in vecs[:, 0]),
-                              frozenset(), frozenset(), frozenset(), 0.0, 0.0)
+        bad = EigenvectorData(float(vals[0]), tuple(float(x) + 0.01 for x in vecs[:, 0]), 0.0)
         r1, _ = local_equation_residuals(t, bad)
         assert r1 > 1e-3
 
