@@ -29,12 +29,12 @@ its long comets as leaf-count arrays, one path order at a time, and builds
 parameters only for the comets it evaluates (``_dc_candidates``).
 
 The envelope treats each tree as the line alpha -> lam2 + alpha*(lam1 -
-lam2) and keeps the upper hull in one monotone-chain pass over the lines
-sorted by slope; breakpoints are exact pairwise intersections of
-supporting lines.
-Both families share one line pass: codes are only built for the witnesses
-of hull lines and for members whose rounded lines collide with different
-floats.
+lam2) and keeps the upper hull in one monotone-chain pass (``_upper_hull``);
+codes are only built for the witnesses of hull lines and for members whose
+rounded lines collide with different floats. Comets screen their long
+members by the search's bound, against the hull of the short comets'
+lower-end lines (``_Comets.midpoints``): a comet left out lies more than
+_SAFETY - TOL below the envelope on [0, 1], so it can change no segment.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from itertools import takewhile
 from multiprocessing import get_context
 
 import numpy as np
@@ -53,7 +54,6 @@ from .enumeration import (
     _level_seq_edges,
     double_comet_arrays,
     double_comet_group_params,
-    double_comet_params,
     free_tree_level_chunks,
 )
 from .spectra import (
@@ -192,23 +192,28 @@ def _dc_pair_intervals(params, tol: float):
 def _dc_upper_bound(k1, k2, c):
     """Elementwise upper bounds on c1*lam1 + c2*lam2 (c2 >= 0), to discard long comets unbisected.
 
-    ``k1`` and ``k2`` are leaf-count arrays. Valid for ell >= 4: lam1^2 is
-    at most the largest row sum of A^2, which is max(k)+3, and lam2 is at
-    most lam1 of the broom left after deleting the bigger hub
-    (interlacing), at most sqrt(min(k)+3); the constant 4 floors both for
-    nearly bare paths.
+    ``k1`` and ``k2`` are leaf-count arrays; c = (1, -1) gives the psi bound
+    line's slope. Valid for ell >= 4: lam1^2 is at most the largest row sum
+    of A^2, which is max(k)+3, and lam2 is at most lam1 of the broom left
+    after deleting the bigger hub (interlacing), at most sqrt(min(k)+3);
+    the constant 4 floors both for nearly bare paths.
     """
     u1 = np.sqrt(np.maximum(4.0, np.maximum(k1, k2) + 3.0))
     u2 = np.sqrt(np.maximum(4.0, np.minimum(k1, k2) + 3.0))
     return c[0] * u1 + c[1] * u2
 
 
+def _dc_short(n: int):
+    """Parameters of the short comets (path order <= 3: the star, and the path when n <= 3) by path order."""
+    groups = takewhile(lambda g: g[0] <= 3 or g[0] == n, double_comet_arrays(n))  # the path leads
+    return {ell: double_comet_group_params(ell, k1, k2) for ell, k1, k2 in groups if ell <= 3}
+
+
 def _dc_candidates(fam, c, objective: str, exclude):
     """Certified (params, lo, hi) rows of the comet family, its size and a discard bound.
 
-    The short comets (path order at most 3, the star, and the path when
-    n <= 3) are evaluated first, then the ell >= 4 comets, taken as
-    leaf-count arrays one path order at a time from ``double_comet_arrays``.
+    The short comets (``_dc_short``) are evaluated first, then the ell >= 4
+    comets, as leaf-count arrays one path order at a time.
     Maximizing keys with c2 >= 0 screen those by _dc_upper_bound against
     the best lower end among the short ones (the bar), one ``max`` per path
     order deciding whether any of its comets survives. That discards all
@@ -226,13 +231,7 @@ def _dc_candidates(fam, c, objective: str, exclude):
         ps = [p for p in ps if not (exclude and fam.code(p) in exclude)]
         return [(p, *_key_interval(c, *iv)) for p, iv in zip(ps, _dc_pair_intervals(ps, TOL))]
 
-    short = []
-    for ell, k1, k2 in double_comet_arrays(fam.n):
-        if 4 <= ell < fam.n:
-            break  # the path (ell = n) came first; path orders only rise from here
-        if ell <= 3:
-            short += double_comet_group_params(ell, k1, k2)
-    pool = rows(short)
+    pool = rows([p for ps in _dc_short(fam.n).values() for p in ps])
     # a comet is screened out when its bound is below the bar; unpruned keys screen nothing out
     bar = max((lo for _, lo, _ in pool), default=-math.inf) if maximize and c[1] >= 0 else -math.inf
     size, kept, discard_bound = 0, [], -math.inf
@@ -429,9 +428,32 @@ class _Comets(_Family):
     """The double comets of order n; a member is its ``DoubleCometParams``."""
 
     def midpoints(self):
-        """(lam1, lam2, member) per comet."""
-        params = double_comet_params(self.n)
-        for p, ((l1_lo, l1_hi), (l2_lo, l2_hi)) in zip(params, _dc_pair_intervals(params, TOL)):
+        """(lam1, lam2, member) per comet that can reach the hull, in ``double_comet_params`` order.
+
+        Short comets (path order <= 3) are bisected first. A long one is kept
+        iff its ``_dc_upper_bound`` line comes within _SAFETY of the upper
+        hull of their lower-end lines: the line minus that convex hull is
+        concave, so it peaks where the hull's slope reaches the line's. A
+        dropped comet lies over _SAFETY - TOL below the envelope, so no
+        segment changes; only the comets kept get parameters.
+        """
+        short = _dc_short(self.n)
+        members = [p for ps in short.values() for p in ps]
+        ivs = dict(zip(members, _dc_pair_intervals(members, TOL)))
+        hull = _upper_hull([(l1[0], l2[0]) for l1, l2 in ivs.values()])
+        xs = np.array([lo for lo, _, _ in hull] + [1.0])
+        slopes = np.array([l1 - l2 for _, _, (l1, l2) in hull])
+        floor = np.array([l2 + x * (l1 - l2) for x, (*_, (l1, l2)) in zip(xs.tolist(), hull + hull[-1:])])
+        params = []
+        for ell, k1, k2 in double_comet_arrays(self.n):
+            if ell > 3:
+                j = np.searchsorted(slopes, _dc_upper_bound(k1, k2, (1.0, -1.0)))  # the bound line's slope
+                keep = _dc_upper_bound(k1, k2, (xs[j], 1.0 - xs[j])) >= floor[j] - _SAFETY
+            params += short[ell] if ell <= 3 else double_comet_group_params(ell, k1[keep], k2[keep])
+        rest = [p for p in params if p not in ivs]
+        ivs.update(zip(rest, _dc_pair_intervals(rest, TOL)))
+        for p in params:
+            (l1_lo, l1_hi), (l2_lo, l2_hi) = ivs[p]
             yield 0.5 * (l1_lo + l1_hi), 0.5 * (l2_lo + l2_hi), p
 
     def tree(self, m) -> Tree:
@@ -622,8 +644,8 @@ def _envelope_lines(fam: _Family):
     return list(lines.values())
 
 
-def envelope(n: int, family: str = "all") -> PiecewiseLinear:
-    """Exact upper envelope of the family's lines over alpha in [0, 1].
+def _upper_hull(lines):
+    """(alpha_lo, alpha_hi, line) per segment of the upper hull of (lam1, lam2, ...) lines on [0, 1].
 
     One monotone-chain pass over the lines sorted by (slope, intercept): a
     line whose slope rounds to 12 decimals like the hull top's replaces the
@@ -631,14 +653,13 @@ def envelope(n: int, family: str = "all") -> PiecewiseLinear:
     The breakpoints, 0, the crossings of consecutive hull lines and 1, are
     clipped to [0, 1], and segments of zero width are dropped.
     """
-    fam = _family(n, family)
 
     def isect(a, b):
         # alpha where line a and line b cross
         return (b[1] - a[1]) / ((a[0] - a[1]) - (b[0] - b[1]))
 
     hull = []
-    for line in sorted(_envelope_lines(fam), key=lambda r: (r[0] - r[1], r[1])):
+    for line in sorted(lines, key=lambda r: (r[0] - r[1], r[1])):
         if hull and round(line[0] - line[1], 12) == round(hull[-1][0] - hull[-1][1], 12):
             if line[1] <= hull[-1][1] + 1e-15:
                 continue
@@ -646,13 +667,20 @@ def envelope(n: int, family: str = "all") -> PiecewiseLinear:
         while len(hull) >= 2 and isect(line, hull[-2]) <= isect(hull[-1], hull[-2]):
             hull.pop()
         hull.append(line)
-    cuts = [0.0] + [isect(b, a) for a, b in zip(hull, hull[1:])] + [1.0]
-    segments = []
-    for (l1, l2, members), lo, hi in zip(hull, cuts, cuts[1:]):
-        lo, hi = max(0.0, lo), min(1.0, hi)
-        if lo < hi:
-            segments.append(Segment(lo, hi, l1, l2, min(map(fam.code, members))))
-    return PiecewiseLinear(n, family, tuple(segments))
+    cuts = [0.0] + [min(1.0, max(0.0, isect(b, a))) for a, b in zip(hull, hull[1:])] + [1.0]
+    return [(lo, hi, line) for line, lo, hi in zip(hull, cuts, cuts[1:]) if lo < hi]
+
+
+def envelope(n: int, family: str = "all") -> PiecewiseLinear:
+    """Exact upper envelope of the family's lines over alpha in [0, 1], by ``_upper_hull``.
+
+    Comets offer only the lines that can reach the hull (``_Comets.midpoints``);
+    the rest lie over 1e-9 below it, so no segment, witness or float changes.
+    """
+    fam = _family(n, family)
+    segments = tuple(Segment(lo, hi, l1, l2, min(map(fam.code, members)))
+                     for lo, hi, (l1, l2, members) in _upper_hull(_envelope_lines(fam)))
+    return PiecewiseLinear(n, family, segments)
 
 
 def normalized_envelope(n: int, family: str = "all") -> PiecewiseLinear:

@@ -1,11 +1,11 @@
 """Certified adjacency eigenvalues of trees.
 
-The workhorse is an O(n) elimination pass on A - xI that returns the exact
+The workhorse is an O(n) elimination pass on A - xI that returns the
 number of eigenvalues above, equal to, and below x (Sylvester inertia via
 leaf-to-root pivoting; a zero child pivot severs the edge to the parent in
-its limit form, the parent's pivot -inf). Bisection on that count gives
-enclosing intervals for the two largest eigenvalues with no dependence on
-floating-point eigensolvers.
+its limit form, the parent's pivot -inf), exact unless an eigenvalue lies
+within rounding distance of x. Bisection on that count gives enclosing
+intervals for the two largest eigenvalues with no floating-point eigensolver.
 ``TOL`` is the width of every public enclosure; only ``top_two`` and
 ``TreeBatch.top_two`` take another, which ``spectrum --tol`` sets.
 ``_bisect_count`` is the one scalar bisection loop: it takes any count
@@ -160,10 +160,11 @@ def _above_counter(order, children):
 
 
 def count_eigenvalues_above(t: Tree, x: float) -> SignCount:
-    """Exact eigenvalue counts of A(t) relative to x.
+    """Eigenvalue counts of A(t) relative to x; no eigenvalue is ever computed.
 
-    The counts are exact for the floating-point value actually probed; no
-    eigenvalue is ever computed.
+    Exact unless an eigenvalue lies within rounding distance of x, roughly
+    eps*deg*(|x| + deg): each such eigenvalue, one equal to x included, can
+    put a count off by one, as an exact zero pivot may round to a tiny float.
     """
     x = float(x)
     if math.isnan(x):

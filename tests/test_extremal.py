@@ -468,6 +468,47 @@ class TestEnvelope:
         alone = [_dc_pair_intervals([p], 1e-14)[0] for p in params]
         assert repr(_dc_pair_intervals(params, 1e-14)) == repr(alone)
 
+    def test_envelope_screen_is_exact(self, monkeypatch):
+        # every comet the envelope leaves unevaluated has its 1e-14 upper-end line more
+        # than 1e-9 below the envelope; with the screen off the envelopes are the same
+        pair_intervals = extremal._dc_pair_intervals
+        evaluated = set()
+
+        def recording(params, tol):
+            evaluated.update(params)
+            return pair_intervals(params, tol)
+
+        monkeypatch.setattr(extremal, "_dc_pair_intervals", recording)
+        for n in (30, 61, 110):
+            evaluated.clear()
+            env = envelope(n, "dc")
+            skipped = [p for p in double_comet_params(n) if p not in evaluated]
+            assert skipped, n
+            ends = np.array([a for s in env.segments for a in (s.alpha_lo, s.alpha_hi)])
+            floor = np.array([env.value(a) for a in ends.tolist()])
+            ivs = pair_intervals(skipped, 1e-14)
+            l1, l2 = np.array([a[1] for a, _ in ivs]), np.array([b[1] for _, b in ivs])
+            gap = floor - (l2[:, None] + ends * (l1 - l2)[:, None])
+            assert gap.min() > 1e-9, (n, skipped[int(gap.min(axis=1).argmin())])
+        monkeypatch.setattr(extremal, "_dc_pair_intervals", pair_intervals)
+        orders = [*range(2, 41), 60, 85, 110]
+        screened = [repr(envelope(n, "dc")) for n in orders]
+        monkeypatch.setattr(extremal, "_dc_upper_bound", lambda k1, k2, c: np.full(k1.shape, np.inf))
+        assert [repr(envelope(n, "dc")) for n in orders] == screened
+
+    def test_envelope_screen_work_budget(self, monkeypatch):
+        # 397 short comets and the long ones that reach their hull, each built
+        # once, against 39602 comets in the family
+        built = [0]
+
+        def counting(*p):
+            built[0] += 1
+            return DoubleCometParams(*p)
+
+        monkeypatch.setattr(enumeration, "DoubleCometParams", counting)
+        envelope(400, "dc")
+        assert built[0] <= 1500, built[0]
+
     def test_only_hull_lines_are_coded(self, monkeypatch):
         calls = [0]
 

@@ -64,6 +64,17 @@ class TestCounting:
         c = count_eigenvalues_above(DC223, 2.0)
         assert c.above == 0 and c.equal == 1
 
+    @pytest.mark.xfail(strict=True, reason="a probe at an exact eigenvalue can round a zero pivot to "
+                       "+1.8e-15 and count that eigenvalue above; see count_eigenvalues_above")
+    def test_exact_eigenvalue_probe_on_a_forest(self):
+        # T - 4 of this order-11 tree has a component with lam1 = 2 exactly; Fraction
+        # pivots count 0 eigenvalues above 2 and 1 equal, the float pass (1, 0)
+        t = Tree(11, [(0, 8), (1, 7), (1, 9), (2, 9), (2, 10), (3, 10), (4, 6), (4, 9), (5, 7), (8, 10)])
+        keep = [u for u in range(11) if u != 4]
+        index = {u: i for i, u in enumerate(keep)}
+        forest = [[index[w] for w in t.adjacency[u] if w != 4] for u in keep]
+        assert _count_above(*_root_forest(forest), 2.0) == (0, 1)
+
     def test_counts_total(self):
         rng = random.Random(3)
         for _ in range(30):
