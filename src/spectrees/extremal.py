@@ -8,16 +8,16 @@ the scan's early stops all derive from (c1, c2) and the tree facts
 0 <= lam2 <= lam1 (n >= 3); the one bound tied to a key is the two-hub
 bound on the spectral sum. Searches keep certified enclosures for every
 candidate, prune against a deterministic baseline (the double-comet family for maxima, path and star
-for minima), and refine tolerances adaptively until the winner separates
-or a tie survives at the floor tolerance. All pruning bounds are one-sided
-certificates, so reported winners are exact regardless of worker count or
-scan order.
+for minima), and certify every candidate that can still win once, at
+``TOL``: a winner separates from the rest at that width or a tie is
+reported. All pruning bounds are one-sided certificates, so reported
+winners are exact regardless of worker count or scan order.
 
 Both families (all trees, double comets) are ``_Family`` objects whose
 members are level sequences stored as bytes or ``DoubleCometParams``.
-Searches carry uncoded (member, lo, hi) rows through one survivor filter
-and one refinement loop. The all-tree scan, the comet screen and the
-filter follow one discard rule: each dropped row's far end joins the
+Searches carry uncoded (member, lo, hi) rows, certified at ``TOL``, through
+one survivor filter (``_survivors``). The all-tree scan, the comet screen
+and the filter follow one discard rule: each dropped row's far end joins the
 bound the runner-up margin is measured against. A Tree and a canonical
 code are built only for the winners, or for every evaluated member when
 ``exclude`` is nonempty.
@@ -73,7 +73,6 @@ from .trees import (
 
 _FIXED_COEFFS = {"sum": (1.0, 1.0), "lam1": (1.0, 0.0), "lam2": (0.0, 1.0), "gap": (1.0, -1.0)}
 KEYS = ("psi", *_FIXED_COEFFS)
-_TOL_SCHEDULE = (1e-10, 1e-12, 1e-14)
 _COARSE_TOL = 1e-6
 _SAFETY = 1e-9  # slack for the rounding of the float-evaluated comet screen and two-hub bounds
 
@@ -261,7 +260,7 @@ class _Scan:
     (c_lo = c1 + min(c2, 0), c_hi = c1 + max(c2, 0)), which stops the lam1
     bisection; the lam2 bisection stops once lam2 is certified past the
     point where c1*lam1 + c2*lam2 crosses the baseline (at once for a row
-    out on lam1 alone). Like ``survivors``, every dropped row folds its far
+    out on lam1 alone). Like ``_survivors``, every dropped row folds its far
     end (hi when maximizing, lo when minimizing) into ``far``, which stays
     -inf or +inf when nothing is dropped; excluded rows are never dropped.
     Called on a chunk, it returns the surviving rows (level sequence as
@@ -360,7 +359,7 @@ def _baseline(fam, coeffs, objective: str, exclude):
         return lo, hi
     ms = [m for m in (bytes(range(fam.n)), bytes([0] + [1] * (fam.n - 1)))  # level sequences of path and star
           if not (exclude and fam.code(m) in exclude)]
-    ivs = [_key_interval(coeffs, *iv) for iv in fam.pair_intervals(ms, TOL)]
+    ivs = [_key_interval(coeffs, *iv) for iv in fam.pair_intervals(ms)]
     return min(ivs, key=lambda iv: iv[1], default=(-math.inf, math.inf))
 
 
@@ -371,8 +370,9 @@ def _baseline(fam, coeffs, objective: str, exclude):
 class _Family:
     """The members of one tree family: how to evaluate, build and code each.
 
-    Searches carry members uncoded in (member, lo, hi) rows and envelopes
-    in (lam1, lam2, member) midpoints; ``code`` and ``candidate`` are only
+    Searches carry members uncoded in (member, lo, hi) rows, which
+    ``search_rows`` hands over certified at ``TOL``, and envelopes in
+    (lam1, lam2, member) midpoints; ``code`` and ``candidate`` are only
     called for the members a search reports or an envelope witnesses, and
     for the members a nonempty ``exclude`` must be tested against.
     """
@@ -400,15 +400,19 @@ class _AllTrees(_Family):
     def tree(self, m) -> Tree:
         return Tree(self.n, self.edges(m))
 
-    def pair_intervals(self, ms, tol: float):
-        tts = [top_two(self.tree(m), tol) for m in ms]
+    def pair_intervals(self, ms):
+        tts = [top_two(self.tree(m), TOL) for m in ms]
         return [((tt.lam1_lo, tt.lam1_hi), (tt.lam2_lo, tt.lam2_hi)) for tt in tts]
 
     def candidate(self, m, lo: float, hi: float) -> Candidate:
         return Candidate(self.code(m), self.edges(m), lo, hi)
 
     def search_rows(self, key: str, coeffs, objective: str, exclude, jobs: int):
-        """Rows surviving the coarse scan, the class count and the best far end among the rows it dropped."""
+        """Rows certified at TOL, the class count and the best far end among the rows dropped.
+
+        Only the coarse rows left by ``_survivors`` are certified, each by one
+        ``top_two``; a star's row (``_star_intervals``) is narrower already.
+        """
         lo_base, hi_base = _baseline(self, coeffs, objective, exclude)
         scan = _Scan(self, key, coeffs, objective, lo_base, hi_base, exclude)
         chunks = free_tree_level_chunks(self.n)
@@ -421,7 +425,13 @@ class _AllTrees(_Family):
         scanned = sum(count for _, _, count in results)
         # a fold of the chunks' folds, so the bound does not depend on chunk order
         fold = max if objective == "max" else min
-        return rows, scanned, fold(far for _, far, _ in results)
+        bound = fold(far for _, far, _ in results)
+        if not rows:  # exclude held every class
+            return rows, scanned, bound
+        rows, bound = _survivors(rows, objective == "max", bound)
+        ivs = iter(self.pair_intervals([m for m, lo, hi in rows if hi - lo > TOL]))
+        rows = [(m, lo, hi) if hi - lo <= TOL else (m, *_key_interval(coeffs, *next(ivs))) for m, lo, hi in rows]
+        return rows, scanned, bound
 
 
 class _Comets(_Family):
@@ -459,15 +469,12 @@ class _Comets(_Family):
     def tree(self, m) -> Tree:
         return make_double_comet(m)
 
-    def pair_intervals(self, ms, tol: float):
-        return _dc_pair_intervals(ms, tol)
-
     def candidate(self, m, lo: float, hi: float) -> Candidate:
         t = self.tree(m)
         return Candidate(canonical_code(t).decode(), tuple(t.edges()), lo, hi, m)
 
     def search_rows(self, key: str, coeffs, objective: str, exclude, jobs: int):
-        """Every evaluated comet's row, the family size and the screen's discard bound."""
+        """Every evaluated comet's row, born at TOL, the family size and the screen's discard bound."""
         return _dc_candidates(self, coeffs, objective, exclude)
 
 
@@ -494,6 +501,19 @@ def _family(n, family: str) -> _Family:
     raise ValueError(f"unknown family {family!r}")
 
 
+def _survivors(rows, maximize: bool, bound: float):
+    """The rows that can still win, and ``bound`` with the far end of each row dropped folded in.
+
+    A row is dropped when it is certified past the best near end (the bar),
+    and its far end is all the runner-up margin needs of it.
+    """
+    if maximize:
+        bar = max(lo for _, lo, _ in rows)
+        return [r for r in rows if r[2] >= bar], max([hi for _, _, hi in rows if hi < bar] + [bound])
+    bar = min(hi for _, _, hi in rows)
+    return [r for r in rows if r[1] <= bar], min([lo for _, lo, _ in rows if lo > bar] + [bound])
+
+
 def _tie_proven_exact(winners) -> bool:
     """True when all tied winners are short comets with identical quartics."""
     sigs = set()
@@ -517,7 +537,7 @@ def search_extremal(
 ) -> ExtremalResult:
     """Certified extremal tree(s) for the key over T(n) or the comet family.
 
-    Winners come with enclosures refined down to 1e-14 when needed; a
+    Every candidate that can still win is certified once, at ``TOL``; a
     unique winner is certified by interval separation from every other
     candidate. Surviving ties are reported as a set, flagged ``tie_proven``
     when closed forms prove exact equality (short comets only).
@@ -532,35 +552,10 @@ def search_extremal(
     pool, scanned, discard_bound = fam.search_rows(key, coeffs, objective, exclude, jobs)
     if not pool:
         raise ValueError("search excluded every tree in the family")
-
-    def refine(rows, tol):
-        ivs = iter(fam.pair_intervals([m for m, lo, hi in rows if hi - lo > tol], tol))
-        return [(m, lo, hi) if hi - lo <= tol else (m, *_key_interval(coeffs, *next(ivs)))
-                for m, lo, hi in rows]
-
-    def survivors(rows):
-        # each non-winner is dropped exactly once; its far end at that point
-        # joins discard_bound, which is all the runner-up margin needs
-        nonlocal discard_bound
-        if maximize:
-            bar = max(lo for _, lo, _ in rows)
-            discard_bound = max([hi for _, _, hi in rows if hi < bar] + [discard_bound])
-            return [r for r in rows if r[2] >= bar]
-        bar = min(hi for _, _, hi in rows)
-        discard_bound = min([lo for _, lo, _ in rows if lo > bar] + [discard_bound])
-        return [r for r in rows if r[1] <= bar]
-
-    pool = survivors(pool)
-    for tol in _TOL_SCHEDULE:
-        if len(pool) == 1:
-            break
-        pool = survivors(refine(pool, tol))
-    winners = tuple(sorted((fam.candidate(*r) for r in refine(pool, TOL)), key=lambda c: c.code))
-    resolved = len(winners) == 1
-    tie_proven = False
-    if not resolved:
-        tie_proven = _tie_proven_exact(winners)
-        resolved = tie_proven
+    pool, discard_bound = _survivors(pool, maximize, discard_bound)
+    winners = tuple(sorted((fam.candidate(*r) for r in pool), key=lambda c: c.code))
+    tie_proven = len(winners) > 1 and _tie_proven_exact(winners)
+    resolved = len(winners) == 1 or tie_proven
 
     runner_up_gap = None
     if math.isfinite(discard_bound):

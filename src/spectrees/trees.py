@@ -14,6 +14,7 @@ used for tie-breaking everywhere else.
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 
@@ -45,9 +46,13 @@ class DoubleCometParams:
     ell: int
 
     def __post_init__(self):
-        if self.ell < 1:
+        try:
+            k1, k2, ell = operator.index(self.k1), operator.index(self.k2), operator.index(self.ell)
+        except TypeError:
+            raise TreeError("vertex-count", f"leaf counts and path order must be integers, got {self!r}") from None
+        if ell < 1:
             raise TreeError("vertex-count", f"path order must be >= 1, got {self.ell}")
-        if self.k1 < 0 or self.k2 < 0:
+        if k1 < 0 or k2 < 0:
             raise TreeError("vertex-count", f"leaf counts must be >= 0, got ({self.k1}, {self.k2})")
 
     @property
@@ -69,24 +74,7 @@ class Tree:
     def __init__(self, n: int, edges):
         if not isinstance(n, int) or n < 1:
             raise TreeError("vertex-count", f"vertex count must be a positive integer, got {n!r}")
-        seen = set()
-        pairs = []
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise TreeError("vertex-range", f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise TreeError("self-loop", f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise TreeError("duplicate-edge", f"duplicate edge ({key[0]}, {key[1]})")
-            seen.add(key)
-            pairs.append(key)
-        if len(pairs) > n - 1:
-            raise TreeError("cyclic", f"{len(pairs)} edges on {n} vertices form a cycle")
-        if len(pairs) < n - 1:
-            raise TreeError("disconnected", f"{len(pairs)} edges cannot connect {n} vertices")
-        # n-1 edges: union-find distinguishes a cycle (failed merge) from
-        # plain disconnection, though with this edge count one implies the other.
+        # union-find over the edges in order: a failed merge closes a cycle, n-1 merges connect
         parent = list(range(n))
 
         def find(x):
@@ -95,14 +83,30 @@ class Tree:
                 x = parent[x]
             return x
 
+        seen = set()
         adj = [[] for _ in range(n)]
-        for u, v in pairs:
-            ru, rv = find(u), find(v)
-            if ru == rv:
-                raise TreeError("cyclic", f"edge ({u}, {v}) closes a cycle")
-            parent[ru] = rv
-            adj[u].append(v)
-            adj[v].append(u)
+        try:
+            for u, v in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise TreeError("vertex-range", f"edge ({u}, {v}) out of range for n={n}")
+                if u == v:
+                    raise TreeError("self-loop", f"self-loop at vertex {u}")
+                key = (u, v) if u < v else (v, u)
+                if key in seen:
+                    raise TreeError("duplicate-edge", f"duplicate edge ({key[0]}, {key[1]})")
+                seen.add(key)
+                ru, rv = find(u), find(v)
+                if ru == rv:
+                    raise TreeError("cyclic", f"edge ({key[0]}, {key[1]}) closes a cycle")
+                parent[ru] = rv
+                adj[u].append(v)
+                adj[v].append(u)
+        except TreeError:
+            raise
+        except (TypeError, ValueError):  # an edge that is not a pair, or a vertex that is not an integer
+            raise TreeError("vertex-range", f"edges must be pairs of integer vertex ids for n={n}") from None
+        if len(seen) < n - 1:
+            raise TreeError("disconnected", f"{len(seen)} edges cannot connect {n} vertices")
         self.n = n
         self.adjacency = tuple(tuple(sorted(a)) for a in adj)
         self._code = None

@@ -304,19 +304,29 @@ class TestSearch:
                         assert extremal._key_interval(c, *intervals[p])[1] <= bound, (n, key, alpha, p)
 
     def test_searches_code_only_winners(self, monkeypatch):
-        calls = [0]
+        # and certify each all-tree member once, at TOL: no refinement schedule re-bisects it
+        calls, certified = [0], []
 
         def counting(t):
             calls[0] += 1
             return canonical_code(t)
 
+        def recording(t, tol=TOL):
+            certified.append((t.adjacency, tol))
+            return top_two(t, tol)
+
         monkeypatch.setattr(extremal, "canonical_code", counting)
-        for n, family in ((12, "all"), (16, "all"), (26, "dc"), (60, "dc")):
+        monkeypatch.setattr(extremal, "top_two", recording)
+        # lam2 max ties at n = 13 and 27
+        for n, family in ((12, "all"), (13, "all"), (16, "all"), (26, "dc"), (27, "dc"), (60, "dc")):
             for key, objective, alpha in (("sum", "max", None), ("sum", "min", None), ("psi", "max", 0.7),
                                           ("gap", "min", None), ("lam2", "max", None)):
                 calls[0] = 0
+                certified.clear()
                 res = search_extremal(n, alpha=alpha, objective=objective, family=family, key=key)
                 assert calls[0] == len(res.winners), (n, family, key, objective, calls[0])
+                assert all(tol == TOL for _, tol in certified), (n, family, key, objective, certified)
+                assert len({a for a, _ in certified}) == len(certified), (n, family, key, objective)
 
     def test_discard_fold_is_worker_independent(self):
         # n = 15 has 7741 classes in 4 chunks; the lam2 runs exclude the maximizers
@@ -403,6 +413,21 @@ def test_comet_and_star_brackets_pass_exact_inertia():
         for l1, l2 in pairs + _dc_pair_intervals([DoubleCometParams(n - 1, 0, 1)], TOL):
             assert Fraction(l1[0]) ** 2 < n - 1 < Fraction(l1[1]) ** 2, (n, l1)
             assert_star_pair(n, l1, l2)
+
+
+def test_comet_tie_brackets_pass_exact_inertia():
+    # the lam2 maximizers tie at lam2 = sqrt((n-3)/2) for odd n; each winner's bracket,
+    # certified once at TOL, holds lam2 by exact counts at both ends (brackets narrowed
+    # to 1e-14 missed it at n = 201 and 1001)
+    for n in (201, 1001, *range(7, 40, 2)):
+        for key, alpha in (("lam2", None), ("psi", 0.0)):
+            res = search_extremal(n, alpha=alpha, family="dc", key=key)
+            assert len(res.winners) > 1, (n, key)
+            for w in res.winners:
+                p, lo, hi = w.params, w.lo, w.hi
+                assert hi - lo <= TOL, (n, key, p, lo, hi)
+                assert sum(exact_quotient_counts(p, lo)) >= 2, (n, key, p, lo)
+                assert exact_quotient_counts(p, hi)[0] < 2, (n, key, p, hi)
 
 
 class TestEnvelope:

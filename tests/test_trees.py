@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from spectrees.trees import (
@@ -54,6 +55,11 @@ def test_double_comet_rejects_bad_params():
         DoubleCometParams(1, 1, 0)
     with pytest.raises(TreeError):
         DoubleCometParams(-1, 2, 3)
+    for bad in ((1.5, 2, 3), (1, "2", 3), (1, 2, 3.0), (1, 2, None)):
+        with pytest.raises(TreeError) as err:
+            DoubleCometParams(*bad)
+        assert err.value.reason == "vertex-count"
+    assert DoubleCometParams(np.int64(2), 1, np.int64(3)).n == 6  # numpy integers stay valid
 
 
 @pytest.mark.parametrize(
@@ -65,6 +71,12 @@ def test_double_comet_rejects_bad_params():
         (3, [(0, 1), (0, 1)], "duplicate-edge"),
         (3, [(0, 1), (1, 5)], "vertex-range"),
         (4, [(0, 1), (1, 2), (2, 0)], "cyclic"),
+        (3, [(0, 1), (1, 2.0)], "vertex-range"),
+        (3, [(0, 1), (1, "2")], "vertex-range"),
+        (3, [(0, 1.5)], "vertex-range"),
+        (3, [(0, 1), (1, np.float64(2))], "vertex-range"),
+        (3, [(0, 1, 2), (1, 2)], "vertex-range"),
+        (3, [(0, 1), 2], "vertex-range"),
     ],
 )
 def test_from_edge_list_errors(n, edges, reason):
@@ -76,6 +88,7 @@ def test_from_edge_list_errors(n, edges, reason):
 def test_from_edge_list_ok():
     t = Tree(2, [(0, 1)])
     assert t.n == 2 and t.degree(0) == 1
+    assert Tree(3, [(np.int64(0), np.int64(1)), (1, np.int32(2))]) == make_path(3)
 
 
 def test_tree_is_immutable_value():
