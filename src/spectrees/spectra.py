@@ -7,7 +7,8 @@ its limit form, the parent's pivot -inf), exact unless an eigenvalue lies
 within rounding distance of x. Bisection on that count gives enclosing
 intervals for the two largest eigenvalues with no floating-point eigensolver.
 ``TOL`` is the width of every public enclosure; only ``top_two`` and
-``TreeBatch.top_two`` take another, which ``spectrum --tol`` sets.
+``TreeBatch.top_two`` take another, as ``spectrum --tol`` does, and only
+a wider one: a narrower bracket can miss its eigenvalue.
 ``_bisect_count`` is the one scalar bisection loop: it takes any count
 function, so whole trees and induced forests share it. ``TreeBatch`` runs
 the same pass and bisection over many same-order trees at once with numpy,
@@ -27,12 +28,13 @@ eigen-equations and the eigenvector-eigenvalue identity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 import numpy as np
 
-from .trees import DoubleCometParams, Tree, TreeError
+from .trees import DoubleCometParams, Tree, _bfs
 
 TOL = 1e-12  # the interval width every certified answer is given at
 
@@ -96,21 +98,13 @@ def _rooted(t: Tree):
 
 def _root_forest(adj):
     """Root every component of an adjacency-list forest at its first vertex."""
-    n = len(adj)
-    parent = [-2] * n
-    order = []
-    for r in range(n):
-        if parent[r] != -2:
-            continue
-        parent[r] = -1
-        comp = [r]
-        for v in comp:
-            for w in adj[v]:
-                if parent[w] == -2:
-                    parent[w] = v
-                    comp.append(w)
-        order.extend(comp)
-    children = [[] for _ in range(n)]
+    order, parent = [], {}
+    for r in range(len(adj)):
+        if r not in parent:
+            comp, up = _bfs(adj, r)
+            order += comp
+            parent.update(up)
+    children = [[] for _ in adj]
     for v in order:
         p = parent[v]
         if p >= 0:
@@ -209,8 +203,9 @@ def _star_intervals(n: int):
 def _check_top_two(n: int, tol: float):
     if n < 2:
         raise ValueError("top_two needs n >= 2: a single vertex has no second eigenvalue")
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    # narrower brackets probe within rounding distance of the eigenvalue, where counts may be off
+    if not (isinstance(tol, numbers.Real) and TOL <= tol < math.inf):
+        raise ValueError(f"tol must be a finite width of at least TOL = {TOL}, got {tol!r}")
 
 
 def top_two(t: Tree, tol: float = TOL) -> TopTwo:
@@ -404,9 +399,7 @@ def lambda1_interval_of_vertices(t: Tree, vertices):
     vs = sorted(set(vertices))
     if not vs:
         return None
-    for v in (vs[0], vs[-1]):
-        if not 0 <= v < t.n:
-            raise TreeError("vertex-range", f"vertex {v} out of range for n={t.n}")
+    t.check_vertices(*vs)
     index = {v: i for i, v in enumerate(vs)}
     adj = [[index[w] for w in t.adjacency[v] if w in index] for v in vs]
     if not any(adj):
@@ -610,12 +603,11 @@ def eigenvector(t: Tree, which: int) -> EigenvectorData:
     start = min(range(n), key=lambda v: abs(piv[2 * n + v]))
     z = [0.0] * n
     z[start] = 1.0
-    queue = [(start, -1)]
-    for v, u in queue:
+    order, toward_start = _bfs(A, start)
+    for v in order:
         held = []
         for w in A[v]:
-            if w != u:
-                queue.append((w, v))
+            if w != toward_start[v]:
                 d = piv[_slot(parent, w, v)]
                 if d:
                     z[w] = -z[v] / d
@@ -652,14 +644,8 @@ class CenterReport:
 
 
 def _branch_vertices(t: Tree, w: int, v: int) -> frozenset:
-    """The vertices of the branch at w avoiding v."""
-    seen, stack = {v, w}, [w]
-    while stack:
-        for x in t.adjacency[stack.pop()]:
-            if x not in seen:
-                seen.add(x)
-                stack.append(x)
-    return frozenset(seen - {v})
+    """The vertices of the branch at w avoiding its neighbour v."""
+    return frozenset(_bfs(t.adjacency, w, v)[0])
 
 
 def spectral_center(t: Tree) -> CenterReport:
@@ -755,8 +741,7 @@ def ev_ev_identity_residual(t: Tree, k: int, v: int) -> float:
         raise ValueError(f"k must be 1 or 2, got {k}")
     if t.n > 12:
         raise ValueError("identity check uses dense spectra; n <= 12")
-    if not 0 <= v < t.n:
-        raise ValueError(f"vertex {v} out of range")
+    t.check_vertices(v)
     vals, vecs = dense_eigh(t)
     lam_k = vals[k - 1]
     gaps = [lam_k - vals[i] for i in range(t.n) if i != k - 1]

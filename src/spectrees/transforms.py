@@ -60,12 +60,13 @@ def kelmans(t: Tree, u: int, v: int) -> TransformOutcome:
     and v, giving an isomorphic tree with unchanged lam1 (so the one-sided
     condition alone does not force strictness).
     """
-    if u == v or not (0 <= u < t.n and 0 <= v < t.n):
+    t.check_vertices(u, v)
+    if u == v:
         raise ValueError(f"need two distinct vertices, got ({u}, {v})")
-    if t.distance(u, v) > 2:
-        raise ValueError("rewiring from u to v leaves the tree class when d(u, v) > 2")
     nu = set(t.adjacency[u]) - {v}
     nv = set(t.adjacency[v]) - {u}
+    if not (v in t.adjacency[u] or nu & nv):
+        raise ValueError("rewiring from u to v leaves the tree class when d(u, v) > 2")
     moved = [a for a in t.adjacency[u] if a != v and a not in nv]
     edges = []
     for a, b in t.edges():
@@ -81,6 +82,7 @@ def kelmans(t: Tree, u: int, v: int) -> TransformOutcome:
 
 def rotate(t: Tree, u: int, v: int, w: int) -> TransformOutcome:
     """Replace the edge vw by uw; requires u~v, v~w and u != w."""
+    t.check_vertices(u, v, w)
     if u == w:
         raise ValueError("rotation endpoints must differ")
     if v not in t.adjacency[u] or w not in t.adjacency[v]:
@@ -102,6 +104,7 @@ def rotation_gain(t: Tree, alpha: float, u: int, v: int, w: int) -> float:
     """
     if not 0.5 <= alpha <= 1.0:
         raise ValueError(f"gain contract needs alpha in [1/2, 1], got {alpha}")
+    t.check_vertices(u, v, w)
     if u == w or v not in t.adjacency[u] or w not in t.adjacency[v]:
         raise ValueError("rotation adjacency preconditions violated")
     x = eigenvector(t, 1).entries
@@ -133,6 +136,7 @@ def contract_internal_edge(t: Tree, u: int, v: int) -> TransformOutcome:
     a tree of order n-1 whose lam1 is no smaller; strictness fails exactly
     at lam1 = 2.
     """
+    t.check_vertices(u, v)
     if v not in t.adjacency[u]:
         raise ValueError(f"({u}, {v}) is not an edge")
     if not (_internal_path_reaches_branch(t, u, v) and _internal_path_reaches_branch(t, v, u)):
@@ -175,6 +179,7 @@ def hanging_path_shift(t: Tree, root: int, k: int, ell: int) -> TransformOutcome
     """
     if not k >= ell >= 1:
         raise ValueError(f"need k >= l >= 1, got ({k}, {ell})")
+    t.check_vertices(root)
     paths = _pendant_paths(t, root)
     k_path = next((p for p in paths if len(p) == k), None)
     ell_path = next((p for p in paths if len(p) == ell and p is not k_path), None)

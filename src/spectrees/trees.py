@@ -15,7 +15,6 @@ used for tie-breaking everywhere else.
 from __future__ import annotations
 
 import operator
-from collections import deque
 from dataclasses import dataclass
 
 
@@ -72,8 +71,13 @@ class Tree:
     __slots__ = ("n", "adjacency", "_code", "_rooted")
 
     def __init__(self, n: int, edges):
-        if not isinstance(n, int) or n < 1:
+        try:
+            order = operator.index(n)
+        except TypeError:
+            order = 0
+        if order < 1:
             raise TreeError("vertex-count", f"vertex count must be a positive integer, got {n!r}")
+        n = order
         # union-find over the edges in order: a failed merge closes a cycle, n-1 merges connect
         parent = list(range(n))
 
@@ -115,11 +119,21 @@ class Tree:
     # -- basic queries ---------------------------------------------------
 
     def neighbors(self, v: int):
+        self.check_vertices(v)
         return self.adjacency[v]
 
+    def check_vertices(self, *vs):
+        """Raise TreeError("vertex-range") unless every argument is a vertex id."""
+        for v in vs:
+            try:
+                ok = 0 <= operator.index(v) < self.n
+            except TypeError:
+                ok = False
+            if not ok:
+                raise TreeError("vertex-range", f"vertex {v!r} out of range for n={self.n}")
+
     def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise TreeError("vertex-range", f"vertex {v} out of range for n={self.n}")
+        self.check_vertices(v)
         return len(self.adjacency[v])
 
     def max_degree(self) -> int:
@@ -139,22 +153,14 @@ class Tree:
         return out
 
     def distance(self, u: int, v: int) -> int:
-        """Number of edges on the unique u-v path (breadth-first walk)."""
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise TreeError("vertex-range", f"vertex pair ({u}, {v}) out of range for n={self.n}")
-        if u == v:
-            return 0
-        dist = {u: 0}
-        queue = deque([u])
-        while queue:
-            w = queue.popleft()
-            for x in self.adjacency[w]:
-                if x not in dist:
-                    dist[x] = dist[w] + 1
-                    if x == v:
-                        return dist[x]
-                    queue.append(x)
-        raise AssertionError("tree invariant violated: unreachable vertex")
+        """Number of edges on the unique u-v path: v's parents up to u."""
+        self.check_vertices(u, v)
+        parent = _bfs(self.adjacency, u)[1]
+        d = 0
+        while v != u:
+            v = parent[v]
+            d += 1
+        return d
 
     # -- identity --------------------------------------------------------
 
@@ -194,10 +200,7 @@ def make_double_comet(params: DoubleCometParams) -> Tree:
     Vertices 0..ell-1 form the path; leaves follow. With ell = 1 both leaf
     sets attach to vertex 0 and the result is the star on k1+k2+1 vertices.
     """
-    k1, k2, ell = params.k1, params.k2, params.ell
-    n = params.n
-    if n < 1:
-        raise TreeError("vertex-count", "empty double comet")
+    k1, k2, ell = map(operator.index, (params.k1, params.k2, params.ell))  # numpy integers become ints
     edges = [(i, i + 1) for i in range(ell - 1)]
     t1, t2 = 0, ell - 1
     v = ell
@@ -207,36 +210,38 @@ def make_double_comet(params: DoubleCometParams) -> Tree:
     for _ in range(k2):
         edges.append((t2, v))
         v += 1
-    return Tree(n, edges)
+    return Tree(k1 + k2 + ell, edges)
 
 
 def relabel(t: Tree, perm) -> Tree:
     """Tree with vertex v renamed perm[v]; perm must be a permutation of 0..n-1."""
+    t.check_vertices(*perm)
+    if len(perm) != t.n or len(set(perm)) != t.n:
+        raise TreeError("vertex-range", f"perm must be a permutation of 0..{t.n - 1}, got {perm!r}")
     return Tree(t.n, [(perm[u], perm[v]) for u, v in t.edges()])
 
 
-# -- canonical form ------------------------------------------------------
+# -- traversal and canonical form ------------------------------------------
 
 
-def _subtree_sizes(t: Tree, root: int):
-    """Vertices in children-before-parent order, parents, and subtree sizes."""
-    n = t.n
-    parent = [-1] * n
+def _bfs(adj, root: int, barrier: int = -1):
+    """Breadth-first order of the vertices reached from ``root``, and each one's parent.
+
+    ``adj`` must be a forest (a tree's adjacency, or an induced subgraph of
+    one), so a vertex's one visited neighbour is its parent and the walk
+    needs no visited set. ``parent[root]`` is ``barrier``, -1 or a neighbour
+    of ``root`` that the walk never enters: the walk then covers the branch
+    at ``root`` avoiding ``barrier``.
+    """
+    parent = {root: barrier}
     order = [root]
-    seen = [False] * n
-    seen[root] = True
     for v in order:
-        for w in t.adjacency[v]:
-            if not seen[w]:
-                seen[w] = True
+        p = parent[v]
+        for w in adj[v]:
+            if w != p:
                 parent[w] = v
                 order.append(w)
-    size = [1] * n
-    for v in reversed(order):
-        p = parent[v]
-        if p >= 0:
-            size[p] += size[v]
-    return order, parent, size
+    return order, parent
 
 
 def centroids(t: Tree):
@@ -244,7 +249,10 @@ def centroids(t: Tree):
     n = t.n
     if n == 1:
         return (0,)
-    order, parent, size = _subtree_sizes(t, 0)
+    order, parent = _bfs(t.adjacency, 0)
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
     best = n + 1
     out = []
     for v in range(n):
@@ -262,20 +270,11 @@ def centroids(t: Tree):
 
 def _encode_rooted(t: Tree, root: int, barrier: int) -> bytes:
     """AHU code of the subtree at ``root`` when the edge to ``barrier`` is cut."""
-    parent = {root: barrier}
-    order = [root]
-    for v in order:
-        for w in t.adjacency[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
-    code: dict[int, bytes] = {}
-    children: dict[int, list] = {v: [] for v in order}
-    for v in order[1:]:
-        children[parent[v]].append(v)
+    order, parent = _bfs(t.adjacency, root, barrier)
+    below = {v: [] for v in (barrier, *order)}  # the codes of each vertex's children
     for v in reversed(order):
-        code[v] = b"(" + b"".join(sorted(code[c] for c in children[v])) + b")"
-    return code[root]
+        below[parent[v]].append(b"(" + b"".join(sorted(below[v])) + b")")
+    return below[barrier][0]
 
 
 def canonical_code(t: Tree) -> bytes:

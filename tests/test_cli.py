@@ -150,6 +150,7 @@ def test_cli_bad_tree_spec_is_a_clean_error(tmp_path, capsys):
         (["spectrum", "--tree", "path:5", "--tol", "nan"], "tol"),
         (["spectrum", "--tree", "path:5", "--tol", "inf"], "tol"),
         (["spectrum", "--tree", "star:5", "--tol", "0"], "tol"),
+        (["spectrum", "--tree", "path:5", "--tol", "1e-14"], "TOL"),
         (["extremal", "--n", "30"], "n <= 24"),
         (["extremal", "--n", "6", "--alpha", "1.5"], "alpha"),
         (["envelope", "--n", "30"], "n <= 24"),

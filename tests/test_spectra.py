@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from spectrees.spectra import (
     SignCount,
     TOL,
     TreeBatch,
+    _above_counter,
+    _bisect_count,
+    _branch_vertices,
     _branches,
     _count_above,
     _root_forest,
@@ -120,6 +124,30 @@ class TestCounting:
         assert zeros > 0, "no probe met a zero branch pivot"
 
 
+def test_walks_by_brute_force():
+    # every branch against its definition, and every induced forest's rooting
+    rng = random.Random(29)
+    small = [t for n in range(2, 10) for t in enumerate_free_trees(n)]
+    for t in small + [random_tree(rng, rng.randrange(10, 61)) for _ in range(12)]:
+        n = t.n
+        d = [[t.distance(u, x) for x in range(n)] for u in range(n)]
+        for v in range(n):
+            for w in t.adjacency[v]:
+                # x shares w's component of T - v iff the w-x path avoids v
+                want = {x for x in range(n) if d[w][x] < d[w][v] + d[v][x]}
+                assert _branch_vertices(t, w, v) == want, (t.edges(), w, v)
+        for _ in range(5):
+            keep = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+            index = {u: i for i, u in enumerate(keep)}
+            forest = [[index[w] for w in t.adjacency[u] if w in index] for u in keep]
+            order, children = _root_forest(forest)
+            assert sorted(order) == list(range(len(keep)))
+            at = {u: i for i, u in enumerate(order)}
+            edges = sorted((min(u, c), max(u, c)) for u in order for c in children[u])
+            assert edges == sorted((u, w) for u in range(len(keep)) for w in forest[u] if u < w)
+            assert all(at[u] < at[c] for u in order for c in children[u])
+
+
 class TestTopTwo:
     def test_p6_matches_cosines(self):
         tt = top_two(make_path(6))
@@ -157,6 +185,30 @@ class TestTopTwo:
                 top_two(make_path(4), bad)
             with pytest.raises(ValueError, match="tol"):
                 top_two(make_star(4), bad)
+
+    def test_widths_below_tol_rejected(self):
+        # at width 1e-14 this tree's lam1 bracket would miss lam1: exact
+        # pivots count no eigenvalue above its lower end; at TOL it holds
+        rng = random.Random(1)
+        t = [Tree(100, [(rng.randrange(v), v) for v in range(1, 100)]) for _ in range(30)][26]
+        with pytest.raises(ValueError, match="TOL"):
+            top_two(t, 1e-14)
+        order, children = _rooted(t)
+
+        def exact_above(x):
+            d, x = {}, Fraction(x)
+            for v in reversed(order):  # a non-integer float is no subtree's eigenvalue, so no pivot is 0
+                d[v] = -x - sum(1 / d[c] for c in children[v])
+            return sum(p > 0 for p in d.values())
+
+        tt = top_two(t)
+        assert (exact_above(tt.lam1_lo), exact_above(tt.lam1_hi)) == (1, 0)
+        assert (exact_above(tt.lam2_lo), exact_above(tt.lam2_hi)) == (2, 1)
+        for bad in ("x", None, 1e-14, TOL / 2):
+            with pytest.raises(ValueError, match="TOL"):
+                top_two(make_path(4), bad)
+            with pytest.raises(ValueError, match="TOL"):
+                TreeBatch([[0, 1, 2, 3], [0, 1, 1, 1]]).top_two(bad)
 
     def test_path_is_lambda1_minimal_exhaustively(self):
         for n in range(3, 13):
@@ -348,7 +400,7 @@ class TestSpectralCenter:
         assert lambda1_interval_of_vertices(make_path(6), [0]) == (0.0, 0.0)
 
     def test_induced_lambda1_rejects_bad_vertices(self):
-        for bad in ([-1, 3], [7], [0, 5]):
+        for bad in ([-1, 3], [7], [0, 5], [0, 1.5, 2]):
             with pytest.raises(TreeError) as err:
                 lambda1_interval_of_vertices(make_path(5), bad)
             assert err.value.reason == "vertex-range"
@@ -408,6 +460,10 @@ class TestIdentities:
     def test_evev_rejects_degenerate(self):
         with pytest.raises(ValueError):
             ev_ev_identity_residual(make_star(6), 2, 1)
+        for bad in (1.5, 7, -1):
+            with pytest.raises(TreeError) as err:
+                ev_ev_identity_residual(DC223, 1, bad)
+            assert err.value.reason == "vertex-range"
 
     def test_lower_bound_validation(self):
         t = make_path(4)
@@ -486,14 +542,27 @@ def test_batched_counts_match_scalar_kernel():
 
 
 def test_batched_top_two_equals_scalar_for_every_class():
-    # 1e-300 runs every bracket down to float resolution, the other stop rule
-    for n, tol in [(n, 1e-12) for n in range(2, 13)] + [(n, 1e-300) for n in range(3, 9)]:
+    for n in range(2, 13):
         for levels in free_tree_level_chunks(n):
             batch = TreeBatch(levels)
-            got = [a.tolist() for a in batch.top_two(tol)]
+            got = [a.tolist() for a in batch.top_two(TOL)]
             for r in range(len(batch)):
-                tt = top_two(Tree(n, _level_seq_edges(levels[r])), tol)
+                tt = top_two(Tree(n, _level_seq_edges(levels[r])), TOL)
                 assert tuple(a[r] for a in got) == (tt.lam1_lo, tt.lam1_hi, tt.lam2_lo, tt.lam2_hi)
+
+
+def test_batched_bisect_equals_scalar_at_float_resolution():
+    # width 1e-300 runs every bracket down to float resolution, the other stop rule
+    for n in range(3, 9):
+        for levels in free_tree_level_chunks(n):
+            batch = TreeBatch(levels)
+            l1 = batch.bisect(1, 0.0, math.sqrt(n - 1), 1e-300)
+            l2 = batch.bisect(2, 0.0, l1[1], 1e-300)
+            for r in range(len(batch)):
+                above = _above_counter(*_rooted(Tree(n, _level_seq_edges(levels[r]))))
+                want1 = _bisect_count(above, 1, 0.0, math.sqrt(n - 1), 1e-300)
+                want2 = _bisect_count(above, 2, 0.0, want1[1], 1e-300)
+                assert (l1[0][r], l1[1][r], l2[0][r], l2[1][r]) == (*want1, *want2)
 
 
 def test_weighted_path_counts_match_dense_oracle():

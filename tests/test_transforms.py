@@ -14,6 +14,7 @@ from spectrees.transforms import (
 from spectrees.trees import (
     DoubleCometParams,
     Tree,
+    TreeError,
     canonical_code,
     make_double_comet,
     make_path,
@@ -185,6 +186,18 @@ class TestHangingPathShift:
             hanging_path_shift(make_path(5), 2, 3, 1)
         with pytest.raises(ValueError):
             hanging_path_shift(make_path(5), 2, 1, 2)
+
+
+def test_bad_vertex_ids_are_named():
+    t = make_double_comet(DoubleCometParams(2, 2, 3))
+    calls = [lambda: rotate(t, 99, 0, 1), lambda: rotation_gain(t, 0.7, 99, 0, 1),
+             lambda: contract_internal_edge(t, 99, 0), lambda: hanging_path_shift(t, 99, 1, 1),
+             lambda: hanging_path_shift(t, -7, 1, 1), lambda: rotate(t, 0, 1.0, 2), lambda: kelmans(t, 1.5, 0),
+             lambda: kelmans(t, 0, 7)]
+    for call in calls:
+        with pytest.raises(TreeError) as err:
+            call()
+        assert err.value.reason == "vertex-range"
 
 
 def test_transforms_preserve_validity():

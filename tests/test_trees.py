@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from spectrees.enumeration import decode_parent_report, enumerate_free_trees
 from spectrees.trees import (
     DoubleCometParams,
     Tree,
@@ -60,6 +61,9 @@ def test_double_comet_rejects_bad_params():
             DoubleCometParams(*bad)
         assert err.value.reason == "vertex-count"
     assert DoubleCometParams(np.int64(2), 1, np.int64(3)).n == 6  # numpy integers stay valid
+    t = make_double_comet(DoubleCometParams(np.int64(2), 1, np.int64(3)))
+    assert t == make_double_comet(DoubleCometParams(2, 1, 3)) and type(t.n) is int
+    assert all(type(v) is int for edge in t.edges() for v in edge)
 
 
 @pytest.mark.parametrize(
@@ -89,6 +93,24 @@ def test_from_edge_list_ok():
     t = Tree(2, [(0, 1)])
     assert t.n == 2 and t.degree(0) == 1
     assert Tree(3, [(np.int64(0), np.int64(1)), (1, np.int32(2))]) == make_path(3)
+    t = Tree(np.int64(3), [(0, 1), (1, 2)])
+    assert t == make_path(3) and type(t.n) is int
+    for bad in (3.0, "3", None, 0):
+        with pytest.raises(TreeError) as err:
+            Tree(bad, [(0, 1), (1, 2)])
+        assert err.value.reason == "vertex-count"
+
+
+def test_bad_vertex_ids_are_named():
+    t = make_double_comet(DoubleCometParams(2, 2, 3))
+    calls = [lambda: relabel(t, [0]), lambda: relabel(t, [0, 1, 2, 3, 4, 5, 99]),
+             lambda: relabel(t, [0, 0, 1, 2, 3, 4, 5]), lambda: t.degree(1.5), lambda: t.degree(-1),
+             lambda: t.distance(0, 7), lambda: t.distance("0", 1), lambda: t.neighbors(-1)]
+    for call in calls:
+        with pytest.raises(TreeError) as err:
+            call()
+        assert err.value.reason == "vertex-range"
+    assert relabel(t, [np.int64(6 - v) for v in range(7)]).degree(6) == 3
 
 
 def test_tree_is_immutable_value():
@@ -125,6 +147,37 @@ def test_centroids():
     assert centroids(make_path(5)) == (2,)
     assert centroids(make_path(4)) == (1, 2)
     assert centroids(make_star(9)) == (0,)
+
+
+def _walk_sample():
+    """Every tree of order <= 9 and seeded random labeled trees up to order 60."""
+    rng = random.Random(11)
+    small = [t for n in range(1, 10) for t in enumerate_free_trees(n)]
+    sizes = [rng.randrange(10, 61) for _ in range(12)]
+    return small + [Tree(n, decode_parent_report([rng.randrange(n) for _ in range(n - 2)], n)) for n in sizes]
+
+
+def _floyd_warshall(t):
+    inf = float("inf")
+    d = [[0 if i == j else (1 if j in t.adjacency[i] else inf) for j in range(t.n)] for i in range(t.n)]
+    for k in range(t.n):
+        dk = d[k]
+        for di in d:
+            dik = di[k]
+            for j in range(t.n):
+                if dik + dk[j] < di[j]:
+                    di[j] = dik + dk[j]
+    return d
+
+
+def test_distance_and_centroids_by_brute_force():
+    for t in _walk_sample():
+        d = _floyd_warshall(t)
+        assert [[t.distance(u, v) for v in range(t.n)] for u in range(t.n)] == d, t
+        # x shares w's component of T - v iff the w-x path avoids v
+        largest = [max((sum(d[w][x] < d[w][v] + d[v][x] for x in range(t.n)) for w in t.adjacency[v]), default=0)
+                   for v in range(t.n)]
+        assert centroids(t) == tuple(v for v in range(t.n) if largest[v] == min(largest)), t
 
 
 def test_text_roundtrip(tmp_path):
