@@ -6,18 +6,20 @@ eigenvalues (``_coeffs``): psi is the convex combination alpha*lam1 +
 (1, 0), (0, 1) and (1, -1). Key intervals, the comet screening bound and
 the scan's early stops all derive from (c1, c2) and the tree facts
 0 <= lam2 <= lam1 (n >= 3); the one bound tied to a key is the two-hub
-bound on the spectral sum. Searches keep certified enclosures for every
-candidate, prune against a deterministic baseline (the double-comet family for maxima, path and star
-for minima), and certify every candidate that can still win once, at
-``TOL``: a winner separates from the rest at that width or a tie is
-reported. All pruning bounds are one-sided certificates, so reported
-winners are exact regardless of worker count or scan order.
+bound on the spectral sum. A minimum is searched as the maximum of the
+negated key, min c.lam = -max(-c.lam), so every layer below
+``search_extremal`` only maximizes. Searches keep certified enclosures for
+every candidate, prune against a deterministic baseline (the double-comet
+family for maxima, path and star for minima), and certify every candidate
+that can still win once, at ``TOL``: a winner separates from the rest at
+that width or a tie is reported. All pruning bounds are one-sided
+certificates, so reported winners are exact regardless of worker count.
 
 Both families (all trees, double comets) are ``_Family`` objects whose
 members are level sequences stored as bytes or ``DoubleCometParams``.
 Searches carry uncoded (member, lo, hi) rows, certified at ``TOL``, through
 one survivor filter (``_survivors``). The all-tree scan, the comet screen
-and the filter follow one discard rule: each dropped row's far end joins the
+and the filter follow one discard rule: each dropped row's upper end joins the
 bound the runner-up margin is measured against. A Tree and a canonical
 code are built only for the winners, or for every evaluated member when
 ``exclude`` is nonempty.
@@ -130,7 +132,7 @@ class ExtremalResult:
 
 
 def _coeffs(key: str, alpha):
-    """(c1, c2) with the key's value c1*lam1 + c2*lam2; c1 >= 0 for every key."""
+    """(c1, c2) with the key's value c1*lam1 + c2*lam2; c1 >= 0 and c1 + c2 >= 0 for every key."""
     if key == "psi":
         if not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= 1.0:
             raise ValueError(f"psi needs alpha in [0, 1], got alpha={alpha!r}")
@@ -143,15 +145,19 @@ def _coeffs(key: str, alpha):
 def _key_interval(c, l1, l2):
     """Interval of c1*lam1 + c2*lam2 from (lo, hi) pairs of floats, or of arrays elementwise.
 
-    A negative c2 (the gap) pairs lam2's upper end with the lower bound,
-    which is clamped at 0: lam2 <= lam1 and c1 + c2 >= 0.
+    Each coefficient takes the end of its bracket that its sign makes low
+    or high, so negated coefficients give exactly (-hi, -lo). When c1 and c2
+    have opposite signs (the gap or its negation), the key has c1's sign,
+    since lam2 <= lam1 and |c2| <= |c1|: the end past 0 is clamped at 0.
     """
     c1, c2 = c
-    if c2 >= 0:
-        return c1 * l1[0] + c2 * l2[0], c1 * l1[1] + c2 * l2[1]
-    lo = c1 * l1[0] + c2 * l2[1]
-    lo = np.where(lo > 0.0, lo, 0.0) if isinstance(lo, np.ndarray) else max(0.0, lo)
-    return lo, c1 * l1[1] + c2 * l2[0]
+    i, j = int(c1 < 0), int(c2 < 0)
+    lo, hi = c1 * l1[i] + c2 * l2[j], c1 * l1[1 - i] + c2 * l2[1 - j]
+    if c2 < 0 < c1:
+        lo = np.where(lo > 0.0, lo, 0.0) if isinstance(lo, np.ndarray) else max(0.0, lo)
+    elif c1 < 0 < c2:
+        hi = np.where(hi < 0.0, hi, 0.0) if isinstance(hi, np.ndarray) else min(0.0, hi)
+    return lo, hi
 
 
 # -- double-comet family evaluation ------------------------------------------
@@ -208,31 +214,30 @@ def _dc_short(n: int):
     return {ell: double_comet_group_params(ell, k1, k2) for ell, k1, k2 in groups if ell <= 3}
 
 
-def _dc_candidates(fam, c, objective: str, exclude):
+def _dc_candidates(fam, c, exclude):
     """Certified (params, lo, hi) rows of the comet family, its size and a discard bound.
 
     The short comets (``_dc_short``) are evaluated first, then the ell >= 4
     comets, as leaf-count arrays one path order at a time.
-    Maximizing keys with c2 >= 0 screen those by _dc_upper_bound against
-    the best lower end among the short ones (the bar), one ``max`` per path
-    order deciding whether any of its comets survives. That discards all
-    but a thin parameter band. ``discard_bound`` is the largest bound
-    screened out, plus _SAFETY for its rounding, so a short comet that wins
-    keeps a positive margin; it is -inf when nothing is screened out, and
-    +inf for a minimum. A ``DoubleCometParams`` is built only for a comet that
-    gets evaluated, and each group is evaluated in one
-    ``_dc_pair_intervals`` call. A nonempty ``exclude`` codes every
-    evaluated comet (never a screened-out one), to test it against the set.
+    Keys with c1, c2 >= 0 screen those by _dc_upper_bound against the best
+    lower end among the short ones (the bar), one ``max`` per path order
+    deciding whether any of its comets survives. That discards all but a
+    thin parameter band. ``discard_bound`` is the largest bound screened
+    out, plus _SAFETY for its rounding, so a short comet that wins keeps a
+    positive margin; it is -inf when nothing is screened out. A
+    ``DoubleCometParams`` is built only for a comet that gets evaluated,
+    and each group is evaluated in one ``_dc_pair_intervals`` call. A
+    nonempty ``exclude`` codes every evaluated comet (never a screened-out
+    one), to test it against the set.
     """
-    maximize = objective == "max"
 
     def rows(ps):
         ps = [p for p in ps if not (exclude and fam.code(p) in exclude)]
         return [(p, *_key_interval(c, *iv)) for p, iv in zip(ps, _dc_pair_intervals(ps, TOL))]
 
     pool = rows([p for ps in _dc_short(fam.n).values() for p in ps])
-    # a comet is screened out when its bound is below the bar; unpruned keys screen nothing out
-    bar = max((lo for _, lo, _ in pool), default=-math.inf) if maximize and c[1] >= 0 else -math.inf
+    # a comet is screened out when its bound is below the bar; unbounded keys screen nothing out
+    bar = max((lo for _, lo, _ in pool), default=-math.inf) if min(c) >= 0 else -math.inf
     size, kept, discard_bound = 0, [], -math.inf
     for ell, k1, k2 in double_comet_arrays(fam.n):
         size += len(k1)
@@ -244,7 +249,7 @@ def _dc_candidates(fam, c, objective: str, exclude):
                 kept += double_comet_group_params(ell, k1[hit], k2[hit])
                 top = -math.inf if hit.all() else float(ub[~hit].max())
             discard_bound = max(discard_bound, top + _SAFETY)
-    return pool + rows(kept), size, discard_bound if maximize else math.inf
+    return pool + rows(kept), size, discard_bound
 
 
 # -- free-tree scan ------------------------------------------------------------
@@ -252,61 +257,56 @@ def _dc_candidates(fam, c, objective: str, exclude):
 
 @dataclass(frozen=True)
 class _Scan:
-    """Coarse certified scan of one chunk of level sequences.
+    """Coarse certified scan of one chunk of level sequences for the maximum.
 
-    lo_base/hi_base bound the final optimum from a fixed baseline, so every
-    discard is a certificate independent of chunking and scan order. For
-    n >= 3, 0 <= lam2 <= lam1 puts the key between c_lo*lam1 and c_hi*lam1
-    (c_lo = c1 + min(c2, 0), c_hi = c1 + max(c2, 0)), which stops the lam1
-    bisection; the lam2 bisection stops once lam2 is certified past the
-    point where c1*lam1 + c2*lam2 crosses the baseline (at once for a row
-    out on lam1 alone). Like ``_survivors``, every dropped row folds its far
-    end (hi when maximizing, lo when minimizing) into ``far``, which stays
-    -inf or +inf when nothing is dropped; excluded rows are never dropped.
-    Called on a chunk, it returns the surviving rows (level sequence as
-    bytes, lo, hi), ``far`` and the chunk's row count. It builds no Tree
-    and no code unless ``exclude`` is nonempty.
+    ``base``, a fixed baseline's lower end, bounds the optimum from below,
+    so every discard is a certificate independent of chunking and scan
+    order. For n >= 3, 0 <= lam2 <= lam1 puts the key at most c_hi*lam1
+    (c_hi = c1 + max(c2, 0)), which stops the lam1 bisection; the lam2
+    bisection stops once lam2 is certified past the point where the key,
+    lam1 at its high end, crosses the baseline (at once for a row out on
+    lam1 alone). ``two_hub`` applies ``_two_hub_bound``, a theorem about
+    the minimum sum. Like ``_survivors``, every dropped row folds its upper
+    end into ``far`` (-inf when nothing is dropped); excluded rows are never
+    dropped. Called on a chunk, it returns the surviving rows (level
+    sequence as bytes, lo, hi), ``far`` and the chunk's row count. It
+    builds no Tree and no code unless ``exclude`` is nonempty.
     """
 
     fam: _AllTrees
-    key: str  # only the two-hub bound, a theorem about the sum, reads it
     coeffs: tuple
-    objective: str
-    lo_base: float
-    hi_base: float
+    base: float
+    two_hub: bool
     exclude: frozenset
 
     def __call__(self, levels):
-        n, coeffs, lo_base, hi_base = self.fam.n, self.coeffs, self.lo_base, self.hi_base
+        n, coeffs, base = self.fam.n, self.coeffs, self.base
         c1, c2 = coeffs
-        maximize = self.objective == "max"
-        far = -math.inf if maximize else math.inf
+        far = -math.inf
         batch = TreeBatch(levels)
         rows = np.flatnonzero(~_excluded_rows(self.fam, levels, self.exclude))
-        if not maximize and self.key == "sum" and n > 2:  # the bound needs lam2 >= 0, which K2 breaks
-            bound = _two_hub_bound(batch, rows)
-            out = bound > hi_base
-            far = float(np.min(bound[out], initial=far))
+        if self.two_hub and n > 2:  # the bound needs lam2 >= 0, which K2 breaks
+            bound = -_two_hub_bound(batch, rows)
+            out = bound < base
+            far = float(np.max(bound[out], initial=far))
             rows = rows[~out]
         star = batch.degrees[rows].max(axis=1) == n - 1
         s = math.sqrt(n - 1)
         pool = [(levels[r].tobytes(), *_key_interval(coeffs, *_star_intervals(n))) for r in rows[star]]
         rows = rows[~star]
-        c_lo, c_hi = c1 + min(c2, 0.0), c1 + max(c2, 0.0)
-        if maximize:
-            l1_lo, l1_hi = batch.bisect(1, 0.0, s, _COARSE_TOL, rows, None, lo_base / c_hi)
-        else:
-            l1_lo, l1_hi = batch.bisect(1, 0.0, s, _COARSE_TOL, rows, hi_base / c_lo if c_lo > 0 else None)
+        c_hi = c1 + max(c2, 0.0)  # a row is out once c_hi*lam1 is certified below the baseline
+        stops = (None, base / c_hi) if c_hi > 0 else (base / c_hi, None) if c_hi < 0 else ()
+        l1_lo, l1_hi = batch.bisect(1, 0.0, s, _COARSE_TOL, rows, *stops)
         l2 = (0.0, 0.0)  # c2 == 0: lam2 does not enter the key
         if c2 != 0:
             # the key crosses the baseline where lam2 = (base - c1*lam1)/c2, lam1 at its
-            # far end; lam2 past that point, on the side the sign of c2 gives, is out
-            cross = (lo_base - c1 * l1_hi) / c2 if maximize else (hi_base - c1 * l1_lo) / c2
-            stops = (None, cross) if maximize == (c2 > 0) else (cross, None)
+            # high end; lam2 past that point, on the side the sign of c2 gives, is out
+            cross = (base - c1 * (l1_hi if c1 >= 0 else l1_lo)) / c2
+            stops = (None, cross) if c2 > 0 else (cross, None)
             l2 = batch.bisect(2, 0.0, l1_hi, _COARSE_TOL, rows, *stops)
         lo, hi = _key_interval(coeffs, (l1_lo, l1_hi), l2)
-        out = hi < lo_base if maximize else lo > hi_base
-        far = float(np.max(hi[out], initial=far) if maximize else np.min(lo[out], initial=far))
+        out = hi < base
+        far = float(np.max(hi[out], initial=far))
         keep = ~out
         pool += [(levels[r].tobytes(), a, b)
                  for r, a, b in zip(rows[keep].tolist(), lo[keep].tolist(), hi[keep].tolist())]
@@ -346,21 +346,19 @@ def _excluded_rows(fam, levels, exclude):
 
 
 def _baseline(fam, coeffs, objective: str, exclude):
-    """Deterministic certified baseline interval for pruning a free-tree scan.
+    """Deterministic certified lower bound on the maximum of ``coeffs``, for pruning a free-tree scan.
 
-    Maximizing keys use the best double comet (the comet search's own
-    screened evaluations); minimizing keys use the better of path
-    and star. Returns (lo, hi) enclosing the baseline value, or (-inf, inf)
-    when ``exclude`` holds every baseline tree, which prunes nothing.
+    A maximum takes the best double comet (the comet search's own screened
+    evaluations), a minimum (negated ``coeffs``) the better of path and
+    star. Returns -inf, which prunes nothing, when ``exclude`` holds them all.
     """
     if objective == "max":
-        rows, _, _ = _dc_candidates(_Comets(fam.n), coeffs, "max", exclude)
-        _, lo, hi = max(rows, key=lambda r: r[1], default=(None, -math.inf, math.inf))
-        return lo, hi
-    ms = [m for m in (bytes(range(fam.n)), bytes([0] + [1] * (fam.n - 1)))  # level sequences of path and star
-          if not (exclude and fam.code(m) in exclude)]
-    ivs = [_key_interval(coeffs, *iv) for iv in fam.pair_intervals(ms)]
-    return min(ivs, key=lambda iv: iv[1], default=(-math.inf, math.inf))
+        rows, _, _ = _dc_candidates(_Comets(fam.n), coeffs, exclude)
+    else:
+        ms = [m for m in (bytes(range(fam.n)), bytes([0] + [1] * (fam.n - 1)))  # level sequences of path and star
+              if not (exclude and fam.code(m) in exclude)]
+        rows = [(m, *_key_interval(coeffs, *iv)) for m, iv in zip(ms, fam.pair_intervals(ms))]
+    return max((lo for _, lo, _ in rows), default=-math.inf)
 
 
 # -- families --------------------------------------------------------------------
@@ -408,13 +406,13 @@ class _AllTrees(_Family):
         return Candidate(self.code(m), self.edges(m), lo, hi)
 
     def search_rows(self, key: str, coeffs, objective: str, exclude, jobs: int):
-        """Rows certified at TOL, the class count and the best far end among the rows dropped.
+        """Rows certified at TOL, the class count and the largest upper end among the rows dropped.
 
         Only the coarse rows left by ``_survivors`` are certified, each by one
         ``top_two``; a star's row (``_star_intervals``) is narrower already.
         """
-        lo_base, hi_base = _baseline(self, coeffs, objective, exclude)
-        scan = _Scan(self, key, coeffs, objective, lo_base, hi_base, exclude)
+        base = _baseline(self, coeffs, objective, exclude)
+        scan = _Scan(self, coeffs, base, key == "sum" and objective == "min", exclude)
         chunks = free_tree_level_chunks(self.n)
         if jobs == 1:
             results = list(map(scan, chunks))
@@ -423,12 +421,10 @@ class _AllTrees(_Family):
                 results = list(workers.imap(scan, chunks))
         rows = [r for chunk, _, _ in results for r in chunk]
         scanned = sum(count for _, _, count in results)
-        # a fold of the chunks' folds, so the bound does not depend on chunk order
-        fold = max if objective == "max" else min
-        bound = fold(far for _, far, _ in results)
+        bound = max(far for _, far, _ in results)  # does not depend on chunk order
         if not rows:  # exclude held every class
             return rows, scanned, bound
-        rows, bound = _survivors(rows, objective == "max", bound)
+        rows, bound = _survivors(rows, bound)
         ivs = iter(self.pair_intervals([m for m, lo, hi in rows if hi - lo > TOL]))
         rows = [(m, lo, hi) if hi - lo <= TOL else (m, *_key_interval(coeffs, *next(ivs))) for m, lo, hi in rows]
         return rows, scanned, bound
@@ -475,7 +471,7 @@ class _Comets(_Family):
 
     def search_rows(self, key: str, coeffs, objective: str, exclude, jobs: int):
         """Every evaluated comet's row, born at TOL, the family size and the screen's discard bound."""
-        return _dc_candidates(self, coeffs, objective, exclude)
+        return _dc_candidates(self, coeffs, exclude)
 
 
 def _at_least(name: str, value, least: int) -> int:
@@ -501,17 +497,14 @@ def _family(n, family: str) -> _Family:
     raise ValueError(f"unknown family {family!r}")
 
 
-def _survivors(rows, maximize: bool, bound: float):
-    """The rows that can still win, and ``bound`` with the far end of each row dropped folded in.
+def _survivors(rows, bound: float):
+    """The rows that can still win the maximum, and ``bound`` with the upper end of each row dropped folded in.
 
-    A row is dropped when it is certified past the best near end (the bar),
-    and its far end is all the runner-up margin needs of it.
+    A row is dropped when it is certified below the best lower end (the
+    bar), and its upper end is all the runner-up margin needs of it.
     """
-    if maximize:
-        bar = max(lo for _, lo, _ in rows)
-        return [r for r in rows if r[2] >= bar], max([hi for _, _, hi in rows if hi < bar] + [bound])
-    bar = min(hi for _, _, hi in rows)
-    return [r for r in rows if r[1] <= bar], min([lo for _, lo, _ in rows if lo > bar] + [bound])
+    bar = max(lo for _, lo, _ in rows)
+    return [r for r in rows if r[2] >= bar], max([hi for _, _, hi in rows if hi < bar] + [bound])
 
 
 def _tie_proven_exact(winners) -> bool:
@@ -548,21 +541,19 @@ def search_extremal(
         raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
     jobs = _at_least("jobs", jobs, 1)
     exclude = frozenset(exclude)
-    maximize = objective == "max"
+    minimize = objective == "min"
+    if minimize:  # min c.lam = -max(-c.lam): every layer below only maximizes
+        coeffs = (-coeffs[0], -coeffs[1])
     pool, scanned, discard_bound = fam.search_rows(key, coeffs, objective, exclude, jobs)
     if not pool:
         raise ValueError("search excluded every tree in the family")
-    pool, discard_bound = _survivors(pool, maximize, discard_bound)
+    pool, discard_bound = _survivors(pool, discard_bound)
+    runner_up_gap = min(lo for _, lo, _ in pool) - discard_bound if math.isfinite(discard_bound) else None
+    if minimize:  # 0.0 - x, not -x, so that an exact zero stays +0.0
+        pool = [(m, 0.0 - hi, 0.0 - lo) for m, lo, hi in pool]
     winners = tuple(sorted((fam.candidate(*r) for r in pool), key=lambda c: c.code))
     tie_proven = len(winners) > 1 and _tie_proven_exact(winners)
     resolved = len(winners) == 1 or tie_proven
-
-    runner_up_gap = None
-    if math.isfinite(discard_bound):
-        if maximize:
-            runner_up_gap = min(w.lo for w in winners) - discard_bound
-        else:
-            runner_up_gap = discard_bound - max(w.hi for w in winners)
     return ExtremalResult(
         n=fam.n,
         key=key,
@@ -745,6 +736,7 @@ def tuned_dc2_params(n: int, alpha: float) -> DoubleCometParams:
 
 def expansion_dc3(n: int, alpha: float) -> float:
     """Two-term asymptotic value of the tuned order-3 comet's objective."""
+    n = _at_least("n", n, 2)
     ap = AsymptoticParams.from_alpha(alpha)
     a2b2 = alpha * alpha + (1.0 - alpha) * (1.0 - alpha)
     return math.sqrt(a2b2 * (n - 1)) + ap.q * ap.d(n) / (8.0 * (n - 1) ** 1.5)
@@ -752,6 +744,7 @@ def expansion_dc3(n: int, alpha: float) -> float:
 
 def expansion_dc2(n: int, alpha: float) -> float:
     """Two-term asymptotic value of the tuned order-2 comet's objective."""
+    n = _at_least("n", n, 2)
     ap = AsymptoticParams.from_alpha(alpha)
     a2b2 = alpha * alpha + (1.0 - alpha) * (1.0 - alpha)
     extra = ap.t / (2.0 * ap.t - 1.0) + ap.d(n)
@@ -779,6 +772,7 @@ def curvature_expansion_dc3(n: int, alpha: float) -> float:
     correction is the concavity penalty -Q*x^2/(8(n-1)^{3/2}) with
     x = d + (d^2+1)/((2t-1)(n-1)); the remainder is O(1/n^2).
     """
+    n = _at_least("n", n, 2)
     ap = AsymptoticParams.from_alpha(alpha)
     s = alpha * alpha + (1.0 - alpha) * (1.0 - alpha)
     d = ap.d(n)
@@ -792,6 +786,7 @@ def curvature_expansion_dc2(n: int, alpha: float) -> float:
     Here lam1^2 sits at t(n-1) + d + t/(2t-1) + O(1/n), so the penalty is
     evaluated at x = d + t/(2t-1) plus its 1/n refinement.
     """
+    n = _at_least("n", n, 2)
     ap = AsymptoticParams.from_alpha(alpha)
     s = alpha * alpha + (1.0 - alpha) * (1.0 - alpha)
     t = ap.t

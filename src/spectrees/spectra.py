@@ -453,11 +453,14 @@ def adjacency_matrix(t: Tree) -> np.ndarray:
     return A
 
 
-def jacobi_eigh(matrix, off_tol: float = 1e-12, max_sweeps: int = 60):
+_JACOBI_OFF_TOL, _JACOBI_MAX_SWEEPS = 1e-12, 60
+
+
+def jacobi_eigh(matrix):
     """Eigen-decomposition of a symmetric matrix by cyclic plane rotations.
 
     Sweeps Givens rotations over all off-diagonal positions until the
-    off-diagonal Frobenius norm drops below ``off_tol``. Returns
+    off-diagonal Frobenius norm drops below _JACOBI_OFF_TOL. Returns
     (values descending, column eigenvectors in matching order). Independent
     of any library eigensolver by design: this is the test oracle.
     """
@@ -468,16 +471,16 @@ def jacobi_eigh(matrix, off_tol: float = 1e-12, max_sweeps: int = 60):
     V = np.eye(n)
     if n == 1:
         return np.array([A[0, 0]]), V
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         # off-diagonal Frobenius norm, summed directly to avoid cancellation
         strict = A - np.diag(np.diag(A))
         off = float(np.sqrt(np.sum(strict * strict)))
-        if off <= off_tol:
+        if off <= _JACOBI_OFF_TOL:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = A[p, q]
-                if abs(apq) < off_tol / (4.0 * n):
+                if abs(apq) < _JACOBI_OFF_TOL / (4.0 * n):
                     continue
                 theta = (A[q, q] - A[p, p]) / (2.0 * apq)
                 tt = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
@@ -771,10 +774,10 @@ def spectral_sum_lower_bound(t: Tree, x, y) -> float:
         raise ValueError("vectors must have one entry per vertex")
     nx = math.sqrt(sum(v * v for v in x))
     ny = math.sqrt(sum(v * v for v in y))
-    if abs(nx - 1.0) > 1e-10 or abs(ny - 1.0) > 1e-10:
+    if not (abs(nx - 1.0) <= 1e-10 and abs(ny - 1.0) <= 1e-10):  # NaN fails every comparison
         raise ValueError(f"vectors must be unit norm (got {nx}, {ny})")
     dot = sum(a * b for a, b in zip(x, y))
-    if abs(dot) > 1e-10:
+    if not abs(dot) <= 1e-10:
         raise ValueError(f"vectors must be orthogonal (dot {dot})")
     qx = 0.0
     qy = 0.0

@@ -129,6 +129,29 @@ class TestPsi:
         assert vals == sorted(vals)
 
 
+class TestKeyInterval:
+    KEYS = [("psi", a) for a in (0.0, 0.1, 0.3, 0.5, 0.7, 1.0)] + [(k, None) for k in ("sum", "lam1", "lam2", "gap")]
+
+    def test_negated_coefficients_mirror_the_interval(self):
+        # a minimum is searched as the maximum of the negated key, so -c must give exactly (-hi, -lo)
+        trees = [make_path(2), make_star(5), make_path(6), make_double_comet(DoubleCometParams(3, 2, 4))]
+        pairs = [((tt.lam1_lo, tt.lam1_hi), (tt.lam2_lo, tt.lam2_hi)) for tt in map(top_two, trees)]
+        pairs += [((0.5, 2.0), (0.0, 2.0)), ((1.0, 1.5), (-1.0, 0.25))]  # coarse brackets, lam2 across 0
+        levels = next(enumeration.free_tree_level_chunks(9))
+        l1_lo, l1_hi, l2_lo, l2_hi = TreeBatch(levels).top_two()
+        arrays = [((l1_lo, l1_hi), (l2_lo, l2_hi)), ((0.0 * l1_lo, l1_hi), (0.0 * l2_lo, l1_hi))]
+        for key, alpha in self.KEYS:
+            c = extremal._coeffs(key, alpha)
+            neg = (-c[0], -c[1])
+            for l1, l2 in pairs:
+                lo, hi = extremal._key_interval(c, l1, l2)
+                assert lo <= hi and extremal._key_interval(neg, l1, l2) == (-hi, -lo), (key, alpha, l1, l2)
+            for l1, l2 in arrays:
+                lo, hi = extremal._key_interval(c, l1, l2)
+                nlo, nhi = extremal._key_interval(neg, l1, l2)
+                assert (lo <= hi).all() and np.array_equal(nlo, -hi) and np.array_equal(nhi, -lo), (key, alpha)
+
+
 class TestSearch:
     def test_max_sum_n7_unique(self):
         res = search_extremal(7, objective="max", family="all", key="sum")
@@ -213,7 +236,9 @@ class TestSearch:
             for key, value in want.items():
                 for objective in ("max", "min"):
                     res = search_extremal(2, alpha=0.25, objective=objective, family=family, key=key)
-                    assert [(w.lo, w.hi) for w in res.winners] == [(value, value)], (family, key, objective)
+                    # repr tells 0.0 from -0.0, which == does not: a minimum must not negate 0.0 to -0.0
+                    got = [(repr(w.lo), repr(w.hi)) for w in res.winners]
+                    assert got == [(repr(value), repr(value))], (family, key, objective, got)
                     assert res.scanned == 1 and res.runner_up_gap is None and res.resolved
         seg, = envelope(2, "dc").segments
         assert (seg.lam1, seg.lam2) == (1.0, -1.0)
@@ -288,7 +313,7 @@ class TestSearch:
             for key, alpha in keys:
                 c = extremal._coeffs(key, alpha)
                 built.clear()
-                pool, size, discard_bound = extremal._dc_candidates(extremal._Comets(n), c, "max", ())
+                pool, size, discard_bound = extremal._dc_candidates(extremal._Comets(n), c, ())
                 assert size == len(family) and len(built) == len(pool)
                 kept = {p for p, _, _ in pool}
                 dropped = [p for p in long_comets if p not in kept]
@@ -619,6 +644,13 @@ class TestLimitsAndExpansions:
     def test_alpha_guard(self):
         with pytest.raises(ValueError):
             expansion_dc3(100, 0.4)
+
+    def test_expansions_reject_bad_orders(self):
+        for f in (expansion_dc2, expansion_dc3, extremal.curvature_expansion_dc2, extremal.curvature_expansion_dc3):
+            for bad in (1, True, 0, -4, 2.5, "100"):
+                with pytest.raises(ValueError, match="n"):
+                    f(bad, 0.75)
+            assert math.isfinite(f(2, 0.75)) and f(np.int64(500), 0.75) == f(500, 0.75)
 
 
 class TestProbeAndGap:

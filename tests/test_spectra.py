@@ -471,6 +471,14 @@ class TestIdentities:
             spectral_sum_lower_bound(t, [1, 0, 0, 0], [0.5, 0.5, 0.5, 0.5])
         with pytest.raises(ValueError):
             spectral_sum_lower_bound(t, [1, 0, 0, 0], [1, 0, 0, 0])
+        # NaN fails every comparison, so it must not slip past the norm and dot checks
+        nan = math.nan
+        for x, y in (([nan] * 4, [nan] * 4), ([1, 0, 0, 0], [0, nan, 0, 0]), ([nan, 0, 0, 0], [0, 1, 0, 0]),
+                     ([math.inf, 0, 0, 0], [0, 1, 0, 0])):
+            with pytest.raises(ValueError):
+                spectral_sum_lower_bound(t, x, y)
+        with pytest.raises(ValueError):
+            spectral_sum_lower_bound(make_path(3), [nan] * 3, [nan] * 3)
 
     def test_lower_bound_never_exceeds_sum(self):
         rng = random.Random(31)
