@@ -29,6 +29,8 @@ or its codes.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .trees import DoubleCometParams, Tree, canonical_code, make_double_comet
@@ -215,22 +217,12 @@ def decode_parent_report(seq, n: int):
 
 
 def _all_sequences(n: int):
-    """All n^(n-2) parent-report sequences."""
-    length = n - 2
-    seq = [0] * length
-    while True:
-        yield tuple(seq)
-        i = length - 1
-        while i >= 0 and seq[i] == n - 1:
-            seq[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        seq[i] += 1
+    """All n^(n-2) parent-report sequences, in lexicographic order."""
+    return itertools.product(range(n), repeat=max(n - 2, 0))
 
 
 def _nondecreasing_sequences(n: int):
-    """All nondecreasing parent-report sequences.
+    """All nondecreasing parent-report sequences, in lexicographic order.
 
     Every isomorphism class is covered: root any tree at an edge and
     eliminate leaves in reverse breadth-first rank while labeling the i-th
@@ -239,18 +231,7 @@ def _nondecreasing_sequences(n: int):
     vertex carries the smallest remaining label, which is exactly the
     smallest-leaf rule of the encoding.
     """
-    length = n - 2
-    seq = [0] * length
-    while True:
-        yield tuple(seq)
-        i = length - 1
-        while i >= 0 and seq[i] == n - 1:
-            i -= 1
-        if i < 0:
-            return
-        seq[i] += 1
-        for j in range(i + 1, length):
-            seq[j] = seq[i]
+    return itertools.combinations_with_replacement(range(n), max(n - 2, 0))
 
 
 def enumerate_labeled_oracle(n: int):

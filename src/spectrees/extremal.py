@@ -21,8 +21,9 @@ Searches carry uncoded (member, lo, hi) rows, certified at ``TOL``, through
 one survivor filter (``_survivors``). The all-tree scan, the comet screen
 and the filter follow one discard rule: each dropped row's upper end joins the
 bound the runner-up margin is measured against. A Tree and a canonical
-code are built only for the winners, or for every evaluated member when
-``exclude`` is nonempty.
+code are built only for the winners. A search's excluded codes belong to
+its family object, checked once in ``_family``; a nonempty set codes every
+member the search evaluates, to test it (``_Family.excluded``).
 Searches over all trees stream level-sequence chunks through the batched
 inertia kernel (``spectra.TreeBatch``) and never materialise a class
 list. Every comet but the star goes through the same kernel as its
@@ -95,7 +96,7 @@ def psi(t: Tree, alpha: float) -> PsiValue:
     c1, c2 = _coeffs("psi", alpha)
     tt = top_two(t, TOL)
     lo, hi = _key_interval((c1, c2), (tt.lam1_lo, tt.lam1_hi), (tt.lam2_lo, tt.lam2_hi))
-    return PsiValue(alpha, tt.lam1, tt.lam2, c1 * tt.lam1 + c2 * tt.lam2, lo, hi)
+    return PsiValue(c1, tt.lam1, tt.lam2, c1 * tt.lam1 + c2 * tt.lam2, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -136,7 +137,7 @@ def _coeffs(key: str, alpha):
     if key == "psi":
         if not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= 1.0:
             raise ValueError(f"psi needs alpha in [0, 1], got alpha={alpha!r}")
-        return alpha, 1.0 - alpha
+        return float(alpha), 1.0 - float(alpha)
     if key not in _FIXED_COEFFS:
         raise ValueError(f"key must be one of {KEYS}, got {key!r}")
     return _FIXED_COEFFS[key]
@@ -163,8 +164,8 @@ def _key_interval(c, l1, l2):
 # -- double-comet family evaluation ------------------------------------------
 
 
-def _dc_pair_intervals(params, tol: float):
-    """Certified (lam1, lam2) intervals for each comet of ``params``, in order.
+def _dc_pair_intervals(params):
+    """Certified (lam1, lam2) intervals, ``TOL`` wide, for each comet of ``params``, in order.
 
     A star (path order 1, or a quotient on at most 3 vertices, K2 included)
     takes ``_star_intervals``. Every other comet goes through ``TreeBatch``
@@ -187,8 +188,8 @@ def _dc_pair_intervals(params, tol: float):
         weights[np.arange(len(idx)), order - 1] = np.maximum(k1, 1)
         weights[:, 1] = np.maximum(k2, 1)
         batch = TreeBatch(np.broadcast_to(depth, weights.shape), weights)
-        l1_lo, l1_hi = batch.bisect(1, 0.0, np.sqrt(k1 + k2 + ell - 1) * (1.0 + 1e-12) + 1e-12, tol)
-        l2_lo, l2_hi = batch.bisect(2, 0.0, l1_hi, tol)
+        l1_lo, l1_hi = batch.bisect(1, 0.0, np.sqrt(k1 + k2 + ell - 1) * (1.0 + 1e-12) + 1e-12, TOL)
+        l2_lo, l2_hi = batch.bisect(2, 0.0, l1_hi, TOL)
         for i, a, b, c, d in zip(idx, l1_lo.tolist(), l1_hi.tolist(), l2_lo.tolist(), l2_hi.tolist()):
             out[i] = (a, b), (c, d)
     return out
@@ -209,12 +210,12 @@ def _dc_upper_bound(k1, k2, c):
 
 
 def _dc_short(n: int):
-    """Parameters of the short comets (path order <= 3: the star, and the path when n <= 3) by path order."""
+    """Parameters of the short comets (path order <= 3: the star, and the path when n <= 3), in family order."""
     groups = takewhile(lambda g: g[0] <= 3 or g[0] == n, double_comet_arrays(n))  # the path leads
-    return {ell: double_comet_group_params(ell, k1, k2) for ell, k1, k2 in groups if ell <= 3}
+    return [p for ell, k1, k2 in groups if ell <= 3 for p in double_comet_group_params(ell, k1, k2)]
 
 
-def _dc_candidates(fam, c, exclude):
+def _dc_candidates(fam, c):
     """Certified (params, lo, hi) rows of the comet family, its size and a discard bound.
 
     The short comets (``_dc_short``) are evaluated first, then the ell >= 4
@@ -226,16 +227,16 @@ def _dc_candidates(fam, c, exclude):
     out, plus _SAFETY for its rounding, so a short comet that wins keeps a
     positive margin; it is -inf when nothing is screened out. A
     ``DoubleCometParams`` is built only for a comet that gets evaluated,
-    and each group is evaluated in one ``_dc_pair_intervals`` call. A
-    nonempty ``exclude`` codes every evaluated comet (never a screened-out
-    one), to test it against the set.
+    and each group is evaluated in one ``_dc_pair_intervals`` call. Comets
+    the family excludes are dropped before evaluation; only an evaluated
+    comet, never a screened-out one, is tested against the set.
     """
 
     def rows(ps):
-        ps = [p for p in ps if not (exclude and fam.code(p) in exclude)]
-        return [(p, *_key_interval(c, *iv)) for p, iv in zip(ps, _dc_pair_intervals(ps, TOL))]
+        ps = [p for p in ps if not fam.excluded(p)]
+        return [(p, *_key_interval(c, *iv)) for p, iv in zip(ps, _dc_pair_intervals(ps))]
 
-    pool = rows([p for ps in _dc_short(fam.n).values() for p in ps])
+    pool = rows(_dc_short(fam.n))
     # a comet is screened out when its bound is below the bar; unbounded keys screen nothing out
     bar = max((lo for _, lo, _ in pool), default=-math.inf) if min(c) >= 0 else -math.inf
     size, kept, discard_bound = 0, [], -math.inf
@@ -267,24 +268,26 @@ class _Scan:
     lam1 at its high end, crosses the baseline (at once for a row out on
     lam1 alone). ``two_hub`` applies ``_two_hub_bound``, a theorem about
     the minimum sum. Like ``_survivors``, every dropped row folds its upper
-    end into ``far`` (-inf when nothing is dropped); excluded rows are never
-    dropped. Called on a chunk, it returns the surviving rows (level
-    sequence as bytes, lo, hi), ``far`` and the chunk's row count. It
-    builds no Tree and no code unless ``exclude`` is nonempty.
+    end into ``far`` (-inf when nothing is dropped); rows the family
+    excludes are left out first and never count as dropped. Called on a
+    chunk, it returns the surviving rows (level sequence as bytes, lo, hi),
+    ``far`` and the chunk's row count. It builds no Tree and no code unless
+    the family excludes some.
     """
 
     fam: _AllTrees
     coeffs: tuple
     base: float
     two_hub: bool
-    exclude: frozenset
 
     def __call__(self, levels):
         n, coeffs, base = self.fam.n, self.coeffs, self.base
         c1, c2 = coeffs
         far = -math.inf
         batch = TreeBatch(levels)
-        rows = np.flatnonzero(~_excluded_rows(self.fam, levels, self.exclude))
+        rows = np.arange(len(levels))
+        if self.fam.exclude:  # no Python loop over the chunk unless something is excluded
+            rows = rows[[not self.fam.excluded(seq.tobytes()) for seq in levels]]
         if self.two_hub and n > 2:  # the bound needs lam2 >= 0, which K2 breaks
             bound = -_two_hub_bound(batch, rows)
             out = bound < base
@@ -336,27 +339,19 @@ def _two_hub_bound(batch, rows):
     return bound
 
 
-def _excluded_rows(fam, levels, exclude):
-    """Rows whose canonical code is in ``exclude``."""
-    excluded = np.zeros(len(levels), dtype=bool)
-    if exclude:
-        for r, seq in enumerate(levels):
-            excluded[r] = fam.code(seq.tobytes()) in exclude
-    return excluded
-
-
-def _baseline(fam, coeffs, objective: str, exclude):
+def _baseline(fam, coeffs, objective: str):
     """Deterministic certified lower bound on the maximum of ``coeffs``, for pruning a free-tree scan.
 
     A maximum takes the best double comet (the comet search's own screened
-    evaluations), a minimum (negated ``coeffs``) the better of path and
-    star. Returns -inf, which prunes nothing, when ``exclude`` holds them all.
+    evaluations, under the same exclusion), a minimum (negated ``coeffs``)
+    the better of path and star. Returns -inf, which prunes nothing, when
+    the family excludes them all.
     """
     if objective == "max":
-        rows, _, _ = _dc_candidates(_Comets(fam.n), coeffs, exclude)
+        rows, _, _ = _dc_candidates(_Comets(fam.n, fam.exclude), coeffs)
     else:
         ms = [m for m in (bytes(range(fam.n)), bytes([0] + [1] * (fam.n - 1)))  # level sequences of path and star
-              if not (exclude and fam.code(m) in exclude)]
+              if not fam.excluded(m)]
         rows = [(m, *_key_interval(coeffs, *iv)) for m, iv in zip(ms, fam.pair_intervals(ms))]
     return max((lo for _, lo, _ in rows), default=-math.inf)
 
@@ -372,13 +367,20 @@ class _Family:
     ``search_rows`` hands over certified at ``TOL``, and envelopes in
     (lam1, lam2, member) midpoints; ``code`` and ``candidate`` are only
     called for the members a search reports or an envelope witnesses, and
-    for the members a nonempty ``exclude`` must be tested against.
+    by ``excluded`` when ``exclude`` is nonempty. ``exclude`` holds the
+    canonical codes a search leaves out, checked by ``_family``; envelopes
+    exclude nothing.
     """
 
     n: int
+    exclude: frozenset = frozenset()
 
     def code(self, m) -> str:
         return canonical_code(self.tree(m)).decode()
+
+    def excluded(self, m) -> bool:
+        """True when member ``m`` is excluded; it is coded only when the set is nonempty."""
+        return bool(self.exclude) and self.code(m) in self.exclude
 
 
 class _AllTrees(_Family):
@@ -405,14 +407,14 @@ class _AllTrees(_Family):
     def candidate(self, m, lo: float, hi: float) -> Candidate:
         return Candidate(self.code(m), self.edges(m), lo, hi)
 
-    def search_rows(self, key: str, coeffs, objective: str, exclude, jobs: int):
+    def search_rows(self, key: str, coeffs, objective: str, jobs: int):
         """Rows certified at TOL, the class count and the largest upper end among the rows dropped.
 
         Only the coarse rows left by ``_survivors`` are certified, each by one
         ``top_two``; a star's row (``_star_intervals``) is narrower already.
         """
-        base = _baseline(self, coeffs, objective, exclude)
-        scan = _Scan(self, coeffs, base, key == "sum" and objective == "min", exclude)
+        base = _baseline(self, coeffs, objective)
+        scan = _Scan(self, coeffs, base, key == "sum" and objective == "min")
         chunks = free_tree_level_chunks(self.n)
         if jobs == 1:
             results = list(map(scan, chunks))
@@ -422,7 +424,7 @@ class _AllTrees(_Family):
         rows = [r for chunk, _, _ in results for r in chunk]
         scanned = sum(count for _, _, count in results)
         bound = max(far for _, far, _ in results)  # does not depend on chunk order
-        if not rows:  # exclude held every class
+        if not rows:  # the family excludes every class
             return rows, scanned, bound
         rows, bound = _survivors(rows, bound)
         ivs = iter(self.pair_intervals([m for m, lo, hi in rows if hi - lo > TOL]))
@@ -434,7 +436,7 @@ class _Comets(_Family):
     """The double comets of order n; a member is its ``DoubleCometParams``."""
 
     def midpoints(self):
-        """(lam1, lam2, member) per comet that can reach the hull, in ``double_comet_params`` order.
+        """(lam1, lam2, member) per comet that can reach the hull: the short comets, then the long ones kept.
 
         Short comets (path order <= 3) are bisected first. A long one is kept
         iff its ``_dc_upper_bound`` line comes within _SAFETY of the upper
@@ -444,22 +446,18 @@ class _Comets(_Family):
         segment changes; only the comets kept get parameters.
         """
         short = _dc_short(self.n)
-        members = [p for ps in short.values() for p in ps]
-        ivs = dict(zip(members, _dc_pair_intervals(members, TOL)))
-        hull = _upper_hull([(l1[0], l2[0]) for l1, l2 in ivs.values()])
+        ivs = _dc_pair_intervals(short)
+        hull = _upper_hull([(l1[0], l2[0]) for l1, l2 in ivs])
         xs = np.array([lo for lo, _, _ in hull] + [1.0])
         slopes = np.array([l1 - l2 for _, _, (l1, l2) in hull])
         floor = np.array([l2 + x * (l1 - l2) for x, (*_, (l1, l2)) in zip(xs.tolist(), hull + hull[-1:])])
-        params = []
+        kept = []
         for ell, k1, k2 in double_comet_arrays(self.n):
             if ell > 3:
                 j = np.searchsorted(slopes, _dc_upper_bound(k1, k2, (1.0, -1.0)))  # the bound line's slope
                 keep = _dc_upper_bound(k1, k2, (xs[j], 1.0 - xs[j])) >= floor[j] - _SAFETY
-            params += short[ell] if ell <= 3 else double_comet_group_params(ell, k1[keep], k2[keep])
-        rest = [p for p in params if p not in ivs]
-        ivs.update(zip(rest, _dc_pair_intervals(rest, TOL)))
-        for p in params:
-            (l1_lo, l1_hi), (l2_lo, l2_hi) = ivs[p]
+                kept += double_comet_group_params(ell, k1[keep], k2[keep])
+        for p, ((l1_lo, l1_hi), (l2_lo, l2_hi)) in zip(short + kept, ivs + _dc_pair_intervals(kept)):
             yield 0.5 * (l1_lo + l1_hi), 0.5 * (l2_lo + l2_hi), p
 
     def tree(self, m) -> Tree:
@@ -469,9 +467,9 @@ class _Comets(_Family):
         t = self.tree(m)
         return Candidate(canonical_code(t).decode(), tuple(t.edges()), lo, hi, m)
 
-    def search_rows(self, key: str, coeffs, objective: str, exclude, jobs: int):
+    def search_rows(self, key: str, coeffs, objective: str, jobs: int):
         """Every evaluated comet's row, born at TOL, the family size and the screen's discard bound."""
-        return _dc_candidates(self, coeffs, exclude)
+        return _dc_candidates(self, coeffs)
 
 
 def _at_least(name: str, value, least: int) -> int:
@@ -485,15 +483,28 @@ def _at_least(name: str, value, least: int) -> int:
     return value
 
 
-def _family(n, family: str) -> _Family:
-    """The family object for order n; the one place ``n`` and ``family`` are checked."""
+def _family(n, family: str, exclude=()) -> _Family:
+    """The family object for order n; the one place ``n``, ``family`` and ``exclude`` are checked.
+
+    ``exclude`` must hold ``str`` codes with one "(" per vertex; a code is not parsed.
+    """
     n = _at_least("n", n, 2)
+    if isinstance(exclude, (str, bytes)):
+        raise ValueError(f"exclude must be a collection of codes, got the one code exclude={exclude!r}")
+    try:
+        exclude = frozenset(exclude)
+    except TypeError:
+        raise ValueError(f"exclude must be an iterable of str codes, got exclude={exclude!r}") from None
+    for code in exclude:
+        if not isinstance(code, str) or code.count("(") != n:
+            hint = ", as canonical_code(t).decode() gives them" if isinstance(code, bytes) else ""
+            raise ValueError(f"exclude takes str codes of order n={n}{hint}; got {code!r}")
     if family == "all":
         if n > MAX_EXHAUSTIVE_ORDER:
             raise ValueError(f"family='all' supports n <= {MAX_EXHAUSTIVE_ORDER}, got n={n}")
-        return _AllTrees(n)
+        return _AllTrees(n, exclude)
     if family == "dc":
-        return _Comets(n)
+        return _Comets(n, exclude)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -533,18 +544,18 @@ def search_extremal(
     Every candidate that can still win is certified once, at ``TOL``; a
     unique winner is certified by interval separation from every other
     candidate. Surviving ties are reported as a set, flagged ``tie_proven``
-    when closed forms prove exact equality (short comets only).
+    when closed forms prove exact equality (short comets only). ``exclude``
+    leaves out the trees with the given ``str`` canonical codes, of order n.
     """
-    fam = _family(n, family)
+    fam = _family(n, family, exclude)
     coeffs = _coeffs(key, alpha)
     if objective not in ("max", "min"):
         raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
     jobs = _at_least("jobs", jobs, 1)
-    exclude = frozenset(exclude)
     minimize = objective == "min"
     if minimize:  # min c.lam = -max(-c.lam): every layer below only maximizes
         coeffs = (-coeffs[0], -coeffs[1])
-    pool, scanned, discard_bound = fam.search_rows(key, coeffs, objective, exclude, jobs)
+    pool, scanned, discard_bound = fam.search_rows(key, coeffs, objective, jobs)
     if not pool:
         raise ValueError("search excluded every tree in the family")
     pool, discard_bound = _survivors(pool, discard_bound)
@@ -559,7 +570,7 @@ def search_extremal(
         key=key,
         objective=objective,
         family=family,
-        alpha=alpha if key == "psi" else None,
+        alpha=float(alpha) if key == "psi" else None,
         winners=winners,
         runner_up_gap=runner_up_gap,
         resolved=resolved,
@@ -791,12 +802,11 @@ def curvature_expansion_dc2(n: int, alpha: float) -> float:
     s = alpha * alpha + (1.0 - alpha) * (1.0 - alpha)
     t = ap.t
     d = ap.d(n)
-    base = d + t / (2.0 * t - 1.0)
     # next-order offset from expanding sqrt((n-1)^2 - 4 k1 k2) one step further
     k1 = t * (n - 1) + d
     k2 = (1.0 - t) * (n - 1) - 1.0 - d
     c = (n - 1.0) ** 2 - 4.0 * k1 * k2 - ((2.0 * t - 1.0) * (n - 1)) ** 2
-    x = c / (2.0 * ((2.0 * t - 1.0) * (n - 1)) ** 1) / 2.0 - (c * c) / (8.0 * ((2.0 * t - 1.0) * (n - 1)) ** 3) / 2.0
+    x = c / (2.0 * ((2.0 * t - 1.0) * (n - 1)) ) / 2.0 - (c * c) / (8.0 * ((2.0 * t - 1.0) * (n - 1)) ** 3) / 2.0
     return math.sqrt(s * (n - 1)) - _curvature_coefficient(alpha) * x * x / (8.0 * (n - 1) ** 1.5)
 
 

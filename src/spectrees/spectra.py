@@ -753,14 +753,9 @@ def ev_ev_identity_residual(t: Tree, k: int, v: int) -> float:
     keep = [i for i in range(t.n) if i != v]
     sub = adjacency_matrix(t)[np.ix_(keep, keep)]
     sub_vals, _ = jacobi_eigh(sub)
-    lhs_gap_product = 1.0
-    for g in gaps:
-        lhs_gap_product *= g
-    rhs = 1.0
-    for muv in sub_vals:
-        rhs *= lam_k - muv
+    rhs = math.prod(lam_k - muv for muv in sub_vals)
     xv2 = float(vecs[v, k - 1]) ** 2
-    return abs(xv2 - rhs / lhs_gap_product)
+    return abs(xv2 - rhs / math.prod(gaps))
 
 
 def spectral_sum_lower_bound(t: Tree, x, y) -> float:

@@ -217,3 +217,14 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
     for argv in commands:
         assert main(argv[1:]) == 0, argv
     capsys.readouterr()
+
+
+def test_readme_library_block_runs():
+    # the library quick tour must run as printed, its runner-up search included
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick tour", 1)[1].split("```")[1]
+    assert block.startswith("python\n")
+    namespace = {}
+    exec(block[len("python\n"):], namespace)
+    assert namespace["second"].resolved
+    assert namespace["second"].winner_codes[0] not in namespace["res"].winner_codes

@@ -266,8 +266,10 @@ class TestSearch:
             res = search_extremal(n, objective="max", family="all", key="lam2", exclude={best})
             assert res.resolved and res.winner_codes == want
             assert res.scanned == count_free_trees(n)
+        best = code_of(4, 4, 4)  # the order-12 maximizer: a code of another order would be a ValueError
         par = search_extremal(12, objective="max", family="all", key="lam2", exclude={best}, jobs=2)
         assert par == search_extremal(12, objective="max", family="all", key="lam2", exclude={best})
+        assert par.winner_codes == (code_of(4, 5, 3),)
 
     def test_excluded_trees_are_not_discards(self):
         # only the path is left: nothing was certified out, so no runner-up bound exists
@@ -294,6 +296,32 @@ class TestSearch:
             with pytest.raises(ValueError, match="search excluded every tree in the family"):
                 search_extremal(9, objective=objective, family="dc", exclude=comets)
 
+    def test_bad_exclusions_rejected(self):
+        # before the check these excluded nothing (bytes, a bare code iterated as characters,
+        # a non-code, a code of another order) or raised a bare TypeError (an int)
+        code = canonical_code(make_path(7))
+        bad = [code, code.decode(), 7, [code], [7], [None], [code_of(1, 1, 4)], {code_of(2, 2, 4)}]
+        for family in ("all", "dc"):
+            for exclude in bad:
+                with pytest.raises(ValueError, match="exclude"):
+                    search_extremal(7, family=family, exclude=exclude)
+        with pytest.raises(ValueError, match=r"canonical_code\(t\)\.decode\(\)"):
+            search_extremal(7, exclude=[code])
+        assert search_extremal(7, exclude=iter([code.decode()])) == search_extremal(7, exclude=[code.decode()])
+
+    def test_non_float_alpha_gives_the_float_answer(self):
+        # numpy 2 keeps 1 - float32 in float32, which widened nothing: the float32 interval
+        # of psi(DC(3,3,3), 0.3) missed its true value
+        t = make_double_comet(DoubleCometParams(3, 3, 3))
+        for alpha in (np.float32(0.3), Fraction(3, 10)):
+            got, want = psi(t, alpha), psi(t, float(alpha))
+            assert got == want and all(type(v) is float for v in vars(got).values()), alpha
+            for family in ("all", "dc"):
+                res = search_extremal(9, alpha=alpha, family=family)
+                assert res == search_extremal(9, alpha=float(alpha), family=family), (alpha, family)
+                assert all(type(v) is float for w in res.winners for v in (w.lo, w.hi))
+                assert type(res.runner_up_gap) is float and type(res.alpha) is float
+
     def test_comet_screen_is_sound(self, monkeypatch):
         # every long comet the screen leaves out of the pool is certified below the
         # discard bound, and no DoubleCometParams is built for it; a resolved search
@@ -309,11 +337,11 @@ class TestSearch:
         for n in (30, 61, 90):
             family = double_comet_params(n)
             long_comets = [p for p in family if p.ell >= 4]
-            intervals = dict(zip(family, _dc_pair_intervals(family, 1e-14)))
+            intervals = dict(zip(family, _dc_pair_intervals(family)))
             for key, alpha in keys:
                 c = extremal._coeffs(key, alpha)
                 built.clear()
-                pool, size, discard_bound = extremal._dc_candidates(extremal._Comets(n), c, ())
+                pool, size, discard_bound = extremal._dc_candidates(extremal._Comets(n), c)
                 assert size == len(family) and len(built) == len(pool)
                 kept = {p for p, _, _ in pool}
                 dropped = [p for p in long_comets if p not in kept]
@@ -425,7 +453,7 @@ def test_comet_and_star_brackets_pass_exact_inertia():
             k2 = rng.randrange(ell == 2, (n - ell) // 2 + 1)
             sample.append(DoubleCometParams(n - ell - k2, k2, ell))
     params = [p for n in (3, 10, 60) for p in double_comet_params(n)] + sample
-    for p, (l1, l2) in zip(params, _dc_pair_intervals(params, TOL)):
+    for p, (l1, l2) in zip(params, _dc_pair_intervals(params)):
         if p.ell == 1 or p.n <= 3 or max(p.k1, p.k2) + 1 == p.n - 1:  # a vertex of degree n-1
             assert_star_pair(p.n, l1, l2)
             continue
@@ -435,7 +463,7 @@ def test_comet_and_star_brackets_pass_exact_inertia():
         tt = top_two(make_star(n))
         b = [a[0] for a in TreeBatch([[0] + [1] * (n - 1)]).top_two()]
         pairs = [((tt.lam1_lo, tt.lam1_hi), (tt.lam2_lo, tt.lam2_hi)), ((b[0], b[1]), (b[2], b[3]))]
-        for l1, l2 in pairs + _dc_pair_intervals([DoubleCometParams(n - 1, 0, 1)], TOL):
+        for l1, l2 in pairs + _dc_pair_intervals([DoubleCometParams(n - 1, 0, 1)]):
             assert Fraction(l1[0]) ** 2 < n - 1 < Fraction(l1[1]) ** 2, (n, l1)
             assert_star_pair(n, l1, l2)
 
@@ -492,7 +520,7 @@ class TestEnvelope:
         for n in range(5, 41):
             on_line = {}
             params = double_comet_params(n)
-            for p, ((l1_lo, l1_hi), (l2_lo, l2_hi)) in zip(params, _dc_pair_intervals(params, 1e-12)):
+            for p, ((l1_lo, l1_hi), (l2_lo, l2_hi)) in zip(params, _dc_pair_intervals(params)):
                 l1, l2 = 0.5 * (l1_lo + l1_hi), 0.5 * (l2_lo + l2_hi)
                 on_line.setdefault((round(l1, 12), round(l2, 12)), []).append((code_of(p.k1, p.k2, p.ell), l1, l2))
             for s in envelope(n, "dc").segments:
@@ -515,18 +543,18 @@ class TestEnvelope:
         monkeypatch.setattr(extremal, "CHUNK_ROWS", 7)
         params = double_comet_params(9) + double_comet_params(16)[::-1] + [
             DoubleCometParams(1, 3, 6), DoubleCometParams(5, 1, 4), DoubleCometParams(0, 2, 5)]
-        alone = [_dc_pair_intervals([p], 1e-14)[0] for p in params]
-        assert repr(_dc_pair_intervals(params, 1e-14)) == repr(alone)
+        alone = [_dc_pair_intervals([p])[0] for p in params]
+        assert repr(_dc_pair_intervals(params)) == repr(alone)
 
     def test_envelope_screen_is_exact(self, monkeypatch):
-        # every comet the envelope leaves unevaluated has its 1e-14 upper-end line more
+        # every comet the envelope leaves unevaluated has its upper-end line more
         # than 1e-9 below the envelope; with the screen off the envelopes are the same
         pair_intervals = extremal._dc_pair_intervals
         evaluated = set()
 
-        def recording(params, tol):
+        def recording(params):
             evaluated.update(params)
-            return pair_intervals(params, tol)
+            return pair_intervals(params)
 
         monkeypatch.setattr(extremal, "_dc_pair_intervals", recording)
         for n in (30, 61, 110):
@@ -536,7 +564,7 @@ class TestEnvelope:
             assert skipped, n
             ends = np.array([a for s in env.segments for a in (s.alpha_lo, s.alpha_hi)])
             floor = np.array([env.value(a) for a in ends.tolist()])
-            ivs = pair_intervals(skipped, 1e-14)
+            ivs = pair_intervals(skipped)
             l1, l2 = np.array([a[1] for a, _ in ivs]), np.array([b[1] for _, b in ivs])
             gap = floor - (l2[:, None] + ends * (l1 - l2)[:, None])
             assert gap.min() > 1e-9, (n, skipped[int(gap.min(axis=1).argmin())])

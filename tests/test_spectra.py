@@ -244,7 +244,7 @@ class TestClosedForms:
             c1, c2 = dc_top_two_closed(p)
             tt = top_two(make_double_comet(p))
             assert abs(tt.lam1 - c1) < 1e-9 and abs(tt.lam2 - c2) < 1e-9
-            [((q1l, q1h), (q2l, q2h))] = _dc_pair_intervals([p], 1e-12)
+            [((q1l, q1h), (q2l, q2h))] = _dc_pair_intervals([p])
             assert abs(0.5 * (q1l + q1h) - c1) < 1e-9
             assert abs(0.5 * (q2l + q2h) - c2) < 1e-9
 
@@ -256,7 +256,7 @@ class TestClosedForms:
             k1 = rng.randrange(0, n - ell + 1)
             k2 = n - ell - k1
             tt = top_two(make_double_comet(DoubleCometParams(k1, k2, ell)))
-            [((q1l, q1h), (q2l, q2h))] = _dc_pair_intervals([DoubleCometParams(k1, k2, ell)], 1e-12)
+            [((q1l, q1h), (q2l, q2h))] = _dc_pair_intervals([DoubleCometParams(k1, k2, ell)])
             assert abs(tt.lam1 - 0.5 * (q1l + q1h)) < 1e-9
             assert abs(tt.lam2 - 0.5 * (q2l + q2h)) < 1e-9
 
