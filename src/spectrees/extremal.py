@@ -69,6 +69,7 @@ from .spectra import (
 from .trees import (
     DoubleCometParams,
     Tree,
+    _tree_from_code,
     canonical_code,
     make_double_comet,
     make_star,
@@ -135,7 +136,7 @@ class ExtremalResult:
 def _coeffs(key: str, alpha):
     """(c1, c2) with the key's value c1*lam1 + c2*lam2; c1 >= 0 and c1 + c2 >= 0 for every key."""
     if key == "psi":
-        if not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= 1.0:
+        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= 1.0:
             raise ValueError(f"psi needs alpha in [0, 1], got alpha={alpha!r}")
         return float(alpha), 1.0 - float(alpha)
     if key not in _FIXED_COEFFS:
@@ -475,18 +476,21 @@ class _Comets(_Family):
 def _at_least(name: str, value, least: int) -> int:
     """``value`` as an int, or a ValueError naming ``name`` unless it is an integer >= least."""
     try:
-        value = operator.index(value)
+        index = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {name}={value!r}") from None
-    if value < least:
-        raise ValueError(f"{name} must be at least {least}, got {name}={value}")
-    return value
+        index = None
+    if index is None or isinstance(value, bool):  # a bool has __index__, but is no count
+        raise ValueError(f"{name} must be an integer, got {name}={value!r}")
+    if index < least:
+        raise ValueError(f"{name} must be at least {least}, got {name}={index}")
+    return index
 
 
 def _family(n, family: str, exclude=()) -> _Family:
     """The family object for order n; the one place ``n``, ``family`` and ``exclude`` are checked.
 
-    ``exclude`` must hold ``str`` codes with one "(" per vertex; a code is not parsed.
+    ``exclude`` must hold ``str`` canonical codes of order n: each is parsed
+    and must be its tree's own ``canonical_code``.
     """
     n = _at_least("n", n, 2)
     if isinstance(exclude, (str, bytes)):
@@ -496,9 +500,13 @@ def _family(n, family: str, exclude=()) -> _Family:
     except TypeError:
         raise ValueError(f"exclude must be an iterable of str codes, got exclude={exclude!r}") from None
     for code in exclude:
-        if not isinstance(code, str) or code.count("(") != n:
+        try:
+            t = _tree_from_code(code) if isinstance(code, str) else None
+        except ValueError:
+            t = None
+        if t is None or t.n != n or canonical_code(t).decode() != code:
             hint = ", as canonical_code(t).decode() gives them" if isinstance(code, bytes) else ""
-            raise ValueError(f"exclude takes str codes of order n={n}{hint}; got {code!r}")
+            raise ValueError(f"exclude takes str canonical codes of order n={n}{hint}; got {code!r}")
     if family == "all":
         if n > MAX_EXHAUSTIVE_ORDER:
             raise ValueError(f"family='all' supports n <= {MAX_EXHAUSTIVE_ORDER}, got n={n}")

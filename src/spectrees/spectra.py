@@ -2,13 +2,19 @@
 
 The workhorse is an O(n) elimination pass on A - xI that returns the
 number of eigenvalues above, equal to, and below x (Sylvester inertia via
-leaf-to-root pivoting; a zero child pivot severs the edge to the parent in
-its limit form, the parent's pivot -inf), exact unless an eigenvalue lies
-within rounding distance of x. Bisection on that count gives enclosing
-intervals for the two largest eigenvalues with no floating-point eigensolver.
-``TOL`` is the width of every public enclosure; only ``top_two`` and
-``TreeBatch.top_two`` take another, as ``spectrum --tol`` does, and only
-a wider one: a narrower bracket can miss its eigenvalue.
+leaf-to-root pivoting, Jacobs and Trevisan's tree diagonalization; a zero
+child pivot severs the edge to the parent in its limit form, the parent's
+pivot -inf), exact unless an eigenvalue lies within rounding distance of
+x. Each probe is one flat loop over a postorder kept on the tree
+(``_rooted``): a vertex's pivot is final when its turn comes, is counted
+there, and adds its term to its parent's slot. Bisection on that count
+gives enclosing intervals for the two largest eigenvalues with no
+floating-point eigensolver. ``TOL`` is the width of every public
+enclosure; only ``top_two`` and ``TreeBatch.top_two`` take another, as
+``spectrum --tol`` does, and only a wider one: a narrower bracket can miss
+its eigenvalue. ``top_two`` at ``TOL`` is kept on the ``Tree``, so every
+later certification of the same tree object (eigenvectors, psi, the
+transforms) reuses it.
 ``_bisect_count`` is the one scalar bisection loop: it takes any count
 function, so whole trees and induced forests share it. ``TreeBatch`` runs
 the same pass and bisection over many same-order trees at once with numpy,
@@ -88,69 +94,81 @@ class TopTwo:
 
 
 def _rooted(t: Tree):
-    """Cache (order, children) with parents before children per component."""
-    if t._rooted is not None:
-        return t._rooted
-    order, children = _root_forest(t.adjacency)
-    t._rooted = (order, children)
+    """``_root_forest`` of the tree, kept on it."""
+    if t._rooted is None:
+        t._rooted = _root_forest(t.adjacency)
     return t._rooted
 
 
 def _root_forest(adj):
-    """Root every component of an adjacency-list forest at its first vertex."""
-    order, parent = [], {}
-    for r in range(len(adj)):
-        if r not in parent:
-            comp, up = _bfs(adj, r)
-            order += comp
-            parent.update(up)
-    children = [[] for _ in adj]
-    for v in order:
-        p = parent[v]
-        if p >= 0:
-            children[p].append(v)
-    return order, children
+    """(post, up) of an adjacency-list forest, each component rooted at its first vertex.
 
-
-def _pivots(order, children, x: float):
-    """Postorder pivots of A - xI: d[v] is the pivot of v's subtree, eliminated toward v.
-
-    A zero child pivot adds +inf to its parent's sum (the limit form): the
-    parent's pivot is -inf, and its -0.0 term severs its own parent edge.
+    ``up[v]`` is v's parent, or n for a root. ``post`` is the breadth-first
+    order stably sorted by decreasing depth: every vertex comes after its
+    children, and a vertex's children in the breadth-first order.
     """
-    d = [0.0] * len(order)
+    n = len(adj)
+    order, up, depth = [], [n] * n, [0] * n
+    seen = set()
+    for r in range(n):
+        if r not in seen:
+            comp, parent = _bfs(adj, r)
+            for v in comp[1:]:
+                up[v] = p = parent[v]
+                depth[v] = depth[p] + 1
+            order += comp
+            seen.update(comp)
+    return sorted(order, key=depth.__getitem__, reverse=True), up
+
+
+def _pivots(post, up, x: float):
+    """Pivots of A - xI in one postorder pass: d[v] is the pivot of v's subtree, eliminated toward v.
+
+    ``s[p]`` sums 1/d over p's children in ``post`` order. A zero child
+    pivot adds +inf to it (the limit form): the parent's pivot is -inf, and
+    its -0.0 term severs its own parent edge. Roots add to the spare slot n.
+    """
+    n = len(post)
+    s = [0.0] * (n + 1)
+    d = [0.0] * n
     neg_x = 0.0 - x
-    for v in reversed(order):
-        s = 0.0
-        for c in children[v]:
-            dc = d[c]
-            s += 1.0 / dc if dc else math.inf
-        d[v] = neg_x - s
+    for v in post:
+        d[v] = dv = neg_x - s[v]
+        s[up[v]] += 1.0 / dv if dv else math.inf
     return d
 
 
-def _count_above(order, children, x: float):
-    """(above, equal) counts for the forest described by (order, children).
+def _count_above(post, up, x: float):
+    """(above, equal) counts for the forest described by (post, up).
 
-    Each vertex with a zero child shifts one count from equal to above, as
-    the classic repair (child pivot 2, its own -1/2) would.
+    ``_pivots``' recurrence, counting as it goes. Each vertex with a zero
+    child shifts one count from equal to above, as the classic repair
+    (child pivot 2, its own -1/2) would; a root's zero pivot repairs nothing.
     """
-    d = _pivots(order, children, x)
-    above = equal = 0
-    for val in d:
-        if val > 0.0:
-            above += 1
-        elif val == 0.0:
-            equal += 1
-    if equal:
-        repairs = sum(1 for v in order if d[v] == -math.inf and 0.0 in [d[c] for c in children[v]])
-        return above + repairs, equal - repairs
-    return above, equal
+    n = len(post)
+    s = [0.0] * (n + 1)
+    neg_x = 0.0 - x
+    above = 0
+    zeros = []  # the parent slot of each zero pivot
+    for v in post:
+        d = neg_x - s[v]
+        if d:
+            if d > 0.0:
+                above += 1
+            s[up[v]] += 1.0 / d
+        else:
+            p = up[v]
+            s[p] += math.inf
+            zeros.append(p)
+    if zeros:
+        repairs = len(set(zeros) - {n})
+        return above + repairs, len(zeros) - repairs
+    return above, 0
 
 
-def _above_counter(order, children):
+def _above_counter(post, up):
     """The eigenvalue count above x of a rooted forest, as a function of x."""
-    return lambda x: _count_above(order, children, x)[0]
+    return lambda x: _count_above(post, up, x)[0]
 
 
 def count_eigenvalues_above(t: Tree, x: float) -> SignCount:
@@ -216,16 +234,24 @@ def top_two(t: Tree, tol: float = TOL) -> TopTwo:
     on the inertia counts over [0, sqrt(n-1)], the star's spectral radius,
     which no other tree of order n reaches; the bracket stays valid for
     lam2 because every non-star tree on n >= 3 vertices has lam2 >= 0.
+
+    The answer at ``TOL`` is kept on the tree (``Tree._top_two``), so later
+    calls at ``TOL`` return it; a wider ``tol`` neither reads nor writes it.
     """
     n = t.n
     _check_top_two(n, tol)
+    if tol == TOL and t._top_two is not None:
+        return t._top_two
     if t.max_degree() == n - 1:
-        l1, l2 = _star_intervals(n)
-        return TopTwo(*l1, *l2, tol)
-    above = _above_counter(*_rooted(t))
-    l1_lo, l1_hi = _bisect_count(above, 1, 0.0, math.sqrt(n - 1), tol)
-    l2_lo, l2_hi = _bisect_count(above, 2, 0.0, l1_hi, tol)
-    return TopTwo(l1_lo, l1_hi, l2_lo, l2_hi, tol)
+        (l1_lo, l1_hi), (l2_lo, l2_hi) = _star_intervals(n)
+    else:
+        above = _above_counter(*_rooted(t))
+        l1_lo, l1_hi = _bisect_count(above, 1, 0.0, math.sqrt(n - 1), tol)
+        l2_lo, l2_hi = _bisect_count(above, 2, 0.0, l1_hi, tol)
+    tt = TopTwo(l1_lo, l1_hi, l2_lo, l2_hi, float(tol))
+    if tol == TOL:
+        t._top_two = tt
+    return tt
 
 
 class TreeBatch:
@@ -523,7 +549,7 @@ def dense_spectrum_oracle(t: Tree):
 # -- eigenvectors and the spectral center ------------------------------------
 
 
-def _branches(order, children, x: float):
+def _branches(post, up, x: float):
     """Pivot and eigenvalue count above x of every branch of a rooted tree.
 
     The branch at w avoiding v is the component of T - v holding its
@@ -534,17 +560,17 @@ def _branches(order, children, x: float):
     terms as prefix plus suffix, never a difference, so its counts are as
     exact as ``_count_above``'s; a zero pivot takes the same limit form.
     """
-    n = len(order)
-    piv = _pivots(order, children, x) + [0.0] * (2 * n)
+    n = len(post)
+    piv = _pivots(post, up, x) + [0.0] * (2 * n)
     cnt = [0] * (3 * n)
-    parent = [-1] * n
-    for v in reversed(order):
+    parent = [-1 if p == n else p for p in up]
+    children = [[] for _ in range(n + 1)]  # in post order, as _pivots sums them
+    for v in post:
         cs = children[v]
-        for c in cs:
-            parent[c] = v
         cnt[v] = (piv[v] > 0.0) + (0.0 in [piv[c] for c in cs]) + sum(cnt[c] for c in cs)
+        children[up[v]].append(v)
     neg_x = 0.0 - x
-    for v in order:
+    for v in reversed(post):
         nb = children[v] if parent[v] < 0 else [n + v, *children[v]]  # v's neighbours' branches
         terms = [1.0 / piv[j] if piv[j] else math.inf for j in nb]
         suffix = list(accumulate(reversed(terms), initial=0.0))[::-1]

@@ -66,16 +66,23 @@ class Tree:
     constructor validates the edge list and raises :class:`TreeError` for
     anything that is not a tree; the family constructors build the named
     shapes.
+
+    Three caches fill on first use and live as long as the tree, which is
+    immutable; pickling and equality ignore them:
+
+    * ``_code``: ``canonical_code``;
+    * ``_rooted``: ``spectra._rooted``, the elimination's postorder and parent slots;
+    * ``_top_two``: ``spectra.top_two`` at ``TOL``, the tree's certificate.
     """
 
-    __slots__ = ("n", "adjacency", "_code", "_rooted")
+    __slots__ = ("n", "adjacency", "_code", "_rooted", "_top_two")
 
     def __init__(self, n: int, edges):
         try:
             order = operator.index(n)
         except TypeError:
             order = 0
-        if order < 1:
+        if order < 1 or isinstance(n, bool):
             raise TreeError("vertex-count", f"vertex count must be a positive integer, got {n!r}")
         n = order
         # union-find over the edges in order: a failed merge closes a cycle, n-1 merges connect
@@ -115,6 +122,7 @@ class Tree:
         self.adjacency = tuple(tuple(sorted(a)) for a in adj)
         self._code = None
         self._rooted = None
+        self._top_two = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -295,6 +303,36 @@ def canonical_code(t: Tree) -> bytes:
         code = b"2" + (ra + rb if ra <= rb else rb + ra)
     t._code = code
     return code
+
+
+def _tree_from_code(code: str) -> Tree:
+    """A tree that ``code`` describes, read as a ``canonical_code`` string; ValueError if malformed.
+
+    A stack walk over the parentheses: each "(" is a new vertex, a child of
+    the innermost open one. A "1" code holds one rooted tree, a "2" code two
+    whose roots are then joined. The code need not be canonical: compare
+    ``canonical_code`` of the result with it to check that.
+    """
+    roots = {"1": 1, "2": 2}.get(code[:1])
+    edges, tops, open_ = [], [], []
+    n = 0
+    for ch in code[1:]:
+        if ch == "(":
+            if open_:
+                edges.append((open_[-1], n))
+            else:
+                tops.append(n)
+            open_.append(n)
+            n += 1
+        elif ch == ")" and open_:
+            open_.pop()
+        else:
+            raise ValueError(f"unbalanced or foreign character {ch!r} in tree code {code!r}")
+    if open_ or len(tops) != roots:
+        raise ValueError(f"tree code {code!r} must be 1 or 2 followed by that many balanced rooted trees")
+    if roots == 2:
+        edges.append(tuple(tops))
+    return Tree(n, edges)
 
 
 # -- text formats ----------------------------------------------------------

@@ -120,8 +120,11 @@ class TestPsi:
         assert abs(v.value - 1.53884) < 1e-5
 
     def test_alpha_guard(self):
-        with pytest.raises(ValueError):
-            psi(make_path(4), 1.5)
+        for alpha in (1.5, True, False):
+            with pytest.raises(ValueError, match="alpha"):
+                psi(make_path(4), alpha)
+            with pytest.raises(ValueError, match="alpha"):
+                search_extremal(6, alpha=alpha)
 
     def test_monotone_in_alpha(self):
         t = make_path(7)
@@ -252,7 +255,7 @@ class TestSearch:
         assert res.runner_up_gap > 0
 
     def test_jobs_below_one_rejected(self):
-        for jobs in (0, -3):
+        for jobs in (0, -3, True):
             with pytest.raises(ValueError, match="jobs"):
                 search_extremal(8, jobs=jobs)
             with pytest.raises(ValueError, match="jobs"):
@@ -298,9 +301,11 @@ class TestSearch:
 
     def test_bad_exclusions_rejected(self):
         # before the check these excluded nothing (bytes, a bare code iterated as characters,
-        # a non-code, a code of another order) or raised a bare TypeError (an int)
+        # a non-code, a code of another order, the path's code with a wrong prefix or
+        # rooted at an end, malformed parentheses) or raised a bare TypeError (an int)
         code = canonical_code(make_path(7))
-        bad = [code, code.decode(), 7, [code], [7], [None], [code_of(1, 1, 4)], {code_of(2, 2, 4)}]
+        bad = [code, code.decode(), 7, [code], [7], [None], [code_of(1, 1, 4)], {code_of(2, 2, 4)},
+               {"2" + code.decode()[1:]}, {"1" + "(" * 7 + ")" * 7}, {"1" + "(" * 7}, {"1" + ")(" * 7}]
         for family in ("all", "dc"):
             for exclude in bad:
                 with pytest.raises(ValueError, match="exclude"):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spectrees import spectra
 from spectrees.enumeration import _level_seq_edges, decode_parent_report, enumerate_free_trees, free_tree_level_chunks
-from spectrees.extremal import _dc_pair_intervals
+from spectrees.extremal import _dc_pair_intervals, psi
 from spectrees.spectra import (
     EigenvectorData,
     Lambda2MultiplicityError,
@@ -38,6 +40,7 @@ from spectrees.spectra import (
     spectral_sum_lower_bound,
     top_two,
 )
+from spectrees.transforms import kelmans
 from spectrees.trees import DoubleCometParams, Tree, TreeError, make_double_comet, make_path, make_star
 
 
@@ -107,12 +110,12 @@ class TestCounting:
         large = [random_tree(rng, rng.randrange(9, 40)) for _ in range(30)]
         zeros = 0
         for t in small + large:
-            order, children = _rooted(t)
+            post, up = _rooted(t)
             n = t.n
             probes = [0.0, rng.uniform(-3, 3)] + ([1.0, -1.0, 2.0] if n <= 8 else [])
             for x in probes:
-                above = _count_above(order, children, x)[0]
-                parent, piv, cnt = _branches(order, children, x)
+                above = _count_above(post, up, x)[0]
+                parent, piv, cnt = _branches(post, up, x)
                 for v in range(n):
                     zeros += sum(piv[_slot(parent, w, v)] == 0.0 for w in t.adjacency[v])
                     assert cnt[2 * n + v] == above, (t.edges(), x, v)
@@ -140,12 +143,13 @@ def test_walks_by_brute_force():
             keep = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
             index = {u: i for i, u in enumerate(keep)}
             forest = [[index[w] for w in t.adjacency[u] if w in index] for u in keep]
-            order, children = _root_forest(forest)
-            assert sorted(order) == list(range(len(keep)))
-            at = {u: i for i, u in enumerate(order)}
-            edges = sorted((min(u, c), max(u, c)) for u in order for c in children[u])
-            assert edges == sorted((u, w) for u in range(len(keep)) for w in forest[u] if u < w)
-            assert all(at[u] < at[c] for u in order for c in children[u])
+            post, up = _root_forest(forest)
+            m = len(keep)
+            assert sorted(post) == list(range(m))
+            at = {u: i for i, u in enumerate(post)}
+            edges = sorted((min(c, u), max(c, u)) for c, u in enumerate(up) if u < m)
+            assert edges == sorted((u, w) for u in range(m) for w in forest[u] if u < w)
+            assert all(at[u] > at[c] for c, u in enumerate(up) if u < m)
 
 
 class TestTopTwo:
@@ -193,12 +197,13 @@ class TestTopTwo:
         t = [Tree(100, [(rng.randrange(v), v) for v in range(1, 100)]) for _ in range(30)][26]
         with pytest.raises(ValueError, match="TOL"):
             top_two(t, 1e-14)
-        order, children = _rooted(t)
+        post, up = _rooted(t)
 
         def exact_above(x):
-            d, x = {}, Fraction(x)
-            for v in reversed(order):  # a non-integer float is no subtree's eigenvalue, so no pivot is 0
-                d[v] = -x - sum(1 / d[c] for c in children[v])
+            d, s, x = {}, [0] * (t.n + 1), Fraction(x)
+            for v in post:  # a non-integer float is no subtree's eigenvalue, so no pivot is 0
+                d[v] = -x - s[v]
+                s[up[v]] += 1 / d[v]
             return sum(p > 0 for p in d.values())
 
         tt = top_two(t)
@@ -209,6 +214,40 @@ class TestTopTwo:
                 top_two(make_path(4), bad)
             with pytest.raises(ValueError, match="TOL"):
                 TreeBatch([[0, 1, 2, 3], [0, 1, 1, 1]]).top_two(bad)
+
+    def test_each_tree_is_certified_once(self, monkeypatch):
+        # top_two at TOL is kept on the tree: the eigenvectors, psi and the
+        # transform reuse it, so only t's first call and the rewired tree bisect
+        calls = []
+        bisect = spectra._bisect_count
+        monkeypatch.setattr(spectra, "_bisect_count", lambda *a: calls.append(a) or bisect(*a))
+        t = random_tree(random.Random(8), 40)
+        assert t.max_degree() < t.n - 1
+        u = next(v for v in range(t.n) if t.degree(v) > 1)
+        tt = top_two(t)
+        eigenvector(t, 1), eigenvector(t, 2), psi(t, 0.3)
+        outcome = kelmans(t, u, t.adjacency[u][0])
+        assert len(calls) == 4
+        assert outcome.certificates["before"] is tt and top_two(t) is tt
+
+    def test_wider_widths_bypass_the_kept_certificate(self):
+        rng = random.Random(12)
+        for t in [random_tree(rng, 30), make_star(6)]:
+            wide = top_two(t, 1e-6)
+            tt = top_two(t)
+            fresh = Tree(t.n, t.edges())
+            assert top_two(t, 1e-6) == wide == top_two(fresh, 1e-6) and wide != tt
+            assert tt == top_two(fresh) and tt.tol == TOL
+            for tol in (np.float64(TOL), np.float64(1e-6)):
+                for tree in (t, Tree(t.n, t.edges())):
+                    assert type(top_two(tree, tol).tol) is float, (tol, tree)
+
+    def test_certified_tree_pickles_as_its_value(self):
+        t = random_tree(random.Random(13), 25)
+        tt = top_two(t)
+        back = pickle.loads(pickle.dumps(t))
+        assert back == t and hash(back) == hash(t)
+        assert top_two(back) == tt
 
     def test_path_is_lambda1_minimal_exhaustively(self):
         for n in range(3, 13):
@@ -536,14 +575,14 @@ def test_batched_counts_match_scalar_kernel():
             above, equal, rep = batch.count_above(x)
             repairs.append(int(rep.sum()))
             for r in range(len(batch)):
-                order, children = _rooted(Tree(n, _level_seq_edges(rows[r])))
-                assert _count_above(order, children, x) == (above[r], equal[r])
+                post, up = _rooted(Tree(n, _level_seq_edges(rows[r])))
+                assert _count_above(post, up, x) == (above[r], equal[r])
         # one probe per row, as the bisection issues them
         xs = np.array([data.draw(st.sampled_from(probes)) for _ in rows])
         above, equal, _ = batch.count_above(xs)
         for r in range(len(batch)):
-            order, children = _rooted(Tree(n, _level_seq_edges(rows[r])))
-            assert _count_above(order, children, float(xs[r])) == (above[r], equal[r])
+            post, up = _rooted(Tree(n, _level_seq_edges(rows[r])))
+            assert _count_above(post, up, float(xs[r])) == (above[r], equal[r])
 
     check()
     assert sum(repairs) > 0, "the sample never exercised the zero-pivot repair"

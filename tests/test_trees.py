@@ -8,6 +8,7 @@ from spectrees.trees import (
     DoubleCometParams,
     Tree,
     TreeError,
+    _tree_from_code,
     canonical_code,
     centroids,
     make_double_comet,
@@ -95,10 +96,13 @@ def test_from_edge_list_ok():
     assert Tree(3, [(np.int64(0), np.int64(1)), (1, np.int32(2))]) == make_path(3)
     t = Tree(np.int64(3), [(0, 1), (1, 2)])
     assert t == make_path(3) and type(t.n) is int
-    for bad in (3.0, "3", None, 0):
+    for bad in (3.0, "3", None, 0, True):
         with pytest.raises(TreeError) as err:
             Tree(bad, [(0, 1), (1, 2)])
         assert err.value.reason == "vertex-count"
+    with pytest.raises(TreeError, match="vertex count") as err:
+        Tree(True, [])  # a bool is no vertex count, though it has __index__
+    assert err.value.reason == "vertex-count"
 
 
 def test_bad_vertex_ids_are_named():
@@ -125,6 +129,19 @@ def test_canonical_code_examples():
     assert canonical_code(make_double_comet(DoubleCometParams(2, 3, 3))) == canonical_code(
         make_double_comet(DoubleCometParams(3, 2, 3))
     )
+
+
+def test_tree_from_code_reads_canonical_codes():
+    for n in range(1, 10):
+        for t in enumerate_free_trees(n):
+            code = canonical_code(t).decode()
+            back = _tree_from_code(code)
+            assert back.n == n and canonical_code(back).decode() == code
+    # P5 rooted at an end parses, but its code is rooted at the centre
+    assert canonical_code(_tree_from_code("1((((()))))")) == b"1((())(()))"
+    for bad in ("", "1", "2", "3()", "()", "1()()", "2()", "2()()()", "2(((()))((())))", "1((", "1())", "1)(", "1(x)"):
+        with pytest.raises(ValueError):
+            _tree_from_code(bad)
 
 
 def test_canonical_code_relabeling_invariance():
