@@ -7,6 +7,7 @@ from .trees import (
     TreeError,
     canonical_code,
     centroids,
+    double_comet_code,
     make_double_comet,
     make_path,
     make_star,

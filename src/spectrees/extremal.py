@@ -21,9 +21,11 @@ Searches carry uncoded (member, lo, hi) rows, certified at ``TOL``, through
 one survivor filter (``_survivors``). The all-tree scan, the comet screen
 and the filter follow one discard rule: each dropped row's upper end joins the
 bound the runner-up margin is measured against. A Tree and a canonical
-code are built only for the winners. A search's excluded codes belong to
-its family object, checked once in ``_family``; a nonempty set codes every
-member the search evaluates, to test it (``_Family.excluded``).
+code are built only for the winners. A comet's code comes from its
+parameters (``trees.double_comet_code``), a few bytes joins with no Tree.
+A search's excluded codes belong to its family object, checked once in
+``_family``; a nonempty set codes every member the search evaluates, to
+test it (``_Family.excluded``).
 Searches over all trees stream level-sequence chunks through the batched
 inertia kernel (``spectra.TreeBatch``) and never materialise a class
 list. Every comet but the star goes through the same kernel as its
@@ -71,6 +73,7 @@ from .trees import (
     Tree,
     _tree_from_code,
     canonical_code,
+    double_comet_code,
     make_double_comet,
     make_star,
 )
@@ -464,9 +467,11 @@ class _Comets(_Family):
     def tree(self, m) -> Tree:
         return make_double_comet(m)
 
+    def code(self, m) -> str:
+        return double_comet_code(m).decode()
+
     def candidate(self, m, lo: float, hi: float) -> Candidate:
-        t = self.tree(m)
-        return Candidate(canonical_code(t).decode(), tuple(t.edges()), lo, hi, m)
+        return Candidate(self.code(m), tuple(self.tree(m).edges()), lo, hi, m)
 
     def search_rows(self, key: str, coeffs, objective: str, jobs: int):
         """Every evaluated comet's row, born at TOL, the family size and the screen's discard bound."""
@@ -897,11 +902,7 @@ def spectral_gap_min(n: int, family: str = "all", jobs: int = 1) -> GapReport:
     asserted. The star maximizing the gap is checked as a sanity line.
     """
     res = search_extremal(n, alpha=None, objective="min", family=family, key="gap", jobs=jobs)
-    balanced = set()
-    for k in range(0, (n - 1) // 2 + 1):
-        ell = n - 2 * k
-        if ell >= 1:
-            balanced.add(canonical_code(make_double_comet(DoubleCometParams(k, k, ell))).decode())
+    balanced = {double_comet_code(DoubleCometParams(k, k, n - 2 * k)).decode() for k in range((n - 1) // 2 + 1)}
     all_balanced = all(w.code in balanced for w in res.winners)
     mx = search_extremal(n, alpha=None, objective="max", family=family, key="gap", jobs=jobs)
     star_wins = mx.winner_codes == (canonical_code(make_star(n)).decode(),)

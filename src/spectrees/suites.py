@@ -72,6 +72,7 @@ from .trees import (
     DoubleCometParams,
     Tree,
     canonical_code,
+    double_comet_code,
     make_double_comet,
     make_path,
     make_star,
@@ -114,7 +115,7 @@ def _code(t: Tree) -> str:
 
 
 def _dc_code(k1, k2, ell) -> str:
-    return _code(make_double_comet(DoubleCometParams(k1, k2, ell)))
+    return double_comet_code(DoubleCometParams(k1, k2, ell)).decode()
 
 
 def _random_tree(rng: random.Random, n: int) -> Tree:

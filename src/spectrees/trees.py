@@ -9,7 +9,8 @@ Canonical form: the tree is rooted at its centroid (for bicentroidal trees
 the two rooted halves are combined in sorted order) and encoded bottom-up
 with sorted child codes. Two trees have equal codes iff they are
 isomorphic, and the byte order of codes gives the deterministic total order
-used for tie-breaking everywhere else.
+used for tie-breaking everywhere else. ``double_comet_code`` writes the same
+code for a double comet from its parameters, without building the tree.
 """
 
 from __future__ import annotations
@@ -46,9 +47,15 @@ class DoubleCometParams:
 
     def __post_init__(self):
         try:
+            if any(isinstance(v, bool) for v in (self.k1, self.k2, self.ell)):
+                raise TypeError
             k1, k2, ell = operator.index(self.k1), operator.index(self.k2), operator.index(self.ell)
         except TypeError:
             raise TreeError("vertex-count", f"leaf counts and path order must be integers, got {self!r}") from None
+        # numpy integers are stored as ints, so n and every edge are plain ints too
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "k2", k2)
+        object.__setattr__(self, "ell", ell)
         if ell < 1:
             raise TreeError("vertex-count", f"path order must be >= 1, got {self.ell}")
         if k1 < 0 or k2 < 0:
@@ -208,7 +215,7 @@ def make_double_comet(params: DoubleCometParams) -> Tree:
     Vertices 0..ell-1 form the path; leaves follow. With ell = 1 both leaf
     sets attach to vertex 0 and the result is the star on k1+k2+1 vertices.
     """
-    k1, k2, ell = map(operator.index, (params.k1, params.k2, params.ell))  # numpy integers become ints
+    k1, k2, ell = params.k1, params.k2, params.ell
     edges = [(i, i + 1) for i in range(ell - 1)]
     t1, t2 = 0, ell - 1
     v = ell
@@ -303,6 +310,40 @@ def canonical_code(t: Tree) -> bytes:
         code = b"2" + (ra + rb if ra <= rb else rb + ra)
     t._code = code
     return code
+
+
+def _comet_branch(j: int, k: int) -> bytes:
+    """AHU code of a comet's branch: a path on ``j`` vertices with ``k`` leaves on its far end.
+
+    With ``j = 0`` it is the ``k`` leaves' codes, which lie on the root itself.
+    """
+    return b"(" * j + b"()" * k + b")" * j
+
+
+def double_comet_code(params: DoubleCometParams) -> bytes:
+    """``canonical_code(make_double_comet(params))``, from the parameters alone.
+
+    A component of T - v at path vertex i holds i + k1 or ell - 1 - i + k2
+    vertices, or is a leaf, so the centroid or centroids lie on the path
+    where those two sides balance; the edge of two centroids splits the
+    order in halves. Every branch is a ``_comet_branch``. Children sort as
+    in ``_encode_rooted``: a leaf's ``()`` after every code that opens
+    ``((``, so the root's leaves come last.
+    """
+    k1, k2, ell = params.k1, params.k2, params.ell
+    if params.n == 2:  # the one tree whose central edge ends in a leaf
+        return b"2()()"
+    s = ell - 1 + k2 - k1  # the right side minus the left at vertex i is s - 2i
+    if s % 2 and 1 <= s <= 2 * ell - 3:  # the path edge (s // 2, s // 2 + 1) splits n in halves
+        a = s // 2
+        ra = b"(" + _comet_branch(a, k1) + b")"
+        rb = b"(" + _comet_branch(ell - 2 - a, k2) + b")"
+        return b"2" + (ra + rb if ra <= rb else rb + ra)
+    c = min(max(s // 2, 0), ell - 1)
+    sides = ((c, k1), (ell - 1 - c, k2))
+    branches = sorted(_comet_branch(j, k) for j, k in sides if j)
+    leaves = sum(k for j, k in sides if not j)
+    return b"1(" + b"".join(branches) + b"()" * leaves + b")"
 
 
 def _tree_from_code(code: str) -> Tree:

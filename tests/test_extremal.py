@@ -28,6 +28,7 @@ from spectrees.suites import envelope_to_csv
 from spectrees.trees import (
     DoubleCometParams,
     canonical_code,
+    double_comet_code,
     make_double_comet,
     make_path,
     make_star,
@@ -365,15 +366,18 @@ class TestSearch:
         # and certify each all-tree member once, at TOL: no refinement schedule re-bisects it
         calls, certified = [0], []
 
-        def counting(t):
-            calls[0] += 1
-            return canonical_code(t)
+        def counting(coder):
+            def code(x):
+                calls[0] += 1
+                return coder(x)
+            return code
 
         def recording(t, tol=TOL):
             certified.append((t.adjacency, tol))
             return top_two(t, tol)
 
-        monkeypatch.setattr(extremal, "canonical_code", counting)
+        monkeypatch.setattr(extremal, "canonical_code", counting(canonical_code))
+        monkeypatch.setattr(extremal, "double_comet_code", counting(double_comet_code))
         monkeypatch.setattr(extremal, "top_two", recording)
         # lam2 max ties at n = 13 and 27
         for n, family in ((12, "all"), (13, "all"), (16, "all"), (26, "dc"), (27, "dc"), (60, "dc")):
@@ -595,15 +599,52 @@ class TestEnvelope:
     def test_only_hull_lines_are_coded(self, monkeypatch):
         calls = [0]
 
-        def counting(t):
-            calls[0] += 1
-            return canonical_code(t)
+        def counting(coder):
+            def code(x):
+                calls[0] += 1
+                return coder(x)
+            return code
 
-        monkeypatch.setattr(extremal, "canonical_code", counting)
+        monkeypatch.setattr(extremal, "canonical_code", counting(canonical_code))
+        monkeypatch.setattr(extremal, "double_comet_code", counting(double_comet_code))
         for n, family in ((26, "dc"), (60, "dc"), (12, "all")):
             calls[0] = 0
             env = envelope(n, family)
             assert calls[0] < 2 * len(env.segments), (n, family, calls[0])
+
+    def test_comet_codes_build_no_trees(self, monkeypatch):
+        # hull witnesses and the exclusion test code comets from their parameters;
+        # a Tree is built only for the edges of each reported winner
+        built = [0]
+
+        def counting(p):
+            built[0] += 1
+            return make_double_comet(p)
+
+        monkeypatch.setattr(extremal, "make_double_comet", counting)
+        envelope(60, "dc")
+        assert built[0] == 0
+        best = search_extremal(60, alpha=0.3, family="dc")
+        runner_up = search_extremal(60, alpha=0.3, family="dc", exclude=best.winner_codes)
+        assert built[0] == len(best.winners) + len(runner_up.winners)
+
+    def test_comet_codes_match_the_tree_route(self, monkeypatch):
+        orders = [*range(2, 61), 400]
+        searches = [(27, "lam2", "max", None), (40, "psi", "max", 0.3), (40, "gap", "min", None)]
+
+        def run():
+            envs = [repr(envelope(n, "dc")) for n in orders]
+            found = []
+            for n, key, objective, alpha in searches:
+                res = search_extremal(n, alpha=alpha, objective=objective, family="dc", key=key)
+                found.append(repr(res))
+                found.append(repr(search_extremal(n, alpha=alpha, objective=objective, family="dc", key=key,
+                                                  exclude=res.winner_codes)))
+            return envs, found
+
+        from_params = run()
+        monkeypatch.setattr(extremal._Comets, "code", extremal._Family.code)  # a Tree and canonical_code each
+        assert run() == from_params
 
     def test_straddling_slopes_keep_the_higher_line(self, monkeypatch):
         # slopes 2.2e-16 apart on either side of a 12-decimal rounding boundary: the

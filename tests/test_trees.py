@@ -11,6 +11,7 @@ from spectrees.trees import (
     _tree_from_code,
     canonical_code,
     centroids,
+    double_comet_code,
     make_double_comet,
     make_path,
     make_star,
@@ -57,11 +58,14 @@ def test_double_comet_rejects_bad_params():
         DoubleCometParams(1, 1, 0)
     with pytest.raises(TreeError):
         DoubleCometParams(-1, 2, 3)
-    for bad in ((1.5, 2, 3), (1, "2", 3), (1, 2, 3.0), (1, 2, None)):
+    for bad in ((1.5, 2, 3), (1, "2", 3), (1, 2, 3.0), (1, 2, None), (True, False, 3), (2, 1, True)):
         with pytest.raises(TreeError) as err:
             DoubleCometParams(*bad)
         assert err.value.reason == "vertex-count"
-    assert DoubleCometParams(np.int64(2), 1, np.int64(3)).n == 6  # numpy integers stay valid
+    assert DoubleCometParams(np.int64(2), 1, np.int64(3)).n == 6  # numpy integers stay valid, stored as ints
+    p = DoubleCometParams(np.int64(3), 2, np.int64(4))
+    assert p == DoubleCometParams(3, 2, 4) and repr(p) == "DoubleCometParams(k1=3, k2=2, ell=4)"
+    assert all(type(v) is int for v in (p.k1, p.k2, p.ell, p.n))
     t = make_double_comet(DoubleCometParams(np.int64(2), 1, np.int64(3)))
     assert t == make_double_comet(DoubleCometParams(2, 1, 3)) and type(t.n) is int
     assert all(type(v) is int for edge in t.edges() for v in edge)
@@ -129,6 +133,25 @@ def test_canonical_code_examples():
     assert canonical_code(make_double_comet(DoubleCometParams(2, 3, 3))) == canonical_code(
         make_double_comet(DoubleCometParams(3, 2, 3))
     )
+
+
+def test_double_comet_code_matches_canonical_code():
+    # every parameter triple of order <= 40, family classes or not: the star as ell = 1
+    # with k2 > 0, one-leaf ends, bicentroidal comets, n = 1 and n = 2
+    for n in range(1, 41):
+        for ell in range(1, n + 1):
+            for k1 in range(n - ell + 1):
+                p = DoubleCometParams(k1, n - ell - k1, ell)
+                assert double_comet_code(p) == canonical_code(make_double_comet(p)), p
+    rng = random.Random(19)
+    sample = [DoubleCometParams(0, 0, 3000), DoubleCometParams(2999, 0, 1), DoubleCometParams(1499, 1499, 2)]
+    for _ in range(40):
+        n = rng.randrange(41, 3001)
+        ell = rng.randrange(1, n + 1)
+        k1 = rng.randrange(n - ell + 1)
+        sample.append(DoubleCometParams(k1, n - ell - k1, ell))
+    for p in sample:
+        assert double_comet_code(p) == canonical_code(make_double_comet(p)), p
 
 
 def test_tree_from_code_reads_canonical_codes():
