@@ -33,7 +33,7 @@ import itertools
 
 import numpy as np
 
-from .trees import DoubleCometParams, Tree, canonical_code, make_double_comet
+from .trees import DoubleCometParams, Tree, _integer, canonical_code, make_double_comet
 
 MAX_EXHAUSTIVE_ORDER = 24
 MAX_ORACLE_ORDER = 10
@@ -118,8 +118,7 @@ def _level_seq_edges(seq):
 
 def free_tree_levels(n: int):
     """Yield one level sequence (a fresh list) per isomorphism class, in generation order."""
-    if not 1 <= n <= MAX_EXHAUSTIVE_ORDER:
-        raise ValueError(f"exhaustive enumeration supports 1 <= n <= {MAX_EXHAUSTIVE_ORDER}, got {n}")
+    n = _integer("n", n, 1, MAX_EXHAUSTIVE_ORDER)
     if n <= 2:
         yield list(range(n))
         return
@@ -244,8 +243,7 @@ def enumerate_labeled_oracle(n: int):
     isomorphism classes, deduplicated by canonical code. The decode runs
     once per order and process; every call yields fresh trees.
     """
-    if not 1 <= n <= MAX_ORACLE_ORDER:
-        raise ValueError(f"labeled oracle supports 1 <= n <= {MAX_ORACLE_ORDER}, got {n}")
+    n = _integer("n", n, 1, MAX_ORACLE_ORDER)
     if n not in _ORACLE_ROWS:
         gen = _all_sequences(n) if n <= _FULL_ORACLE_ORDER else _nondecreasing_sequences(n)
         seen = {}
@@ -271,8 +269,7 @@ def double_comet_arrays(n: int):
     (a 2-path broom is a star), then the proper comets, k1 >= k2 >= 2 by
     increasing k2.
     """
-    if n < 2:
-        raise ValueError(f"double comets need n >= 2, got {n}")
+    n = _integer("n", n, 2)
     zero = np.zeros(1, dtype=np.int64)
     yield n, zero, zero
     if n >= 4:

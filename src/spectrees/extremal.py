@@ -45,8 +45,6 @@ _SAFETY - TOL below the envelope on [0, 1], so it can change no segment.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 from itertools import takewhile
 from multiprocessing import get_context
@@ -71,6 +69,8 @@ from .spectra import (
 from .trees import (
     DoubleCometParams,
     Tree,
+    _integer,
+    _real,
     _tree_from_code,
     canonical_code,
     double_comet_code,
@@ -139,9 +139,8 @@ class ExtremalResult:
 def _coeffs(key: str, alpha):
     """(c1, c2) with the key's value c1*lam1 + c2*lam2; c1 >= 0 and c1 + c2 >= 0 for every key."""
     if key == "psi":
-        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real) or not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"psi needs alpha in [0, 1], got alpha={alpha!r}")
-        return float(alpha), 1.0 - float(alpha)
+        alpha = _real("alpha", alpha, 0.0, 1.0)
+        return alpha, 1.0 - alpha
     if key not in _FIXED_COEFFS:
         raise ValueError(f"key must be one of {KEYS}, got {key!r}")
     return _FIXED_COEFFS[key]
@@ -478,26 +477,13 @@ class _Comets(_Family):
         return _dc_candidates(self, coeffs)
 
 
-def _at_least(name: str, value, least: int) -> int:
-    """``value`` as an int, or a ValueError naming ``name`` unless it is an integer >= least."""
-    try:
-        index = operator.index(value)
-    except TypeError:
-        index = None
-    if index is None or isinstance(value, bool):  # a bool has __index__, but is no count
-        raise ValueError(f"{name} must be an integer, got {name}={value!r}")
-    if index < least:
-        raise ValueError(f"{name} must be at least {least}, got {name}={index}")
-    return index
-
-
 def _family(n, family: str, exclude=()) -> _Family:
     """The family object for order n; the one place ``n``, ``family`` and ``exclude`` are checked.
 
     ``exclude`` must hold ``str`` canonical codes of order n: each is parsed
     and must be its tree's own ``canonical_code``.
     """
-    n = _at_least("n", n, 2)
+    n = _integer("n", n, 2)
     if isinstance(exclude, (str, bytes)):
         raise ValueError(f"exclude must be a collection of codes, got the one code exclude={exclude!r}")
     try:
@@ -564,7 +550,7 @@ def search_extremal(
     coeffs = _coeffs(key, alpha)
     if objective not in ("max", "min"):
         raise ValueError(f"objective must be 'max' or 'min', got {objective!r}")
-    jobs = _at_least("jobs", jobs, 1)
+    jobs = _integer("jobs", jobs, 1)
     minimize = objective == "min"
     if minimize:  # min c.lam = -max(-c.lam): every layer below only maximizes
         coeffs = (-coeffs[0], -coeffs[1])
@@ -617,8 +603,7 @@ class PiecewiseLinear:
     scale: float = 1.0
 
     def value(self, alpha: float) -> float:
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+        alpha = _real("alpha", alpha, 0.0, 1.0)
         for s in self.segments:
             if alpha <= s.alpha_hi:
                 return s.value(alpha)
@@ -704,8 +689,7 @@ def normalized_envelope(n: int, family: str = "all") -> PiecewiseLinear:
 
 def limit_curve(alpha: float) -> float:
     """Pointwise large-n limit of the normalized envelope."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    alpha = _real("alpha", alpha, 0.0, 1.0)
     if alpha <= 0.5:
         return math.sqrt(0.5)
     return math.sqrt(alpha * alpha + (1.0 - alpha) * (1.0 - alpha))
@@ -724,8 +708,8 @@ class AsymptoticParams:
 
     @classmethod
     def from_alpha(cls, alpha: float) -> "AsymptoticParams":
-        if not 0.5 < alpha < 1.0:
-            raise ValueError(f"tuned comets need 1/2 < alpha < 1, got {alpha}")
+        # the open interval (1/2, 1) is the closed one between its nearest floats
+        alpha = _real("alpha", alpha, math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.5))
         a2 = alpha * alpha
         b2 = (1.0 - alpha) * (1.0 - alpha)
         t = a2 / (a2 + b2)
@@ -742,25 +726,21 @@ class AsymptoticParams:
 
 def tuned_dc3_params(n: int, alpha: float) -> DoubleCometParams:
     """The order-3 comet with the leaf split tuned to alpha."""
-    ap = AsymptoticParams.from_alpha(alpha)
-    k1 = math.ceil(ap.t * (n - 3))
-    if k1 > n - 3:
-        raise ValueError(f"n={n} too small for alpha={alpha}")
+    n = _integer("n", n, 3)
+    k1 = math.ceil(AsymptoticParams.from_alpha(alpha).t * (n - 3))  # t <= 1, so k1 <= n - 3
     return DoubleCometParams(k1, (n - 3) - k1, 3)
 
 
 def tuned_dc2_params(n: int, alpha: float) -> DoubleCometParams:
     """The order-2 comet one leaf heavier on the big side."""
-    ap = AsymptoticParams.from_alpha(alpha)
-    k1 = math.ceil(ap.t * (n - 3))
-    if k1 + 1 > n - 2:
-        raise ValueError(f"n={n} too small for alpha={alpha}")
+    n = _integer("n", n, 3)
+    k1 = math.ceil(AsymptoticParams.from_alpha(alpha).t * (n - 3))  # t <= 1, so k1 <= n - 3
     return DoubleCometParams(k1 + 1, (n - 3) - k1, 2)
 
 
 def expansion_dc3(n: int, alpha: float) -> float:
     """Two-term asymptotic value of the tuned order-3 comet's objective."""
-    n = _at_least("n", n, 2)
+    n = _integer("n", n, 2)
     ap = AsymptoticParams.from_alpha(alpha)
     a2b2 = alpha * alpha + (1.0 - alpha) * (1.0 - alpha)
     return math.sqrt(a2b2 * (n - 1)) + ap.q * ap.d(n) / (8.0 * (n - 1) ** 1.5)
@@ -768,7 +748,7 @@ def expansion_dc3(n: int, alpha: float) -> float:
 
 def expansion_dc2(n: int, alpha: float) -> float:
     """Two-term asymptotic value of the tuned order-2 comet's objective."""
-    n = _at_least("n", n, 2)
+    n = _integer("n", n, 2)
     ap = AsymptoticParams.from_alpha(alpha)
     a2b2 = alpha * alpha + (1.0 - alpha) * (1.0 - alpha)
     extra = ap.t / (2.0 * ap.t - 1.0) + ap.d(n)
@@ -777,6 +757,7 @@ def expansion_dc2(n: int, alpha: float) -> float:
 
 def exact_psi_dc(params: DoubleCometParams, alpha: float) -> float:
     """Closed-form objective value for comets of path order 2 or 3."""
+    alpha = _real("alpha", alpha, 0.0, 1.0)
     l1, l2 = dc_top_two_closed(params)
     return alpha * l1 + (1.0 - alpha) * l2
 
@@ -796,7 +777,7 @@ def curvature_expansion_dc3(n: int, alpha: float) -> float:
     correction is the concavity penalty -Q*x^2/(8(n-1)^{3/2}) with
     x = d + (d^2+1)/((2t-1)(n-1)); the remainder is O(1/n^2).
     """
-    n = _at_least("n", n, 2)
+    n = _integer("n", n, 2)
     ap = AsymptoticParams.from_alpha(alpha)
     s = alpha * alpha + (1.0 - alpha) * (1.0 - alpha)
     d = ap.d(n)
@@ -810,7 +791,7 @@ def curvature_expansion_dc2(n: int, alpha: float) -> float:
     Here lam1^2 sits at t(n-1) + d + t/(2t-1) + O(1/n), so the penalty is
     evaluated at x = d + t/(2t-1) plus its 1/n refinement.
     """
-    n = _at_least("n", n, 2)
+    n = _integer("n", n, 2)
     ap = AsymptoticParams.from_alpha(alpha)
     s = alpha * alpha + (1.0 - alpha) * (1.0 - alpha)
     t = ap.t

@@ -15,11 +15,12 @@ enclosure; only ``top_two`` and ``TreeBatch.top_two`` take another, as
 its eigenvalue. ``top_two`` at ``TOL`` is kept on the ``Tree``, so every
 later certification of the same tree object (eigenvectors, psi, the
 transforms) reuses it.
-``_bisect_count`` is the one scalar bisection loop: it takes any count
-function, so whole trees and induced forests share it. ``TreeBatch`` runs
-the same pass and bisection over many same-order trees at once with numpy,
-reproducing the scalar brackets bit for bit; with edge weights it also runs
-the double comets' equitable-partition quotients, which are weighted paths.
+``_bisect_count`` is the one scalar bisection loop: it probes any rooted
+forest (post, up), so whole trees and induced forests share it.
+``TreeBatch`` runs the same pass and bisection over many same-order trees
+at once with numpy, reproducing the scalar brackets bit for bit; with edge
+weights it also runs the double comets' equitable-partition quotients,
+which are weighted paths.
 The one enclosure not from counts is the star's (``_star_intervals``).
 
 Everything else builds on or cross-checks that kernel: ``_branches``, the
@@ -40,7 +41,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .trees import DoubleCometParams, Tree, _bfs
+from .trees import DoubleCometParams, Tree, _bfs, _integer, _real
 
 TOL = 1e-12  # the interval width every certified answer is given at
 
@@ -121,27 +122,14 @@ def _root_forest(adj):
     return sorted(order, key=depth.__getitem__, reverse=True), up
 
 
-def _pivots(post, up, x: float):
-    """Pivots of A - xI in one postorder pass: d[v] is the pivot of v's subtree, eliminated toward v.
-
-    ``s[p]`` sums 1/d over p's children in ``post`` order. A zero child
-    pivot adds +inf to it (the limit form): the parent's pivot is -inf, and
-    its -0.0 term severs its own parent edge. Roots add to the spare slot n.
-    """
-    n = len(post)
-    s = [0.0] * (n + 1)
-    d = [0.0] * n
-    neg_x = 0.0 - x
-    for v in post:
-        d[v] = dv = neg_x - s[v]
-        s[up[v]] += 1.0 / dv if dv else math.inf
-    return d
-
-
 def _count_above(post, up, x: float):
     """(above, equal) counts for the forest described by (post, up).
 
-    ``_pivots``' recurrence, counting as it goes. Each vertex with a zero
+    Pivots of A - xI in one postorder pass: d is the pivot of v's subtree,
+    eliminated toward v, and ``s[p]`` sums 1/d over p's children in ``post``
+    order, one term at a time. A zero child pivot adds +inf to it (the limit
+    form): the parent's pivot is -inf, and its -0.0 term severs its own
+    parent edge. Roots add to the spare slot n. Each vertex with a zero
     child shifts one count from equal to above, as the classic repair
     (child pivot 2, its own -1/2) would; a root's zero pivot repairs nothing.
     """
@@ -166,11 +154,6 @@ def _count_above(post, up, x: float):
     return above, 0
 
 
-def _above_counter(post, up):
-    """The eigenvalue count above x of a rooted forest, as a function of x."""
-    return lambda x: _count_above(post, up, x)[0]
-
-
 def count_eigenvalues_above(t: Tree, x: float) -> SignCount:
     """Eigenvalue counts of A(t) relative to x; no eigenvalue is ever computed.
 
@@ -178,20 +161,16 @@ def count_eigenvalues_above(t: Tree, x: float) -> SignCount:
     eps*deg*(|x| + deg): each such eigenvalue, one equal to x included, can
     put a count off by one, as an exact zero pivot may round to a tiny float.
     """
-    x = float(x)
-    if math.isnan(x):
-        raise ValueError("probe x is NaN")
-    above, equal = _count_above(*_rooted(t), x)
+    above, equal = _count_above(*_rooted(t), _real("x", x, -math.inf, math.inf))
     return SignCount(above, equal, t.n - above - equal)
 
 
-def _bisect_count(above, k: int, lo: float, hi: float, tol: float):
-    """Shrink [lo, hi] around the k-th largest eigenvalue.
+def _bisect_count(post, up, k: int, lo: float, hi: float, tol: float):
+    """Shrink [lo, hi] around the k-th largest eigenvalue of the forest (post, up).
 
-    ``above(x)`` counts the eigenvalues greater than x. Precondition: at
-    least k eigenvalues exceed lo (or lo is a known valid floor) and fewer
-    than k exceed hi. Stops at width tol, at float resolution, or after 200
-    probes.
+    Each probe is ``_count_above``. Precondition: at least k eigenvalues
+    exceed lo (or lo is a known valid floor) and fewer than k exceed hi.
+    Stops at width tol, at float resolution, or after 200 probes.
     """
     for _ in range(200):
         if hi - lo <= tol:
@@ -199,7 +178,7 @@ def _bisect_count(above, k: int, lo: float, hi: float, tol: float):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if above(mid) >= k:
+        if _count_above(post, up, mid)[0] >= k:
             lo = mid
         else:
             hi = mid
@@ -245,9 +224,9 @@ def top_two(t: Tree, tol: float = TOL) -> TopTwo:
     if t.max_degree() == n - 1:
         (l1_lo, l1_hi), (l2_lo, l2_hi) = _star_intervals(n)
     else:
-        above = _above_counter(*_rooted(t))
-        l1_lo, l1_hi = _bisect_count(above, 1, 0.0, math.sqrt(n - 1), tol)
-        l2_lo, l2_hi = _bisect_count(above, 2, 0.0, l1_hi, tol)
+        post, up = _rooted(t)
+        l1_lo, l1_hi = _bisect_count(post, up, 1, 0.0, math.sqrt(n - 1), tol)
+        l2_lo, l2_hi = _bisect_count(post, up, 2, 0.0, l1_hi, tol)
     tt = TopTwo(l1_lo, l1_hi, l2_lo, l2_hi, float(tol))
     if tol == TOL:
         t._top_two = tt
@@ -262,7 +241,7 @@ class TreeBatch:
     vertex's children come in ascending id. A probe eliminates all rows at
     once in postorder, post(v) = v - depth(v) + size(v) - 1, which finishes
     a vertex's children in ascending id, the order in which the scalar
-    ``_pivots`` sums them; every pivot is therefore the same float, the
+    ``_count_above`` sums them; every pivot is therefore the same float, the
     zero-pivot limit form included, and each vertex with a zero child
     shifts one count from equal to above as in ``_count_above``.
 
@@ -431,7 +410,7 @@ def lambda1_interval_of_vertices(t: Tree, vertices):
     if not any(adj):
         return (0.0, 0.0)
     hi0 = math.sqrt(len(vs) - 1) * (1.0 + 1e-12) + 1e-12
-    return _bisect_count(_above_counter(*_root_forest(adj)), 1, 0.0, hi0, TOL)
+    return _bisect_count(*_root_forest(adj), 1, 0.0, hi0, TOL)
 
 
 # -- closed forms ----------------------------------------------------------
@@ -463,8 +442,7 @@ def dc_top_two_closed(params: DoubleCometParams):
 
 def path_eigenvalue(n: int, j: int) -> float:
     """j-th largest eigenvalue of the path on n vertices: 2cos(pi*j/(n+1))."""
-    if not 1 <= j <= n:
-        raise ValueError(f"need 1 <= j <= n, got j={j}, n={n}")
+    j = _integer("j", j, 1, _integer("n", n, 1))
     return 2.0 * math.cos(math.pi * j / (n + 1))
 
 
@@ -554,22 +532,27 @@ def _branches(post, up, x: float):
 
     The branch at w avoiding v is the component of T - v holding its
     neighbour w, eliminated toward w. Returns (parent, pivot, count), the
-    last two over 3n slots (``_slot``): slot v is v's subtree (``_pivots``),
-    slot n + v the branch at v's parent avoiding v, slot 2n + v the whole
-    tree eliminated toward v. The preorder pass sums the other neighbours'
-    terms as prefix plus suffix, never a difference, so its counts are as
-    exact as ``_count_above``'s; a zero pivot takes the same limit form.
+    last two over 3n slots (``_slot``): slot v is v's subtree, slot n + v
+    the branch at v's parent avoiding v, slot 2n + v the whole tree
+    eliminated toward v. The postorder pass is ``_count_above``'s, its
+    child terms added one at a time, so every subtree pivot is the same
+    float. The preorder pass sums the other neighbours' terms as prefix
+    plus suffix, never a difference, so its counts are as exact as
+    ``_count_above``'s; a zero pivot takes the same limit form.
     """
     n = len(post)
-    piv = _pivots(post, up, x) + [0.0] * (2 * n)
+    piv = [0.0] * (3 * n)
     cnt = [0] * (3 * n)
+    s = [0.0] * (n + 1)
     parent = [-1 if p == n else p for p in up]
-    children = [[] for _ in range(n + 1)]  # in post order, as _pivots sums them
+    children = [[] for _ in range(n + 1)]  # in post order, as s sums them
+    neg_x = 0.0 - x
     for v in post:
         cs = children[v]
-        cnt[v] = (piv[v] > 0.0) + (0.0 in [piv[c] for c in cs]) + sum(cnt[c] for c in cs)
+        piv[v] = d = neg_x - s[v]
+        s[up[v]] += 1.0 / d if d else math.inf
+        cnt[v] = (d > 0.0) + (0.0 in [piv[c] for c in cs]) + sum(cnt[c] for c in cs)
         children[up[v]].append(v)
-    neg_x = 0.0 - x
     for v in reversed(post):
         nb = children[v] if parent[v] < 0 else [n + v, *children[v]]  # v's neighbours' branches
         terms = [1.0 / piv[j] if piv[j] else math.inf for j in nb]
@@ -621,8 +604,7 @@ def eigenvector(t: Tree, which: int) -> EigenvectorData:
     v's other neighbours are set. The first entry of largest magnitude is
     positive, so the Perron vector is positive.
     """
-    if which not in (1, 2):
-        raise ValueError(f"which must be 1 or 2, got {which}")
+    which = _integer("which", which, 1, 2)
     n = t.n
     if n < 2:
         raise ValueError("eigenvectors need n >= 2")
@@ -766,8 +748,7 @@ def ev_ev_identity_residual(t: Tree, k: int, v: int) -> float:
     check meaningful even when the vertex entry vanishes. Requires lam_k
     simple and n <= 12.
     """
-    if k not in (1, 2):
-        raise ValueError(f"k must be 1 or 2, got {k}")
+    k = _integer("k", k, 1, 2)
     if t.n > 12:
         raise ValueError("identity check uses dense spectra; n <= 12")
     t.check_vertices(v)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .spectra import TOL, eigenvector, top_two
-from .trees import Tree
+from .trees import Tree, _integer, _real
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,7 @@ def rotation_gain(t: Tree, alpha: float, u: int, v: int, w: int) -> float:
     alpha >= 1/2; y enters through a product of two entries, so its sign
     convention does not matter.
     """
-    if not 0.5 <= alpha <= 1.0:
-        raise ValueError(f"gain contract needs alpha in [1/2, 1], got {alpha}")
+    alpha = _real("alpha", alpha, 0.5, 1.0)
     t.check_vertices(u, v, w)
     if u == w or v not in t.adjacency[u] or w not in t.adjacency[v]:
         raise ValueError("rotation adjacency preconditions violated")
@@ -177,8 +176,7 @@ def hanging_path_shift(t: Tree, root: int, k: int, ell: int) -> TransformOutcome
     result hangs paths of orders k+1 and l-1 instead, and lam1 strictly
     decreases unless the two trees are isomorphic (pure paths).
     """
-    if not k >= ell >= 1:
-        raise ValueError(f"need k >= l >= 1, got ({k}, {ell})")
+    k = _integer("k", k, _integer("ell", ell, 1))
     t.check_vertices(root)
     paths = _pendant_paths(t, root)
     k_path = next((p for p in paths if len(p) == k), None)

@@ -11,10 +11,15 @@ with sorted child codes. Two trees have equal codes iff they are
 isomorphic, and the byte order of codes gives the deterministic total order
 used for tie-breaking everywhere else. ``double_comet_code`` writes the same
 code for a double comet from its parameters, without building the tree.
+
+``_integer`` and ``_real`` are the package's one check of its count,
+vertex-id and real arguments: every module routes them through here.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -29,6 +34,44 @@ class TreeError(ValueError):
     def __init__(self, reason: str, message: str):
         super().__init__(message)
         self.reason = reason
+
+
+def _integer(name: str, value, least: int, most=math.inf, reason: str | None = None) -> int:
+    """``value`` as a plain int with least <= value <= most.
+
+    Anything else raises ValueError naming ``name``, or ``TreeError(reason)``
+    when a reason is given. A bool is no integer, though it has ``__index__``;
+    a float, a str or None has none.
+    """
+    if type(value) is int and least <= value <= most:
+        return value
+    try:
+        index = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        index = None
+    if index is not None and least <= index <= most:
+        return index
+    span = f"{least} <= {name} <= {most}" if most < math.inf else f"{name} >= {least}"
+    message = f"need an integer {span}, got {name}={value!r}"
+    if reason is None:
+        raise ValueError(message)
+    raise TreeError(reason, f"{reason.replace('-', ' ')}: {message}")
+
+
+def _real(name: str, value, lo: float, hi: float) -> float:
+    """``value`` as a float with lo <= value <= hi, or a ValueError naming ``name``.
+
+    A bool, a str or None is no real, and NaN lies in no range, nor does an
+    integer too large for a float.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x = math.nan
+        if lo <= x <= hi:
+            return x
+    raise ValueError(f"need a real {lo} <= {name} <= {hi}, not NaN, got {name}={value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,20 +89,9 @@ class DoubleCometParams:
     ell: int
 
     def __post_init__(self):
-        try:
-            if any(isinstance(v, bool) for v in (self.k1, self.k2, self.ell)):
-                raise TypeError
-            k1, k2, ell = operator.index(self.k1), operator.index(self.k2), operator.index(self.ell)
-        except TypeError:
-            raise TreeError("vertex-count", f"leaf counts and path order must be integers, got {self!r}") from None
         # numpy integers are stored as ints, so n and every edge are plain ints too
-        object.__setattr__(self, "k1", k1)
-        object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "ell", ell)
-        if ell < 1:
-            raise TreeError("vertex-count", f"path order must be >= 1, got {self.ell}")
-        if k1 < 0 or k2 < 0:
-            raise TreeError("vertex-count", f"leaf counts must be >= 0, got ({self.k1}, {self.k2})")
+        for name, least in (("k1", 0), ("k2", 0), ("ell", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least, reason="vertex-count"))
 
     @property
     def n(self) -> int:
@@ -85,13 +117,7 @@ class Tree:
     __slots__ = ("n", "adjacency", "_code", "_rooted", "_top_two")
 
     def __init__(self, n: int, edges):
-        try:
-            order = operator.index(n)
-        except TypeError:
-            order = 0
-        if order < 1 or isinstance(n, bool):
-            raise TreeError("vertex-count", f"vertex count must be a positive integer, got {n!r}")
-        n = order
+        n = _integer("n", n, 1, reason="vertex-count")
         # union-find over the edges in order: a failed merge closes a cycle, n-1 merges connect
         parent = list(range(n))
 
@@ -105,8 +131,11 @@ class Tree:
         adj = [[] for _ in range(n)]
         try:
             for u, v in edges:
-                if not (0 <= u < n and 0 <= v < n):
-                    raise TreeError("vertex-range", f"edge ({u}, {v}) out of range for n={n}")
+                # a vertex that is not a plain int in range is checked, and stored as a plain int
+                if not (type(u) is int and 0 <= u < n):
+                    u = _integer("vertex", u, 0, n - 1, "vertex-range")
+                if not (type(v) is int and 0 <= v < n):
+                    v = _integer("vertex", v, 0, n - 1, "vertex-range")
                 if u == v:
                     raise TreeError("self-loop", f"self-loop at vertex {u}")
                 key = (u, v) if u < v else (v, u)
@@ -140,12 +169,7 @@ class Tree:
     def check_vertices(self, *vs):
         """Raise TreeError("vertex-range") unless every argument is a vertex id."""
         for v in vs:
-            try:
-                ok = 0 <= operator.index(v) < self.n
-            except TypeError:
-                ok = False
-            if not ok:
-                raise TreeError("vertex-range", f"vertex {v!r} out of range for n={self.n}")
+            _integer("vertex", v, 0, self.n - 1, "vertex-range")
 
     def degree(self, v: int) -> int:
         self.check_vertices(v)
@@ -197,15 +221,13 @@ class Tree:
 
 def make_path(n: int) -> Tree:
     """Path v0 - v1 - ... - v(n-1); n = 1 is the single vertex."""
-    if n < 1:
-        raise TreeError("vertex-count", f"path needs n >= 1, got {n}")
+    n = _integer("n", n, 1, reason="vertex-count")
     return Tree(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def make_star(n: int) -> Tree:
     """Star with center 0 adjacent to all of 1..n-1; needs n >= 2."""
-    if n < 2:
-        raise TreeError("vertex-count", f"star needs n >= 2, got {n}")
+    n = _integer("n", n, 2, reason="vertex-count")
     return Tree(n, [(0, i) for i in range(1, n)])
 
 

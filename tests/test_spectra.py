@@ -17,7 +17,6 @@ from spectrees.spectra import (
     SignCount,
     TOL,
     TreeBatch,
-    _above_counter,
     _bisect_count,
     _branch_vertices,
     _branches,
@@ -606,9 +605,9 @@ def test_batched_bisect_equals_scalar_at_float_resolution():
             l1 = batch.bisect(1, 0.0, math.sqrt(n - 1), 1e-300)
             l2 = batch.bisect(2, 0.0, l1[1], 1e-300)
             for r in range(len(batch)):
-                above = _above_counter(*_rooted(Tree(n, _level_seq_edges(levels[r]))))
-                want1 = _bisect_count(above, 1, 0.0, math.sqrt(n - 1), 1e-300)
-                want2 = _bisect_count(above, 2, 0.0, want1[1], 1e-300)
+                post, up = _rooted(Tree(n, _level_seq_edges(levels[r])))
+                want1 = _bisect_count(post, up, 1, 0.0, math.sqrt(n - 1), 1e-300)
+                want2 = _bisect_count(post, up, 2, 0.0, want1[1], 1e-300)
                 assert (l1[0][r], l1[1][r], l2[0][r], l2[1][r]) == (*want1, *want2)
 
 

@@ -1,8 +1,11 @@
+import json
+import math
 import random
 
 import numpy as np
 import pytest
 
+from spectrees import enumeration, extremal, spectra, transforms
 from spectrees.enumeration import decode_parent_report, enumerate_free_trees
 from spectrees.trees import (
     DoubleCometParams,
@@ -97,7 +100,10 @@ def test_from_edge_list_errors(n, edges, reason):
 def test_from_edge_list_ok():
     t = Tree(2, [(0, 1)])
     assert t.n == 2 and t.degree(0) == 1
-    assert Tree(3, [(np.int64(0), np.int64(1)), (1, np.int32(2))]) == make_path(3)
+    t = Tree(4, [(np.int64(0), np.int64(1)), (np.int32(1), 2), (2, np.uint8(3))])
+    assert t == make_path(4) and all(type(v) is int for edge in t.edges() for v in edge)
+    assert tree_from_text(tree_to_text(t)) == t  # numpy endpoints are stored as plain ints
+    assert json.loads(json.dumps(t.edges())) == [[0, 1], [1, 2], [2, 3]]
     t = Tree(np.int64(3), [(0, 1), (1, 2)])
     assert t == make_path(3) and type(t.n) is int
     for bad in (3.0, "3", None, 0, True):
@@ -119,6 +125,47 @@ def test_bad_vertex_ids_are_named():
             call()
         assert err.value.reason == "vertex-range"
     assert relabel(t, [np.int64(6 - v) for v in range(7)]).degree(6) == 3
+
+
+def test_bad_arguments_name_themselves():
+    # one check (trees._integer, trees._real) for every count, vertex id and
+    # alpha: a float, str, None, bool or NaN where an integer or a real
+    # belongs is a ValueError naming the argument, a TreeError from trees
+    t = make_path(5)
+    p = DoubleCometParams(2, 2, 3)
+    table = [
+        (lambda: extremal.psi(t, True), "alpha=True", None),
+        (lambda: extremal.limit_curve(True), "alpha=True", None),
+        (lambda: extremal.limit_curve("0.5"), "alpha='0.5'", None),
+        (lambda: extremal.envelope(6).value(True), "alpha=True", None),
+        (lambda: extremal.envelope(6).value(None), "alpha=None", None),
+        (lambda: extremal.expansion_dc3(100, None), "alpha=None", None),
+        (lambda: extremal.expansion_dc2(100, "0.75"), "alpha='0.75'", None),
+        (lambda: extremal.exact_psi_dc(p, 2.0), "alpha=2.0", None),
+        (lambda: extremal.exact_psi_dc(p, math.nan), "alpha=nan", None),
+        (lambda: extremal.tuned_dc3_params(100.0, 0.75), "n=100.0", None),
+        (lambda: extremal.tuned_dc2_params("100", 0.75), "n='100'", None),
+        (lambda: transforms.rotation_gain(t, True, 0, 1, 2), "alpha=True", None),
+        (lambda: transforms.rotation_gain(t, "0.7", 0, 1, 2), "alpha='0.7'", None),
+        (lambda: transforms.hanging_path_shift(t, 2, 2, 1.0), "ell=1.0", None),
+        (lambda: transforms.kelmans(t, 0, True), "vertex=True", "vertex-range"),
+        (lambda: spectra.eigenvector(t, True), "which=True", None),
+        (lambda: spectra.count_eigenvalues_above(t, None), "x=None", None),
+        (lambda: spectra.count_eigenvalues_above(t, -10**400), "x=-1000", None),
+        (lambda: spectra.path_eigenvalue(3.0, 1), "n=3.0", None),
+        (lambda: enumeration.enumerate_free_trees(3.0), "n=3.0", None),
+        (lambda: enumeration.count_free_trees(3.0), "n=3.0", None),
+        (lambda: enumeration.count_double_comets(3.0), "n=3.0", None),
+        (lambda: enumeration.enumerate_labeled_oracle(True), "n=True", None),
+        (lambda: make_path(3.0), "n=3.0", "vertex-count"),
+        (lambda: make_star("4"), "n='4'", "vertex-count"),
+        (lambda: t.degree(True), "vertex=True", "vertex-range"),
+        (lambda: Tree(3, [(0, True), (1, 2)]), "vertex=True", "vertex-range"),
+    ]
+    for call, named, reason in table:
+        with pytest.raises(ValueError, match=named) as err:
+            call()
+        assert getattr(err.value, "reason", None) == reason, named
 
 
 def test_tree_is_immutable_value():
