@@ -2,10 +2,10 @@
 
 Three modes:
 
-* free trees by canonical level-sequence successor generation (the
-  constant-amortized-time scheme of Wright, Richmond, Odlyzko and McKay:
-  rooted Beyer-Hedetniemi successors restricted by a split condition on the
-  root's first principal subtree),
+* free trees as canonical level sequences: the representatives of Wright,
+  Richmond, Odlyzko and McKay (a centre as root, split at the root's first
+  principal subtree), in their lex-decreasing generation order, built in
+  bulk by numpy from tables of forests, one table per forest size,
 * an independent brute-force oracle that decodes labeled trees from their
   parent-report (Pruefer) sequences and deduplicates by canonical code,
 * the double-comet family, deduplicated at parameter level and generated
@@ -24,12 +24,13 @@ sequences and ``count_double_comets`` sums the array lengths of
 Searches and envelopes do not use the sorted free-tree list: they take
 the level sequences in generation order, in fixed-size numpy chunks
 (``free_tree_level_chunks``), and never materialise or sort a class list
-or its codes.
+or its codes. Counting and the coded list read the same chunks.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,63 +46,102 @@ _ORACLE_ROWS = {}  # n -> the oracle's code-sorted (code, edges) rows, read only
 # -- free trees ----------------------------------------------------------------
 
 
-def _successor_rooted(seq, p=None):
-    """Next canonical rooted level sequence in the Beyer-Hedetniemi order.
+def _spans(starts, counts):
+    """The ranges ``starts[i] : starts[i] + counts[i]`` concatenated into one index array."""
+    offsets = np.cumsum(counts) - counts
+    return np.arange(int(counts.sum())) - np.repeat(offsets - starts, counts)
 
-    From the last position p deeper than 1 (or the given p), the tail is
-    the block seq[q:p] repeated, q being the last earlier position one
-    level up from seq[p].
+
+@dataclass(frozen=True)
+class _Forests:
+    """The forests of one size as level-sequence rows, each tree rooted at level 0.
+
+    Rows are lex-decreasing, so rows with the same first tree form one run,
+    and the first trees of the runs decrease: run i spans rows
+    ``starts[i]:starts[i + 1]``, its first tree has byte key ``keys[i]`` and
+    height ``heights[i]``. A taller tree is lex-larger, so heights do not
+    increase either.
     """
-    if p is None:
-        p = len(seq) - 1
-        while seq[p] <= 1:
-            p -= 1
-            if p < 0:
-                return None
-    if p <= 0:
-        return None
-    target = seq[p] - 1
-    q = p - 1
-    while seq[q] != target:
-        q -= 1
-    block = seq[q:p]
-    tail = len(seq) - p
-    return seq[:p] + (block * (tail // len(block) + 1))[:tail]
+
+    rows: np.ndarray
+    starts: np.ndarray
+    keys: np.ndarray
+    heights: np.ndarray
+
+    def first_at_most(self, keys):
+        """Index of the first row whose first tree is at most each key."""
+        return self.starts[len(self.keys) - np.searchsorted(self.keys[::-1], keys, side="right")]
+
+    def at_least(self, height):
+        """Number of rows whose first tree is at least ``height`` high (a prefix)."""
+        return self.starts[np.searchsorted(-self.heights, -height, side="right")]
 
 
-def _first_subtree_end(seq):
-    """Index where the root's first principal subtree ends (seq[1] is its root)."""
-    try:
-        return seq.index(1, 2)
-    except ValueError:
-        return len(seq)
+@dataclass(frozen=True)
+class _Trees:
+    """The rooted trees of one size k, lex-decreasing: tree i is ``[0] + forests[k-1].rows[first + i] + 1``.
 
-
-def _advance_to_free(seq):
-    """Return seq if it encodes a canonical free tree, else jump past it.
-
-    The split condition keeps exactly one representative per free tree: the
-    first principal subtree must not be higher than the rest, and on equal
-    height must not be bigger, nor lexicographically later at equal size.
+    A tree's byte key holds each level plus one, so it has no zero byte, and
+    numpy's comparison of zero-padded bytes is level-sequence order across
+    sizes: lexicographic, a proper prefix first.
     """
-    n = len(seq)
-    m = _first_subtree_end(seq)
-    left_h = max(seq[1:m]) - 1
-    rest_h = max(seq[m:]) if m < n else 0
-    valid = rest_h >= left_h
-    if valid and rest_h == left_h:
-        if m - 1 > n - m + 1:
-            valid = False
-        elif m - 1 == n - m + 1 and [lv - 1 for lv in seq[1:m]] > [0] + seq[m:]:
-            valid = False
-    if valid:
-        return seq, True
-    p = m - 1
-    nxt = _successor_rooted(seq, p)
-    if nxt is not None and seq[p] > 2:
-        k = max(nxt[1:_first_subtree_end(nxt)])  # new first subtree's height, plus one
-        nxt[n - k:] = range(1, k + 1)
-    return nxt, False
+
+    first: int
+    keys: np.ndarray
+    heights: np.ndarray
+
+    @classmethod
+    def up_to_height(cls, forests: _Forests, most: int):
+        """The trees over the rows of ``forests`` at most ``most`` high: a suffix of the rows."""
+        run = np.searchsorted(-forests.heights, -(most - 1), side="left")
+        first = int(forests.starts[run])
+        keys = np.empty((len(forests.rows) - first, forests.rows.shape[1] + 1), np.uint8)
+        keys[:, 0] = 1
+        keys[:, 1:] = forests.rows[first:] + 2
+        heights = np.repeat(forests.heights[run:] + 1, np.diff(forests.starts[run:]))
+        return cls(first, keys.view(f"S{keys.shape[1]}").ravel(), heights)
+
+
+def _forest_tables(n: int):
+    """Forest tables and tree lists for the free trees of order n >= 3.
+
+    ``forests[s]``, s = 0..n-2, holds the forests of size s whose trees are
+    at most n-2-s high: the rest of the root's children once a first subtree
+    of n-1-s vertices is chosen. ``trees[k]``, k = 1..n-2, holds the trees of
+    size k with k + height <= n - 1, the possible first subtrees; they are
+    ``[0] + forests[k-1] + 1`` for the forests short enough. A forest of size
+    s is a tree t of size k <= s, at most n-2-s high, followed by a forest
+    of ``forests[s-k]`` whose first tree is at most t (a suffix of runs).
+    Sizes are the only Python loops.
+    """
+    empty = _Forests(np.zeros((1, 0), np.int8), np.array([0, 1]), np.zeros(1, "S1"), np.array([-1], np.int8))
+    forests = [empty]
+    trees = [None, _Trees.up_to_height(empty, n - 2)]
+    for s in range(1, n - 1):
+        blocks, keys, heights, counts = [], [], [], []
+        for k in range(1, s + 1):
+            tk = trees[k]
+            tall = np.searchsorted(-tk.heights, -(n - 2 - s), side="left")
+            rest = forests[s - k]
+            start = rest.first_at_most(tk.keys[tall:])
+            count = len(rest.rows) - start
+            block = np.empty((int(count.sum()), s), np.int8)
+            block[:, 0] = 0
+            block[:, 1:k] = np.repeat(forests[k - 1].rows[tk.first + tall:] + 1, count, axis=0)
+            block[:, k:] = rest.rows[_spans(start, count)]
+            blocks.append(block)
+            keys.append(tk.keys[tall:])
+            heights.append(tk.heights[tall:])
+            counts.append(count)
+        keys, heights, counts = np.concatenate(keys), np.concatenate(heights), np.concatenate(counts)
+        order = np.argsort(keys)[::-1]  # trees of different sizes never tie
+        offsets = np.cumsum(counts) - counts
+        rows = np.concatenate(blocks)[_spans(offsets[order], counts[order])]
+        starts = np.concatenate(([0], np.cumsum(counts[order])))
+        forests.append(_Forests(rows, starts, keys[order], heights[order]))
+        if s < n - 2:
+            trees.append(_Trees.up_to_height(forests[s], n - 2 - s))
+    return forests, trees
 
 
 def _level_seq_edges(seq):
@@ -116,45 +156,82 @@ def _level_seq_edges(seq):
     return edges
 
 
-def free_tree_levels(n: int):
-    """Yield one level sequence (a fresh list) per isomorphism class, in generation order."""
-    n = _integer("n", n, 1, MAX_EXHAUSTIVE_ORDER)
-    if n <= 2:
-        yield list(range(n))
-        return
-    seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
-    while seq is not None:
-        seq, ok = _advance_to_free(seq)
-        if seq is None:
-            break
-        if ok:
-            yield seq
-            seq = _successor_rooted(seq)
+def _first_subtree_runs(n: int):
+    """Each possible first subtree T1 of the free trees of order n >= 3, lex-decreasing, with its rests.
+
+    Returns ``(flat, sizes, t1_at, f_at, counts)`` over ``flat``, every
+    forest table's rows end to end. T1 number i has ``sizes[i]`` vertices,
+    its forest of children (``[0] + forest + 1`` is T1) starts at
+    ``flat[t1_at[i]]``, and its rests F are ``counts[i]`` consecutive rows of
+    ``forests[n - 1 - sizes[i]]`` starting at ``flat[f_at[i]]``. Offsets
+    are int32: ``flat`` stays far below 2**31 bytes up to
+    ``MAX_EXHAUSTIVE_ORDER``, and the narrower type halves a chunk's gather.
+    """
+    forests, trees = _forest_tables(n)
+    base = np.cumsum([0] + [f.rows.size for f in forests])
+    sizes, t1_at, f_at, counts = [], [], [], []
+    for k, tk in enumerate(trees[1:], 1):
+        rest = forests[n - 1 - k]
+        i = np.arange(len(tk.keys))
+        start = rest.first_at_most(tk.keys)
+        if 2 * k < n:
+            stop = rest.at_least(tk.heights - 1)
+        elif 2 * k > n:
+            stop = rest.at_least(tk.heights)
+        else:  # F and T1's forest share forests[k - 1], and [0] + F + 1 >= T1 down to T1's own row
+            stop = tk.first + i + 1
+        sizes.append(np.full(len(i), k, np.int8))
+        t1_at.append((base[k - 1] + (tk.first + i) * (k - 1)).astype(np.int32))
+        f_at.append((base[n - 1 - k] + start * (n - 1 - k)).astype(np.int32))
+        counts.append((stop - start).astype(np.int32))
+    order = np.argsort(np.concatenate([tk.keys for tk in trees[1:]]))[::-1]  # no two trees tie
+    flat = np.concatenate([f.rows.ravel() for f in forests])
+    return (flat, *(np.concatenate(a)[order] for a in (sizes, t1_at, f_at, counts)))
 
 
 def free_tree_level_chunks(n: int):
-    """Level sequences as (rows, n) int8 arrays of at most ``CHUNK_ROWS`` rows each.
+    """Level sequences as (rows, n) int8 arrays of ``CHUNK_ROWS`` rows each, the last one shorter.
 
-    Nothing is kept between chunks, so memory stays bounded by the chunk
-    size whatever the class count.
+    One row per isomorphism class, lex-decreasing: ``0, T1 + 1, F + 1``,
+    where T1, the root's first subtree, is a tree of ``_forest_tables`` and
+    F a forest of ``forests[n-1-|T1|]`` whose first tree T2 is at most T1.
+    The root is a centre: h(T2) + 1 >= h(T1), and on equality (two centres,
+    the other T1's root) 2|T1| < n, or 2|T1| = n and T1 <= [0] + F + 1.
+    So each T1 takes a run of consecutive rows of its forest table, and a
+    chunk is gathered from the runs it covers: memory stays at the tables,
+    a few bytes per T1 and one chunk, whatever the class count.
     """
-    rows = []
-    for seq in free_tree_levels(n):
-        rows.append(bytes(seq))
-        if len(rows) == CHUNK_ROWS:
-            yield np.frombuffer(b"".join(rows), dtype=np.int8).reshape(CHUNK_ROWS, n)
-            rows = []
-    if rows:
-        yield np.frombuffer(b"".join(rows), dtype=np.int8).reshape(len(rows), n)
+    n = _integer("n", n, 1, MAX_EXHAUSTIVE_ORDER)
+    if n <= 2:
+        out = np.arange(n, dtype=np.int8).reshape(1, n)
+        out.flags.writeable = False
+        yield out
+        return
+    flat, sizes, t1_at, f_at, counts = _first_subtree_runs(n)
+    ends = np.cumsum(counts)
+    cols = np.arange(2, n, dtype=np.int8)
+    for r0 in range(0, int(ends[-1]), CHUNK_ROWS):
+        r = np.arange(r0, min(r0 + CHUNK_ROWS, int(ends[-1])))
+        t1 = np.searchsorted(ends, r, side="right")
+        k = sizes[t1, None]
+        in_t1 = cols <= k  # columns 2..k hold T1's forest plus 2, the rest F plus 1
+        f_row_at = f_at[t1] + (r - ends[t1] + counts[t1]) * (n - 1 - k[:, 0])
+        at = np.where(in_t1, t1_at[t1, None] - 2, (f_row_at[:, None] - k - 1).astype(np.int32))
+        out = np.empty((len(r), n), np.int8)
+        out[:, 0] = 0
+        out[:, 1] = 1
+        out[:, 2:] = flat.take(at + cols) + 1 + in_t1
+        out.flags.writeable = False
+        yield out
 
 
 def coded_free_trees(n: int):
     """(canonical code, edge tuple) per class, sorted by code."""
     coded = []
-    for seq in free_tree_levels(n):
-        edges = _level_seq_edges(seq)
-        t = Tree(n, edges)
-        coded.append((canonical_code(t), tuple(edges)))
+    for levels in free_tree_level_chunks(n):
+        for seq in levels.tolist():
+            edges = _level_seq_edges(seq)
+            coded.append((canonical_code(Tree(n, edges)), tuple(edges)))
     coded.sort()
     return coded
 
@@ -173,7 +250,7 @@ def enumerate_free_trees(n: int):
 
 
 def count_free_trees(n: int) -> int:
-    return sum(1 for _ in free_tree_levels(n))
+    return sum(len(levels) for levels in free_tree_level_chunks(n))
 
 
 # -- labeled (Pruefer) oracle -----------------------------------------------

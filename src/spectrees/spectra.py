@@ -41,7 +41,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .trees import DoubleCometParams, Tree, _bfs, _integer, _real
+from .trees import DoubleCometParams, Tree, _bfs, _integer, _items, _real
 
 TOL = 1e-12  # the interval width every certified answer is given at
 
@@ -401,10 +401,11 @@ def lambda1_interval_of_vertices(t: Tree, vertices):
     handles forests directly. Returns None for the empty set and the exact
     (0, 0) for an edgeless induced set.
     """
-    vs = sorted(set(vertices))
+    vs = _items("vertices", vertices)
+    t.check_vertices(*vs)
+    vs = sorted(set(vs))
     if not vs:
         return None
-    t.check_vertices(*vs)
     index = {v: i for i, v in enumerate(vs)}
     adj = [[index[w] for w in t.adjacency[v] if w in index] for v in vs]
     if not any(adj):
@@ -770,8 +771,8 @@ def spectral_sum_lower_bound(t: Tree, x, y) -> float:
 
     Inputs are validated to unit norm and orthogonality within 1e-10.
     """
-    x = list(map(float, x))
-    y = list(map(float, y))
+    x = [_real("x", v, -math.inf, math.inf) for v in _items("x", x)]
+    y = [_real("y", v, -math.inf, math.inf) for v in _items("y", y)]
     if len(x) != t.n or len(y) != t.n:
         raise ValueError("vectors must have one entry per vertex")
     nx = math.sqrt(sum(v * v for v in x))

@@ -13,7 +13,8 @@ used for tie-breaking everywhere else. ``double_comet_code`` writes the same
 code for a double comet from its parameters, without building the tree.
 
 ``_integer`` and ``_real`` are the package's one check of its count,
-vertex-id and real arguments: every module routes them through here.
+vertex-id and real arguments, and ``_items`` and ``_text`` of its
+iterable and str ones: every module routes them through here.
 """
 
 from __future__ import annotations
@@ -72,6 +73,21 @@ def _real(name: str, value, lo: float, hi: float) -> float:
         if lo <= x <= hi:
             return x
     raise ValueError(f"need a real {lo} <= {name} <= {hi}, not NaN, got {name}={value!r}")
+
+
+def _items(name: str, value) -> list:
+    """``value``'s items as a list, or a ValueError naming ``name`` when it is not iterable."""
+    try:
+        return list(value)
+    except TypeError:
+        raise ValueError(f"need an iterable {name}, got {name}={value!r}") from None
+
+
+def _text(name: str, value) -> str:
+    """``value`` itself when it is a str, else a ValueError naming ``name``."""
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"need a str {name}, got {name}={value!r}")
 
 
 @dataclass(frozen=True)
@@ -252,6 +268,7 @@ def make_double_comet(params: DoubleCometParams) -> Tree:
 
 def relabel(t: Tree, perm) -> Tree:
     """Tree with vertex v renamed perm[v]; perm must be a permutation of 0..n-1."""
+    perm = _items("perm", perm)
     t.check_vertices(*perm)
     if len(perm) != t.n or len(set(perm)) != t.n:
         raise TreeError("vertex-range", f"perm must be a permutation of 0..{t.n - 1}, got {perm!r}")
@@ -417,7 +434,7 @@ def _int_token(token: str, reason: str, what: str) -> int:
 
 
 def tree_from_text(text: str) -> Tree:
-    rows = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
+    rows = [ln for ln in (s.strip() for s in _text("text", text).splitlines()) if ln]
     if not rows:
         raise TreeError("vertex-count", "empty tree text")
     try:
@@ -435,7 +452,7 @@ def tree_from_text(text: str) -> Tree:
 
 def parse_tree_spec(spec: str) -> Tree:
     """Tree from a spec string: path:N, star:N, dc:K1,K2,L, or file:PATH."""
-    kind, sep, rest = spec.partition(":")
+    kind, sep, rest = _text("spec", spec).partition(":")
     if not sep:
         raise TreeError("vertex-count", f"tree spec needs 'kind:args', got {spec!r}")
     if kind == "path":

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from spectrees.enumeration import (
@@ -13,15 +14,104 @@ from spectrees.enumeration import (
 )
 from spectrees.trees import DoubleCometParams, Tree, canonical_code, make_double_comet, make_path, make_star
 
-# Class counts up to order 8, frozen from the full n^(n-2) labeled-decode
-# oracle (the two generators are cross-checked against each other below and
-# for n <= 10 in the enum-counts suite).
-ORACLE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
+# Free trees of order n, OEIS A000055. Up to order 8 the full n^(n-2)
+# labeled-decode oracle gives the same counts (the two generators are
+# cross-checked against each other below and for n <= 10 in the enum-counts
+# suite).
+A000055 = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11: 235, 12: 551, 13: 1301,
+           14: 3159, 15: 7741, 16: 19320, 17: 48629, 18: 123867, 19: 317955}
 
 
 def test_free_tree_counts_match_frozen_oracle_values():
-    for n, want in ORACLE_COUNTS.items():
-        assert count_free_trees(n) == len(list(enumerate_free_trees(n))) == want
+    for n, want in A000055.items():
+        assert count_free_trees(n) == want, n
+        if n <= 8:
+            assert len(list(enumerate_free_trees(n))) == want
+
+
+def _successor_rooted(seq, p=None):
+    """Next canonical rooted level sequence in the Beyer-Hedetniemi order.
+
+    From the last position p deeper than 1 (or the given p), the tail is
+    the block seq[q:p] repeated, q being the last earlier position one
+    level up from seq[p].
+    """
+    if p is None:
+        p = len(seq) - 1
+        while seq[p] <= 1:
+            p -= 1
+            if p < 0:
+                return None
+    if p <= 0:
+        return None
+    target = seq[p] - 1
+    q = p - 1
+    while seq[q] != target:
+        q -= 1
+    block = seq[q:p]
+    tail = len(seq) - p
+    return seq[:p] + (block * (tail // len(block) + 1))[:tail]
+
+
+def _first_subtree_end(seq):
+    """Index where the root's first principal subtree ends (seq[1] is its root)."""
+    try:
+        return seq.index(1, 2)
+    except ValueError:
+        return len(seq)
+
+
+def _advance_to_free(seq):
+    """Return seq if it encodes a canonical free tree, else jump past it.
+
+    The split condition keeps exactly one representative per free tree: the
+    first principal subtree must not be higher than the rest, and on equal
+    height must not be bigger, nor lexicographically later at equal size.
+    """
+    n = len(seq)
+    m = _first_subtree_end(seq)
+    left_h = max(seq[1:m]) - 1
+    rest_h = max(seq[m:]) if m < n else 0
+    valid = rest_h >= left_h
+    if valid and rest_h == left_h:
+        if m - 1 > n - m + 1:
+            valid = False
+        elif m - 1 == n - m + 1 and [lv - 1 for lv in seq[1:m]] > [0] + seq[m:]:
+            valid = False
+    if valid:
+        return seq, True
+    p = m - 1
+    nxt = _successor_rooted(seq, p)
+    if nxt is not None and seq[p] > 2:
+        k = max(nxt[1:_first_subtree_end(nxt)])  # new first subtree's height, plus one
+        nxt[n - k:] = range(1, k + 1)
+    return nxt, False
+
+
+def _successor_free_trees(n):
+    """One level sequence per free tree by Wright-Richmond-Odlyzko-McKay successor steps."""
+    if n <= 2:
+        yield list(range(n))
+        return
+    seq = list(range(n // 2 + 1)) + list(range(1, (n + 1) // 2))
+    while seq is not None:
+        seq, ok = _advance_to_free(seq)
+        if seq is None:
+            break
+        if ok:
+            yield seq
+            seq = _successor_rooted(seq)
+
+
+def test_level_chunks_equal_the_successor_generator():
+    # the forest-table build reproduces the successor order row for row, cut at the same chunk boundaries
+    for n in range(1, 17):
+        want = np.array(list(_successor_free_trees(n)), dtype=np.int8)
+        cuts = list(range(CHUNK_ROWS, len(want), CHUNK_ROWS))
+        chunks = list(free_tree_level_chunks(n))
+        assert len(chunks) == len(cuts) + 1
+        for got, rows in zip(chunks, np.split(want, cuts)):
+            assert got.dtype == np.int8 and got.flags.c_contiguous and np.array_equal(got, rows), n
 
 
 def test_free_trees_are_distinct_valid_classes():

@@ -161,6 +161,13 @@ def test_bad_arguments_name_themselves():
         (lambda: make_star("4"), "n='4'", "vertex-count"),
         (lambda: t.degree(True), "vertex=True", "vertex-range"),
         (lambda: Tree(3, [(0, True), (1, 2)]), "vertex=True", "vertex-range"),
+        # a spec or tree text that is no str, a vector or vertex set that is not iterable
+        (lambda: parse_tree_spec(None), "spec=None", None),
+        (lambda: tree_from_text(None), "text=None", None),
+        (lambda: relabel(t, None), "perm=None", None),
+        (lambda: spectra.spectral_sum_lower_bound(t, None, None), "x=None", None),
+        (lambda: spectra.spectral_sum_lower_bound(t, [1, 0, 0, 0, 0], [0, None, 0, 0, 0]), "y=None", None),
+        (lambda: spectra.lambda1_interval_of_vertices(t, None), "vertices=None", None),
     ]
     for call, named, reason in table:
         with pytest.raises(ValueError, match=named) as err:
