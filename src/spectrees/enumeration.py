@@ -353,9 +353,9 @@ def double_comet_arrays(n: int):
         yield 1, np.array([n - 1], dtype=np.int64), zero
     for ell in range(2, n - 1):
         rest = n - ell
-        k2 = np.arange(2, rest // 2 + 1, dtype=np.int64)
+        k2 = np.arange(1 if ell >= 3 else 2, rest // 2 + 1, dtype=np.int64)
         if ell >= 3:
-            k2 = np.concatenate((zero, k2))
+            k2[0] = 0  # the broom
         yield ell, rest - k2, k2
 
 

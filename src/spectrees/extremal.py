@@ -6,7 +6,7 @@ eigenvalues (``_coeffs``): psi is the convex combination alpha*lam1 +
 (1, 0), (0, 1) and (1, -1). Key intervals, the comet screening bound and
 the scan's early stops all derive from (c1, c2) and the tree facts
 0 <= lam2 <= lam1 (n >= 3); the one bound tied to a key is the two-hub
-bound on the spectral sum. A minimum is searched as the maximum of the
+bound on the spectral sum's minimum. A minimum is searched as the maximum of the
 negated key, min c.lam = -max(-c.lam), so every layer below
 ``search_extremal`` only maximizes. Searches keep certified enclosures for
 every candidate, prune against a deterministic baseline (the double-comet
@@ -18,10 +18,11 @@ certificates, so reported winners are exact regardless of worker count.
 Both families (all trees, double comets) are ``_Family`` objects whose
 members are level sequences stored as bytes or ``DoubleCometParams``.
 Searches carry uncoded (member, lo, hi) rows, certified at ``TOL``, through
-one survivor filter (``_survivors``). The all-tree scan, the comet screen
-and the filter follow one discard rule: each dropped row's upper end joins the
-bound the runner-up margin is measured against. A Tree and a canonical
-code are built only for the winners. A comet's code comes from its
+one survivor filter (``_survivors``). The all-tree scan's two cuts, the
+comet screen and the filter share one discard rule, ``_drop``: a row whose
+upper end is below the floor is out, and the largest upper end dropped
+joins the bound the runner-up margin is measured against. A Tree and a
+canonical code are built only for the winners. A comet's code comes from its
 parameters (``trees.double_comet_code``), a few bytes joins with no Tree.
 A search's excluded codes belong to its family object, checked once in
 ``_family``; a nonempty set codes every member the search evaluates, to
@@ -29,17 +30,21 @@ test it (``_Family.excluded``).
 Searches over all trees stream level-sequence chunks through the batched
 inertia kernel (``spectra.TreeBatch``) and never materialise a class
 list. Every comet but the star goes through the same kernel as its
-quotient, a weighted path (``_dc_pair_intervals``). A comet search screens
-its long comets as leaf-count arrays, one path order at a time, and builds
-parameters only for the comets it evaluates (``_dc_candidates``).
+quotient, a weighted path (``_dc_pair_intervals``). Searches and envelopes
+of the comets share one pass (``_Comets._screened``): it evaluates the
+short comets (path order <= 3), takes a convex floor from them, screens
+the long ones as leaf-count arrays, one path order at a time, by
+``_dc_upper_bound`` at the floor breakpoint each comet's slope picks, and
+builds parameters only for the comets it keeps. A search's floor is one
+breakpoint, its key at the best short lower end; an envelope's is the
+upper hull of the short comets' lower-end lines.
 
 The envelope treats each tree as the line alpha -> lam2 + alpha*(lam1 -
 lam2) and keeps the upper hull in one monotone-chain pass (``_upper_hull``);
 codes are only built for the witnesses of hull lines and for members whose
-rounded lines collide with different floats. Comets screen their long
-members by the search's bound, against the hull of the short comets'
-lower-end lines (``_Comets.midpoints``): a comet left out lies more than
-_SAFETY - TOL below the envelope on [0, 1], so it can change no segment.
+rounded lines collide with different floats. A comet the pass leaves out
+of an envelope lies more than _SAFETY - TOL below it on [0, 1], so it can
+change no segment.
 """
 
 from __future__ import annotations
@@ -164,6 +169,12 @@ def _key_interval(c, l1, l2):
     return lo, hi
 
 
+def _drop(hi, floor):
+    """The keep mask ``hi >= floor`` of an array of upper ends, and the largest ``hi`` dropped (-inf if none)."""
+    keep = hi >= floor
+    return keep, float(np.maximum.reduce(hi, where=~keep, initial=-math.inf))
+
+
 # -- double-comet family evaluation ------------------------------------------
 
 
@@ -201,59 +212,15 @@ def _dc_pair_intervals(params):
 def _dc_upper_bound(k1, k2, c):
     """Elementwise upper bounds on c1*lam1 + c2*lam2 (c2 >= 0), to discard long comets unbisected.
 
-    ``k1`` and ``k2`` are leaf-count arrays; c = (1, -1) gives the psi bound
-    line's slope. Valid for ell >= 4: lam1^2 is at most the largest row sum
-    of A^2, which is max(k)+3, and lam2 is at most lam1 of the broom left
-    after deleting the bigger hub (interlacing), at most sqrt(min(k)+3);
-    the constant 4 floors both for nearly bare paths.
+    ``k1 >= k2`` are leaf-count arrays, as ``double_comet_arrays`` gives them;
+    c = (1, -1) gives the psi bound line's slope. Valid for ell >= 4: lam1^2
+    is at most the largest row sum of A^2, k1+3, and lam2 is at most lam1 of
+    the broom left after deleting the bigger hub (interlacing), at most
+    sqrt(k2+3); the constant 4 floors both for nearly bare paths.
     """
-    u1 = np.sqrt(np.maximum(4.0, np.maximum(k1, k2) + 3.0))
-    u2 = np.sqrt(np.maximum(4.0, np.minimum(k1, k2) + 3.0))
+    u1 = np.sqrt(np.maximum(4.0, k1 + 3.0))
+    u2 = np.sqrt(np.maximum(4.0, k2 + 3.0))
     return c[0] * u1 + c[1] * u2
-
-
-def _dc_short(n: int):
-    """Parameters of the short comets (path order <= 3: the star, and the path when n <= 3), in family order."""
-    groups = takewhile(lambda g: g[0] <= 3 or g[0] == n, double_comet_arrays(n))  # the path leads
-    return [p for ell, k1, k2 in groups if ell <= 3 for p in double_comet_group_params(ell, k1, k2)]
-
-
-def _dc_candidates(fam, c):
-    """Certified (params, lo, hi) rows of the comet family, its size and a discard bound.
-
-    The short comets (``_dc_short``) are evaluated first, then the ell >= 4
-    comets, as leaf-count arrays one path order at a time.
-    Keys with c1, c2 >= 0 screen those by _dc_upper_bound against the best
-    lower end among the short ones (the bar), one ``max`` per path order
-    deciding whether any of its comets survives. That discards all but a
-    thin parameter band. ``discard_bound`` is the largest bound screened
-    out, plus _SAFETY for its rounding, so a short comet that wins keeps a
-    positive margin; it is -inf when nothing is screened out. A
-    ``DoubleCometParams`` is built only for a comet that gets evaluated,
-    and each group is evaluated in one ``_dc_pair_intervals`` call. Comets
-    the family excludes are dropped before evaluation; only an evaluated
-    comet, never a screened-out one, is tested against the set.
-    """
-
-    def rows(ps):
-        ps = [p for p in ps if not fam.excluded(p)]
-        return [(p, *_key_interval(c, *iv)) for p, iv in zip(ps, _dc_pair_intervals(ps))]
-
-    pool = rows(_dc_short(fam.n))
-    # a comet is screened out when its bound is below the bar; unbounded keys screen nothing out
-    bar = max((lo for _, lo, _ in pool), default=-math.inf) if min(c) >= 0 else -math.inf
-    size, kept, discard_bound = 0, [], -math.inf
-    for ell, k1, k2 in double_comet_arrays(fam.n):
-        size += len(k1)
-        if ell >= 4:
-            ub = _dc_upper_bound(k1, k2, c)
-            top = float(ub.max())
-            if top >= bar - _SAFETY:  # some comet of this path order passes
-                hit = ub >= bar - _SAFETY
-                kept += double_comet_group_params(ell, k1[hit], k2[hit])
-                top = -math.inf if hit.all() else float(ub[~hit].max())
-            discard_bound = max(discard_bound, top + _SAFETY)
-    return pool + rows(kept), size, discard_bound
 
 
 # -- free-tree scan ------------------------------------------------------------
@@ -269,9 +236,10 @@ class _Scan:
     (c_hi = c1 + max(c2, 0)), which stops the lam1 bisection; the lam2
     bisection stops once lam2 is certified past the point where the key,
     lam1 at its high end, crosses the baseline (at once for a row out on
-    lam1 alone). ``two_hub`` applies ``_two_hub_bound``, a theorem about
-    the minimum sum. Like ``_survivors``, every dropped row folds its upper
-    end into ``far`` (-inf when nothing is dropped); rows the family
+    lam1 alone). The sum's minimum, the one search whose negated
+    coefficients are (-1, -1), first applies ``_two_hub_bound``, a theorem
+    about that minimum. Both cuts ``_drop`` against ``base``, folding the
+    largest upper end dropped into ``far`` (-inf if none); rows the family
     excludes are left out first and never count as dropped. Called on a
     chunk, it returns the surviving rows (level sequence as bytes, lo, hi),
     ``far`` and the chunk's row count. It builds no Tree and no code unless
@@ -281,7 +249,6 @@ class _Scan:
     fam: _AllTrees
     coeffs: tuple
     base: float
-    two_hub: bool
 
     def __call__(self, levels):
         n, coeffs, base = self.fam.n, self.coeffs, self.base
@@ -291,11 +258,9 @@ class _Scan:
         rows = np.arange(len(levels))
         if self.fam.exclude:  # no Python loop over the chunk unless something is excluded
             rows = rows[[not self.fam.excluded(seq.tobytes()) for seq in levels]]
-        if self.two_hub and n > 2:  # the bound needs lam2 >= 0, which K2 breaks
-            bound = -_two_hub_bound(batch, rows)
-            out = bound < base
-            far = float(np.max(bound[out], initial=far))
-            rows = rows[~out]
+        if coeffs == (-1.0, -1.0) and n > 2:  # the bound needs lam2 >= 0, which K2 breaks
+            keep, far = _drop(-_two_hub_bound(batch, rows), base)
+            rows = rows[keep]
         star = batch.degrees[rows].max(axis=1) == n - 1
         s = math.sqrt(n - 1)
         pool = [(levels[r].tobytes(), *_key_interval(coeffs, *_star_intervals(n))) for r in rows[star]]
@@ -311,12 +276,10 @@ class _Scan:
             stops = (None, cross) if c2 > 0 else (cross, None)
             l2 = batch.bisect(2, 0.0, l1_hi, _COARSE_TOL, rows, *stops)
         lo, hi = _key_interval(coeffs, (l1_lo, l1_hi), l2)
-        out = hi < base
-        far = float(np.max(hi[out], initial=far))
-        keep = ~out
+        keep, dropped = _drop(hi, base)
         pool += [(levels[r].tobytes(), a, b)
                  for r, a, b in zip(rows[keep].tolist(), lo[keep].tolist(), hi[keep].tolist())]
-        return pool, far, len(batch)
+        return pool, max(far, dropped), len(batch)
 
 
 def _two_hub_bound(batch, rows):
@@ -342,7 +305,7 @@ def _two_hub_bound(batch, rows):
     return bound
 
 
-def _baseline(fam, coeffs, objective: str):
+def _baseline(fam, coeffs, minimize: bool):
     """Deterministic certified lower bound on the maximum of ``coeffs``, for pruning a free-tree scan.
 
     A maximum takes the best double comet (the comet search's own screened
@@ -350,12 +313,12 @@ def _baseline(fam, coeffs, objective: str):
     the better of path and star. Returns -inf, which prunes nothing, when
     the family excludes them all.
     """
-    if objective == "max":
-        rows, _, _ = _dc_candidates(_Comets(fam.n, fam.exclude), coeffs)
-    else:
+    if minimize:
         ms = [m for m in (bytes(range(fam.n)), bytes([0] + [1] * (fam.n - 1)))  # level sequences of path and star
               if not fam.excluded(m)]
         rows = [(m, *_key_interval(coeffs, *iv)) for m, iv in zip(ms, fam.pair_intervals(ms))]
+    else:
+        rows, _, _ = _Comets(fam.n, fam.exclude).search_rows(coeffs, minimize, 1)
     return max((lo for _, lo, _ in rows), default=-math.inf)
 
 
@@ -392,7 +355,7 @@ class _AllTrees(_Family):
     def midpoints(self):
         """(lam1, lam2, member) per free tree, from the batched top_two."""
         for levels in free_tree_level_chunks(self.n):
-            l1_lo, l1_hi, l2_lo, l2_hi = TreeBatch(levels).top_two(TOL)
+            l1_lo, l1_hi, l2_lo, l2_hi = TreeBatch(levels).top_two()
             yield from zip((0.5 * (l1_lo + l1_hi)).tolist(), (0.5 * (l2_lo + l2_hi)).tolist(),
                            (seq.tobytes() for seq in levels))
 
@@ -410,14 +373,13 @@ class _AllTrees(_Family):
     def candidate(self, m, lo: float, hi: float) -> Candidate:
         return Candidate(self.code(m), self.edges(m), lo, hi)
 
-    def search_rows(self, key: str, coeffs, objective: str, jobs: int):
+    def search_rows(self, coeffs, minimize: bool, jobs: int):
         """Rows certified at TOL, the class count and the largest upper end among the rows dropped.
 
         Only the coarse rows left by ``_survivors`` are certified, each by one
         ``top_two``; a star's row (``_star_intervals``) is narrower already.
         """
-        base = _baseline(self, coeffs, objective)
-        scan = _Scan(self, coeffs, base, key == "sum" and objective == "min")
+        scan = _Scan(self, coeffs, _baseline(self, coeffs, minimize))
         chunks = free_tree_level_chunks(self.n)
         if jobs == 1:
             results = list(map(scan, chunks))
@@ -427,8 +389,6 @@ class _AllTrees(_Family):
         rows = [r for chunk, _, _ in results for r in chunk]
         scanned = sum(count for _, _, count in results)
         bound = max(far for _, far, _ in results)  # does not depend on chunk order
-        if not rows:  # the family excludes every class
-            return rows, scanned, bound
         rows, bound = _survivors(rows, bound)
         ivs = iter(self.pair_intervals([m for m, lo, hi in rows if hi - lo > TOL]))
         rows = [(m, lo, hi) if hi - lo <= TOL else (m, *_key_interval(coeffs, *next(ivs))) for m, lo, hi in rows]
@@ -438,29 +398,53 @@ class _AllTrees(_Family):
 class _Comets(_Family):
     """The double comets of order n; a member is its ``DoubleCometParams``."""
 
-    def midpoints(self):
-        """(lam1, lam2, member) per comet that can reach the hull: the short comets, then the long ones kept.
+    def _screened(self, floor):
+        """The comets that can reach a floor, with their (lam1, lam2) intervals; the family size; ``far``.
 
-        Short comets (path order <= 3) are bisected first. A long one is kept
-        iff its ``_dc_upper_bound`` line comes within _SAFETY of the upper
-        hull of their lower-end lines: the line minus that convex hull is
-        concave, so it peaks where the hull's slope reaches the line's. A
-        dropped comet lies over _SAFETY - TOL below the envelope, so no
-        segment changes; only the comets kept get parameters.
+        ``floor`` turns the short comets' intervals into a convex floor below
+        their lower ends, given as ``at(k1, k2)``: for leaf-count arrays of
+        long comets, the key (c1, c2) and floor value at the breakpoint where
+        each comet's ``_dc_upper_bound`` line comes closest to the floor. A
+        comet is kept (``_drop``) iff its bound there comes within _SAFETY of
+        the floor; ``far`` is the largest bound dropped, plus _SAFETY for its
+        rounding. Excluded comets are left out before evaluation, never
+        counted as screened out.
         """
-        short = _dc_short(self.n)
+        # the short comets, path order <= 3 (the path leads the family, and is short when n <= 3)
+        groups = takewhile(lambda g: g[0] <= 3 or g[0] == self.n, double_comet_arrays(self.n))
+        short = [p for ell, k1, k2 in groups if ell <= 3 for p in double_comet_group_params(ell, k1, k2)
+                 if not self.excluded(p)]
         ivs = _dc_pair_intervals(short)
-        hull = _upper_hull([(l1[0], l2[0]) for l1, l2 in ivs])
-        xs = np.array([lo for lo, _, _ in hull] + [1.0])
-        slopes = np.array([l1 - l2 for _, _, (l1, l2) in hull])
-        floor = np.array([l2 + x * (l1 - l2) for x, (*_, (l1, l2)) in zip(xs.tolist(), hull + hull[-1:])])
-        kept = []
+        at = floor(ivs)
+        kept, size, far = [], 0, -math.inf
         for ell, k1, k2 in double_comet_arrays(self.n):
-            if ell > 3:
-                j = np.searchsorted(slopes, _dc_upper_bound(k1, k2, (1.0, -1.0)))  # the bound line's slope
-                keep = _dc_upper_bound(k1, k2, (xs[j], 1.0 - xs[j])) >= floor[j] - _SAFETY
-                kept += double_comet_group_params(ell, k1[keep], k2[keep])
-        for p, ((l1_lo, l1_hi), (l2_lo, l2_hi)) in zip(short + kept, ivs + _dc_pair_intervals(kept)):
+            size += len(k1)
+            if ell >= 4:
+                c, value = at(k1, k2)
+                keep, dropped = _drop(_dc_upper_bound(k1, k2, c), value - _SAFETY)
+                if np.count_nonzero(keep):
+                    kept += [p for p in double_comet_group_params(ell, k1[keep], k2[keep]) if not self.excluded(p)]
+                far = max(far, dropped + _SAFETY)
+        return short + kept, ivs + _dc_pair_intervals(kept), size, far
+
+    def midpoints(self):
+        """(lam1, lam2, member) per comet that can reach the hull of the short comets' lower-end lines."""
+
+        def floor(ivs):
+            hull = _upper_hull([(l1[0], l2[0]) for l1, l2 in ivs])
+            xs = np.array([lo for lo, _, _ in hull] + [1.0])
+            slopes = np.array([l1 - l2 for _, _, (l1, l2) in hull])
+            values = np.array([l2 + x * (l1 - l2) for x, (*_, (l1, l2)) in zip(xs.tolist(), hull + hull[-1:])])
+
+            def at(k1, k2):
+                # the bound line minus the convex hull is concave: it peaks where the hull's slope passes the line's
+                j = np.searchsorted(slopes, _dc_upper_bound(k1, k2, (1.0, -1.0)))
+                return (xs[j], 1.0 - xs[j]), values[j]
+
+            return at
+
+        ps, ivs, _, _ = self._screened(floor)
+        for p, ((l1_lo, l1_hi), (l2_lo, l2_hi)) in zip(ps, ivs):
             yield 0.5 * (l1_lo + l1_hi), 0.5 * (l2_lo + l2_hi), p
 
     def tree(self, m) -> Tree:
@@ -472,9 +456,22 @@ class _Comets(_Family):
     def candidate(self, m, lo: float, hi: float) -> Candidate:
         return Candidate(self.code(m), tuple(self.tree(m).edges()), lo, hi, m)
 
-    def search_rows(self, key: str, coeffs, objective: str, jobs: int):
-        """Every evaluated comet's row, born at TOL, the family size and the screen's discard bound."""
-        return _dc_candidates(self, coeffs)
+    def search_rows(self, coeffs, minimize: bool, jobs: int):
+        """Every evaluated comet's row, born at TOL, the family size and the screen's discard bound.
+
+        The floor is one point: the key at the best lower end among the short
+        comets (c1*lam1_lo + c2*lam2_lo is the key's lower end when c1, c2 >=
+        0), or at -inf, keeping every comet, when a coefficient is negative,
+        which ``_dc_upper_bound`` does not bound.
+        """
+
+        def floor(ivs):
+            c1, c2 = coeffs
+            bar = max((c1 * l1[0] + c2 * l2[0] for l1, l2 in (ivs if min(coeffs) >= 0 else ())), default=-math.inf)
+            return lambda k1, k2: (coeffs, bar)
+
+        ps, ivs, size, far = self._screened(floor)
+        return [(p, *_key_interval(coeffs, *iv)) for p, iv in zip(ps, ivs)], size, far
 
 
 def _family(n, family: str, exclude=()) -> _Family:
@@ -510,11 +507,11 @@ def _family(n, family: str, exclude=()) -> _Family:
 def _survivors(rows, bound: float):
     """The rows that can still win the maximum, and ``bound`` with the upper end of each row dropped folded in.
 
-    A row is dropped when it is certified below the best lower end (the
-    bar), and its upper end is all the runner-up margin needs of it.
+    A row is dropped (``_drop``) when it is certified below the best lower
+    end; no rows leave ``bound`` as it is.
     """
-    bar = max(lo for _, lo, _ in rows)
-    return [r for r in rows if r[2] >= bar], max([hi for _, _, hi in rows if hi < bar] + [bound])
+    keep, dropped = _drop(np.array([hi for _, _, hi in rows]), max((lo for _, lo, _ in rows), default=math.inf))
+    return [r for r, k in zip(rows, keep.tolist()) if k], max(dropped, bound)
 
 
 def _tie_proven_exact(winners) -> bool:
@@ -554,7 +551,7 @@ def search_extremal(
     minimize = objective == "min"
     if minimize:  # min c.lam = -max(-c.lam): every layer below only maximizes
         coeffs = (-coeffs[0], -coeffs[1])
-    pool, scanned, discard_bound = fam.search_rows(key, coeffs, objective, jobs)
+    pool, scanned, discard_bound = fam.search_rows(coeffs, minimize, jobs)
     if not pool:
         raise ValueError("search excluded every tree in the family")
     pool, discard_bound = _survivors(pool, discard_bound)
@@ -832,8 +829,9 @@ def dc_structure_probe(n: int, alpha: float) -> ProbeReport:
     Above 1/2 the winner should have path order 2 with the big hub holding
     about t = alpha^2/(alpha^2+(1-alpha)^2) of the vertices; below 1/2 the
     balanced order-3 comet (odd n) or the parity-dependent order-3/4 shapes
-    (even n, threshold (sqrt(5)-1)/(2 sqrt(5))) should win.
+    (even n, threshold (sqrt(5)-1)/(2 sqrt(5))) should win. ``alpha`` lies in [0, 1).
     """
+    alpha = _real("alpha", alpha, 0.0, math.nextafter(1.0, 0.0))
     res = search_extremal(n, alpha=alpha, objective="max", family="dc", key="psi")
     w = res.winners[0]
     p = w.params

@@ -35,7 +35,6 @@ eigen-equations and the eigenvector-eigenvalue identity.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -197,12 +196,14 @@ def _star_intervals(n: int):
     return l1, (l2, l2)
 
 
-def _check_top_two(n: int, tol: float):
+def _check_top_two(n: int, tol: float) -> float:
     if n < 2:
         raise ValueError("top_two needs n >= 2: a single vertex has no second eigenvalue")
     # narrower brackets probe within rounding distance of the eigenvalue, where counts may be off
-    if not (isinstance(tol, numbers.Real) and TOL <= tol < math.inf):
-        raise ValueError(f"tol must be a finite width of at least TOL = {TOL}, got {tol!r}")
+    try:
+        return _real("tol", tol, TOL, math.nextafter(math.inf, 0.0))
+    except ValueError:
+        raise ValueError(f"tol must be a finite width of at least TOL = {TOL}, got {tol!r}") from None
 
 
 def top_two(t: Tree, tol: float = TOL) -> TopTwo:
@@ -218,7 +219,7 @@ def top_two(t: Tree, tol: float = TOL) -> TopTwo:
     calls at ``TOL`` return it; a wider ``tol`` neither reads nor writes it.
     """
     n = t.n
-    _check_top_two(n, tol)
+    tol = _check_top_two(n, tol)
     if tol == TOL and t._top_two is not None:
         return t._top_two
     if t.max_degree() == n - 1:
@@ -227,7 +228,7 @@ def top_two(t: Tree, tol: float = TOL) -> TopTwo:
         post, up = _rooted(t)
         l1_lo, l1_hi = _bisect_count(post, up, 1, 0.0, math.sqrt(n - 1), tol)
         l2_lo, l2_hi = _bisect_count(post, up, 2, 0.0, l1_hi, tol)
-    tt = TopTwo(l1_lo, l1_hi, l2_lo, l2_hi, float(tol))
+    tt = TopTwo(l1_lo, l1_hi, l2_lo, l2_hi, tol)
     if tol == TOL:
         t._top_two = tt
     return tt
@@ -380,17 +381,17 @@ class TreeBatch:
             hi[live[~up]] = mid[~up]
         return lo, hi
 
-    def top_two(self, tol: float = TOL):
-        """``top_two`` of every row: arrays (lam1_lo, lam1_hi, lam2_lo, lam2_hi)."""
+    def top_two(self):
+        """``top_two`` of every row at ``TOL``: arrays (lam1_lo, lam1_hi, lam2_lo, lam2_hi)."""
         n, m = self.n, len(self)
         if self._w is not None:
             raise ValueError("top_two brackets unit-weight trees; bisect weighted rows directly")
-        _check_top_two(n, tol)
+        _check_top_two(n, TOL)
         l1, l2 = _star_intervals(n)
         l1_lo, l1_hi, l2_lo, l2_hi = (np.full(m, v) for v in (*l1, *l2))
         rest = np.flatnonzero(self.degrees.max(axis=1) != n - 1)
-        l1_lo[rest], l1_hi[rest] = self.bisect(1, 0.0, math.sqrt(n - 1), tol, rest)
-        l2_lo[rest], l2_hi[rest] = self.bisect(2, 0.0, l1_hi[rest], tol, rest)
+        l1_lo[rest], l1_hi[rest] = self.bisect(1, 0.0, math.sqrt(n - 1), TOL, rest)
+        l2_lo[rest], l2_hi[rest] = self.bisect(2, 0.0, l1_hi[rest], TOL, rest)
         return l1_lo, l1_hi, l2_lo, l2_hi
 
 

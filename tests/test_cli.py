@@ -134,6 +134,14 @@ def test_cli_envelope_csv_out(tmp_path, capsys):
     assert out.read_text() == text
 
 
+def test_cli_envelope_json(capsys):
+    assert main(["envelope", "--n", "6", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert len(payload) == len(envelope(6).segments)
+    for seg in payload:
+        assert set(seg) == {"alpha_lo", "alpha_hi", "lambda1", "lambda2", "witness"}
+
+
 def test_cli_gap(capsys):
     assert main(["gap", "--n", "6", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -195,6 +203,17 @@ def test_cli_verify_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "not-a-suite"])
     assert exc.value.code == 2
+
+
+def test_cli_verify_json(capsys):
+    assert main(["verify", "--suite", "figure2", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == {"suite", "seed", "summary", "runtime", "cases"}
+    assert payload["suite"] == "figure2" and payload["summary"]["failed"] == 0
+    assert set(payload["summary"]) == {"cases", "passed", "failed"}
+    assert len(payload["cases"]) == payload["summary"]["cases"] > 0
+    for case in payload["cases"]:
+        assert set(case) == {"id", "expected", "got", "tolerance", "pass"}
 
 
 def test_cli_verify_report_out(tmp_path, capsys):

@@ -300,6 +300,14 @@ class TestSearch:
             with pytest.raises(ValueError, match="search excluded every tree in the family"):
                 search_extremal(9, objective=objective, family="dc", exclude=comets)
 
+    def test_excluding_every_tree(self):
+        # the scan leaves no row for the survivor filter, in one process or over a pool
+        every = {canonical_code(t).decode() for t in enumerate_free_trees(5)}
+        assert len(every) == 3
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="search excluded every tree in the family"):
+                search_extremal(5, exclude=every, jobs=jobs)
+
     def test_bad_exclusions_rejected(self):
         # before the check these excluded nothing (bytes, a bare code iterated as characters,
         # a non-code, a code of another order, the path's code with a wrong prefix or
@@ -347,7 +355,7 @@ class TestSearch:
             for key, alpha in keys:
                 c = extremal._coeffs(key, alpha)
                 built.clear()
-                pool, size, discard_bound = extremal._dc_candidates(extremal._Comets(n), c)
+                pool, size, discard_bound = extremal._Comets(n).search_rows(c, False, 1)
                 assert size == len(family) and len(built) == len(pool)
                 kept = {p for p, _, _ in pool}
                 dropped = [p for p in long_comets if p not in kept]
@@ -737,6 +745,13 @@ class TestProbeAndGap:
         probe = dc_structure_probe(200, 0.8)
         assert probe.ell_is_2
         assert probe.hub_share_dev is not None and probe.hub_share_dev <= 0.05
+
+    def test_probe_checks_alpha_before_searching(self, monkeypatch):
+        assert dc_structure_probe(20, 0.3).matches_predicted
+        monkeypatch.setattr(extremal, "search_extremal", None)  # a search would raise TypeError
+        for bad in (1.0, -0.1, math.nan, True, "0.5", None):
+            with pytest.raises(ValueError, match="alpha"):
+                dc_structure_probe(20, bad)
 
     def test_gap_n4(self):
         rep = spectral_gap_min(4)

@@ -183,7 +183,7 @@ class TestTopTwo:
     def test_single_vertex_rejected(self):
         with pytest.raises(ValueError):
             top_two(make_path(1))
-        for bad in (0.0, -1e-12, math.nan, math.inf):
+        for bad in (0.0, -1e-12, math.nan, math.inf, True):
             with pytest.raises(ValueError, match="tol"):
                 top_two(make_path(4), bad)
             with pytest.raises(ValueError, match="tol"):
@@ -211,8 +211,6 @@ class TestTopTwo:
         for bad in ("x", None, 1e-14, TOL / 2):
             with pytest.raises(ValueError, match="TOL"):
                 top_two(make_path(4), bad)
-            with pytest.raises(ValueError, match="TOL"):
-                TreeBatch([[0, 1, 2, 3], [0, 1, 1, 1]]).top_two(bad)
 
     def test_each_tree_is_certified_once(self, monkeypatch):
         # top_two at TOL is kept on the tree: the eigenvectors, psi and the
@@ -591,7 +589,7 @@ def test_batched_top_two_equals_scalar_for_every_class():
     for n in range(2, 13):
         for levels in free_tree_level_chunks(n):
             batch = TreeBatch(levels)
-            got = [a.tolist() for a in batch.top_two(TOL)]
+            got = [a.tolist() for a in batch.top_two()]
             for r in range(len(batch)):
                 tt = top_two(Tree(n, _level_seq_edges(levels[r])), TOL)
                 assert tuple(a[r] for a in got) == (tt.lam1_lo, tt.lam1_hi, tt.lam2_lo, tt.lam2_hi)
@@ -646,9 +644,6 @@ def test_tree_batch_rejects_bad_levels():
         TreeBatch([[1, 2]])
     with pytest.raises(ValueError):
         TreeBatch([[0]]).top_two()
-    for bad in (0.0, -1e-12, math.nan, math.inf):
-        with pytest.raises(ValueError, match="tol"):
-            TreeBatch([[0, 1, 2, 3], [0, 1, 1, 1]]).top_two(bad)
     for bad in ([[0.0, 1.0]], [1.0, 1.0, 1.0], [[0.0, 1.0, 1.0]] * 2, [[0.0, -1.0, 1.0]],
                 [[0.0, math.inf, 1.0]], [[0.0, 1.0, math.nan]]):
         with pytest.raises(ValueError, match="weights"):

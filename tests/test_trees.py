@@ -295,3 +295,12 @@ def test_parse_tree_spec():
             parse_tree_spec(spec)
     with pytest.raises(TreeError, match="'a'"):
         tree_from_text("3\n0 a\n1 2\n")
+    for spec, reason in (("path5", "vertex-count"), ("dc:1,2", "vertex-count")):
+        with pytest.raises(TreeError) as err:
+            parse_tree_spec(spec)
+        assert err.value.reason == reason, spec
+    for text, reason in (("", "vertex-count"), (" \n\n", "vertex-count"), ("three\n0 1\n", "vertex-count"),
+                         ("3\n0 1 2\n1 2\n", "vertex-range"), ("3\n0\n1 2\n", "vertex-range")):
+        with pytest.raises(TreeError) as err:
+            tree_from_text(text)
+        assert err.value.reason == reason, text
