@@ -9,48 +9,48 @@ the scan's early stops all derive from (c1, c2) and the tree facts
 bound on the spectral sum's minimum. A minimum is searched as the maximum of the
 negated key, min c.lam = -max(-c.lam), so every layer below
 ``search_extremal`` only maximizes. Searches keep certified enclosures for
-every candidate, prune against a deterministic baseline (the double-comet
-family for maxima, path and star for minima), and certify every candidate
-that can still win once, at ``TOL``: a winner separates from the rest at
-that width or a tie is reported. All pruning bounds are one-sided
+every candidate, prune against a deterministic floor, and certify every
+candidate that can still win once, at ``TOL``: a winner separates from the
+rest at that width or a tie is reported. All pruning bounds are one-sided
 certificates, so reported winners are exact regardless of worker count.
 
 Both families (all trees, double comets) are ``_Family`` objects whose
-members are level sequences stored as bytes or ``DoubleCometParams``.
-Searches carry uncoded (member, lo, hi) rows, certified at ``TOL``, through
-one survivor filter (``_survivors``). The all-tree scan's two cuts, the
-comet screen and the filter share one discard rule, ``_drop``: a row whose
-upper end is below the floor is out, and the largest upper end dropped
-joins the bound the runner-up margin is measured against. A Tree and a
-canonical code are built only for the winners. A comet's code comes from its
-parameters (``trees.double_comet_code``), a few bytes joins with no Tree.
-A search's excluded codes belong to its family object, checked once in
-``_family``; a nonempty set codes every member the search evaluates, to
-test it (``_Family.excluded``).
-Searches over all trees stream level-sequence chunks through the batched
-inertia kernel (``spectra.TreeBatch``) and never materialise a class
-list. Every comet but the star goes through the same kernel as its
-quotient, a weighted path (``_dc_pair_intervals``). Searches and envelopes
-of the comets share one pass (``_Comets._screened``): it evaluates the
-short comets (path order <= 3), takes a convex floor from them, screens
-the long ones as leaf-count arrays, one path order at a time, by
-``_dc_upper_bound`` at the floor breakpoint each comet's slope picks, and
-builds parameters only for the comets it keeps. A search's floor is one
-breakpoint, its key at the best short lower end; an envelope's is the
-upper hull of the short comets' lower-end lines.
+members are level sequences stored as bytes or ``DoubleCometParams``. Each
+has one screened pass, ``_screened``, for searches (``search_rows``) and
+envelopes (``midpoints``) alike: it keeps the members that can reach a
+floor, certified at ``TOL``, and builds no Tree and no code for the rest. A
+floor is ``at(l1_hi, l2_hi) -> (c, value)``, the breakpoint c = (c1, c2)
+where each member's upper line comes closest to it and its value there. A
+search's (``_point_floor``) is one point, its key at the best lower end of
+a few evaluated members; an envelope's (``_hull_floor``) is the upper hull
+of their lower-end lines, less _SAFETY. Every cut is one rule, ``_drop``: a
+row whose upper end is below the floor is out, and the largest upper end
+dropped joins the bound the runner-up margin is measured against.
+
+The comets' pass evaluates the short comets (path order <= 3) and takes
+the floor from them; it screens the long ones as leaf-count arrays, one
+path order at a time, by ``_dc_upper_bound`` at the breakpoint each
+comet's bound ends pick, and builds parameters only for the comets it
+keeps. Every comet but the star goes through the batched inertia kernel
+(``spectra.TreeBatch``) as its quotient, a weighted path
+(``_dc_pair_intervals``), and is coded from its parameters
+(``trees.double_comet_code``). The all-tree pass takes its floor from the
+comets (the max theorem puts a double comet on top for every alpha), or
+from path and star for a minimum, and streams level-sequence chunks
+through ``_Scan``, coarse bisections that stop against it; it never
+materialises a class list and certifies only the rows left.
 
 The envelope treats each tree as the line alpha -> lam2 + alpha*(lam1 -
 lam2) and keeps the upper hull in one monotone-chain pass (``_upper_hull``);
 codes are only built for the witnesses of hull lines and for members whose
-rounded lines collide with different floats. A comet the pass leaves out
-of an envelope lies more than _SAFETY - TOL below it on [0, 1], so it can
-change no segment.
+rounded lines collide with different floats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import takewhile
 from multiprocessing import get_context
 
@@ -158,8 +158,11 @@ def _key_interval(c, l1, l2):
     or high, so negated coefficients give exactly (-hi, -lo). When c1 and c2
     have opposite signs (the gap or its negation), the key has c1's sign,
     since lam2 <= lam1 and |c2| <= |c1|: the end past 0 is clamped at 0.
+    Per-row coefficient arrays, a hull floor's breakpoints, are all >= 0.
     """
     c1, c2 = c
+    if isinstance(c1, np.ndarray):
+        return c1 * l1[0] + c2 * l2[0], c1 * l1[1] + c2 * l2[1]
     i, j = int(c1 < 0), int(c2 < 0)
     lo, hi = c1 * l1[i] + c2 * l2[j], c1 * l1[1 - i] + c2 * l2[1 - j]
     if c2 < 0 < c1:
@@ -173,6 +176,40 @@ def _drop(hi, floor):
     """The keep mask ``hi >= floor`` of an array of upper ends, and the largest ``hi`` dropped (-inf if none)."""
     keep = hi >= floor
     return keep, float(np.maximum.reduce(hi, where=~keep, initial=-math.inf))
+
+
+def _screen(at, l1, l2):
+    """``_drop`` of the members with (lo, hi) arrays ``l1``, ``l2`` against floor ``at``, each at its own breakpoint."""
+    c, value = at(l1[1], l2[1])
+    return _drop(_key_interval(c, l1, l2)[1], value)
+
+
+def _point_floor(coeffs, ivs):
+    """A search's floor: the key ``coeffs`` at the best lower end among ``ivs`` (-inf if none), for every member."""
+    return partial(_point_at, coeffs, max((_key_interval(coeffs, *iv)[0] for iv in ivs), default=-math.inf))
+
+
+def _point_at(coeffs, value, l1_hi, l2_hi):
+    return coeffs, value
+
+
+def _hull_floor(ivs):
+    """An envelope's floor: the upper hull of the lower-end lines of ``ivs``, less _SAFETY.
+
+    A member's upper line minus the convex hull is concave: it peaks at the
+    breakpoint x where the hull's slope passes the line's, key (x, 1 - x).
+    A member below the floor there lies over _SAFETY below the hull on [0, 1].
+    """
+    hull = _upper_hull([(l1[0], l2[0]) for l1, l2 in ivs])
+    xs = np.array([lo for lo, _, _ in hull] + [1.0])
+    slopes = np.array([l1 - l2 for _, _, (l1, l2) in hull])
+    values = np.array([l2 + x * (l1 - l2) for x, (*_, (l1, l2)) in zip(xs.tolist(), hull + hull[-1:])]) - _SAFETY
+    return partial(_hull_at, xs, slopes, values)
+
+
+def _hull_at(xs, slopes, values, l1_hi, l2_hi):
+    j = np.searchsorted(slopes, l1_hi - l2_hi)
+    return (xs[j], 1.0 - xs[j]), values[j]
 
 
 # -- double-comet family evaluation ------------------------------------------
@@ -209,18 +246,16 @@ def _dc_pair_intervals(params):
     return out
 
 
-def _dc_upper_bound(k1, k2, c):
-    """Elementwise upper bounds on c1*lam1 + c2*lam2 (c2 >= 0), to discard long comets unbisected.
+def _dc_upper_bound(k1, k2):
+    """Elementwise upper ends (u1, u2) of lam1 and lam2, to discard long comets unbisected.
 
-    ``k1 >= k2`` are leaf-count arrays, as ``double_comet_arrays`` gives them;
-    c = (1, -1) gives the psi bound line's slope. Valid for ell >= 4: lam1^2
-    is at most the largest row sum of A^2, k1+3, and lam2 is at most lam1 of
-    the broom left after deleting the bigger hub (interlacing), at most
-    sqrt(k2+3); the constant 4 floors both for nearly bare paths.
+    ``k1 >= k2`` are leaf-count arrays, as ``double_comet_arrays`` gives them.
+    Valid for ell >= 4: lam1^2 is at most the largest row sum of A^2, k1+3,
+    and lam2 is at most lam1 of the broom left after deleting the bigger hub
+    (interlacing), at most sqrt(k2+3); the constant 4 floors both for nearly
+    bare paths. c1*u1 + c2*u2 bounds a key only when c1, c2 >= 0.
     """
-    u1 = np.sqrt(np.maximum(4.0, k1 + 3.0))
-    u2 = np.sqrt(np.maximum(4.0, k2 + 3.0))
-    return c[0] * u1 + c[1] * u2
+    return np.sqrt(np.maximum(4.0, k1 + 3.0)), np.sqrt(np.maximum(4.0, k2 + 3.0))
 
 
 # -- free-tree scan ------------------------------------------------------------
@@ -228,58 +263,64 @@ def _dc_upper_bound(k1, k2, c):
 
 @dataclass(frozen=True)
 class _Scan:
-    """Coarse certified scan of one chunk of level sequences for the maximum.
+    """Coarse certified scan of one chunk of level sequences against a fixed floor ``at``.
 
-    ``base``, a fixed baseline's lower end, bounds the optimum from below,
-    so every discard is a certificate independent of chunking and scan
-    order. For n >= 3, 0 <= lam2 <= lam1 puts the key at most c_hi*lam1
-    (c_hi = c1 + max(c2, 0)), which stops the lam1 bisection; the lam2
-    bisection stops once lam2 is certified past the point where the key,
-    lam1 at its high end, crosses the baseline (at once for a row out on
-    lam1 alone). The sum's minimum, the one search whose negated
-    coefficients are (-1, -1), first applies ``_two_hub_bound``, a theorem
-    about that minimum. Both cuts ``_drop`` against ``base``, folding the
-    largest upper end dropped into ``far`` (-inf if none); rows the family
-    excludes are left out first and never count as dropped. Called on a
-    chunk, it returns the surviving rows (level sequence as bytes, lo, hi),
-    ``far`` and the chunk's row count. It builds no Tree and no code unless
-    the family excludes some.
+    Every discard is a certificate independent of chunking and scan order.
+    For n >= 3, 0 <= lam2 <= lam1 puts the key at a breakpoint (c1, c2) at
+    most c_hi*lam1 (c_hi = c1 + max(c2, 0)), so the lam1 bisection stops
+    against the lowest breakpoint, the one a flat upper line picks. The lam2
+    bisection stops once lam2 is certified past the point where the key at
+    the row's breakpoint, lam1 at its high end, crosses the floor (at once
+    for a row out on lam1 alone); a row whose new lam2 end moves its
+    breakpoint bisects on against the new one, until none moves.
+    The sum's minimum, coefficients (-1, -1), first applies
+    ``_two_hub_bound``, a theorem about that minimum. Both cuts ``_drop``,
+    folding the largest upper end dropped into ``far``; stars keep their
+    exact brackets uncut, and excluded rows are left out first, never
+    dropped. It returns the surviving rows (level sequence as bytes, lam1
+    and lam2 brackets) in chunk order, ``far`` and the chunk's row count,
+    and builds no Tree and no code unless the family excludes some.
     """
 
     fam: _AllTrees
-    coeffs: tuple
-    base: float
+    at: partial
 
     def __call__(self, levels):
-        n, coeffs, base = self.fam.n, self.coeffs, self.base
-        c1, c2 = coeffs
+        n, at = self.fam.n, self.at
+        (c1, c2), low = at(0.0, 0.0)
         far = -math.inf
         batch = TreeBatch(levels)
         rows = np.arange(len(levels))
         if self.fam.exclude:  # no Python loop over the chunk unless something is excluded
             rows = rows[[not self.fam.excluded(seq.tobytes()) for seq in levels]]
-        if coeffs == (-1.0, -1.0) and n > 2:  # the bound needs lam2 >= 0, which K2 breaks
-            keep, far = _drop(-_two_hub_bound(batch, rows), base)
+        if (c1, c2) == (-1.0, -1.0) and n > 2:  # the bound needs lam2 >= 0, which K2 breaks
+            keep, far = _drop(-_two_hub_bound(batch, rows), low)
             rows = rows[keep]
-        star = batch.degrees[rows].max(axis=1) == n - 1
-        s = math.sqrt(n - 1)
-        pool = [(levels[r].tobytes(), *_key_interval(coeffs, *_star_intervals(n))) for r in rows[star]]
-        rows = rows[~star]
-        c_hi = c1 + max(c2, 0.0)  # a row is out once c_hi*lam1 is certified below the baseline
-        stops = (None, base / c_hi) if c_hi > 0 else (base / c_hi, None) if c_hi < 0 else ()
-        l1_lo, l1_hi = batch.bisect(1, 0.0, s, _COARSE_TOL, rows, *stops)
-        l2 = (0.0, 0.0)  # c2 == 0: lam2 does not enter the key
-        if c2 != 0:
-            # the key crosses the baseline where lam2 = (base - c1*lam1)/c2, lam1 at its
-            # high end; lam2 past that point, on the side the sign of c2 gives, is out
-            cross = (base - c1 * (l1_hi if c1 >= 0 else l1_lo)) / c2
-            stops = (None, cross) if c2 > 0 else (cross, None)
-            l2 = batch.bisect(2, 0.0, l1_hi, _COARSE_TOL, rows, *stops)
-        lo, hi = _key_interval(coeffs, (l1_lo, l1_hi), l2)
-        keep, dropped = _drop(hi, base)
-        pool += [(levels[r].tobytes(), a, b)
-                 for r, a, b in zip(rows[keep].tolist(), lo[keep].tolist(), hi[keep].tolist())]
-        return pool, max(far, dropped), len(batch)
+        l1_lo, l1_hi, l2_lo, l2_hi = (np.full(len(rows), v) for iv in _star_intervals(n) for v in iv)
+        todo = np.flatnonzero(batch.degrees[rows].max(axis=1) != n - 1)
+        c_hi = c1 + max(c2, 0.0)  # a row is out once c_hi*lam1 is certified below the lowest breakpoint
+        stops = (None, low / c_hi) if c_hi > 0 else (low / c_hi, None) if c_hi < 0 else ()
+        l1_lo[todo], l1_hi[todo] = batch.bisect(1, 0.0, math.sqrt(n - 1), _COARSE_TOL, rows[todo], *stops)
+        l2_lo[todo], l2_hi[todo] = 0.0, l1_hi[todo]
+        picked = np.full(len(todo), math.nan)  # each row's breakpoint, named by its c1
+        while True:
+            (c1, c2), value = at(l1_hi[todo], l2_hi[todo])
+            c1, c2, value = (np.broadcast_to(v, todo.shape) for v in (c1, c2, value))
+            moved = c1 != picked
+            if not moved.any():
+                break
+            picked = c1
+            r, c1, c2, value = todo[moved], c1[moved], c2[moved], value[moved]
+            # the key crosses the floor where lam2 = (value - c1*lam1)/c2, lam1 at its high end (low for
+            # c1 < 0); lam2 past that point, on the side the sign of c2 gives, is out; at c2 == 0 it is not in
+            cross = np.divide(value - c1 * np.where(c1 >= 0, l1_hi[r], l1_lo[r]), c2,
+                              out=np.full(len(r), math.inf), where=c2 != 0)
+            l2_lo[r], l2_hi[r] = batch.bisect(2, l2_lo[r], l2_hi[r], _COARSE_TOL, rows[r],
+                                              np.where(c2 < 0, cross, math.inf), np.where(c2 < 0, -math.inf, cross))
+        keep = np.ones(len(rows), dtype=bool)
+        keep[todo], dropped = _screen(at, (l1_lo[todo], l1_hi[todo]), (l2_lo[todo], l2_hi[todo]))
+        brackets = zip(rows[keep].tolist(), *(a[keep].tolist() for a in (l1_lo, l1_hi, l2_lo, l2_hi)))
+        return [(levels[r].tobytes(), (a, b), (c, d)) for r, a, b, c, d in brackets], max(far, dropped), len(batch)
 
 
 def _two_hub_bound(batch, rows):
@@ -305,37 +346,21 @@ def _two_hub_bound(batch, rows):
     return bound
 
 
-def _baseline(fam, coeffs, minimize: bool):
-    """Deterministic certified lower bound on the maximum of ``coeffs``, for pruning a free-tree scan.
-
-    A maximum takes the best double comet (the comet search's own screened
-    evaluations, under the same exclusion), a minimum (negated ``coeffs``)
-    the better of path and star. Returns -inf, which prunes nothing, when
-    the family excludes them all.
-    """
-    if minimize:
-        ms = [m for m in (bytes(range(fam.n)), bytes([0] + [1] * (fam.n - 1)))  # level sequences of path and star
-              if not fam.excluded(m)]
-        rows = [(m, *_key_interval(coeffs, *iv)) for m, iv in zip(ms, fam.pair_intervals(ms))]
-    else:
-        rows, _, _ = _Comets(fam.n, fam.exclude).search_rows(coeffs, minimize, 1)
-    return max((lo for _, lo, _ in rows), default=-math.inf)
-
-
 # -- families --------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class _Family:
-    """The members of one tree family: how to evaluate, build and code each.
+    """The members of one tree family: how to screen, evaluate, build and code each.
 
-    Searches carry members uncoded in (member, lo, hi) rows, which
-    ``search_rows`` hands over certified at ``TOL``, and envelopes in
-    (lam1, lam2, member) midpoints; ``code`` and ``candidate`` are only
-    called for the members a search reports or an envelope witnesses, and
-    by ``excluded`` when ``exclude`` is nonempty. ``exclude`` holds the
-    canonical codes a search leaves out, checked by ``_family``; envelopes
-    exclude nothing.
+    ``_screened(floor, minimize, jobs)``, each family's one pass, takes a
+    floor maker (``_point_floor`` bound to a key, or ``_hull_floor``) and
+    returns the members that can reach the floor, their (lam1, lam2)
+    intervals certified at ``TOL``, the family size and the largest upper
+    end screened out. ``code`` and ``candidate`` are only called for the
+    members a search reports or an envelope witnesses, and by ``excluded``
+    when ``exclude``, the canonical codes a search leaves out (checked by
+    ``_family``), is nonempty; envelopes exclude nothing.
     """
 
     n: int
@@ -348,16 +373,20 @@ class _Family:
         """True when member ``m`` is excluded; it is coded only when the set is nonempty."""
         return bool(self.exclude) and self.code(m) in self.exclude
 
+    def search_rows(self, coeffs, minimize: bool, jobs: int):
+        """Every screened row, certified at TOL, the family size and the largest upper end screened out."""
+        ms, ivs, size, far = self._screened(partial(_point_floor, coeffs), minimize, jobs)
+        return [(m, *_key_interval(coeffs, *iv)) for m, iv in zip(ms, ivs)], size, far
+
+    def midpoints(self):
+        """(lam1, lam2, member) per member that can reach the hull of the comets' lower-end lines."""
+        ms, ivs, _, _ = self._screened(_hull_floor, False, 1)
+        for m, ((l1_lo, l1_hi), (l2_lo, l2_hi)) in zip(ms, ivs):
+            yield 0.5 * (l1_lo + l1_hi), 0.5 * (l2_lo + l2_hi), m
+
 
 class _AllTrees(_Family):
     """All free trees of order n; a member is a level sequence stored as bytes."""
-
-    def midpoints(self):
-        """(lam1, lam2, member) per free tree, from the batched top_two."""
-        for levels in free_tree_level_chunks(self.n):
-            l1_lo, l1_hi, l2_lo, l2_hi = TreeBatch(levels).top_two()
-            yield from zip((0.5 * (l1_lo + l1_hi)).tolist(), (0.5 * (l2_lo + l2_hi)).tolist(),
-                           (seq.tobytes() for seq in levels))
 
     def edges(self, m):
         """Edges (parent, child) in level-sequence order, the level sequence's own labelling."""
@@ -373,13 +402,23 @@ class _AllTrees(_Family):
     def candidate(self, m, lo: float, hi: float) -> Candidate:
         return Candidate(self.code(m), self.edges(m), lo, hi)
 
-    def search_rows(self, coeffs, minimize: bool, jobs: int):
-        """Rows certified at TOL, the class count and the largest upper end among the rows dropped.
+    def _screened(self, floor, minimize: bool, jobs: int):
+        """The free trees that can reach the floor ``floor`` makes, certified; the class count; ``far``.
 
-        Only the coarse rows left by ``_survivors`` are certified, each by one
-        ``top_two``; a star's row (``_star_intervals``) is narrower already.
+        The floor comes from the comets ``_Comets._screened`` keeps (same
+        exclusion) for a maximum or an envelope, from path and star for a
+        minimum. The chunks go through ``_Scan`` over ``jobs`` forked
+        workers; the rows left are screened again against a floor from
+        their own coarse brackets, and those still wider than ``TOL``
+        certified by one ``top_two`` each.
         """
-        scan = _Scan(self, coeffs, _baseline(self, coeffs, minimize))
+        if minimize:
+            ms = [m for m in (bytes(range(self.n)), bytes([0] + [1] * (self.n - 1)))  # level sequences of path and star
+                  if not self.excluded(m)]
+            ivs = self.pair_intervals(ms)
+        else:
+            ivs = _Comets(self.n, self.exclude)._screened(floor, False, 1)[1]
+        scan = _Scan(self, floor(ivs))
         chunks = free_tree_level_chunks(self.n)
         if jobs == 1:
             results = list(map(scan, chunks))
@@ -388,27 +427,28 @@ class _AllTrees(_Family):
                 results = list(workers.imap(scan, chunks))
         rows = [r for chunk, _, _ in results for r in chunk]
         scanned = sum(count for _, _, count in results)
-        bound = max(far for _, far, _ in results)  # does not depend on chunk order
-        rows, bound = _survivors(rows, bound)
-        ivs = iter(self.pair_intervals([m for m, lo, hi in rows if hi - lo > TOL]))
-        rows = [(m, lo, hi) if hi - lo <= TOL else (m, *_key_interval(coeffs, *next(ivs))) for m, lo, hi in rows]
-        return rows, scanned, bound
+        far = max(far for _, far, _ in results)  # does not depend on chunk order
+        l1_lo, l1_hi, l2_lo, l2_hi = np.array([(*l1, *l2) for _, l1, l2 in rows]).reshape(-1, 4).T
+        keep, dropped = _screen(floor([iv for _, *iv in rows]), (l1_lo, l1_hi), (l2_lo, l2_hi))
+        rows = [r for r, k in zip(rows, keep.tolist()) if k]
+        wide = [max(l1[1] - l1[0], l2[1] - l2[0]) > TOL for _, l1, l2 in rows]  # a star's brackets are not
+        fresh = iter(self.pair_intervals([m for (m, _, _), w in zip(rows, wide) if w]))
+        ivs = [next(fresh) if w else (l1, l2) for (_, l1, l2), w in zip(rows, wide)]
+        return [m for m, _, _ in rows], ivs, scanned, max(far, dropped)
 
 
 class _Comets(_Family):
     """The double comets of order n; a member is its ``DoubleCometParams``."""
 
-    def _screened(self, floor):
-        """The comets that can reach a floor, with their (lam1, lam2) intervals; the family size; ``far``.
+    def _screened(self, floor, minimize: bool, jobs: int):
+        """The comets that can reach the floor ``floor`` makes, with their intervals; the family size; ``far``.
 
-        ``floor`` turns the short comets' intervals into a convex floor below
-        their lower ends, given as ``at(k1, k2)``: for leaf-count arrays of
-        long comets, the key (c1, c2) and floor value at the breakpoint where
-        each comet's ``_dc_upper_bound`` line comes closest to the floor. A
-        comet is kept (``_drop``) iff its bound there comes within _SAFETY of
-        the floor; ``far`` is the largest bound dropped, plus _SAFETY for its
-        rounding. Excluded comets are left out before evaluation, never
-        counted as screened out.
+        The floor comes from the short comets, in one process whatever
+        ``minimize`` and ``jobs``. Each long comet's ``_dc_upper_bound`` ends
+        pick its breakpoint (c1, c2); it is kept (``_drop``) iff its bound
+        there comes within _SAFETY of the floor, or a negative c leaves it
+        unbounded; ``far`` is the largest bound dropped, plus _SAFETY for its
+        rounding. Excluded comets are left out, never counted as screened out.
         """
         # the short comets, path order <= 3 (the path leads the family, and is short when n <= 3)
         groups = takewhile(lambda g: g[0] <= 3 or g[0] == self.n, double_comet_arrays(self.n))
@@ -420,32 +460,14 @@ class _Comets(_Family):
         for ell, k1, k2 in double_comet_arrays(self.n):
             size += len(k1)
             if ell >= 4:
-                c, value = at(k1, k2)
-                keep, dropped = _drop(_dc_upper_bound(k1, k2, c), value - _SAFETY)
+                u1, u2 = _dc_upper_bound(k1, k2)
+                (c1, c2), value = at(u1, u2)
+                bound = np.where((c1 >= 0) & (c2 >= 0), c1 * u1 + c2 * u2, math.inf)
+                keep, dropped = _drop(bound, value - _SAFETY)
                 if np.count_nonzero(keep):
                     kept += [p for p in double_comet_group_params(ell, k1[keep], k2[keep]) if not self.excluded(p)]
                 far = max(far, dropped + _SAFETY)
         return short + kept, ivs + _dc_pair_intervals(kept), size, far
-
-    def midpoints(self):
-        """(lam1, lam2, member) per comet that can reach the hull of the short comets' lower-end lines."""
-
-        def floor(ivs):
-            hull = _upper_hull([(l1[0], l2[0]) for l1, l2 in ivs])
-            xs = np.array([lo for lo, _, _ in hull] + [1.0])
-            slopes = np.array([l1 - l2 for _, _, (l1, l2) in hull])
-            values = np.array([l2 + x * (l1 - l2) for x, (*_, (l1, l2)) in zip(xs.tolist(), hull + hull[-1:])])
-
-            def at(k1, k2):
-                # the bound line minus the convex hull is concave: it peaks where the hull's slope passes the line's
-                j = np.searchsorted(slopes, _dc_upper_bound(k1, k2, (1.0, -1.0)))
-                return (xs[j], 1.0 - xs[j]), values[j]
-
-            return at
-
-        ps, ivs, _, _ = self._screened(floor)
-        for p, ((l1_lo, l1_hi), (l2_lo, l2_hi)) in zip(ps, ivs):
-            yield 0.5 * (l1_lo + l1_hi), 0.5 * (l2_lo + l2_hi), p
 
     def tree(self, m) -> Tree:
         return make_double_comet(m)
@@ -455,23 +477,6 @@ class _Comets(_Family):
 
     def candidate(self, m, lo: float, hi: float) -> Candidate:
         return Candidate(self.code(m), tuple(self.tree(m).edges()), lo, hi, m)
-
-    def search_rows(self, coeffs, minimize: bool, jobs: int):
-        """Every evaluated comet's row, born at TOL, the family size and the screen's discard bound.
-
-        The floor is one point: the key at the best lower end among the short
-        comets (c1*lam1_lo + c2*lam2_lo is the key's lower end when c1, c2 >=
-        0), or at -inf, keeping every comet, when a coefficient is negative,
-        which ``_dc_upper_bound`` does not bound.
-        """
-
-        def floor(ivs):
-            c1, c2 = coeffs
-            bar = max((c1 * l1[0] + c2 * l2[0] for l1, l2 in (ivs if min(coeffs) >= 0 else ())), default=-math.inf)
-            return lambda k1, k2: (coeffs, bar)
-
-        ps, ivs, size, far = self._screened(floor)
-        return [(p, *_key_interval(coeffs, *iv)) for p, iv in zip(ps, ivs)], size, far
 
 
 def _family(n, family: str, exclude=()) -> _Family:
@@ -502,16 +507,6 @@ def _family(n, family: str, exclude=()) -> _Family:
     if family == "dc":
         return _Comets(n, exclude)
     raise ValueError(f"unknown family {family!r}")
-
-
-def _survivors(rows, bound: float):
-    """The rows that can still win the maximum, and ``bound`` with the upper end of each row dropped folded in.
-
-    A row is dropped (``_drop``) when it is certified below the best lower
-    end; no rows leave ``bound`` as it is.
-    """
-    keep, dropped = _drop(np.array([hi for _, _, hi in rows]), max((lo for _, lo, _ in rows), default=math.inf))
-    return [r for r, k in zip(rows, keep.tolist()) if k], max(dropped, bound)
 
 
 def _tie_proven_exact(winners) -> bool:
@@ -554,7 +549,9 @@ def search_extremal(
     pool, scanned, discard_bound = fam.search_rows(coeffs, minimize, jobs)
     if not pool:
         raise ValueError("search excluded every tree in the family")
-    pool, discard_bound = _survivors(pool, discard_bound)
+    # the rows that can still win: those not certified below the best lower end
+    keep, dropped = _drop(np.array([hi for _, _, hi in pool]), max(lo for _, lo, _ in pool))
+    pool, discard_bound = [r for r, k in zip(pool, keep.tolist()) if k], max(dropped, discard_bound)
     runner_up_gap = min(lo for _, lo, _ in pool) - discard_bound if math.isfinite(discard_bound) else None
     if minimize:  # 0.0 - x, not -x, so that an exact zero stays +0.0
         pool = [(m, 0.0 - hi, 0.0 - lo) for m, lo, hi in pool]
@@ -607,6 +604,8 @@ class PiecewiseLinear:
         return self.segments[-1].value(alpha)
 
     def scaled(self, factor: float) -> "PiecewiseLinear":
+        # a finite factor > 0 keeps an upper envelope one; the open end at 0 is the smallest positive float
+        factor = _real("factor", factor, math.nextafter(0.0, 1.0), math.nextafter(math.inf, 0.0))
         segs = tuple(
             Segment(s.alpha_lo, s.alpha_hi, s.lam1 * factor, s.lam2 * factor, s.witness_code)
             for s in self.segments
@@ -666,8 +665,9 @@ def _upper_hull(lines):
 def envelope(n: int, family: str = "all") -> PiecewiseLinear:
     """Exact upper envelope of the family's lines over alpha in [0, 1], by ``_upper_hull``.
 
-    Comets offer only the lines that can reach the hull (``_Comets.midpoints``);
-    the rest lie over 1e-9 below it, so no segment, witness or float changes.
+    Only the lines that can reach the hull of the comets' lower-end lines
+    are offered (``_Family.midpoints``), each certified at ``TOL``; the rest
+    lie over _SAFETY - TOL below it, so no segment, witness or float changes.
     """
     fam = _family(n, family)
     segments = tuple(Segment(lo, hi, l1, l2, min(map(fam.code, members)))

@@ -10,11 +10,11 @@ x. Each probe is one flat loop over a postorder kept on the tree
 there, and adds its term to its parent's slot. Bisection on that count
 gives enclosing intervals for the two largest eigenvalues with no
 floating-point eigensolver. ``TOL`` is the width of every public
-enclosure; only ``top_two`` and ``TreeBatch.top_two`` take another, as
-``spectrum --tol`` does, and only a wider one: a narrower bracket can miss
-its eigenvalue. ``top_two`` at ``TOL`` is kept on the ``Tree``, so every
-later certification of the same tree object (eigenvectors, psi, the
-transforms) reuses it.
+enclosure; only ``top_two`` takes another, as ``spectrum --tol`` does,
+and only a wider one: a narrower bracket can miss its eigenvalue.
+``top_two`` at ``TOL`` is kept on the ``Tree``, so every later
+certification of the same tree object (eigenvectors, psi, the transforms)
+reuses it.
 ``_bisect_count`` is the one scalar bisection loop: it probes any rooted
 forest (post, up), so whole trees and induced forests share it.
 ``TreeBatch`` runs the same pass and bisection over many same-order trees
@@ -382,7 +382,12 @@ class TreeBatch:
         return lo, hi
 
     def top_two(self):
-        """``top_two`` of every row at ``TOL``: arrays (lam1_lo, lam1_hi, lam2_lo, lam2_hi)."""
+        """``top_two`` of every row at ``TOL``: arrays (lam1_lo, lam1_hi, lam2_lo, lam2_hi).
+
+        The whole-chunk reference: every row is certified, bit for bit as the
+        scalar ``top_two`` would. Searches and envelopes screen a chunk first
+        and certify only the rows left, one ``top_two`` each.
+        """
         n, m = self.n, len(self)
         if self._w is not None:
             raise ValueError("top_two brackets unit-weight trees; bisect weighted rows directly")

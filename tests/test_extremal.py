@@ -565,7 +565,8 @@ class TestEnvelope:
 
     def test_envelope_screen_is_exact(self, monkeypatch):
         # every comet the envelope leaves unevaluated has its upper-end line more
-        # than 1e-9 below the envelope; with the screen off the envelopes are the same
+        # than 1e-9 below the envelope, and every free tree it leaves uncertified more
+        # than _SAFETY - TOL; with the floor at -inf, screening nothing, the envelopes are the same
         pair_intervals = extremal._dc_pair_intervals
         evaluated = set()
 
@@ -586,23 +587,50 @@ class TestEnvelope:
             gap = floor - (l2[:, None] + ends * (l1 - l2)[:, None])
             assert gap.min() > 1e-9, (n, skipped[int(gap.min(axis=1).argmin())])
         monkeypatch.setattr(extremal, "_dc_pair_intervals", pair_intervals)
+        kept = {m for _, _, m in extremal._AllTrees(12).midpoints()}
+        env = envelope(12)
+        ends = np.array([a for s in env.segments for a in (s.alpha_lo, s.alpha_hi)])
+        floor = np.array([env.value(a) for a in ends.tolist()])
+        dropped = 0
+        for levels in enumeration.free_tree_level_chunks(12):
+            out = np.array([seq.tobytes() not in kept for seq in levels])
+            _, l1, _, l2 = (a[out, None] for a in TreeBatch(levels).top_two())
+            if out.any():
+                assert (floor - (l2 + ends * (l1 - l2))).min() > extremal._SAFETY - TOL
+            dropped += int(out.sum())
+        assert dropped == count_free_trees(12) - len(kept) > 0
         orders = [*range(2, 41), 60, 85, 110]
-        screened = [repr(envelope(n, "dc")) for n in orders]
-        monkeypatch.setattr(extremal, "_dc_upper_bound", lambda k1, k2, c: np.full(k1.shape, np.inf))
-        assert [repr(envelope(n, "dc")) for n in orders] == screened
+        screened = [repr(envelope(n, "dc")) for n in orders] + [repr(envelope(n, "all")) for n in range(2, 14)]
+        monkeypatch.setattr(extremal, "_hull_floor", lambda ivs: lambda l1_hi, l2_hi: ((1.0, 0.0), -math.inf))
+        assert [repr(envelope(n, "dc")) for n in orders] + [repr(envelope(n, "all")) for n in range(2, 14)] == screened
 
     def test_envelope_screen_work_budget(self, monkeypatch):
         # 397 short comets and the long ones that reach their hull, each built
-        # once, against 39602 comets in the family
-        built = [0]
+        # once, against 39602 comets in the family; at most 2n of the 7741 free
+        # trees of order 15 certified at TOL, one by one or in whole chunks
+        built, certified = [0], [0]
 
         def counting(*p):
             built[0] += 1
             return DoubleCometParams(*p)
 
+        def certifying(t, tol=TOL):
+            certified[0] += tol == TOL
+            return top_two(t, tol)
+
+        batch_top_two = TreeBatch.top_two
+
+        def certifying_chunk(batch):
+            certified[0] += len(batch)
+            return batch_top_two(batch)
+
         monkeypatch.setattr(enumeration, "DoubleCometParams", counting)
+        monkeypatch.setattr(extremal, "top_two", certifying)
+        monkeypatch.setattr(TreeBatch, "top_two", certifying_chunk)
         envelope(400, "dc")
         assert built[0] <= 1500, built[0]
+        envelope(15)
+        assert certified[0] <= 2 * 15, certified[0]
 
     def test_only_hull_lines_are_coded(self, monkeypatch):
         calls = [0]

@@ -139,6 +139,12 @@ def test_bad_arguments_name_themselves():
         (lambda: extremal.limit_curve("0.5"), "alpha='0.5'", None),
         (lambda: extremal.envelope(6).value(True), "alpha=True", None),
         (lambda: extremal.envelope(6).value(None), "alpha=None", None),
+        # a scale factor that is no finite real > 0 would leave no upper envelope
+        (lambda: extremal.envelope(6).scaled(math.nan), "factor=nan", None),
+        (lambda: extremal.envelope(6).scaled(0.0), "factor=0.0", None),
+        (lambda: extremal.envelope(6).scaled(-2), "factor=-2", None),
+        (lambda: extremal.envelope(6).scaled(math.inf), "factor=inf", None),
+        (lambda: extremal.envelope(6).scaled("2"), "factor='2'", None),
         (lambda: extremal.expansion_dc3(100, None), "alpha=None", None),
         (lambda: extremal.expansion_dc2(100, "0.75"), "alpha='0.75'", None),
         (lambda: extremal.exact_psi_dc(p, 2.0), "alpha=2.0", None),
