@@ -37,8 +37,10 @@ keeps. Every comet but the star goes through the batched inertia kernel
 (``trees.double_comet_code``). The all-tree pass takes its floor from the
 comets (the max theorem puts a double comet on top for every alpha), or
 from path and star for a minimum, and streams level-sequence chunks
-through ``_Scan``, coarse bisections that stop against it; it never
-materialises a class list and certifies only the rows left.
+through ``_Scan``, one joint lam1/lam2 bisection per row from degree
+bounds, which stops once the row's key is certified below the floor or
+_COARSE_TOL wide; it never materialises a class list and certifies only
+the rows left.
 
 The envelope treats each tree as the line alpha -> lam2 + alpha*(lam1 -
 lam2) and keeps the upper hull in one monotone-chain pass (``_upper_hull``);
@@ -266,13 +268,17 @@ class _Scan:
     """Coarse certified scan of one chunk of level sequences against a fixed floor ``at``.
 
     Every discard is a certificate independent of chunking and scan order.
-    For n >= 3, 0 <= lam2 <= lam1 puts the key at a breakpoint (c1, c2) at
-    most c_hi*lam1 (c_hi = c1 + max(c2, 0)), so the lam1 bisection stops
-    against the lowest breakpoint, the one a flat upper line picks. The lam2
-    bisection stops once lam2 is certified past the point where the key at
-    the row's breakpoint, lam1 at its high end, crosses the floor (at once
-    for a row out on lam1 alone); a row whose new lam2 end moves its
-    breakpoint bisects on against the new one, until none moves.
+    One inertia count at x says how many eigenvalues lie above x, so each
+    probe narrows lam1's and lam2's brackets together (multi-eigenvalue
+    bisection). A row starts from ``_degree_brackets`` for lam1 and [0,
+    lam1_hi] for lam2. Each pass asks the floor for the row's breakpoint c
+    and value at (lam1_hi, lam2_hi); the row is done once its key's upper
+    end there is below the value, its key bracket is within _COARSE_TOL, or
+    both brackets are at float resolution. Otherwise it probes the midpoint
+    of the bracket with the larger |c_i| * width: a count of at least 1
+    there moves lam1's bracket, of at least 2 lam2's, wherever the probe lies
+    inside them, and lam2_hi stays at most lam1_hi. A row's probes depend
+    only on its own brackets and the floor.
     The sum's minimum, coefficients (-1, -1), first applies
     ``_two_hub_bound``, a theorem about that minimum. Both cuts ``_drop``,
     folding the largest upper end dropped into ``far``; stars keep their
@@ -298,29 +304,46 @@ class _Scan:
             rows = rows[keep]
         l1_lo, l1_hi, l2_lo, l2_hi = (np.full(len(rows), v) for iv in _star_intervals(n) for v in iv)
         todo = np.flatnonzero(batch.degrees[rows].max(axis=1) != n - 1)
-        c_hi = c1 + max(c2, 0.0)  # a row is out once c_hi*lam1 is certified below the lowest breakpoint
-        stops = (None, low / c_hi) if c_hi > 0 else (low / c_hi, None) if c_hi < 0 else ()
-        l1_lo[todo], l1_hi[todo] = batch.bisect(1, 0.0, math.sqrt(n - 1), _COARSE_TOL, rows[todo], *stops)
+        l1_lo[todo], l1_hi[todo] = _degree_brackets(batch, rows[todo])
         l2_lo[todo], l2_hi[todo] = 0.0, l1_hi[todo]
-        picked = np.full(len(todo), math.nan)  # each row's breakpoint, named by its c1
-        while True:
-            (c1, c2), value = at(l1_hi[todo], l2_hi[todo])
-            c1, c2, value = (np.broadcast_to(v, todo.shape) for v in (c1, c2, value))
-            moved = c1 != picked
-            if not moved.any():
-                break
-            picked = c1
-            r, c1, c2, value = todo[moved], c1[moved], c2[moved], value[moved]
-            # the key crosses the floor where lam2 = (value - c1*lam1)/c2, lam1 at its high end (low for
-            # c1 < 0); lam2 past that point, on the side the sign of c2 gives, is out; at c2 == 0 it is not in
-            cross = np.divide(value - c1 * np.where(c1 >= 0, l1_hi[r], l1_lo[r]), c2,
-                              out=np.full(len(r), math.inf), where=c2 != 0)
-            l2_lo[r], l2_hi[r] = batch.bisect(2, l2_lo[r], l2_hi[r], _COARSE_TOL, rows[r],
-                                              np.where(c2 < 0, cross, math.inf), np.where(c2 < 0, -math.inf, cross))
+        live = todo
+        while len(live):
+            a, b, c, d = l1_lo[live], l1_hi[live], l2_lo[live], l2_hi[live]
+            (c1, c2), value = at(b, d)
+            lo, hi = _key_interval((c1, c2), (a, b), (c, d))
+            mid1, mid2 = 0.5 * (a + b), 0.5 * (c + d)
+            fine1, fine2 = (mid1 <= a) | (mid1 >= b), (mid2 <= c) | (mid2 >= d)  # at float resolution
+            go = ~((hi < value) | (hi - lo <= _COARSE_TOL) | (fine1 & fine2))
+            first = ~fine1 & (fine2 | (np.abs(c1) * (b - a) >= np.abs(c2) * (d - c)))  # probe lam1's bracket
+            live, x = live[go], np.where(first, mid1, mid2)[go]
+            a, b, c, d = a[go], b[go], c[go], d[go]
+            above = batch.count_above(x, rows[live])[0]
+            in1, in2 = (a < x) & (x < b), (c < x) & (x < d)
+            l1_lo[live] = np.where(in1 & (above >= 1), x, a)
+            l1_hi[live] = np.where(in1 & (above < 1), x, b)
+            l2_lo[live] = np.where(in2 & (above >= 2), x, c)
+            l2_hi[live] = np.minimum(np.where(in2 & (above < 2), x, d), l1_hi[live])
         keep = np.ones(len(rows), dtype=bool)
         keep[todo], dropped = _screen(at, (l1_lo[todo], l1_hi[todo]), (l2_lo[todo], l2_hi[todo]))
         brackets = zip(rows[keep].tolist(), *(a[keep].tolist() for a in (l1_lo, l1_hi, l2_lo, l2_hi)))
         return [(levels[r].tobytes(), (a, b), (c, d)) for r, a, b, c, d in brackets], max(far, dropped), len(batch)
+
+
+def _degree_brackets(batch, rows):
+    """Brackets (lo, hi) of lam1 for the ``rows`` of ``batch``, from degrees alone.
+
+    The star on the largest degree D is a subgraph, so lam1 >= sqrt(D); lam1^2
+    is at most the largest row sum of A^2, the largest sum of a vertex's
+    neighbours' degrees, which is deg(v) plus the vertices at distance 2 from v,
+    so at most n - 1. Both ends are widened outward by one ulp.
+    """
+    deg = batch.degrees[rows]
+    m, n = deg.shape
+    up = batch.parents[rows, 1:] + n * np.arange(m)[:, None]  # flat index of each non-root's parent
+    sums = np.bincount(up.ravel(), deg[:, 1:].ravel(), minlength=m * n).reshape(m, n)  # the children's degrees
+    sums[:, 1:] += deg.ravel()[up]  # and the parent's
+    lo = np.nextafter(np.sqrt(deg.max(axis=1)), 0.0)
+    return lo, np.nextafter(np.sqrt(sums.max(axis=1)), math.inf)
 
 
 def _two_hub_bound(batch, rows):

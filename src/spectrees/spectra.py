@@ -17,10 +17,11 @@ certification of the same tree object (eigenvectors, psi, the transforms)
 reuses it.
 ``_bisect_count`` is the one scalar bisection loop: it probes any rooted
 forest (post, up), so whole trees and induced forests share it.
-``TreeBatch`` runs the same pass and bisection over many same-order trees
-at once with numpy, reproducing the scalar brackets bit for bit; with edge
-weights it also runs the double comets' equitable-partition quotients,
-which are weighted paths.
+``TreeBatch`` runs the same pass over many same-order trees at once with
+numpy: ``count_above`` probes any subset of rows, each at its own x, and
+``bisect`` reproduces the scalar brackets bit for bit; with edge weights
+it also runs the double comets' equitable-partition quotients, which are
+weighted paths.
 The one enclosure not from counts is the star's (``_star_intervals``).
 
 Everything else builds on or cross-checks that kernel: ``_branches``, the
@@ -338,38 +339,34 @@ class TreeBatch:
         repairs = has_zero_child[:n * m].reshape(n, m).sum(axis=0)
         return above + repairs, equal - repairs, repairs
 
-    def count_above(self, x):
-        """(above, equal, repairs) per row at probe x (a scalar or one value per row).
+    def count_above(self, x, rows=None):
+        """(above, equal, repairs) per row of ``rows`` (all by default) at probe x, scalar or per row.
 
         ``repairs`` counts the vertices whose zero-pivot child was repaired.
         """
-        x = np.broadcast_to(np.asarray(x, dtype=float), (len(self),))
+        rows = np.arange(len(self)) if rows is None else np.asarray(rows)
+        x = np.broadcast_to(np.asarray(x, dtype=float), rows.shape)
         if np.isnan(x).any():
             raise ValueError("probe x is NaN")
-        return self._eliminate(*self._steps(np.arange(len(self))), x)
+        return self._eliminate(*self._steps(rows), x)
 
-    def bisect(self, k: int, lo, hi, tol: float, rows=None, stop_lo_above=None, stop_hi_below=None):
-        """``_bisect_count`` on every row at once; returns (lo, hi) arrays.
+    def bisect(self, k: int, lo, hi, tol: float, rows=None):
+        """``_bisect_count`` on every row of ``rows`` (all by default) at once; returns (lo, hi) arrays.
 
-        Each row stops by the scalar rules (width, float resolution, 200
-        probes) and, in addition, once its bracket is certified above
-        ``stop_lo_above`` or below ``stop_hi_below``. Bounds and thresholds
-        are scalars or one value per row (None disables a stop). All these
-        rules are monotone, so a row frozen at its first stop holds the
-        bracket a scalar bisection with the same stops would return.
+        Bounds are scalars or one value per row. Each row stops by the scalar
+        rules (width, float resolution, 200 probes), so it holds the bracket
+        the scalar bisection returns, bit for bit.
         """
         rows = np.arange(len(self)) if rows is None else np.asarray(rows)
         m = len(rows)
         lo = np.array(np.broadcast_to(lo, (m,)), dtype=float)
         hi = np.array(np.broadcast_to(hi, (m,)), dtype=float)
-        stop_lo = np.broadcast_to(math.inf if stop_lo_above is None else stop_lo_above, (m,))
-        stop_hi = np.broadcast_to(-math.inf if stop_hi_below is None else stop_hi_below, (m,))
         live = np.arange(m)
         steps = self._steps(rows)
         for _ in range(200):
             a, b = lo[live], hi[live]
             mid = 0.5 * (a + b)
-            go = ~((b - a <= tol) | (a > stop_lo[live]) | (b < stop_hi[live]) | (mid <= a) | (mid >= b))
+            go = ~((b - a <= tol) | (mid <= a) | (mid >= b))
             if not go.all():
                 live, mid = live[go], mid[go]
                 steps = self._steps(rows[live])

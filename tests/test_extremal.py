@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from spectrees import enumeration, extremal
-from spectrees.enumeration import count_free_trees, double_comet_params, enumerate_free_trees
+from spectrees.enumeration import _level_seq_edges, count_free_trees, double_comet_params, enumerate_free_trees
 from spectrees.extremal import (
     AsymptoticParams,
     _dc_pair_intervals,
@@ -23,10 +23,11 @@ from spectrees.extremal import (
     tuned_dc2_params,
     tuned_dc3_params,
 )
-from spectrees.spectra import TOL, TreeBatch, top_two
+from spectrees.spectra import TOL, TreeBatch, _rooted, top_two
 from spectrees.suites import envelope_to_csv
 from spectrees.trees import (
     DoubleCometParams,
+    Tree,
     canonical_code,
     double_comet_code,
     make_double_comet,
@@ -99,6 +100,29 @@ def exact_quotient_counts(p, x):
             d.append(-x - (w / d[-1] if fed else 0))
             fed = True
     return sum(v > 0 for v in d), sum(v == 0 for v in d)
+
+
+def exact_tree_counts(t, x):
+    """(above, equal) of tree t at x, by the pivot recurrence over Fractions.
+
+    Pivots are eliminated leaf to root; a zero child pivot takes the repair
+    (Jacobs and Trevisan): it becomes 2, the parent's -1/2, and the parent's
+    edge onward is cut.
+    """
+    post, up = _rooted(t)
+    x = Fraction(x)
+    d, s, zero_child = {}, [Fraction(0)] * (t.n + 1), [False] * (t.n + 1)
+    for v in post:
+        if zero_child[v]:
+            d[v] = Fraction(-1, 2)
+            continue
+        d[v] = -x - s[v]
+        if d[v] == 0 and up[v] < t.n and not zero_child[up[v]]:
+            zero_child[up[v]] = True
+            d[v] = Fraction(2)
+        elif d[v]:
+            s[up[v]] += 1 / d[v]
+    return sum(p > 0 for p in d.values()), sum(p == 0 for p in d.values())
 
 
 def assert_star_pair(n, l1, l2):
@@ -429,6 +453,53 @@ class TestSearch:
                     rows = np.flatnonzero(hi > bound if objective == "max" else lo < bound)
                     past |= {fam.code(levels[r].tobytes()) for r in rows}
                 assert past == set(res.winner_codes), (n, key, objective)
+
+    def test_scan_brackets_enclose_the_eigenvalues(self, monkeypatch):
+        # every row the coarse scan keeps, against each key's point floor and against the
+        # comet hull, holds lam1 and lam2 by exact counts at both ends; the degree start
+        # bracket alone contains top_two's lam1 bracket for every class up to n = 14
+        kept = []
+        scan = extremal._Scan.__call__
+
+        def recording(self, levels):
+            out = scan(self, levels)
+            kept.extend(out[0])
+            return out
+
+        monkeypatch.setattr(extremal._Scan, "__call__", recording)
+        keys = [("psi", a) for a in (0.0, 0.3, 1.0)] + [(k, None) for k in ("sum", "lam1", "lam2", "gap")]
+        for n in range(3, 15):
+            for levels in enumeration.free_tree_level_chunks(n):
+                batch = TreeBatch(levels)
+                lo, hi = extremal._degree_brackets(batch, np.arange(len(batch)))
+                l1_lo, l1_hi, _, _ = batch.top_two()
+                assert (lo <= l1_lo).all() and (l1_hi <= hi).all(), n
+            if n > 12:
+                continue
+            kept.clear()
+            for key, alpha in keys:
+                for objective in ("max", "min"):
+                    search_extremal(n, alpha=alpha, objective=objective, key=key)
+            envelope(n)
+            assert kept, n
+            for m, l1, l2 in kept:
+                t = Tree(n, _level_seq_edges(m))
+                for k, (lo, hi) in ((1, l1), (2, l2)):
+                    assert sum(exact_tree_counts(t, lo)) >= k and exact_tree_counts(t, hi)[0] < k, (m, k, lo, hi)
+
+    def test_scan_probe_budget(self, monkeypatch):
+        # one joint lam1/lam2 bisection per row: the gap's minimum, whose floor bounds
+        # neither eigenvalue alone, takes at most 8 batched row-probes per class at n = 14
+        probes = [0]
+        eliminate = TreeBatch._eliminate
+
+        def counting(steps, w, x):
+            probes[0] += steps.shape[1]
+            return eliminate(steps, w, x)
+
+        monkeypatch.setattr(TreeBatch, "_eliminate", staticmethod(counting))
+        res = search_extremal(14, alpha=None, objective="min", key="gap")
+        assert res.scanned == 3159 and probes[0] <= 8 * 3159, probes[0]
 
     def test_bad_arguments(self):
         for bad in (3.5, "7", 1, 0, -2):
