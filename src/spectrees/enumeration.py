@@ -9,7 +9,7 @@ Three modes:
 * an independent brute-force oracle that decodes labeled trees from their
   parent-report (Pruefer) sequences and deduplicates by canonical code,
 * the double-comet family, deduplicated at parameter level and generated
-  one path order at a time as arrays of leaf counts.
+  in fixed-size blocks of path-order and leaf-count arrays.
 
 ``enumerate_free_trees`` and ``enumerate_labeled_oracle`` return
 generators of trees in canonical-code order, which makes iteration order
@@ -18,7 +18,7 @@ every class is coded, so both code and sort the class list (the oracle
 once per order: its decode dominates).
 ``enumerate_double_comets`` yields in a fixed parameter order, one tree at
 a time. Counting needs no trees: ``count_free_trees`` streams the level
-sequences and ``count_double_comets`` sums the array lengths of
+sequences and ``count_double_comets`` sums the block lengths of
 ``double_comet_arrays``, building no parameter object.
 
 Searches and envelopes do not use the sorted free-tree list: they take
@@ -39,6 +39,7 @@ from .trees import DoubleCometParams, Tree, _integer, canonical_code, make_doubl
 MAX_EXHAUSTIVE_ORDER = 24
 MAX_ORACLE_ORDER = 10
 CHUNK_ROWS = 2048
+DC_BLOCK_ROWS = 16384  # comets per block of double_comet_arrays
 _FULL_ORACLE_ORDER = 8  # full n^(n-2) scan up to here, covering subset beyond
 _ORACLE_ROWS = {}  # n -> the oracle's code-sorted (code, edges) rows, read only
 
@@ -337,40 +338,44 @@ def enumerate_labeled_oracle(n: int):
 
 
 def double_comet_arrays(n: int):
-    """The double-comet family one path order at a time, as ``(ell, k1, k2)``.
+    """The double-comet family in blocks ``(ell, k1, k2)`` of ``DC_BLOCK_ROWS`` comets, the last one shorter.
 
-    ``ell`` is the path order and ``k1``, ``k2`` the int64 leaf-count
-    arrays of its comets, each isomorphism class once. The path (0, 0, n)
-    comes first, then the star (n-1, 0, 1) for n >= 4 (below that it is a
-    path), then ell = 2 to n - 2: the broom (n-ell, 0, ell) when ell >= 3
-    (a 2-path broom is a star), then the proper comets, k1 >= k2 >= 2 by
-    increasing k2.
+    Each block holds three int64 arrays, one entry per comet: its path order
+    ``ell`` and its leaf counts ``k1 >= k2``, each isomorphism class once.
+    The path (0, 0, n) comes first, then the star (n-1, 0, 1) for n >= 4
+    (below that it is a path), then ell = 2 to n - 2: the broom (n-ell, 0,
+    ell) when ell >= 3 (a 2-path broom is a star), then the proper comets,
+    k1 >= k2 >= 2 by increasing k2. So the family is a list of runs, each
+    one path order with k2 counting up from 0 (a path, star or broom, one
+    comet) or from 2, and a block repeats the run values it covers: memory
+    stays at one block and the run table, whatever the family size.
     """
     n = _integer("n", n, 2)
-    zero = np.zeros(1, dtype=np.int64)
-    yield n, zero, zero
-    if n >= 4:
-        yield 1, np.array([n - 1], dtype=np.int64), zero
-    for ell in range(2, n - 1):
-        rest = n - ell
-        k2 = np.arange(1 if ell >= 3 else 2, rest // 2 + 1, dtype=np.int64)
-        if ell >= 3:
-            k2[0] = 0  # the broom
-        yield ell, rest - k2, k2
-
-
-def double_comet_group_params(ell: int, k1, k2):
-    """``DoubleCometParams`` for one path order's leaf-count arrays, in array order."""
-    return [DoubleCometParams(a, b, ell) for a, b in zip(k1.tolist(), k2.tolist())]
+    head = [n, 1] if n >= 4 else [n]  # the path and the star
+    mid = np.arange(2, n - 1)  # a broom run and a proper run per path order
+    ells = np.concatenate((head, np.repeat(mid, 2))).astype(np.int64)
+    k2_first = np.concatenate(([0] * len(head), np.tile([0, 2], len(mid)))).astype(np.int64)
+    counts = np.concatenate(([1] * len(head), np.column_stack((mid >= 3, (n - mid) // 2 - 1)).ravel()))
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    for r0 in range(0, int(ends[-1]), DC_BLOCK_ROWS):
+        r1 = min(r0 + DC_BLOCK_ROWS, int(ends[-1]))
+        first, last = np.searchsorted(ends, [r0, r1 - 1], side="right")
+        runs = slice(first, last + 1)
+        lens = np.minimum(ends[runs], r1) - np.maximum(starts[runs], r0)
+        ell = np.repeat(ells[runs], lens)
+        k2 = np.arange(r0, r1, dtype=np.int64) + np.repeat(k2_first[runs] - starts[runs], lens)
+        yield ell, n - ell - k2, k2
 
 
 def double_comet_params(n: int):
     """Parameters of each double-comet isomorphism class once, in ``double_comet_arrays`` order."""
-    return [p for group in double_comet_arrays(n) for p in double_comet_group_params(*group)]
+    return [DoubleCometParams(a, b, c) for ell, k1, k2 in double_comet_arrays(n)
+            for a, b, c in zip(k1.tolist(), k2.tolist(), ell.tolist())]
 
 
 def count_double_comets(n: int) -> int:
-    return sum(len(k1) for _, k1, _ in double_comet_arrays(n))
+    return sum(len(ell) for ell, _, _ in double_comet_arrays(n))
 
 
 def enumerate_double_comets(n: int):

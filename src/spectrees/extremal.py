@@ -15,7 +15,7 @@ rest at that width or a tie is reported. All pruning bounds are one-sided
 certificates, so reported winners are exact regardless of worker count.
 
 Both families (all trees, double comets) are ``_Family`` objects whose
-members are level sequences stored as bytes or ``DoubleCometParams``. Each
+members are level sequences stored as bytes or (k1, k2, ell) tuples. Each
 has one screened pass, ``_screened``, for searches (``search_rows``) and
 envelopes (``midpoints``) alike: it keeps the members that can reach a
 floor, certified at ``TOL``, and builds no Tree and no code for the rest. A
@@ -28,15 +28,17 @@ row whose upper end is below the floor is out, and the largest upper end
 dropped joins the bound the runner-up margin is measured against.
 
 The comets' pass evaluates the short comets (path order <= 3) and takes
-the floor from them; it screens the long ones as leaf-count arrays, one
-path order at a time, by ``_dc_upper_bound`` at the breakpoint each
-comet's bound ends pick, and builds parameters only for the comets it
-keeps. Every comet but the star goes through the batched inertia kernel
-(``spectra.TreeBatch``) as its quotient, a weighted path
-(``_dc_pair_intervals``), and is coded from its parameters
-(``trees.double_comet_code``). The all-tree pass takes its floor from the
-comets (the max theorem puts a double comet on top for every alpha), or
-from path and star for a minimum, and streams level-sequence chunks
+the floor from them; it screens the long ones as leaf-count arrays, a
+fixed-size block of the family at a time, by ``_dc_upper_bound`` at the
+breakpoint each comet's bound ends pick, and makes member tuples only for
+the comets it keeps. Every comet but the star goes through the batched
+inertia kernel (``spectra.TreeBatch``) as its quotient, a weighted path
+(``_dc_pair_intervals``); path orders 2 and 3 hand the bisection their
+closed forms as guesses, which its counts check, never enclosures, so
+their brackets are the unguided ones. A comet is coded from its
+parameters (``trees.double_comet_code``). The all-tree pass takes its
+floor from the comets (the max theorem puts a double comet on top for
+every alpha), or from path and star for a minimum, and streams level-sequence chunks
 through ``_Scan``, one joint lam1/lam2 bisection per row from degree
 bounds, which stops once the row's key is certified below the floor or
 _COARSE_TOL wide; it never materialises a class list and certifies only
@@ -53,7 +55,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import takewhile
 from multiprocessing import get_context
 
 import numpy as np
@@ -63,12 +64,12 @@ from .enumeration import (
     MAX_EXHAUSTIVE_ORDER,
     _level_seq_edges,
     double_comet_arrays,
-    double_comet_group_params,
     free_tree_level_chunks,
 )
 from .spectra import (
     TOL,
     TreeBatch,
+    _dc_closed,
     _star_intervals,
     dc_top_two_closed,
     top_two,
@@ -188,7 +189,8 @@ def _screen(at, l1, l2):
 
 def _point_floor(coeffs, ivs):
     """A search's floor: the key ``coeffs`` at the best lower end among ``ivs`` (-inf if none), for every member."""
-    return partial(_point_at, coeffs, max((_key_interval(coeffs, *iv)[0] for iv in ivs), default=-math.inf))
+    l1, l2 = np.array(ivs, dtype=float).reshape(-1, 2, 2).transpose(1, 2, 0)
+    return partial(_point_at, coeffs, float(np.max(_key_interval(coeffs, l1, l2)[0], initial=-math.inf)))
 
 
 def _point_at(coeffs, value, l1_hi, l2_hi):
@@ -217,35 +219,43 @@ def _hull_at(xs, slopes, values, l1_hi, l2_hi):
 # -- double-comet family evaluation ------------------------------------------
 
 
-def _dc_pair_intervals(params):
-    """Certified (lam1, lam2) intervals, ``TOL`` wide, for each comet of ``params``, in order.
+def _dc_pair_intervals(comets):
+    """Certified (lam1, lam2) intervals, ``TOL`` wide, for each comet (k1, k2, ell) of ``comets``, in order.
 
-    A star (path order 1, or a quotient on at most 3 vertices, K2 included)
-    takes ``_star_intervals``. Every other comet goes through ``TreeBatch``
-    as its equitable-partition quotient, which has the comet's nonzero
-    spectrum: a path on at most ell + 2 vertices with edge weights k1, 1,
-    ..., 1, k2 (zero-leaf classes dropped), the k1 end deepest. Sorted by
-    path order, they run ``CHUNK_ROWS`` at a time, weight-0 edges padding
-    each to its chunk's longest path, which changes no bracket. lam1 is
-    bisected over [0, sqrt(n-1)], slightly widened, and lam2 over [0, lam1_hi].
+    A star (path order 1, or a quotient on at most 3 vertices, K2
+    included) takes ``_star_intervals``. Every other comet goes through
+    ``TreeBatch`` as its equitable-partition quotient, which has the comet's
+    nonzero spectrum: a path on at most ell + 2 vertices with edge weights
+    k1, 1, ..., 1, k2 (zero-leaf classes dropped), the k1 end deepest.
+    Sorted by path order, they run ``CHUNK_ROWS`` at a time, weight-0 edges
+    padding each to its chunk's longest path, which changes no bracket.
+    lam1 is bisected over [0, sqrt(n-1)], slightly widened, and lam2 over
+    [0, lam1_hi]; path orders 2 and 3 pass the closed forms as guesses,
+    which two counts per eigenvalue check, and get the same brackets.
     """
-    out = [_star_intervals(p.n) if p.ell == 1 or p.ell + (p.k1 > 0) + (p.k2 > 0) <= 3 else None
-           for p in params]
-    todo = sorted((i for i, iv in enumerate(out) if iv is None), key=lambda i: params[i].ell)
+    k1, k2, ell = np.asarray(comets, dtype=np.int64).reshape(-1, 3).T
+    order = ell + (k1 > 0) + (k2 > 0)
+    out = np.empty((len(ell), 4))
+    star = (ell == 1) | (order <= 3)
+    for i in np.flatnonzero(star).tolist():
+        out[i] = [v for iv in _star_intervals(int(k1[i] + k2[i] + ell[i])) for v in iv]
+    todo = np.flatnonzero(~star)
+    todo = todo[np.argsort(ell[todo], kind="stable")]
     for start in range(0, len(todo), CHUNK_ROWS):
         idx = todo[start:start + CHUNK_ROWS]
-        k1, k2, ell = np.array([(params[i].k1, params[i].k2, params[i].ell) for i in idx]).T
-        order = ell + (k1 > 0) + (k2 > 0)
-        depth = np.arange(order.max())
-        weights = ((depth >= 1) & (depth < order[:, None])).astype(float)
-        weights[np.arange(len(idx)), order - 1] = np.maximum(k1, 1)
-        weights[:, 1] = np.maximum(k2, 1)
+        a, b, c, m = k1[idx], k2[idx], ell[idx], order[idx]
+        depth = np.arange(m.max())
+        weights = ((depth >= 1) & (depth < m[:, None])).astype(float)
+        weights[np.arange(len(idx)), m - 1] = np.maximum(a, 1)
+        weights[:, 1] = np.maximum(b, 1)
         batch = TreeBatch(np.broadcast_to(depth, weights.shape), weights)
-        l1_lo, l1_hi = batch.bisect(1, 0.0, np.sqrt(k1 + k2 + ell - 1) * (1.0 + 1e-12) + 1e-12, TOL)
-        l2_lo, l2_hi = batch.bisect(2, 0.0, l1_hi, TOL)
-        for i, a, b, c, d in zip(idx, l1_lo.tolist(), l1_hi.tolist(), l2_lo.tolist(), l2_hi.tolist()):
-            out[i] = (a, b), (c, d)
-    return out
+        g1, g2 = np.full(len(idx), math.nan), np.full(len(idx), math.nan)
+        short = c <= 3
+        g1[short], g2[short] = _dc_closed(a[short], b[short], c[short])
+        l1_lo, l1_hi = batch.bisect(1, 0.0, np.sqrt(a + b + c - 1) * (1.0 + 1e-12) + 1e-12, TOL, guess=g1)
+        l2_lo, l2_hi = batch.bisect(2, 0.0, l1_hi, TOL, guess=g2)
+        out[idx] = np.column_stack((l1_lo, l1_hi, l2_lo, l2_hi))
+    return [((a, b), (c, d)) for a, b, c, d in out.tolist()]
 
 
 def _dc_upper_bound(k1, k2):
@@ -461,45 +471,59 @@ class _AllTrees(_Family):
 
 
 class _Comets(_Family):
-    """The double comets of order n; a member is its ``DoubleCometParams``."""
+    """The double comets of order n; a member is its (k1, k2, ell) tuple.
+
+    A ``DoubleCometParams`` is built only for a member that is coded, built
+    as a tree or reported: never by the screen.
+    """
 
     def _screened(self, floor, minimize: bool, jobs: int):
         """The comets that can reach the floor ``floor`` makes, with their intervals; the family size; ``far``.
 
-        The floor comes from the short comets, in one process whatever
-        ``minimize`` and ``jobs``. Each long comet's ``_dc_upper_bound`` ends
-        pick its breakpoint (c1, c2); it is kept (``_drop``) iff its bound
-        there comes within _SAFETY of the floor, or a negative c leaves it
-        unbounded; ``far`` is the largest bound dropped, plus _SAFETY for its
-        rounding. Excluded comets are left out, never counted as screened out.
+        The floor comes from the short comets, path order <= 3, in one
+        process whatever ``minimize`` and ``jobs``; they lead the family, but
+        for the path, which is short only when n <= 3. Each long comet's
+        ``_dc_upper_bound`` ends pick its breakpoint (c1, c2), a block of
+        ``double_comet_arrays`` at a time; it is kept (``_drop``) iff its
+        bound there comes within _SAFETY of the floor, or a negative c leaves
+        it unbounded; ``far`` is the largest bound dropped, plus _SAFETY for
+        its rounding. Excluded comets are left out, never counted as
+        screened out.
         """
-        # the short comets, path order <= 3 (the path leads the family, and is short when n <= 3)
-        groups = takewhile(lambda g: g[0] <= 3 or g[0] == self.n, double_comet_arrays(self.n))
-        short = [p for ell, k1, k2 in groups if ell <= 3 for p in double_comet_group_params(ell, k1, k2)
-                 if not self.excluded(p)]
+        short = []
+        for ell, k1, k2 in double_comet_arrays(self.n):
+            here = ell <= 3
+            short += self._members(k1[here], k2[here], ell[here])
+            if 4 <= ell[-1] < self.n:  # a long comet that is not the path: the short ones are all seen
+                break
         ivs = _dc_pair_intervals(short)
         at = floor(ivs)
         kept, size, far = [], 0, -math.inf
         for ell, k1, k2 in double_comet_arrays(self.n):
-            size += len(k1)
-            if ell >= 4:
-                u1, u2 = _dc_upper_bound(k1, k2)
-                (c1, c2), value = at(u1, u2)
-                bound = np.where((c1 >= 0) & (c2 >= 0), c1 * u1 + c2 * u2, math.inf)
-                keep, dropped = _drop(bound, value - _SAFETY)
-                if np.count_nonzero(keep):
-                    kept += [p for p in double_comet_group_params(ell, k1[keep], k2[keep]) if not self.excluded(p)]
-                far = max(far, dropped + _SAFETY)
+            size += len(ell)
+            long = ell >= 4
+            ell, k1, k2 = ell[long], k1[long], k2[long]
+            u1, u2 = _dc_upper_bound(k1, k2)
+            (c1, c2), value = at(u1, u2)
+            bound = np.where((c1 >= 0) & (c2 >= 0), c1 * u1 + c2 * u2, math.inf)
+            keep, dropped = _drop(bound, value - _SAFETY)
+            kept += self._members(k1[keep], k2[keep], ell[keep])
+            far = max(far, dropped + _SAFETY)
         return short + kept, ivs + _dc_pair_intervals(kept), size, far
 
+    def _members(self, k1, k2, ell):
+        """The (k1, k2, ell) tuples of the comets of these arrays that are not excluded."""
+        members = list(zip(k1.tolist(), k2.tolist(), ell.tolist()))
+        return [m for m in members if not self.excluded(m)] if self.exclude else members
+
     def tree(self, m) -> Tree:
-        return make_double_comet(m)
+        return make_double_comet(DoubleCometParams(*m))
 
     def code(self, m) -> str:
-        return double_comet_code(m).decode()
+        return double_comet_code(DoubleCometParams(*m)).decode()
 
     def candidate(self, m, lo: float, hi: float) -> Candidate:
-        return Candidate(self.code(m), tuple(self.tree(m).edges()), lo, hi, m)
+        return Candidate(self.code(m), tuple(self.tree(m).edges()), lo, hi, DoubleCometParams(*m))
 
 
 def _family(n, family: str, exclude=()) -> _Family:

@@ -21,16 +21,18 @@ forest (post, up), so whole trees and induced forests share it.
 numpy: ``count_above`` probes any subset of rows, each at its own x, and
 ``bisect`` reproduces the scalar brackets bit for bit; with edge weights
 it also runs the double comets' equitable-partition quotients, which are
-weighted paths.
+weighted paths. Given a guess per row, ``bisect`` checks it with two
+counts instead of searching for it, and returns the same brackets.
 The one enclosure not from counts is the star's (``_star_intervals``).
 
 Everything else builds on or cross-checks that kernel: ``_branches``, the
 same pass over every branch of the tree, whose pivots give eigenvectors (a
 twisted factorization) and whose counts locate the spectral center; float
 closed forms for double comets with path order 2 or 3 and for paths
-(checked against, never used as enclosures); a dense cyclic plane-rotation
-(Jacobi) oracle for small orders; and residual checks for the local
-eigen-equations and the eigenvector-eigenvalue identity.
+(guesses that counts check, and values to compare against, never
+enclosures); a dense cyclic plane-rotation (Jacobi) oracle for small
+orders; and residual checks for the local eigen-equations and the
+eigenvector-eigenvalue identity.
 """
 
 from __future__ import annotations
@@ -350,33 +352,78 @@ class TreeBatch:
             raise ValueError("probe x is NaN")
         return self._eliminate(*self._steps(rows), x)
 
-    def bisect(self, k: int, lo, hi, tol: float, rows=None):
+    def bisect(self, k: int, lo, hi, tol: float, rows=None, guess=None):
         """``_bisect_count`` on every row of ``rows`` (all by default) at once; returns (lo, hi) arrays.
 
         Bounds are scalars or one value per row. Each row stops by the scalar
         rules (width, float resolution, 200 probes), so it holds the bracket
         the scalar bisection returns, bit for bit.
+
+        ``guess``, one float per row, is where each row's eigenvalue is
+        expected; NaN or +-inf is no guess. A guided row replays the
+        bisection's own midpoints without eliminating, each decided by its
+        side of the guess, while they lie more than tol/4 from it, then
+        probes the two ends it reached in one batched pass. Replayed steps
+        count toward the 200. If both counts agree, the row goes on from
+        there; if not, it restarts from its bounds, unguided. Either way it
+        returns the unguided bracket: a replayed midpoint lies at or beyond
+        a checked end, and more than tol/2 from the eigenvalue unless it is
+        that end, so its count is the one the unguided bisection would take
+        as exact. A guess is only ever checked, never trusted.
         """
+        k = _integer("k", k, 1, self.n)
+        tol = _real("tol", tol, math.nextafter(0.0, 1.0), math.nextafter(math.inf, 0.0))
         rows = np.arange(len(self)) if rows is None else np.asarray(rows)
         m = len(rows)
         lo = np.array(np.broadcast_to(lo, (m,)), dtype=float)
         hi = np.array(np.broadcast_to(hi, (m,)), dtype=float)
+        budget = np.full(m, 200)
+        if guess is not None:
+            guess = np.asarray(guess, dtype=float)
+            if guess.shape != (m,):
+                raise ValueError(f"guess must hold one float per row, shape ({m},), got shape {guess.shape}")
+            self._replay(k, lo, hi, tol, rows, guess, budget)
         live = np.arange(m)
         steps = self._steps(rows)
-        for _ in range(200):
+        while len(live):
             a, b = lo[live], hi[live]
             mid = 0.5 * (a + b)
-            go = ~((b - a <= tol) | (mid <= a) | (mid >= b))
+            go = ~((b - a <= tol) | (mid <= a) | (mid >= b) | (budget[live] == 0))
             if not go.all():
                 live, mid = live[go], mid[go]
                 steps = self._steps(rows[live])
-            if not len(live):
-                break
+                if not len(live):
+                    break
+            budget[live] -= 1
             above = self._eliminate(*steps, mid)[0]
             up = above >= k
             lo[live[up]] = mid[up]
             hi[live[~up]] = mid[~up]
         return lo, hi
+
+    def _replay(self, k, lo, hi, tol, rows, guess, budget):
+        """Move the guided rows' brackets in place to where their guesses lead, if two counts confirm it.
+
+        Rows whose counts disagree keep their bounds and their 200 probes.
+        """
+        at = np.flatnonzero(np.isfinite(guess))
+        if not len(at):
+            return
+        a, b, g = lo[at], hi[at], guess[at]
+        spent = np.zeros(len(at), dtype=budget.dtype)
+        go = np.ones(len(at), dtype=bool)
+        while go.any():
+            mid = 0.5 * (a + b)
+            go &= ~((b - a <= tol) | (mid <= a) | (mid >= b) | (np.abs(mid - g) <= 0.25 * tol) | (spent == 200))
+            below = mid < g
+            a = np.where(go & below, mid, a)
+            b = np.where(go & ~below, mid, b)
+            spent += go
+        above = self.count_above(np.concatenate((a, b)), rows[np.concatenate((at, at))])[0]
+        ok = (above[:len(at)] >= k) & (above[len(at):] < k)
+        at, a, b, spent = at[ok], a[ok], b[ok], spent[ok]
+        lo[at], hi[at] = a, b
+        budget[at] -= spent
 
     def top_two(self):
         """``top_two`` of every row at ``TOL``: arrays (lam1_lo, lam1_hi, lam2_lo, lam2_hi).
@@ -423,25 +470,30 @@ def lambda1_interval_of_vertices(t: Tree, vertices):
 def dc_top_two_closed(params: DoubleCometParams):
     """(lam1, lam2) of a double comet with path order 2 or 3, in float, not enclosed.
 
-    Path order 2's lam2 cancels in n-1 - sqrt(...) for large n; searches
-    bisect every comet, and this serves the closed-forms and asymptotics suites.
-
-    Path order 3: lam = sqrt((n-1 +- sqrt((k1-k2)^2 + 4))/2).
-    Path order 2: lam = sqrt((n-1 +- sqrt((n-1)^2 - 4*k1*k2))/2).
+    Path order 2's lam2 cancels in n-1 - sqrt(...) for large n. These are
+    guesses that inertia counts check, never enclosures: searches pass them
+    to ``TreeBatch.bisect``, which returns the unguided brackets, and the
+    closed-forms and asymptotics suites compare against them.
     """
     k1, k2, ell = params.k1, params.k2, params.ell
     if ell not in (2, 3):
         raise ValueError(f"closed form exists only for path order 2 or 3, got {ell}")
     if k1 + k2 < 1:
         raise ValueError("need at least one pendant leaf")
-    n = params.n
-    if ell == 3:
-        disc = math.sqrt((k1 - k2) ** 2 + 4)
-    else:
-        disc = math.sqrt((n - 1) ** 2 - 4 * k1 * k2)
-    lam1 = math.sqrt(0.5 * (n - 1 + disc))
-    lam2 = math.sqrt(max(0.0, 0.5 * (n - 1 - disc)))
-    return lam1, lam2
+    lam1, lam2 = _dc_closed(k1, k2, ell)
+    return float(lam1), float(lam2)
+
+
+def _dc_closed(k1, k2, ell):
+    """``dc_top_two_closed`` elementwise, over leaf-count and path-order ints or int arrays; unchecked.
+
+    Path order 3: lam = sqrt((n-1 +- sqrt((k1-k2)^2 + 4))/2).
+    Path order 2: lam = sqrt((n-1 +- sqrt((n-1)^2 - 4*k1*k2))/2).
+    The squares are exact below n = 9.4e7, where (n-1)^2 < 2^53.
+    """
+    n = k1 + k2 + ell
+    disc = np.sqrt(np.where(ell == 3, (k1 - k2) ** 2 + 4.0, (n - 1) ** 2 - 4.0 * k1 * k2))
+    return np.sqrt(0.5 * (n - 1 + disc)), np.sqrt(np.maximum(0.0, 0.5 * (n - 1 - disc)))
 
 
 def path_eigenvalue(n: int, j: int) -> float:

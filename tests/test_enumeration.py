@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from spectrees import enumeration
 from spectrees.enumeration import (
     CHUNK_ROWS,
+    DC_BLOCK_ROWS,
     count_double_comets,
     count_free_trees,
     decode_parent_report,
+    double_comet_arrays,
     double_comet_params,
     enumerate_double_comets,
     enumerate_free_trees,
@@ -193,6 +196,35 @@ def test_double_comet_params_match_reference_loop():
         # repr also pins plain int fields, which == alone would not tell from numpy ints
         assert repr(double_comet_params(n)) == repr(want), n
         assert count_double_comets(n) == len(want)
+
+
+def _per_path_order_comets(n):
+    """The comet family one path order at a time as (ell, k1, k2), ell an int: the oracle of the blocks."""
+    zero = np.zeros(1, dtype=np.int64)
+    yield n, zero, zero
+    if n >= 4:
+        yield 1, np.array([n - 1], dtype=np.int64), zero
+    for ell in range(2, n - 1):
+        rest = n - ell
+        k2 = np.arange(1 if ell >= 3 else 2, rest // 2 + 1, dtype=np.int64)
+        if ell >= 3:
+            k2[0] = 0  # the broom
+        yield ell, rest - k2, k2
+
+
+def test_double_comet_blocks_match_per_path_order_loop(monkeypatch):
+    # full blocks of int64 arrays, the last one shorter, hold the family in the
+    # loop's order; blocks of 7 rows straddle path orders at every small order
+    for rows, orders in ((DC_BLOCK_ROWS, [*range(2, 61), 400, 1001]), (7, range(2, 61))):
+        monkeypatch.setattr(enumeration, "DC_BLOCK_ROWS", rows)
+        for n in orders:
+            want = [(ell, a, b) for ell, k1, k2 in _per_path_order_comets(n) for a, b in zip(k1.tolist(), k2.tolist())]
+            blocks = list(double_comet_arrays(n))
+            assert {len(ell) for ell, _, _ in blocks[:-1]} <= {rows} and 0 < len(blocks[-1][0]) <= rows, n
+            assert all(a.dtype == np.int64 and a.shape == b[0].shape for b in blocks for a in b), n
+            got = [t for ell, k1, k2 in blocks for t in zip(ell.tolist(), k1.tolist(), k2.tolist())]
+            assert got == want, (n, rows)
+            assert count_double_comets(n) == len(want), (n, rows)
 
 
 def test_double_comets_dedup_against_free_trees():

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -362,8 +363,9 @@ class TestSearch:
 
     def test_comet_screen_is_sound(self, monkeypatch):
         # every long comet the screen leaves out of the pool is certified below the
-        # discard bound, and no DoubleCometParams is built for it; a resolved search
-        # then has a positive margin, which every other comet's far end respects
+        # discard bound, and the screen builds no DoubleCometParams, its members being
+        # (k1, k2, ell) tuples; a resolved search then has a positive margin, which
+        # every other comet's far end respects
         built = []
 
         def counting(*p):
@@ -371,16 +373,17 @@ class TestSearch:
             return DoubleCometParams(*p)
 
         monkeypatch.setattr(enumeration, "DoubleCometParams", counting)
+        monkeypatch.setattr(extremal, "DoubleCometParams", counting)
         keys = [("psi", a) for a in (0.0, 0.3, 0.5, 0.7, 1.0)] + [(k, None) for k in ("sum", "lam1", "lam2")]
         for n in (30, 61, 90):
-            family = double_comet_params(n)
-            long_comets = [p for p in family if p.ell >= 4]
+            family = [astuple(p) for p in double_comet_params(n)]
+            long_comets = [p for p in family if p[2] >= 4]
             intervals = dict(zip(family, _dc_pair_intervals(family)))
             for key, alpha in keys:
                 c = extremal._coeffs(key, alpha)
                 built.clear()
                 pool, size, discard_bound = extremal._Comets(n).search_rows(c, False, 1)
-                assert size == len(family) and len(built) == len(pool)
+                assert size == len(family) and not built
                 kept = {p for p, _, _ in pool}
                 dropped = [p for p in long_comets if p not in kept]
                 assert dropped, (n, key, alpha)
@@ -389,7 +392,7 @@ class TestSearch:
                 res = search_extremal(n, alpha=alpha, family="dc", key=key)
                 assert res.runner_up_gap > 0 or not res.resolved, (n, key, alpha)
                 bound = min(w.lo for w in res.winners) - res.runner_up_gap
-                winners = {w.params for w in res.winners}
+                winners = {astuple(w.params) for w in res.winners}
                 for p in family:
                     if p not in winners:
                         assert extremal._key_interval(c, *intervals[p])[1] <= bound, (n, key, alpha, p)
@@ -541,7 +544,7 @@ def test_comet_and_star_brackets_pass_exact_inertia():
             k2 = rng.randrange(ell == 2, (n - ell) // 2 + 1)
             sample.append(DoubleCometParams(n - ell - k2, k2, ell))
     params = [p for n in (3, 10, 60) for p in double_comet_params(n)] + sample
-    for p, (l1, l2) in zip(params, _dc_pair_intervals(params)):
+    for p, (l1, l2) in zip(params, _dc_pair_intervals([astuple(p) for p in params])):
         if p.ell == 1 or p.n <= 3 or max(p.k1, p.k2) + 1 == p.n - 1:  # a vertex of degree n-1
             assert_star_pair(p.n, l1, l2)
             continue
@@ -551,7 +554,7 @@ def test_comet_and_star_brackets_pass_exact_inertia():
         tt = top_two(make_star(n))
         b = [a[0] for a in TreeBatch([[0] + [1] * (n - 1)]).top_two()]
         pairs = [((tt.lam1_lo, tt.lam1_hi), (tt.lam2_lo, tt.lam2_hi)), ((b[0], b[1]), (b[2], b[3]))]
-        for l1, l2 in pairs + _dc_pair_intervals([DoubleCometParams(n - 1, 0, 1)]):
+        for l1, l2 in pairs + _dc_pair_intervals([(n - 1, 0, 1)]):
             assert Fraction(l1[0]) ** 2 < n - 1 < Fraction(l1[1]) ** 2, (n, l1)
             assert_star_pair(n, l1, l2)
 
@@ -608,7 +611,7 @@ class TestEnvelope:
         for n in range(5, 41):
             on_line = {}
             params = double_comet_params(n)
-            for p, ((l1_lo, l1_hi), (l2_lo, l2_hi)) in zip(params, _dc_pair_intervals(params)):
+            for p, ((l1_lo, l1_hi), (l2_lo, l2_hi)) in zip(params, _dc_pair_intervals([astuple(p) for p in params])):
                 l1, l2 = 0.5 * (l1_lo + l1_hi), 0.5 * (l2_lo + l2_hi)
                 on_line.setdefault((round(l1, 12), round(l2, 12)), []).append((code_of(p.k1, p.k2, p.ell), l1, l2))
             for s in envelope(n, "dc").segments:
@@ -617,8 +620,8 @@ class TestEnvelope:
     def test_colliding_members_keep_the_smaller_codes_floats(self, monkeypatch):
         # DC(3,3,2) and the broom (4,0,4) round onto one line with different floats;
         # in either order the broom, whose code is smaller, witnesses it with its floats
-        comet = (2.302775637731995, 1.3, DoubleCometParams(3, 3, 2))
-        broom = (2.3027756377318678, 1.3, DoubleCometParams(4, 0, 4))
+        comet = (2.302775637731995, 1.3, (3, 3, 2))
+        broom = (2.3027756377318678, 1.3, (4, 0, 4))
         assert code_of(4, 0, 4) < code_of(3, 3, 2)
         for members in ([comet, broom], [broom, comet]):
             monkeypatch.setattr(extremal._Comets, "midpoints", lambda self, members=members: iter(members))
@@ -629,10 +632,43 @@ class TestEnvelope:
         # comets of mixed orders in chunks of 7 rows, each padded to its longest
         # quotient path, get the brackets each gets alone, bit for bit
         monkeypatch.setattr(extremal, "CHUNK_ROWS", 7)
-        params = double_comet_params(9) + double_comet_params(16)[::-1] + [
-            DoubleCometParams(1, 3, 6), DoubleCometParams(5, 1, 4), DoubleCometParams(0, 2, 5)]
+        params = [astuple(p) for p in double_comet_params(9) + double_comet_params(16)[::-1]] + [
+            (1, 3, 6), (5, 1, 4), (0, 2, 5)]
         alone = [_dc_pair_intervals([p])[0] for p in params]
         assert repr(_dc_pair_intervals(params)) == repr(alone)
+
+    def test_short_comets_check_their_closed_forms(self, monkeypatch):
+        # path orders 2 and 3 pass their closed forms as guesses: two checks and a
+        # probe or two per eigenvalue, against 84-90 batched row-probes per comet
+        # when both eigenvalues were bisected from [0, sqrt(n-1)]
+        rows = [0]
+        eliminate = TreeBatch._eliminate
+
+        def counting(steps, w, x):
+            rows[0] += steps.shape[1]
+            return eliminate(steps, w, x)
+
+        monkeypatch.setattr(TreeBatch, "_eliminate", staticmethod(counting))
+        for n in (60, 1000):
+            short = [astuple(p) for p in double_comet_params(n) if p.ell <= 3]
+            rows[0] = 0
+            _dc_pair_intervals(short)
+            assert rows[0] <= 8 * len(short), (n, rows[0] / len(short))
+
+    def test_comet_pass_does_not_depend_on_the_block_size(self, monkeypatch):
+        # blocks of 1 or 7 comets split the short comets and every path order
+        searches = [(key, objective, alpha) for key, alpha in (("psi", 0.3), ("psi", 0.7), ("sum", None), ("gap", None))
+                    for objective in ("max", "min")]
+
+        def run():
+            return [repr(envelope(n, "dc")) for n in (2, 3, 4, 5, 9, 30)] + [
+                repr(search_extremal(n, alpha=alpha, objective=objective, family="dc", key=key))
+                for n in (3, 4, 5, 9, 30) for key, objective, alpha in searches]
+
+        want = run()
+        for rows in (1, 7):
+            monkeypatch.setattr(enumeration, "DC_BLOCK_ROWS", rows)
+            assert run() == want, rows
 
     def test_envelope_screen_is_exact(self, monkeypatch):
         # every comet the envelope leaves unevaluated has its upper-end line more
@@ -649,7 +685,7 @@ class TestEnvelope:
         for n in (30, 61, 110):
             evaluated.clear()
             env = envelope(n, "dc")
-            skipped = [p for p in double_comet_params(n) if p not in evaluated]
+            skipped = [astuple(p) for p in double_comet_params(n) if astuple(p) not in evaluated]
             assert skipped, n
             ends = np.array([a for s in env.segments for a in (s.alpha_lo, s.alpha_hi)])
             floor = np.array([env.value(a) for a in ends.tolist()])
@@ -676,9 +712,9 @@ class TestEnvelope:
         assert [repr(envelope(n, "dc")) for n in orders] + [repr(envelope(n, "all")) for n in range(2, 14)] == screened
 
     def test_envelope_screen_work_budget(self, monkeypatch):
-        # 397 short comets and the long ones that reach their hull, each built
-        # once, against 39602 comets in the family; at most 2n of the 7741 free
-        # trees of order 15 certified at TOL, one by one or in whole chunks
+        # a DoubleCometParams only to code the members of hull lines, of the
+        # 39602 comets in the family (the screen builds none); at most 2n of the
+        # 7741 free trees of order 15 certified at TOL, one by one or in whole chunks
         built, certified = [0], [0]
 
         def counting(*p):
@@ -696,6 +732,7 @@ class TestEnvelope:
             return batch_top_two(batch)
 
         monkeypatch.setattr(enumeration, "DoubleCometParams", counting)
+        monkeypatch.setattr(extremal, "DoubleCometParams", counting)
         monkeypatch.setattr(extremal, "top_two", certifying)
         monkeypatch.setattr(TreeBatch, "top_two", certifying_chunk)
         envelope(400, "dc")
@@ -756,8 +793,8 @@ class TestEnvelope:
     def test_straddling_slopes_keep_the_higher_line(self, monkeypatch):
         # slopes 2.2e-16 apart on either side of a 12-decimal rounding boundary: the
         # first line lies 0.5 above the second on all of [0, 1] and alone makes the hull
-        high = (1.0 + 0.12345678901249979, 1.0, [DoubleCometParams(2, 2, 3)])
-        low = (0.5 + 0.12345678901250001, 0.5, [DoubleCometParams(4, 1, 2)])
+        high = (1.0 + 0.12345678901249979, 1.0, [(2, 2, 3)])
+        low = (0.5 + 0.12345678901250001, 0.5, [(4, 1, 2)])
         monkeypatch.setattr(extremal, "_envelope_lines", lambda fam: [low, high])
         (seg,) = envelope(7, "dc").segments
         assert (seg.alpha_lo, seg.alpha_hi, seg.lam1, seg.lam2) == (0.0, 1.0, *high[:2])

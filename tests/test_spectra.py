@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+from dataclasses import astuple
 from fractions import Fraction
 
 import numpy as np
@@ -280,7 +281,7 @@ class TestClosedForms:
             c1, c2 = dc_top_two_closed(p)
             tt = top_two(make_double_comet(p))
             assert abs(tt.lam1 - c1) < 1e-9 and abs(tt.lam2 - c2) < 1e-9
-            [((q1l, q1h), (q2l, q2h))] = _dc_pair_intervals([p])
+            [((q1l, q1h), (q2l, q2h))] = _dc_pair_intervals([astuple(p)])
             assert abs(0.5 * (q1l + q1h) - c1) < 1e-9
             assert abs(0.5 * (q2l + q2h) - c2) < 1e-9
 
@@ -292,7 +293,7 @@ class TestClosedForms:
             k1 = rng.randrange(0, n - ell + 1)
             k2 = n - ell - k1
             tt = top_two(make_double_comet(DoubleCometParams(k1, k2, ell)))
-            [((q1l, q1h), (q2l, q2h))] = _dc_pair_intervals([DoubleCometParams(k1, k2, ell)])
+            [((q1l, q1h), (q2l, q2h))] = _dc_pair_intervals([(k1, k2, ell)])
             assert abs(tt.lam1 - 0.5 * (q1l + q1h)) < 1e-9
             assert abs(tt.lam2 - 0.5 * (q2l + q2h)) < 1e-9
 
@@ -637,6 +638,82 @@ def test_weighted_path_counts_match_dense_oracle():
     assert sum(repairs) > 0, "the sample never exercised the zero-pivot repair"
 
 
+def test_guided_bisect_equals_unguided(monkeypatch):
+    # a guess moves where the bisection probes, never its bracket: exact, near and
+    # far guesses, the other eigenvalue, none, one exactly on a midpoint, on weighted
+    # paths and trees, at widths that stop by width, at float resolution, or after
+    # 200 probes (lam1 = 1e-100 of the 2-path weighted 1e-200 from [0, 2] at 1e-300)
+    rows_probed = [0]
+    eliminate = TreeBatch._eliminate
+
+    def counting(steps, w, x):
+        rows_probed[0] += steps.shape[1]
+        return eliminate(steps, w, x)
+
+    monkeypatch.setattr(TreeBatch, "_eliminate", staticmethod(counting))
+    offsets = [0.0, 1e-14, -1e-14, 1e-9, -1e-9, 1e-3, -1e-3]
+    spent = {"guided": 0, "unguided": 0}
+
+    def same(batch, k, lo, hi, tol, guess):
+        rows_probed[0] = 0
+        want = batch.bisect(k, lo, hi, tol)
+        spent["unguided"] += rows_probed[0]
+        rows_probed[0] = 0
+        got = batch.bisect(k, lo, hi, tol, guess=np.array(guess, dtype=float))
+        spent["guided"] += rows_probed[0]
+        assert [x.hex() for a in got for x in a.tolist()] == [x.hex() for a in want for x in a.tolist()], guess
+        return want
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.integers(2, 14))
+        if data.draw(st.booleans()):
+            weight = st.sampled_from([0.0, 1.0, 1.0, 2.0, 3.0, 0.5, 7.0])
+            weights = data.draw(st.lists(st.lists(weight, min_size=n, max_size=n), min_size=1, max_size=5))
+            batch = TreeBatch([list(range(n))] * len(weights), weights)
+            mats = [np.diag(off, 1) + np.diag(off, -1) for off in np.sqrt(np.array(weights)[:, 1:])]
+            top = 2.0 * math.sqrt(7.0)
+        else:
+            levels = data.draw(st.lists(level_sequence(n), min_size=1, max_size=5))
+            batch = TreeBatch(levels)
+            mats = [adjacency_matrix(Tree(n, _level_seq_edges(seq))) for seq in levels]
+            top = math.sqrt(n - 1)
+        eigs = [np.linalg.eigvalsh(a)[::-1].tolist() + [0.0] for a in mats]  # a trailing 0 stands in for a missing lam2
+        tol = data.draw(st.sampled_from([TOL, TOL, 1e-9, 1e-300]))
+        hi = top
+        for k in (1, 2):
+            unguided = batch.bisect(k, 0.0, hi, tol)
+            kinds = [*offsets, "other", "none", "mid", "first"]
+            guess = []
+            for r, vals in enumerate(eigs):
+                kind = data.draw(st.sampled_from(kinds))
+                if kind == "other":
+                    guess.append(vals[2 - k])
+                elif kind == "none":
+                    guess.append(data.draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+                elif kind == "mid":  # a bracket end is a midpoint the bisection took
+                    guess.append(unguided[data.draw(st.integers(0, 1))][r])
+                elif kind == "first":
+                    guess.append(0.5 * (0.0 + (hi if np.ndim(hi) == 0 else hi[r])))
+                else:
+                    guess.append(vals[k - 1] + kind)
+            hi = same(batch, k, 0.0, hi, tol, guess)[1]
+
+    check()
+    # P5's lam2 = 1 exactly, guessed exactly; the 2-path weighted 1e-200 stops after 200 probes
+    p5 = TreeBatch([[0, 1, 2, 3, 4]])
+    spent.update(guided=0, unguided=0)
+    l1 = same(p5, 1, 0.0, 2.0, TOL, [math.sqrt(3.0)])
+    assert spent == {"guided": 3, "unguided": 41}, spent  # two checks and one probe
+    for tol in (TOL, 1e-300):
+        same(p5, 2, 0.0, l1[1], tol, [1.0])
+    tiny = TreeBatch([[0, 1]] * 3, [[0.0, 1e-200]] * 3)
+    lo, hi = same(tiny, 1, 0.0, 2.0, 1e-300, [1e-100, 1e-100 * (1 + 1e-9), 2.0 ** -199])
+    assert hi.tolist() == [2.0 ** -199] * 3 and lo.tolist() == [0.0] * 3
+    assert spent["guided"] < spent["unguided"], spent
+
+
 def test_tree_batch_rejects_bad_levels():
     with pytest.raises(ValueError):
         TreeBatch([[0, 2, 1]])
@@ -650,6 +727,15 @@ def test_tree_batch_rejects_bad_levels():
             TreeBatch([[0, 1, 2]], bad)
     with pytest.raises(ValueError, match="unit-weight"):
         TreeBatch([[0, 1, 2]], [[0.0, 2.0, 2.0]]).top_two()
+    # bisect takes 1 <= k <= n, a finite width > 0 and one guess per row: a NaN
+    # width ran every row to float resolution, k = 4 on P3 returned a bracket
+    p3 = TreeBatch([[0, 1, 2]])
+    bad = [(k, TOL, None, "k=") for k in (0, 4, True, 1.0, None)]
+    bad += [(1, tol, None, "tol=") for tol in (math.nan, 0.0, -TOL, math.inf, "1e-12")]
+    bad += [(1, TOL, guess, "guess") for guess in ([1.0, 1.0], 1.4, [[1.4]])]
+    for k, tol, guess, name in bad:
+        with pytest.raises(ValueError, match=name):
+            p3.bisect(k, 0.0, 2.0, tol, guess=guess)
     # no probe divides 0/0 (a RuntimeWarning, so an error here): not at x = 0
     # below weight-0 padding, not at a zero root pivot (x = 1 on the 2-path)
     # whatever the root's entry; row 0 is the 2-path plus two isolated
