@@ -18,8 +18,8 @@ every class is coded, so both code and sort the class list (the oracle
 once per order: its decode dominates).
 ``enumerate_double_comets`` yields in a fixed parameter order, one tree at
 a time. Counting needs no trees: ``count_free_trees`` streams the level
-sequences and ``count_double_comets`` sums the block lengths of
-``double_comet_arrays``, building no parameter object.
+sequences and ``count_double_comets`` is a closed form, building no
+parameter object.
 
 Searches and envelopes do not use the sorted free-tree list: they take
 the level sequences in generation order, in fixed-size numpy chunks
@@ -375,7 +375,16 @@ def double_comet_params(n: int):
 
 
 def count_double_comets(n: int) -> int:
-    return sum(len(ell) for ell, _, _ in double_comet_arrays(n))
+    """The size of the double-comet family, in closed form: 1 + floor((n-2)^2/4).
+
+    The path; for n >= 4 the star and the n - 4 brooms (ell = 3..n-2); and
+    (j//2 - 1) proper comets for each j = n - ell = 2..n-2, which sum to
+    floor((n-2)^2/4) - (n - 3), since floor(j/2) over j = 1..N sums to
+    floor(N^2/4). The terms beyond the path cancel to floor((n-2)^2/4),
+    which is 0 for n = 2 and 3.
+    """
+    n = _integer("n", n, 2)
+    return 1 + (n - 2) ** 2 // 4
 
 
 def enumerate_double_comets(n: int):

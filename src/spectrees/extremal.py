@@ -28,14 +28,19 @@ row whose upper end is below the floor is out, and the largest upper end
 dropped joins the bound the runner-up margin is measured against.
 
 The comets' pass evaluates the short comets (path order <= 3) and takes
-the floor from them; it screens the long ones as leaf-count arrays, a
-fixed-size block of the family at a time, by ``_dc_upper_bound`` at the
-breakpoint each comet's bound ends pick, and makes member tuples only for
-the comets it keeps. Every comet but the star goes through the batched
-inertia kernel (``spectra.TreeBatch``) as its quotient, a weighted path
+the floor from them. A long comet's bound is at most B(c)*sqrt(n - ell +
+8), B(c) = (c1 + c2)*limit_curve(c1/(c1 + c2)), so one query of the floor
+finds the first path order that drops whole (``_whole_order_cut``); the
+pass screens the long comets before it as leaf-count arrays, a fixed-size
+block of the family at a time, by ``_dc_upper_bound`` at the breakpoint
+each comet's bound ends pick, makes member tuples only for the comets it
+keeps, and leaves the rest unseen: O(n) comets per path order screened.
+Every comet but the star goes through the batched inertia kernel
+(``spectra.TreeBatch``) as its quotient, a weighted path
 (``_dc_pair_intervals``); path orders 2 and 3 hand the bisection their
-closed forms as guesses, which its counts check, never enclosures, so
-their brackets are the unguided ones. A comet is coded from its
+closed forms as guesses, and quotients of up to 16 vertices eigvalsh's
+(``_path_guesses``). Counts check every guess, which never encloses
+anything, so the brackets are the unguided ones. A comet is coded from its
 parameters (``trees.double_comet_code``). The all-tree pass takes its
 floor from the comets (the max theorem puts a double comet on top for
 every alpha), or from path and star for a minimum, and streams level-sequence chunks
@@ -52,6 +57,7 @@ rounded lines collide with different floats.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -63,6 +69,7 @@ from .enumeration import (
     CHUNK_ROWS,
     MAX_EXHAUSTIVE_ORDER,
     _level_seq_edges,
+    count_double_comets,
     double_comet_arrays,
     free_tree_level_chunks,
 )
@@ -90,6 +97,8 @@ _FIXED_COEFFS = {"sum": (1.0, 1.0), "lam1": (1.0, 0.0), "lam2": (0.0, 1.0), "gap
 KEYS = ("psi", *_FIXED_COEFFS)
 _COARSE_TOL = 1e-6
 _SAFETY = 1e-9  # slack for the rounding of the float-evaluated comet screen and two-hub bounds
+_ORDER_MARGIN = 1e-13  # relative slack for the rounding of a whole path order's comet bound, about 450 ulps
+_DENSE_GUESS_ORDER = 16  # longest comet quotient given an eigvalsh guess: O(L^3) against ~90 probes of O(L)
 
 
 @dataclass(frozen=True)
@@ -230,8 +239,12 @@ def _dc_pair_intervals(comets):
     Sorted by path order, they run ``CHUNK_ROWS`` at a time, weight-0 edges
     padding each to its chunk's longest path, which changes no bracket.
     lam1 is bisected over [0, sqrt(n-1)], slightly widened, and lam2 over
-    [0, lam1_hi]; path orders 2 and 3 pass the closed forms as guesses,
-    which two counts per eigenvalue check, and get the same brackets.
+    [0, lam1_hi]. Path orders 2 and 3 pass the closed forms as guesses, and
+    longer comets whose quotient has at most _DENSE_GUESS_ORDER vertices the
+    top two eigenvalues of their dense quotients (``_path_guesses``); longer
+    quotients get none, so no stack of large dense matrices is built. Two
+    counts per eigenvalue check each guess; a wrong one restarts its row
+    unguided, so every row gets the unguided brackets bit for bit.
     """
     k1, k2, ell = np.asarray(comets, dtype=np.int64).reshape(-1, 3).T
     order = ell + (k1 > 0) + (k2 > 0)
@@ -252,10 +265,75 @@ def _dc_pair_intervals(comets):
         g1, g2 = np.full(len(idx), math.nan), np.full(len(idx), math.nan)
         short = c <= 3
         g1[short], g2[short] = _dc_closed(a[short], b[short], c[short])
+        dense = ~short & (m <= _DENSE_GUESS_ORDER)
+        if dense.any():
+            g1[dense], g2[dense] = _path_guesses(weights[dense, :m[dense].max()])
         l1_lo, l1_hi = batch.bisect(1, 0.0, np.sqrt(a + b + c - 1) * (1.0 + 1e-12) + 1e-12, TOL, guess=g1)
         l2_lo, l2_hi = batch.bisect(2, 0.0, l1_hi, TOL, guess=g2)
         out[idx] = np.column_stack((l1_lo, l1_hi, l2_lo, l2_hi))
     return [((a, b), (c, d)) for a, b, c, d in out.tolist()]
+
+
+def _path_guesses(weights):
+    """Float guesses (lam1, lam2), from stacked ``np.linalg.eigvalsh``, of weighted paths given as ``TreeBatch`` weights.
+
+    Row r is the path 0, 1, ..., its edge to vertex j of weight
+    ``weights[r, j]`` (entry sqrt(w)), a weight-0 edge no edge. Guesses for
+    ``TreeBatch.bisect``, which checks them by counts, never enclosures.
+    """
+    rows, order = weights.shape
+    dense = np.zeros((rows, order, order))
+    j = np.arange(1, order)
+    dense[:, j - 1, j] = dense[:, j, j - 1] = np.sqrt(weights[:, 1:])
+    values = np.linalg.eigvalsh(dense)
+    return values[:, -1], values[:, -2]
+
+
+def _order_bound(c1, c2):
+    """B(c) = (c1 + c2)*limit_curve(c1/(c1 + c2)) for c1, c2 >= 0, not both 0, elementwise over arrays.
+
+    For k1 >= k2 and path order ell >= 4, ``_dc_upper_bound``'s ends have
+    u1 >= u2 and u1^2 + u2^2 <= n - ell + 8, so c1*u1 + c2*u2 <= B(c) *
+    sqrt(n - ell + 8): by Cauchy-Schwarz, B = sqrt(c1^2 + c2^2), when c1 >=
+    c2, and by Chebyshev's sum inequality, then the mean of the squares, B =
+    (c1 + c2)/sqrt(2), when the coefficients are ordered against u.
+    """
+    total = c1 + c2
+    return total * np.array([limit_curve(a) for a in (c1 / total).tolist()])
+
+
+def _whole_order_cut(at, n):
+    """The first path order in 4..n-2 all of whose comets' bounds drop against floor ``at``; n if none.
+
+    An order ell drops whole when B(c)*sqrt(n - ell + 8) (``_order_bound``)
+    is below the floor less _SAFETY, with _ORDER_MARGIN for the rounding of
+    the per-comet bound, at every breakpoint c the floor can give: the one
+    query is the smallest ratio of the two. A point floor has one. A hull
+    floor has its breakpoints, alpha = 0 and 1 among them, and alpha = 1/2 is
+    added, where B's factor turns from constant to convex; between these
+    points the hull is linear, so the hull less the bound is least at one of
+    them. Every later order drops with it. Each of its comets (k1, k2, ell')
+    has a bound at most that of (k1 + ell' - ell, k2, ell), a comet of the
+    cut order (a broom for the path), in floats too at one breakpoint: so a
+    search's ``far``, at its point floor, is the largest bound of a screened
+    comet. (At a hull floor the larger comet may pick a later breakpoint;
+    envelopes read no ``far``.) A negative coefficient bounds nothing, so
+    nothing drops.
+    """
+    if at.func is _point_at:
+        (c1, c2), value = at.args
+        c1, c2, value = np.atleast_1d(c1, c2, value)
+    else:
+        xs, _, value = at.args
+        c1, value = np.append(xs, 0.5), np.append(value, np.interp(0.5, xs, value))
+        c2 = 1.0 - c1
+    if (c1 < 0).any() or (c2 < 0).any():
+        return n
+    low = value - _SAFETY
+    ratio = float(np.min((low - _ORDER_MARGIN * np.abs(low)) / _order_bound(c1, c2)))
+    orders = range(4, n - 1)
+    first = bisect.bisect_left(orders, True, key=lambda ell: math.sqrt(n - ell + 8) < ratio)
+    return orders[first] if first < len(orders) else n
 
 
 def _dc_upper_bound(k1, k2):
@@ -482,13 +560,17 @@ class _Comets(_Family):
 
         The floor comes from the short comets, path order <= 3, in one
         process whatever ``minimize`` and ``jobs``; they lead the family, but
-        for the path, which is short only when n <= 3. Each long comet's
-        ``_dc_upper_bound`` ends pick its breakpoint (c1, c2), a block of
-        ``double_comet_arrays`` at a time; it is kept (``_drop``) iff its
-        bound there comes within _SAFETY of the floor, or a negative c leaves
-        it unbounded; ``far`` is the largest bound dropped, plus _SAFETY for
-        its rounding. Excluded comets are left out, never counted as
-        screened out.
+        for the path, which is short only when n <= 3. ``_whole_order_cut``
+        then finds the first path order whose every comet drops. The blocks
+        of ``double_comet_arrays`` are screened up to the one that passes that
+        order, and every later comet drops unseen. In a screened block each
+        long comet's ``_dc_upper_bound`` ends pick its breakpoint (c1, c2); it
+        is kept (``_drop``) iff its bound there comes within _SAFETY of the
+        floor, or a negative c leaves it unbounded; ``far`` is the largest
+        bound dropped, plus _SAFETY for its rounding. So the kept comets, and
+        a search's ``far``, are those of a screen of every comet. Excluded
+        comets are left out, never counted as screened out; the family size
+        is ``count_double_comets``.
         """
         short = []
         for ell, k1, k2 in double_comet_arrays(self.n):
@@ -498,9 +580,10 @@ class _Comets(_Family):
                 break
         ivs = _dc_pair_intervals(short)
         at = floor(ivs)
-        kept, size, far = [], 0, -math.inf
+        cut = _whole_order_cut(at, self.n)
+        kept, far = [], -math.inf
         for ell, k1, k2 in double_comet_arrays(self.n):
-            size += len(ell)
+            past = cut < ell[-1] < self.n  # past the cut order, not the leading path: that order is all seen
             long = ell >= 4
             ell, k1, k2 = ell[long], k1[long], k2[long]
             u1, u2 = _dc_upper_bound(k1, k2)
@@ -509,7 +592,9 @@ class _Comets(_Family):
             keep, dropped = _drop(bound, value - _SAFETY)
             kept += self._members(k1[keep], k2[keep], ell[keep])
             far = max(far, dropped + _SAFETY)
-        return short + kept, ivs + _dc_pair_intervals(kept), size, far
+            if past:
+                break
+        return short + kept, ivs + _dc_pair_intervals(kept), count_double_comets(self.n), far
 
     def _members(self, k1, k2, ell):
         """The (k1, k2, ell) tuples of the comets of these arrays that are not excluded."""

@@ -6,7 +6,7 @@ import pytest
 
 from spectrees import cli, suites
 from spectrees.cli import main
-from spectrees.enumeration import double_comet_params, enumerate_trees
+from spectrees.enumeration import double_comet_arrays, enumerate_trees
 from spectrees.suites import (
     envelope_to_csv,
     report_to_csv,
@@ -88,7 +88,7 @@ def test_cli_enumerate_count(capsys):
     assert main(["enumerate", "--n", "8", "--count-only"]) == 0
     assert capsys.readouterr().out.strip() == "23"
     assert main(["enumerate", "--n", "2000", "--family", "dc", "--count-only"]) == 0
-    assert capsys.readouterr().out.strip() == str(len(double_comet_params(2000)))
+    assert capsys.readouterr().out.strip() == str(sum(len(ell) for ell, _, _ in double_comet_arrays(2000)))
 
 
 def test_cli_enumerate_writes_blocks(capsys):

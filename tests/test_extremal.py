@@ -2,12 +2,19 @@ import math
 import random
 from dataclasses import astuple
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
 
 from spectrees import enumeration, extremal
-from spectrees.enumeration import _level_seq_edges, count_free_trees, double_comet_params, enumerate_free_trees
+from spectrees.enumeration import (
+    _level_seq_edges,
+    count_double_comets,
+    count_free_trees,
+    double_comet_params,
+    enumerate_free_trees,
+)
 from spectrees.extremal import (
     AsymptoticParams,
     _dc_pair_intervals,
@@ -397,6 +404,49 @@ class TestSearch:
                     if p not in winners:
                         assert extremal._key_interval(c, *intervals[p])[1] <= bound, (n, key, alpha, p)
 
+    def test_whole_path_orders_drop_by_the_limit_curve_bound(self, monkeypatch):
+        # the screen stops after the blocks that reach the first path order whose every
+        # comet's bound, at most B(c)*sqrt(n - ell + 8), lies below the floor; its kept
+        # comets and far are those of the per-comet rule over the whole family, for point
+        # floors at 101 alphas and the sum, lam1 and lam2, and for the comets' hull floor;
+        # no comet's float bound passes B(c)*sqrt(n - ell + 8) by _ORDER_MARGIN of it
+        pair_intervals, memo = extremal._dc_pair_intervals, {}
+
+        def cached(comets):
+            key = tuple(comets)
+            if key not in memo:
+                memo[key] = pair_intervals(comets)
+            return memo[key]
+
+        monkeypatch.setattr(extremal, "_dc_pair_intervals", cached)
+        monkeypatch.setattr(enumeration, "DC_BLOCK_ROWS", 16)  # many blocks, so the stop lands inside the family
+        coeffs = [extremal._coeffs("psi", a) for a in np.linspace(0.0, 1.0, 101).tolist()]
+        coeffs += [extremal._coeffs(k, None) for k in ("sum", "lam1", "lam2")]
+        floors = [partial(extremal._point_floor, c) for c in coeffs] + [extremal._hull_floor]
+        for n in (8, 9, 40, 41, 301):
+            family = [astuple(p) for p in double_comet_params(n)]
+            short = [p for p in family if p[2] <= 3]
+            long_comets = np.array([p for p in family if p[2] >= 4])
+            k1, k2, ell = long_comets.T
+            u1, u2 = extremal._dc_upper_bound(k1, k2)
+            ivs = cached(short)
+            cuts = []
+            for floor in floors:
+                at = floor(ivs)
+                (c1, c2), value = at(u1, u2)
+                bound = np.where((c1 >= 0) & (c2 >= 0), c1 * u1 + c2 * u2, math.inf)
+                keep, dropped = extremal._drop(bound, value - extremal._SAFETY)
+                ms, _, size, far = extremal._Comets(n)._screened(floor, False, 1)
+                assert ms == short + [tuple(p) for p in long_comets[keep].tolist()], (n, floor)
+                assert far == dropped + extremal._SAFETY and size == count_double_comets(n) == len(family)
+                c1, c2 = (np.broadcast_to(c, u1.shape) for c in (c1, c2))
+                c1s, first, which = np.unique(c1, return_index=True, return_inverse=True)  # c2 follows c1
+                lead = extremal._order_bound(c1s, c2[first])[which]
+                excess = bound - lead * np.sqrt(n - ell + 8.0)
+                assert (excess < extremal._ORDER_MARGIN * bound).all(), (n, floor, excess.max())
+                cuts.append(extremal._whole_order_cut(at, n))
+            assert n < 40 or min(cuts) < n - 2, (n, cuts)
+
     def test_searches_code_only_winners(self, monkeypatch):
         # and certify each all-tree member once, at TOL: no refinement schedule re-bisects it
         calls, certified = [0], []
@@ -655,6 +705,42 @@ class TestEnvelope:
             _dc_pair_intervals(short)
             assert rows[0] <= 8 * len(short), (n, rows[0] / len(short))
 
+    def test_long_comets_check_their_eigvalsh_guesses(self, monkeypatch):
+        # path orders 4 and up with quotients of at most 16 vertices pass eigvalsh's top
+        # two as guesses: every comet of order <= 60 and every long comet the screen keeps
+        # at n = 1000 gets the unguided brackets bit for bit, a guess 1e-9 off restarts
+        # its row and still gets them, and the kept long comets take at most 12 batched
+        # row-probes each, against about 90 unguided
+        rows = [0]
+        eliminate = TreeBatch._eliminate
+
+        def counting(steps, w, x):
+            rows[0] += steps.shape[1]
+            return eliminate(steps, w, x)
+
+        guesses = extremal._path_guesses
+        helpers = {"eigvalsh": guesses, "none": lambda w: (np.full(len(w), math.nan),) * 2,
+                   "up": lambda w: tuple(g + 1e-9 for g in guesses(w)),
+                   "down": lambda w: tuple(g - 1e-9 for g in guesses(w))}
+        small = [astuple(p) for n in range(2, 61) for p in double_comet_params(n)]
+        kept = []
+        for alpha in (0.3, 0.7):
+            ms = extremal._Comets(1000)._screened(partial(extremal._point_floor, (alpha, 1.0 - alpha)), False, 1)[0]
+            kept += [m for m in ms if m[2] >= 4]
+        monkeypatch.setattr(TreeBatch, "_eliminate", staticmethod(counting))
+        brackets, spent = {}, {}
+        for name, helper in helpers.items():
+            monkeypatch.setattr(extremal, "_path_guesses", helper)
+            for which, comets in (("small", small), ("kept", kept)):
+                rows[0] = 0
+                brackets[name, which] = [tuple(v.hex() for iv in ivs for v in iv) for ivs in _dc_pair_intervals(comets)]
+                spent[name, which] = rows[0]
+        for which in ("small", "kept"):
+            for name in ("eigvalsh", "up", "down"):
+                assert brackets[name, which] == brackets["none", which], (name, which)
+                assert name == "eigvalsh" or spent[name, which] > spent["none", which], (name, which, spent)
+        assert spent["eigvalsh", "kept"] <= 12 * len(kept), spent["eigvalsh", "kept"] / len(kept)
+
     def test_comet_pass_does_not_depend_on_the_block_size(self, monkeypatch):
         # blocks of 1 or 7 comets split the short comets and every path order
         searches = [(key, objective, alpha) for key, alpha in (("psi", 0.3), ("psi", 0.7), ("sum", None), ("gap", None))
@@ -708,7 +794,7 @@ class TestEnvelope:
         assert dropped == count_free_trees(12) - len(kept) > 0
         orders = [*range(2, 41), 60, 85, 110]
         screened = [repr(envelope(n, "dc")) for n in orders] + [repr(envelope(n, "all")) for n in range(2, 14)]
-        monkeypatch.setattr(extremal, "_hull_floor", lambda ivs: lambda l1_hi, l2_hi: ((1.0, 0.0), -math.inf))
+        monkeypatch.setattr(extremal, "_hull_floor", lambda ivs: partial(extremal._point_at, (1.0, 0.0), -math.inf))
         assert [repr(envelope(n, "dc")) for n in orders] + [repr(envelope(n, "all")) for n in range(2, 14)] == screened
 
     def test_envelope_screen_work_budget(self, monkeypatch):
