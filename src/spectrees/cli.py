@@ -20,7 +20,7 @@ from .spectra import TOL, dense_spectrum_oracle, top_two
 from .suites import (
     SUITES,
     emit_csv,
-    envelope_to_csv,
+    envelope_csv_rows,
     report_to_csv,
     run_suite,
     spectrum_to_csv,
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _maybe_write(args, text: str):
     if args.out:
-        emit_csv(text, args.out)
+        emit_csv([text], args.out)
 
 
 def _cmd_enumerate(args) -> int:
@@ -165,7 +165,6 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_envelope(args) -> int:
     env = normalized_envelope(args.n, args.family) if args.normalized else envelope(args.n, args.family)
-    text = envelope_to_csv(env)
     if args.json:
         print(json.dumps([
             {"alpha_lo": s.alpha_lo, "alpha_hi": s.alpha_hi, "lambda1": s.lam1,
@@ -173,8 +172,9 @@ def _cmd_envelope(args) -> int:
             for s in env.segments
         ]))
     else:
-        print(text, end="")
-    _maybe_write(args, text)
+        sys.stdout.writelines(envelope_csv_rows(env))  # one row at a time: a witness code can be 2n characters
+    if args.out:
+        emit_csv(envelope_csv_rows(env), args.out)
     return 0
 
 

@@ -24,7 +24,12 @@ parameter object.
 Searches and envelopes do not use the sorted free-tree list: they take
 the level sequences in generation order, in fixed-size numpy chunks
 (``free_tree_level_chunks``), and never materialise or sort a class list
-or its codes. Counting and the coded list read the same chunks.
+or its codes. Counting and the coded list read the same chunks. A chunk
+(``LevelChunk``) carries beside its level sequences what the batched
+inertia scan needs of each tree: its postorder step table, its largest
+degree and its largest sum of one vertex's neighbours' degrees. The forest
+tables hold these per forest, composed by the same gathers as the level
+rows, so no table is rebuilt from the level sequences.
 """
 
 from __future__ import annotations
@@ -55,19 +60,26 @@ def _spans(starts, counts):
 
 @dataclass(frozen=True)
 class _Forests:
-    """The forests of one size as level-sequence rows, each tree rooted at level 0.
+    """The forests of one size s as level-sequence rows, each tree rooted at level 0.
 
     Rows are lex-decreasing, so rows with the same first tree form one run,
     and the first trees of the runs decrease: run i spans rows
     ``starts[i]:starts[i + 1]``, its first tree has byte key ``keys[i]`` and
     height ``heights[i]``. A taller tree is lex-larger, so heights do not
     increase either.
+
+    Beside each row, ``steps`` holds its postorder step table: for each
+    postorder slot (post(v) = v - depth(v) + size(v) - 1), the slot of its
+    parent, or s at a root. ``stats`` holds five counts per row, each degree
+    counting the edge to the parent (``_STATS``).
     """
 
     rows: np.ndarray
     starts: np.ndarray
     keys: np.ndarray
     heights: np.ndarray
+    steps: np.ndarray
+    stats: np.ndarray
 
     def first_at_most(self, keys):
         """Index of the first row whose first tree is at most each key."""
@@ -103,6 +115,30 @@ class _Trees:
         return cls(first, keys.view(f"S{keys.shape[1]}").ravel(), heights)
 
 
+# The columns of _Forests.stats, each degree counting the edge to the parent:
+# the roots; the largest degree (0 for no vertex); the largest sum of a non-root's
+# neighbours' degrees (0 for none); the largest sum of a root's children's degrees
+# (-1 for no root, so an empty forest's term never wins a maximum); and the sum of
+# the roots' degrees.
+_STATS = ("roots", "max_degree", "inner", "outer", "root_degrees")
+_EMPTY_STATS = (0, 0, 0, -1, 0)
+
+
+def _compose(first, rest):
+    """Overwrite ``rest`` with the ``_STATS`` of a tree r over the forest ``first`` followed by ``rest``; return it.
+
+    Row by row; each column takes only the same column of ``rest``, so it is
+    safe in place.
+    """
+    r = first[:, 0] + 1  # r's degree: its children, first's roots, and its parent
+    rest[:, 0] += 1
+    np.maximum(np.maximum(r, first[:, 1]), rest[:, 1], out=rest[:, 1])
+    np.maximum(np.maximum(first[:, 2], first[:, 3] + r), rest[:, 2], out=rest[:, 2])  # first's roots see r
+    np.maximum(first[:, 4], rest[:, 3], out=rest[:, 3])  # r's children are first's roots
+    rest[:, 4] += r
+    return rest
+
+
 def _forest_tables(n: int):
     """Forest tables and tree lists for the free trees of order n >= 3.
 
@@ -113,33 +149,55 @@ def _forest_tables(n: int):
     ``[0] + forests[k-1] + 1`` for the forests short enough. A forest of size
     s is a tree t of size k <= s, at most n-2-s high, followed by a forest
     of ``forests[s-k]`` whose first tree is at most t (a suffix of runs).
+    Step tables and stats compose by the same two gathers: t's children
+    take slots 0..k-2, their roots stepping to t's root at slot k-1, which
+    steps to s, and the rest follows shifted by k, its roots stepping to s.
     Sizes are the only Python loops.
     """
-    empty = _Forests(np.zeros((1, 0), np.int8), np.array([0, 1]), np.zeros(1, "S1"), np.array([-1], np.int8))
+    empty = _Forests(np.zeros((1, 0), np.int8), np.array([0, 1]), np.zeros(1, "S1"), np.array([-1], np.int8),
+                     np.zeros((1, 0), np.int8), np.array([_EMPTY_STATS], np.int8))
     forests = [empty]
     trees = [None, _Trees.up_to_height(empty, n - 2)]
     for s in range(1, n - 1):
-        blocks, keys, heights, counts = [], [], [], []
+        plan, keys, heights, counts = [], [], [], []
         for k in range(1, s + 1):
             tk = trees[k]
             tall = np.searchsorted(-tk.heights, -(n - 2 - s), side="left")
-            rest = forests[s - k]
-            start = rest.first_at_most(tk.keys[tall:])
-            count = len(rest.rows) - start
-            block = np.empty((int(count.sum()), s), np.int8)
-            block[:, 0] = 0
-            block[:, 1:k] = np.repeat(forests[k - 1].rows[tk.first + tall:] + 1, count, axis=0)
-            block[:, k:] = rest.rows[_spans(start, count)]
-            blocks.append(block)
+            start = forests[s - k].first_at_most(tk.keys[tall:])
+            plan.append((k, tk.first + tall, start))
             keys.append(tk.keys[tall:])
             heights.append(tk.heights[tall:])
-            counts.append(count)
+            counts.append(len(forests[s - k].rows) - start)
         keys, heights, counts = np.concatenate(keys), np.concatenate(heights), np.concatenate(counts)
         order = np.argsort(keys)[::-1]  # trees of different sizes never tie
-        offsets = np.cumsum(counts) - counts
-        rows = np.concatenate(blocks)[_spans(offsets[order], counts[order])]
         starts = np.concatenate(([0], np.cumsum(counts[order])))
-        forests.append(_Forests(rows, starts, keys[order], heights[order]))
+        to = np.empty_like(counts)
+        to[order] = starts[:-1]  # each run's first row in the table
+        size = int(starts[-1])
+        table = _Forests(np.empty((size, s), np.int8), starts, keys[order], heights[order],
+                         np.empty((size, s), np.int8), np.empty((size, len(_STATS)), np.int8))
+        first_stats = np.empty_like(table.stats)  # of t's children, beside the rest's in table.stats
+        runs = 0
+        for k, at, start in plan:  # t's children come from forests[k - 1], the rest from forests[s - k]
+            first, rest = forests[k - 1], forests[s - k]
+            count = counts[runs:runs + len(start)]
+            gather = _spans(start, count)
+            into = gather + np.repeat(to[runs:runs + len(start)] - start, count)  # the same runs, placed in order
+            runs += len(start)
+            block = np.empty((len(into), s), np.int8)
+            block[:, 0] = 0
+            block[:, 1:k] = np.repeat(first.rows[at:] + 1, count, axis=0)
+            block[:, k:] = rest.rows.take(gather, axis=0)
+            table.rows[into] = block
+            block[:, :k - 1] = np.repeat(first.steps[at:], count, axis=0)
+            block[:, k - 1] = s
+            np.add(rest.steps.take(gather, axis=0), k, out=block[:, k:])
+            table.steps[into] = block
+            first_stats[into] = np.repeat(first.stats[at:], count, axis=0)
+            table.stats[into] = rest.stats.take(gather, axis=0)
+        _compose(first_stats, table.stats)
+        del first_stats  # before the next table's, which may be larger, is allocated
+        forests.append(table)
         if s < n - 2:
             trees.append(_Trees.up_to_height(forests[s], n - 2 - s))
     return forests, trees
@@ -160,17 +218,27 @@ def _level_seq_edges(seq):
 def _first_subtree_runs(n: int):
     """Each possible first subtree T1 of the free trees of order n >= 3, lex-decreasing, with its rests.
 
-    Returns ``(flat, sizes, t1_at, f_at, counts)`` over ``flat``, every
-    forest table's rows end to end. T1 number i has ``sizes[i]`` vertices,
-    its forest of children (``[0] + forest + 1`` is T1) starts at
-    ``flat[t1_at[i]]``, and its rests F are ``counts[i]`` consecutive rows of
-    ``forests[n - 1 - sizes[i]]`` starting at ``flat[f_at[i]]``. Offsets
-    are int32: ``flat`` stays far below 2**31 bytes up to
-    ``MAX_EXHAUSTIVE_ORDER``, and the narrower type halves a chunk's gather.
+    Returns ``(flat, steps, stats, lead, sizes, t1_row, f_row, counts)``.
+    ``flat`` and ``steps`` hold every forest table's level rows and step
+    rows end to end, at the same offsets, and ``stats`` their stats rows:
+    row r of ``forests[s]`` has stats row r and starts at ``flat[lead[s] + r
+    * s]``, r counted over all tables. T1 number i has ``sizes[i]``
+    vertices, its forest of children (``[0] + forest + 1`` is T1) is row
+    ``t1_row[i]``, and its rests F are ``counts[i]`` consecutive rows of
+    ``forests[n - 1 - sizes[i]]`` from row ``f_row[i]``. Rows are int32:
+    ``flat`` stays far below 2**31 bytes up to ``MAX_EXHAUSTIVE_ORDER``, and
+    the narrower type halves a chunk's gather.
     """
     forests, trees = _forest_tables(n)
     base = np.cumsum([0] + [f.rows.size for f in forests])
-    sizes, t1_at, f_at, counts = [], [], [], []
+    row_base = np.cumsum([0] + [len(f.rows) for f in forests])
+    order = np.argsort(np.concatenate([tk.keys for tk in trees[1:]]))[::-1]  # no two trees tie
+    place = np.empty(len(order), np.int64)  # each T1's place in lex-decreasing order
+    place[order] = np.arange(len(order))
+    del order
+    sizes = np.empty(len(place), np.int8)
+    t1_row, f_row, counts = (np.empty(len(place), np.int32) for _ in range(3))
+    done = 0
     for k, tk in enumerate(trees[1:], 1):
         rest = forests[n - 1 - k]
         i = np.arange(len(tk.keys))
@@ -181,17 +249,53 @@ def _first_subtree_runs(n: int):
             stop = rest.at_least(tk.heights)
         else:  # F and T1's forest share forests[k - 1], and [0] + F + 1 >= T1 down to T1's own row
             stop = tk.first + i + 1
-        sizes.append(np.full(len(i), k, np.int8))
-        t1_at.append((base[k - 1] + (tk.first + i) * (k - 1)).astype(np.int32))
-        f_at.append((base[n - 1 - k] + start * (n - 1 - k)).astype(np.int32))
-        counts.append((stop - start).astype(np.int32))
-    order = np.argsort(np.concatenate([tk.keys for tk in trees[1:]]))[::-1]  # no two trees tie
-    flat = np.concatenate([f.rows.ravel() for f in forests])
-    return (flat, *(np.concatenate(a)[order] for a in (sizes, t1_at, f_at, counts)))
+        into = place[done:done + len(i)]
+        done += len(i)
+        sizes[into] = k
+        t1_row[into] = row_base[k - 1] + tk.first + i
+        f_row[into] = row_base[n - 1 - k] + start
+        counts[into] = stop - start
+    del trees, tk
+    flat, steps = np.empty(base[-1], np.int8), np.empty(base[-1], np.int8)
+    stats = np.empty((row_base[-1], len(_STATS)), np.int8)
+    for s in range(len(forests)):  # each table is freed once copied, so memory never holds it twice
+        f, forests[s] = forests[s], None
+        flat[base[s]:base[s + 1]], steps[base[s]:base[s + 1]] = f.rows.ravel(), f.steps.ravel()
+        stats[row_base[s]:row_base[s + 1]] = f.stats
+    lead = base[:-1] - row_base[:-1] * np.arange(len(forests))
+    return flat, steps, stats, lead, sizes, t1_row, f_row, counts
+
+
+@dataclass(frozen=True)
+class LevelChunk:
+    """Up to ``CHUNK_ROWS`` free trees of order n, one row each, as ``free_tree_level_chunks`` yields them.
+
+    ``levels`` and ``steps`` are (rows, n) int8: the level sequence, and the
+    postorder step table ``spectra.TreeBatch.from_steps`` takes (for each
+    postorder slot, the slot of its parent, n at the root). ``max_degree``
+    and ``max_degree_sum`` are int8 per row: the largest degree, and the
+    largest sum of one vertex's neighbours' degrees, the largest row sum of
+    A^2. Every array is read-only.
+    """
+
+    levels: np.ndarray
+    steps: np.ndarray
+    max_degree: np.ndarray
+    max_degree_sum: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+
+def _chunk(*arrays):
+    """A ``LevelChunk`` of ``arrays``, each made read-only."""
+    for a in arrays:
+        a.flags.writeable = False
+    return LevelChunk(*arrays)
 
 
 def free_tree_level_chunks(n: int):
-    """Level sequences as (rows, n) int8 arrays of ``CHUNK_ROWS`` rows each, the last one shorter.
+    """Every free tree of order n, in ``LevelChunk`` chunks of ``CHUNK_ROWS`` rows, the last one shorter.
 
     One row per isomorphism class, lex-decreasing: ``0, T1 + 1, F + 1``,
     where T1, the root's first subtree, is a tree of ``_forest_tables`` and
@@ -201,14 +305,19 @@ def free_tree_level_chunks(n: int):
     So each T1 takes a run of consecutive rows of its forest table, and a
     chunk is gathered from the runs it covers: memory stays at the tables,
     a few bytes per T1 and one chunk, whatever the class count.
+
+    The step tables and degree counts come by the same gathers. In
+    postorder, T1's forest takes slots 0..k-2, k = |T1|, its roots stepping
+    to T1's root at slot k-1; F takes slots k..n-2, its roots stepping to
+    the root at slot n-1. The counts are the stats of the root's children,
+    T1 followed by F, closed off at a root without a parent.
     """
     n = _integer("n", n, 1, MAX_EXHAUSTIVE_ORDER)
-    if n <= 2:
-        out = np.arange(n, dtype=np.int8).reshape(1, n)
-        out.flags.writeable = False
-        yield out
+    if n <= 2:  # the root alone, or the root over one leaf: n - 1 is its largest degree and degree sum
+        levels, steps, top = np.arange(n, dtype=np.int8), np.arange(1, n + 1, dtype=np.int8), np.full(1, n - 1, np.int8)
+        yield _chunk(levels.reshape(1, n), steps.reshape(1, n), top, top)
         return
-    flat, sizes, t1_at, f_at, counts = _first_subtree_runs(n)
+    flat, flat_steps, stats, lead, sizes, t1_row, f_row, counts = _first_subtree_runs(n)
     ends = np.cumsum(counts)
     cols = np.arange(2, n, dtype=np.int8)
     for r0 in range(0, int(ends[-1]), CHUNK_ROWS):
@@ -216,21 +325,29 @@ def free_tree_level_chunks(n: int):
         t1 = np.searchsorted(ends, r, side="right")
         k = sizes[t1, None]
         in_t1 = cols <= k  # columns 2..k hold T1's forest plus 2, the rest F plus 1
-        f_row_at = f_at[t1] + (r - ends[t1] + counts[t1]) * (n - 1 - k[:, 0])
-        at = np.where(in_t1, t1_at[t1, None] - 2, (f_row_at[:, None] - k - 1).astype(np.int32))
+        t1f, rest = t1_row[t1], f_row[t1] + (r - ends[t1] + counts[t1])  # each row's two forests
+        t1f_at = (lead[k[:, 0] - 1] + t1f * (k[:, 0] - 1)).astype(np.int32)
+        rest_at = (lead[n - 1 - k[:, 0]] + rest * (n - 1 - k[:, 0])).astype(np.int32)
+        at = np.where(in_t1, t1f_at[:, None] - 2, rest_at[:, None] - k - 1) + cols
         out = np.empty((len(r), n), np.int8)
         out[:, 0] = 0
         out[:, 1] = 1
-        out[:, 2:] = flat.take(at + cols) + 1 + in_t1
-        out.flags.writeable = False
-        yield out
+        out[:, 2:] = flat.take(at) + 1 + in_t1
+        steps = np.empty((len(r), n), np.int8)
+        step = flat_steps.take(at)
+        steps[:, 1:n - 1] = step + k * ~in_t1  # F's entries, from slot k on and shifted by k
+        np.copyto(steps[:, :n - 2], step, where=in_t1)  # T1's forest, slots 0..k-2
+        steps[np.arange(len(r)), k[:, 0] - 1] = n - 1  # T1's root steps to the root
+        steps[:, n - 1] = n
+        roots, top, inner, outer, rootdeg = _compose(stats.take(t1f, axis=0), stats.take(rest, axis=0)).T
+        yield _chunk(out, steps, np.maximum(roots, top), np.maximum(np.maximum(inner, outer + roots), rootdeg))
 
 
 def coded_free_trees(n: int):
     """(canonical code, edge tuple) per class, sorted by code."""
     coded = []
-    for levels in free_tree_level_chunks(n):
-        for seq in levels.tolist():
+    for chunk in free_tree_level_chunks(n):
+        for seq in chunk.levels.tolist():
             edges = _level_seq_edges(seq)
             coded.append((canonical_code(Tree(n, edges)), tuple(edges)))
     coded.sort()
@@ -251,7 +368,7 @@ def enumerate_free_trees(n: int):
 
 
 def count_free_trees(n: int) -> int:
-    return sum(len(levels) for levels in free_tree_level_chunks(n))
+    return sum(len(chunk) for chunk in free_tree_level_chunks(n))
 
 
 # -- labeled (Pruefer) oracle -----------------------------------------------

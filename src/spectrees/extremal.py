@@ -45,9 +45,10 @@ parameters (``trees.double_comet_code``). The all-tree pass takes its
 floor from the comets (the max theorem puts a double comet on top for
 every alpha), or from path and star for a minimum, and streams level-sequence chunks
 through ``_Scan``, one joint lam1/lam2 bisection per row from degree
-bounds, which stops once the row's key is certified below the floor or
-_COARSE_TOL wide; it never materialises a class list and certifies only
-the rows left.
+bounds, over the step tables and degree counts each chunk carries, which
+stops once the row's key is certified below the floor or _COARSE_TOL
+wide; it never materialises a class list and certifies only the rows
+left.
 
 The envelope treats each tree as the line alpha -> lam2 + alpha*(lam1 -
 lam2) and keeps the upper hull in one monotone-chain pass (``_upper_hull``);
@@ -77,6 +78,7 @@ from .spectra import (
     TOL,
     TreeBatch,
     _dc_closed,
+    _parents,
     _star_intervals,
     dc_top_two_closed,
     top_two,
@@ -353,20 +355,22 @@ def _dc_upper_bound(k1, k2):
 
 @dataclass(frozen=True)
 class _Scan:
-    """Coarse certified scan of one chunk of level sequences against a fixed floor ``at``.
+    """Coarse certified scan of one ``LevelChunk`` of free trees against a fixed floor ``at``.
 
     Every discard is a certificate independent of chunking and scan order.
     One inertia count at x says how many eigenvalues lie above x, so each
     probe narrows lam1's and lam2's brackets together (multi-eigenvalue
-    bisection). A row starts from ``_degree_brackets`` for lam1 and [0,
-    lam1_hi] for lam2. Each pass asks the floor for the row's breakpoint c
-    and value at (lam1_hi, lam2_hi); the row is done once its key's upper
+    bisection), on a ``TreeBatch`` over the chunk's own step table, so no
+    table is rebuilt from the level sequences. The chunk's largest degree
+    marks the stars, and a row starts from ``_start_brackets`` for lam1 and
+    [0, lam1_hi] for lam2. Each pass asks the floor for the row's breakpoint
+    c and value at (lam1_hi, lam2_hi); the row is done once its key's upper
     end there is below the value, its key bracket is within _COARSE_TOL, or
     both brackets are at float resolution. Otherwise it probes the midpoint
     of the bracket with the larger |c_i| * width: a count of at least 1
-    there moves lam1's bracket, of at least 2 lam2's, wherever the probe lies
-    inside them, and lam2_hi stays at most lam1_hi. A row's probes depend
-    only on its own brackets and the floor.
+    there moves lam1's bracket, of at least 2 lam2's, wherever the probe
+    lies inside them, and lam2_hi stays at most lam1_hi. A row's probes
+    depend only on its own brackets and the floor.
     The sum's minimum, coefficients (-1, -1), first applies
     ``_two_hub_bound``, a theorem about that minimum. Both cuts ``_drop``,
     folding the largest upper end dropped into ``far``; stars keep their
@@ -379,20 +383,20 @@ class _Scan:
     fam: _AllTrees
     at: partial
 
-    def __call__(self, levels):
-        n, at = self.fam.n, self.at
+    def __call__(self, chunk):
+        n, at, levels = self.fam.n, self.at, chunk.levels
         (c1, c2), low = at(0.0, 0.0)
         far = -math.inf
-        batch = TreeBatch(levels)
+        batch = TreeBatch.from_steps(chunk.steps)
         rows = np.arange(len(levels))
         if self.fam.exclude:  # no Python loop over the chunk unless something is excluded
             rows = rows[[not self.fam.excluded(seq.tobytes()) for seq in levels]]
         if (c1, c2) == (-1.0, -1.0) and n > 2:  # the bound needs lam2 >= 0, which K2 breaks
-            keep, far = _drop(-_two_hub_bound(batch, rows), low)
+            keep, far = _drop(-_two_hub_bound(levels[rows]), low)
             rows = rows[keep]
         l1_lo, l1_hi, l2_lo, l2_hi = (np.full(len(rows), v) for iv in _star_intervals(n) for v in iv)
-        todo = np.flatnonzero(batch.degrees[rows].max(axis=1) != n - 1)
-        l1_lo[todo], l1_hi[todo] = _degree_brackets(batch, rows[todo])
+        todo = np.flatnonzero(chunk.max_degree[rows] != n - 1)
+        l1_lo[todo], l1_hi[todo] = _start_brackets(chunk, rows[todo])
         l2_lo[todo], l2_hi[todo] = 0.0, l1_hi[todo]
         live = todo
         while len(live):
@@ -417,33 +421,29 @@ class _Scan:
         return [(levels[r].tobytes(), (a, b), (c, d)) for r, a, b, c, d in brackets], max(far, dropped), len(batch)
 
 
-def _degree_brackets(batch, rows):
-    """Brackets (lo, hi) of lam1 for the ``rows`` of ``batch``, from degrees alone.
+def _start_brackets(chunk, rows):
+    """Brackets (lo, hi) of lam1 for the ``rows`` of a ``LevelChunk``, from its degree counts alone.
 
-    The star on the largest degree D is a subgraph, so lam1 >= sqrt(D); lam1^2
-    is at most the largest row sum of A^2, the largest sum of a vertex's
-    neighbours' degrees, which is deg(v) plus the vertices at distance 2 from v,
-    so at most n - 1. Both ends are widened outward by one ulp.
+    The star on the largest degree D is a subgraph, so lam1 >= sqrt(D);
+    lam1^2 is at most the largest row sum of A^2, the chunk's
+    ``max_degree_sum``, at most n - 1. Both ends are widened outward by one
+    ulp. The counts are int8: numpy's sqrt would round them to float16.
     """
-    deg = batch.degrees[rows]
-    m, n = deg.shape
-    up = batch.parents[rows, 1:] + n * np.arange(m)[:, None]  # flat index of each non-root's parent
-    sums = np.bincount(up.ravel(), deg[:, 1:].ravel(), minlength=m * n).reshape(m, n)  # the children's degrees
-    sums[:, 1:] += deg.ravel()[up]  # and the parent's
-    lo = np.nextafter(np.sqrt(deg.max(axis=1)), 0.0)
-    return lo, np.nextafter(np.sqrt(sums.max(axis=1)), math.inf)
+    top, sums = (a[rows].astype(float) for a in (chunk.max_degree, chunk.max_degree_sum))
+    return np.nextafter(np.sqrt(top), 0.0), np.nextafter(np.sqrt(sums), math.inf)
 
 
-def _two_hub_bound(batch, rows):
-    """Certified lower bounds on the spectral sum of each row.
+def _two_hub_bound(levels):
+    """Certified lower bounds on the spectral sum of each level-sequence row of ``levels``.
 
     lam1 + lam2 >= sqrt(d1) + sqrt(d2) for hubs at distance >= 3, and
     lam1 >= sqrt(d1) alone, which is d2 = 0 when no vertex is that far;
     the hubs tried are the three highest-degree vertices, ties to the lower id.
     """
-    deg = batch.degrees[rows]
-    par = batch.parents[rows]
-    m, n = deg.shape
+    m, n = levels.shape
+    par = np.ascontiguousarray(_parents(np.ascontiguousarray(levels.T, dtype=np.int64)).T)
+    deg = np.bincount((par[:, 1:] + n * np.arange(m)[:, None]).ravel(), minlength=m * n).reshape(m, n)
+    deg[:, 1:] += 1  # the edge to the parent
     ar = np.arange(m)
     grand = np.where(par >= 0, np.take_along_axis(par, np.maximum(par, 0), axis=1), -1)
     vs = np.arange(n)

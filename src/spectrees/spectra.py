@@ -237,6 +237,23 @@ def top_two(t: Tree, tol: float = TOL) -> TopTwo:
     return tt
 
 
+def _parents(depth):
+    """The parent of each vertex, -1 at the root, from level sequences as an (n, rows) int64 table; unchecked.
+
+    Tables hold one vertex per table row; the parent of v is the last
+    earlier vertex one level up.
+    """
+    n, rows = depth.shape
+    cols = np.arange(rows)
+    parent = np.full((n, rows), -1, dtype=np.int64)
+    last = np.zeros(n * rows, dtype=np.int64)  # last vertex seen at each depth
+    for v in range(1, n):
+        at = depth[v] * rows + cols
+        parent[v] = last[at - rows]
+        last[at] = v
+    return parent
+
+
 class TreeBatch:
     """Many trees of one order, eliminated together over numpy arrays.
 
@@ -247,15 +264,21 @@ class TreeBatch:
     a vertex's children in ascending id, the order in which the scalar
     ``_count_above`` sums them; every pivot is therefore the same float, the
     zero-pivot limit form included, and each vertex with a zero child
-    shifts one count from equal to above as in ``_count_above``.
+    shifts one count from equal to above as in ``_count_above``. A batch
+    holds only its step table: for each postorder slot, the slot of its
+    parent, n at the root.
+
+    ``TreeBatch(levels, weights)`` checks its level sequences and builds
+    that table with Python loops over n. ``from_steps`` takes a table
+    already built, as ``enumeration.free_tree_level_chunks`` gathers it for
+    every free tree, and checks nothing.
 
     ``weights``, shaped like ``levels``, weight each vertex's edge to its
     parent: a child adds w/d, not 1/d, to its parent's sum, the pivot
     recurrence for off-diagonals sqrt(w). Trees pass none. Weight-0 edges
     pad short weighted paths: such an edge is no edge, its child's step
     going to the root's spare slot, so a zero pivot below it is no repair.
-    The root's entry is ignored; ``parents``, ``degrees`` and ``top_two``
-    describe unit-weight trees.
+    The root's entry is ignored.
     """
 
     def __init__(self, levels, weights=None):
@@ -268,12 +291,7 @@ class TreeBatch:
         # tables are (n, rows), one vertex per table row, and are indexed flat
         depth = np.ascontiguousarray(levels.T)
         cols = np.arange(rows)
-        parent = np.full((n, rows), -1, dtype=np.int64)
-        last = np.zeros(n * rows, dtype=np.int64)  # last vertex seen at each depth
-        for v in range(1, n):
-            at = depth[v] * rows + cols
-            parent[v] = last[at - rows]
-            last[at] = v
+        parent = _parents(depth)
         size = np.ones((n, rows), dtype=np.int64)
         flat = size.reshape(-1)
         for v in range(n - 1, 0, -1):
@@ -283,9 +301,6 @@ class TreeBatch:
         up = np.full(n * rows, n, dtype=np.int64)
         up[post[1:] * rows + cols] = np.take_along_axis(post, parent[1:], axis=0)
         self.n = n
-        self.parents = np.ascontiguousarray(parent.T)
-        children = np.bincount((parent[1:] * rows + cols).ravel(), minlength=n * rows)
-        self.degrees = np.ascontiguousarray((children.reshape(n, rows) + (np.arange(n) > 0)[:, None]).T)
         self._w = None  # unit weights
         if weights is not None:
             weights = np.asarray(weights, dtype=float)
@@ -297,6 +312,20 @@ class TreeBatch:
             w[w == 0.0] = 1.0  # every weight is positive, so no step divides 0/0
             self._w = w.reshape(n, rows)
         self._up = up.reshape(n, rows)  # one postorder step per table row
+
+    @classmethod
+    def from_steps(cls, steps):
+        """A unit-weight batch over a (rows, n) integer step table; no check and no loop.
+
+        Row r, slot j holds the postorder slot of slot j's parent, n at the
+        root. The table is widened to int64 once, as ``_steps`` scales it by
+        the row count.
+        """
+        batch = cls.__new__(cls)
+        batch._up = np.ascontiguousarray(steps.T, dtype=np.int64)
+        batch.n = batch._up.shape[0]
+        batch._w = None
+        return batch
 
     def __len__(self) -> int:
         return self._up.shape[1]
@@ -424,24 +453,6 @@ class TreeBatch:
         at, a, b, spent = at[ok], a[ok], b[ok], spent[ok]
         lo[at], hi[at] = a, b
         budget[at] -= spent
-
-    def top_two(self):
-        """``top_two`` of every row at ``TOL``: arrays (lam1_lo, lam1_hi, lam2_lo, lam2_hi).
-
-        The whole-chunk reference: every row is certified, bit for bit as the
-        scalar ``top_two`` would. Searches and envelopes screen a chunk first
-        and certify only the rows left, one ``top_two`` each.
-        """
-        n, m = self.n, len(self)
-        if self._w is not None:
-            raise ValueError("top_two brackets unit-weight trees; bisect weighted rows directly")
-        _check_top_two(n, TOL)
-        l1, l2 = _star_intervals(n)
-        l1_lo, l1_hi, l2_lo, l2_hi = (np.full(m, v) for v in (*l1, *l2))
-        rest = np.flatnonzero(self.degrees.max(axis=1) != n - 1)
-        l1_lo[rest], l1_hi[rest] = self.bisect(1, 0.0, math.sqrt(n - 1), TOL, rest)
-        l2_lo[rest], l2_hi[rest] = self.bisect(2, 0.0, l1_hi[rest], TOL, rest)
-        return l1_lo, l1_hi, l2_lo, l2_hi
 
 
 def lambda1_interval_of_vertices(t: Tree, vertices):

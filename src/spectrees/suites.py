@@ -690,13 +690,15 @@ def report_to_csv(report: VerifyReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def envelope_to_csv(env) -> str:
-    lines = ["alpha_lo,alpha_hi,lambda1,lambda2,witness_code"]
+def envelope_csv_rows(env):
+    """The lines of an envelope's CSV, each ending in a newline, one segment at a time."""
+    yield "alpha_lo,alpha_hi,lambda1,lambda2,witness_code\n"
     for s in env.segments:
-        lines.append(
-            f"{_fmt(s.alpha_lo)},{_fmt(s.alpha_hi)},{_fmt(s.lam1)},{_fmt(s.lam2)},{s.witness_code}"
-        )
-    return "\n".join(lines) + "\n"
+        yield f"{_fmt(s.alpha_lo)},{_fmt(s.alpha_hi)},{_fmt(s.lam1)},{_fmt(s.lam2)},{s.witness_code}\n"
+
+
+def envelope_to_csv(env) -> str:
+    return "".join(envelope_csv_rows(env))
 
 
 def spectrum_to_csv(tt: TopTwo, spectrum=None) -> str:
@@ -709,9 +711,10 @@ def spectrum_to_csv(tt: TopTwo, spectrum=None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_csv(text: str, path: str) -> None:
+def emit_csv(lines, path: str) -> None:
+    """Write the strings of ``lines`` to ``path``, one at a time."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(lines)
     except OSError as exc:
         raise OSError(f"could not write {path}: {exc}") from exc

@@ -134,6 +134,16 @@ def test_cli_envelope_csv_out(tmp_path, capsys):
     assert out.read_text() == text
 
 
+def test_cli_envelope_streams_the_csv(tmp_path, capsys):
+    # stdout and --out are written row by row, and hold exactly envelope_to_csv's bytes
+    for n, family in ((26, "dc"), (10, "all")):
+        want = envelope_to_csv(envelope(n, family))
+        out = tmp_path / f"{family}.csv"
+        assert main(["envelope", "--n", str(n), "--family", family, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == want
+        assert out.read_bytes() == want.encode()
+
+
 def test_cli_envelope_json(capsys):
     assert main(["envelope", "--n", "6", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -114,6 +114,7 @@ def test_level_chunks_equal_the_successor_generator():
         chunks = list(free_tree_level_chunks(n))
         assert len(chunks) == len(cuts) + 1
         for got, rows in zip(chunks, np.split(want, cuts)):
+            got = got.levels
             assert got.dtype == np.int8 and got.flags.c_contiguous and np.array_equal(got, rows), n
 
 
@@ -135,8 +136,8 @@ def test_level_chunks_stream_every_class_once():
     for n in (1, 2, 9, 15):
         chunks = list(free_tree_level_chunks(n))
         assert all(len(c) == CHUNK_ROWS for c in chunks[:-1])
-        assert all(0 < len(c) <= CHUNK_ROWS and c.shape[1] == n for c in chunks)
-        seqs = [tuple(row) for c in chunks for row in c.tolist()]
+        assert all(0 < len(c) <= CHUNK_ROWS and c.levels.shape[1] == n for c in chunks)
+        seqs = [tuple(row) for c in chunks for row in c.levels.tolist()]
         assert len(seqs) == len(set(seqs)) == count_free_trees(n)
     with pytest.raises(ValueError):
         next(free_tree_level_chunks(25))

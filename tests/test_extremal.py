@@ -6,6 +6,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from oracles import batch_top_two, degree_brackets, level_degrees
 
 from spectrees import enumeration, extremal
 from spectrees.enumeration import (
@@ -173,8 +174,7 @@ class TestKeyInterval:
         trees = [make_path(2), make_star(5), make_path(6), make_double_comet(DoubleCometParams(3, 2, 4))]
         pairs = [((tt.lam1_lo, tt.lam1_hi), (tt.lam2_lo, tt.lam2_hi)) for tt in map(top_two, trees)]
         pairs += [((0.5, 2.0), (0.0, 2.0)), ((1.0, 1.5), (-1.0, 0.25))]  # coarse brackets, lam2 across 0
-        levels = next(enumeration.free_tree_level_chunks(9))
-        l1_lo, l1_hi, l2_lo, l2_hi = TreeBatch(levels).top_two()
+        l1_lo, l1_hi, l2_lo, l2_hi = batch_top_two(next(enumeration.free_tree_level_chunks(9)).levels)
         arrays = [((l1_lo, l1_hi), (l2_lo, l2_hi)), ((0.0 * l1_lo, l1_hi), (0.0 * l2_lo, l1_hi))]
         for key, alpha in self.KEYS:
             c = extremal._coeffs(key, alpha)
@@ -491,7 +491,7 @@ class TestSearch:
                  14: (("lam2", "max"),)}
         for n, keys in cases.items():
             fam = extremal._AllTrees(n)
-            chunks = [(levels, TreeBatch(levels).top_two()) for levels in enumeration.free_tree_level_chunks(n)]
+            chunks = [(c.levels, batch_top_two(c.levels)) for c in enumeration.free_tree_level_chunks(n)]
             for key, objective in keys:
                 res = search_extremal(n, alpha=None, objective=objective, key=key)
                 gap, c = res.runner_up_gap, extremal._coeffs(key, None)
@@ -522,10 +522,9 @@ class TestSearch:
         monkeypatch.setattr(extremal._Scan, "__call__", recording)
         keys = [("psi", a) for a in (0.0, 0.3, 1.0)] + [(k, None) for k in ("sum", "lam1", "lam2", "gap")]
         for n in range(3, 15):
-            for levels in enumeration.free_tree_level_chunks(n):
-                batch = TreeBatch(levels)
-                lo, hi = extremal._degree_brackets(batch, np.arange(len(batch)))
-                l1_lo, l1_hi, _, _ = batch.top_two()
+            for chunk in enumeration.free_tree_level_chunks(n):
+                lo, hi = extremal._start_brackets(chunk, np.arange(len(chunk)))
+                l1_lo, l1_hi, _, _ = batch_top_two(chunk.levels)
                 assert (lo <= l1_lo).all() and (l1_hi <= hi).all(), n
             if n > 12:
                 continue
@@ -539,6 +538,28 @@ class TestSearch:
                 t = Tree(n, _level_seq_edges(m))
                 for k, (lo, hi) in ((1, l1), (2, l2)):
                     assert sum(exact_tree_counts(t, lo)) >= k and exact_tree_counts(t, hi)[0] < k, (m, k, lo, hi)
+
+    def test_scan_tables_match_tree_batch(self):
+        # the step tables, largest degrees and lam1 start brackets gathered with the level
+        # sequences equal what TreeBatch's loops and the degree oracle build from the levels
+        # alone: every chunk at n = 1-14, the first and last at n = 17; rows whose first
+        # subtree is one vertex (its forest empty), and n = 2, where the rest F is empty too
+        single_first = 0
+        for n in [*range(1, 15), 17]:
+            chunks = list(enumeration.free_tree_level_chunks(n))
+            for chunk in chunks if n < 17 else (chunks[0], chunks[-1]):
+                levels, rows = chunk.levels, np.arange(len(chunk))
+                assert np.array_equal(TreeBatch.from_steps(chunk.steps)._up, TreeBatch(levels)._up), n
+                assert np.array_equal(chunk.max_degree, level_degrees(levels)[0].max(axis=1)), n
+                got, want = extremal._start_brackets(chunk, rows), degree_brackets(levels)
+                assert [[x.hex() for x in a.tolist()] for a in got] == [[x.hex() for x in a.tolist()] for a in want], n
+                single_first += int((levels[:, 2:3] == 1).sum()) if n > 2 else 0
+        assert single_first > 0
+        # the sum's minimum rebuilds parents for its two-hub bound; over a fork pool, as the
+        # envelope's screened pass, every answer repeats
+        runs = [(repr(search_extremal(12, alpha=None, key="sum", objective="min", jobs=jobs)),
+                 repr(extremal._AllTrees(12)._screened(extremal._hull_floor, False, jobs))) for jobs in (1, 2)]
+        assert runs[0] == runs[1]
 
     def test_scan_probe_budget(self, monkeypatch):
         # one joint lam1/lam2 bisection per row: the gap's minimum, whose floor bounds
@@ -602,7 +623,7 @@ def test_comet_and_star_brackets_pass_exact_inertia():
             assert sum(exact_quotient_counts(p, lo)) >= k and exact_quotient_counts(p, hi)[0] < k, (p, k, lo, hi)
     for n in (3, 6, 1001):
         tt = top_two(make_star(n))
-        b = [a[0] for a in TreeBatch([[0] + [1] * (n - 1)]).top_two()]
+        b = [a[0] for a in batch_top_two([[0] + [1] * (n - 1)])]
         pairs = [((tt.lam1_lo, tt.lam1_hi), (tt.lam2_lo, tt.lam2_hi)), ((b[0], b[1]), (b[2], b[3]))]
         for l1, l2 in pairs + _dc_pair_intervals([(n - 1, 0, 1)]):
             assert Fraction(l1[0]) ** 2 < n - 1 < Fraction(l1[1]) ** 2, (n, l1)
@@ -785,9 +806,9 @@ class TestEnvelope:
         ends = np.array([a for s in env.segments for a in (s.alpha_lo, s.alpha_hi)])
         floor = np.array([env.value(a) for a in ends.tolist()])
         dropped = 0
-        for levels in enumeration.free_tree_level_chunks(12):
-            out = np.array([seq.tobytes() not in kept for seq in levels])
-            _, l1, _, l2 = (a[out, None] for a in TreeBatch(levels).top_two())
+        for chunk in enumeration.free_tree_level_chunks(12):
+            out = np.array([seq.tobytes() not in kept for seq in chunk.levels])
+            _, l1, _, l2 = (a[out, None] for a in batch_top_two(chunk.levels))
             if out.any():
                 assert (floor - (l2 + ends * (l1 - l2))).min() > extremal._SAFETY - TOL
             dropped += int(out.sum())
@@ -800,7 +821,7 @@ class TestEnvelope:
     def test_envelope_screen_work_budget(self, monkeypatch):
         # a DoubleCometParams only to code the members of hull lines, of the
         # 39602 comets in the family (the screen builds none); at most 2n of the
-        # 7741 free trees of order 15 certified at TOL, one by one or in whole chunks
+        # 7741 free trees of order 15 certified at TOL, one by one
         built, certified = [0], [0]
 
         def counting(*p):
@@ -811,16 +832,9 @@ class TestEnvelope:
             certified[0] += tol == TOL
             return top_two(t, tol)
 
-        batch_top_two = TreeBatch.top_two
-
-        def certifying_chunk(batch):
-            certified[0] += len(batch)
-            return batch_top_two(batch)
-
         monkeypatch.setattr(enumeration, "DoubleCometParams", counting)
         monkeypatch.setattr(extremal, "DoubleCometParams", counting)
         monkeypatch.setattr(extremal, "top_two", certifying)
-        monkeypatch.setattr(TreeBatch, "top_two", certifying_chunk)
         envelope(400, "dc")
         assert built[0] <= 1500, built[0]
         envelope(15)
