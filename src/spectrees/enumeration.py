@@ -17,14 +17,14 @@ and downstream tie-breaking reproducible; that order is only known once
 every class is coded, so both code and sort the class list (the oracle
 once per order: its decode dominates).
 ``enumerate_double_comets`` yields in a fixed parameter order, one tree at
-a time. Counting needs no trees: ``count_free_trees`` streams the level
-sequences and ``count_double_comets`` is a closed form, building no
-parameter object.
+a time. Counting needs no trees: ``count_free_trees`` sums the runs of
+rows each first subtree takes, gathering no chunk, and
+``count_double_comets`` is a closed form, building no parameter object.
 
 Searches and envelopes do not use the sorted free-tree list: they take
 the level sequences in generation order, in fixed-size numpy chunks
 (``free_tree_level_chunks``), and never materialise or sort a class list
-or its codes. Counting and the coded list read the same chunks. A chunk
+or its codes. The coded list reads the same chunks. A chunk
 (``LevelChunk``) carries beside its level sequences what the batched
 inertia scan needs of each tree: its postorder step table, its largest
 degree and its largest sum of one vertex's neighbours' degrees. The forest
@@ -368,7 +368,9 @@ def enumerate_free_trees(n: int):
 
 
 def count_free_trees(n: int) -> int:
-    return sum(len(chunk) for chunk in free_tree_level_chunks(n))
+    """The number of free trees of order n: the sum of the run lengths of ``_first_subtree_runs``, no chunk gathered."""
+    n = _integer("n", n, 1, MAX_EXHAUSTIVE_ORDER)
+    return 1 if n <= 2 else int(_first_subtree_runs(n)[-1].sum())
 
 
 # -- labeled (Pruefer) oracle -----------------------------------------------

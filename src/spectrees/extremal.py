@@ -43,12 +43,15 @@ closed forms as guesses, and quotients of up to 16 vertices eigvalsh's
 anything, so the brackets are the unguided ones. A comet is coded from its
 parameters (``trees.double_comet_code``). The all-tree pass takes its
 floor from the comets (the max theorem puts a double comet on top for
-every alpha), or from path and star for a minimum, and streams level-sequence chunks
-through ``_Scan``, one joint lam1/lam2 bisection per row from degree
-bounds, over the step tables and degree counts each chunk carries, which
-stops once the row's key is certified below the floor or _COARSE_TOL
-wide; it never materialises a class list and certifies only the rows
-left.
+every alpha), or from path and star for a minimum, and streams the
+level-sequence chunks through one ``_Scan`` pool of up to ``CHUNK_ROWS``
+rows, topped up from the next chunks whenever half of it has finished
+(with ``jobs`` > 1, one pool per worker's run of consecutive chunks): one
+joint lam1/lam2 bisection per row from degree bounds, over the step
+tables and degree counts each chunk carries, which stops once the row's
+key is certified below the floor or _COARSE_TOL wide. All of a pool's
+probes share one elimination workspace; it never materialises a class
+list and certifies only the rows left.
 
 The envelope treats each tree as the line alpha -> lam2 + alpha*(lam1 -
 lam2) and keeps the upper hull in one monotone-chain pass (``_upper_hull``);
@@ -62,6 +65,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from multiprocessing import get_context
 
 import numpy as np
@@ -101,6 +105,7 @@ _COARSE_TOL = 1e-6
 _SAFETY = 1e-9  # slack for the rounding of the float-evaluated comet screen and two-hub bounds
 _ORDER_MARGIN = 1e-13  # relative slack for the rounding of a whole path order's comet bound, about 450 ulps
 _DENSE_GUESS_ORDER = 16  # longest comet quotient given an eigvalsh guess: O(L^3) against ~90 probes of O(L)
+_RUN_CHUNKS = 4  # consecutive chunks a worker streams through one pool when jobs > 1
 
 
 @dataclass(frozen=True)
@@ -355,70 +360,117 @@ def _dc_upper_bound(k1, k2):
 
 @dataclass(frozen=True)
 class _Scan:
-    """Coarse certified scan of one ``LevelChunk`` of free trees against a fixed floor ``at``.
+    """Coarse certified scan of a run of consecutive ``LevelChunk``s of free trees against a fixed floor ``at``.
 
     Every discard is a certificate independent of chunking and scan order.
     One inertia count at x says how many eigenvalues lie above x, so each
     probe narrows lam1's and lam2's brackets together (multi-eigenvalue
-    bisection), on a ``TreeBatch`` over the chunk's own step table, so no
-    table is rebuilt from the level sequences. The chunk's largest degree
-    marks the stars, and a row starts from ``_start_brackets`` for lam1 and
-    [0, lam1_hi] for lam2. Each pass asks the floor for the row's breakpoint
-    c and value at (lam1_hi, lam2_hi); the row is done once its key's upper
-    end there is below the value, its key bracket is within _COARSE_TOL, or
-    both brackets are at float resolution. Otherwise it probes the midpoint
-    of the bracket with the larger |c_i| * width: a count of at least 1
-    there moves lam1's bracket, of at least 2 lam2's, wherever the probe
-    lies inside them, and lam2_hi stays at most lam1_hi. A row's probes
-    depend only on its own brackets and the floor.
+    bisection). The rows stream through one pool of up to ``CHUNK_ROWS``
+    rows, a ``TreeBatch`` whose step rows are copied in from the chunks'
+    own step tables, so no table is rebuilt from the level sequences, and
+    whose elimination workspace serves every probe of the run. Whenever
+    fewer than half the pool's rows are live, rows of the next chunk(s) top
+    it up (``_start``), so the slow tail of one chunk rides along with the
+    next chunk's rows instead of paying for passes of its own. A chunk's
+    largest degree marks the stars, and a row starts from
+    ``_start_brackets`` for lam1 and [0, lam1_hi] for lam2. Each pass asks
+    the floor for the row's breakpoint c and value at (lam1_hi, lam2_hi):
+    a row whose key's upper end there is below the value is dropped
+    (``_drop``), its upper end folded into ``far``; a row whose key
+    bracket is within _COARSE_TOL, or both brackets at float resolution,
+    is kept. Otherwise it probes the midpoint of the bracket with the
+    larger |c_i| * width: a count of at least 1 there moves lam1's bracket,
+    of at least 2 lam2's, wherever the probe lies inside them, and lam2_hi
+    stays at most lam1_hi. A row's probes depend only on its own brackets
+    and the floor, never on the rows beside it, so every bracket, kept row
+    and ``far`` is the one a scan of its chunk alone gives, bit for bit.
     The sum's minimum, coefficients (-1, -1), first applies
-    ``_two_hub_bound``, a theorem about that minimum. Both cuts ``_drop``,
-    folding the largest upper end dropped into ``far``; stars keep their
-    exact brackets uncut, and excluded rows are left out first, never
-    dropped. It returns the surviving rows (level sequence as bytes, lam1
-    and lam2 brackets) in chunk order, ``far`` and the chunk's row count,
-    and builds no Tree and no code unless the family excludes some.
+    ``_two_hub_bound``, a theorem about that minimum, which also folds into
+    ``far``; stars keep their exact brackets uncut, and excluded rows are
+    left out first, never dropped. It returns the kept rows (level sequence
+    as bytes, lam1 and lam2 brackets) in run order, ``far`` and the run's
+    row count, and builds no Tree and no code unless the family excludes
+    some.
     """
 
     fam: _AllTrees
     at: partial
 
-    def __call__(self, chunk):
-        n, at, levels = self.fam.n, self.at, chunk.levels
-        (c1, c2), low = at(0.0, 0.0)
-        far = -math.inf
-        batch = TreeBatch.from_steps(chunk.steps)
-        rows = np.arange(len(levels))
-        if self.fam.exclude:  # no Python loop over the chunk unless something is excluded
-            rows = rows[[not self.fam.excluded(seq.tobytes()) for seq in levels]]
-        if (c1, c2) == (-1.0, -1.0) and n > 2:  # the bound needs lam2 >= 0, which K2 breaks
-            keep, far = _drop(-_two_hub_bound(levels[rows]), low)
-            rows = rows[keep]
-        l1_lo, l1_hi, l2_lo, l2_hi = (np.full(len(rows), v) for iv in _star_intervals(n) for v in iv)
-        todo = np.flatnonzero(chunk.max_degree[rows] != n - 1)
-        l1_lo[todo], l1_hi[todo] = _start_brackets(chunk, rows[todo])
-        l2_lo[todo], l2_hi[todo] = 0.0, l1_hi[todo]
-        live = todo
-        while len(live):
-            a, b, c, d = l1_lo[live], l1_hi[live], l2_lo[live], l2_hi[live]
+    def __call__(self, chunks):
+        n, at, size = self.fam.n, self.at, CHUNK_ROWS
+        pool = TreeBatch.from_steps(np.zeros((size, n), np.int8))
+        levels, ids = np.empty((size, n), np.int8), np.empty(size, np.int64)  # per slot: its row and run position
+        brackets = np.empty((4, size))
+        l1_lo, l1_hi, l2_lo, l2_hi = brackets  # per slot
+        live = todo = np.empty(0, np.int64)
+        kept, far, scanned, chunks = [], -math.inf, 0, iter(chunks)
+        while True:
+            if len(live) < size // 2 and chunks is not None:  # top the pool up from the run's next rows
+                free = np.ones(size, dtype=bool)
+                free[live] = False
+                free = np.flatnonzero(free)
+                taken = 0
+                while taken < len(free):
+                    if not len(todo):
+                        chunk = next(chunks, None)
+                        if chunk is None:
+                            chunks = None  # the whole run is in the pool
+                            break
+                        stars, todo, start, cut = self._start(chunk)
+                        kept += [(scanned + r, chunk.levels[r].tobytes(), *_star_intervals(n)) for r in stars.tolist()]
+                        base, scanned, far = scanned, scanned + len(chunk), max(far, cut)
+                        continue
+                    rows, slots = todo[:len(free) - taken], free[taken:taken + len(todo)]
+                    pool.put(slots, chunk.steps[rows])
+                    levels[slots], ids[slots] = chunk.levels[rows], base + rows
+                    brackets[:, slots] = start[:, :len(rows)]
+                    todo, start, taken = todo[len(rows):], start[:, len(rows):], taken + len(rows)
+                live = np.concatenate((live, free[:taken]))
+            if not len(live):
+                break
+            a, b, c, d = brackets[:, live]
             (c1, c2), value = at(b, d)
-            lo, hi = _key_interval((c1, c2), (a, b), (c, d))
+            lo_key, hi_key = _key_interval((c1, c2), (a, b), (c, d))
+            keep, dropped = _drop(hi_key, value)
+            far = max(far, dropped)
             mid1, mid2 = 0.5 * (a + b), 0.5 * (c + d)
             fine1, fine2 = (mid1 <= a) | (mid1 >= b), (mid2 <= c) | (mid2 >= d)  # at float resolution
-            go = ~((hi < value) | (hi - lo <= _COARSE_TOL) | (fine1 & fine2))
+            go = keep & ~((hi_key - lo_key <= _COARSE_TOL) | (fine1 & fine2))
+            done = live[keep & ~go]
+            if len(done):
+                l1, l2 = (zip(*brackets[i:i + 2, done].tolist()) for i in (0, 2))
+                kept += zip(ids[done].tolist(), [row.tobytes() for row in levels[done]], l1, l2)
             first = ~fine1 & (fine2 | (np.abs(c1) * (b - a) >= np.abs(c2) * (d - c)))  # probe lam1's bracket
             live, x = live[go], np.where(first, mid1, mid2)[go]
+            if not len(live):
+                continue
             a, b, c, d = a[go], b[go], c[go], d[go]
-            above = batch.count_above(x, rows[live])[0]
+            above = pool.count_above(x, live)[0]
             in1, in2 = (a < x) & (x < b), (c < x) & (x < d)
             l1_lo[live] = np.where(in1 & (above >= 1), x, a)
             l1_hi[live] = np.where(in1 & (above < 1), x, b)
             l2_lo[live] = np.where(in2 & (above >= 2), x, c)
             l2_hi[live] = np.minimum(np.where(in2 & (above < 2), x, d), l1_hi[live])
-        keep = np.ones(len(rows), dtype=bool)
-        keep[todo], dropped = _screen(at, (l1_lo[todo], l1_hi[todo]), (l2_lo[todo], l2_hi[todo]))
-        brackets = zip(rows[keep].tolist(), *(a[keep].tolist() for a in (l1_lo, l1_hi, l2_lo, l2_hi)))
-        return [(levels[r].tobytes(), (a, b), (c, d)) for r, a, b, c, d in brackets], max(far, dropped), len(batch)
+        kept.sort()  # run positions are distinct, so no two level sequences are compared
+        return [row for _, *row in kept], far, scanned
+
+    def _start(self, chunk):
+        """A chunk's star rows; the rows left to bisect and their start brackets (4, rows); the two-hub cut's ``far``.
+
+        A row starts from ``_start_brackets`` for lam1 and [0, lam1_hi] for lam2.
+        """
+        n, levels = self.fam.n, chunk.levels
+        (c1, c2), low = self.at(0.0, 0.0)
+        rows, far = np.arange(len(levels)), -math.inf
+        if self.fam.exclude:  # no Python loop over the chunk unless something is excluded
+            rows = rows[[not self.fam.excluded(seq.tobytes()) for seq in levels]]
+        if (c1, c2) == (-1.0, -1.0) and n > 2:  # the bound needs lam2 >= 0, which K2 breaks
+            keep, far = _drop(-_two_hub_bound(levels[rows]), low)
+            rows = rows[keep]
+        star = chunk.max_degree[rows] == n - 1
+        todo = rows[~star]
+        lo, hi = _start_brackets(chunk, todo)
+        return rows[star], todo, np.stack((lo, hi, np.zeros_like(lo), hi)), far
 
 
 def _start_brackets(chunk, rows):
@@ -518,9 +570,10 @@ class _AllTrees(_Family):
 
         The floor comes from the comets ``_Comets._screened`` keeps (same
         exclusion) for a maximum or an envelope, from path and star for a
-        minimum. The chunks go through ``_Scan`` over ``jobs`` forked
-        workers; the rows left are screened again against a floor from
-        their own coarse brackets, and those still wider than ``TOL``
+        minimum. The chunks stream through one ``_Scan``, or over ``jobs``
+        forked workers in runs of ``_RUN_CHUNKS`` consecutive chunks, one
+        ``_Scan`` each; the rows left are screened again against a floor
+        from their own coarse brackets, and those still wider than ``TOL``
         certified by one ``top_two`` each.
         """
         if minimize:
@@ -532,13 +585,14 @@ class _AllTrees(_Family):
         scan = _Scan(self, floor(ivs))
         chunks = free_tree_level_chunks(self.n)
         if jobs == 1:
-            results = list(map(scan, chunks))
+            results = [scan(chunks)]
         else:
+            runs = iter(lambda: list(islice(chunks, _RUN_CHUNKS)), [])
             with get_context("fork").Pool(jobs) as workers:
-                results = list(workers.imap(scan, chunks))
+                results = list(workers.imap(scan, runs))
         rows = [r for chunk, _, _ in results for r in chunk]
         scanned = sum(count for _, _, count in results)
-        far = max(far for _, far, _ in results)  # does not depend on chunk order
+        far = max(far for _, far, _ in results)  # does not depend on run order
         l1_lo, l1_hi, l2_lo, l2_hi = np.array([(*l1, *l2) for _, l1, l2 in rows]).reshape(-1, 4).T
         keep, dropped = _screen(floor([iv for _, *iv in rows]), (l1_lo, l1_hi), (l2_lo, l2_hi))
         rows = [r for r, k in zip(rows, keep.tolist()) if k]

@@ -254,6 +254,19 @@ def _parents(depth):
     return parent
 
 
+class _Workspace:
+    """Buffers for ``TreeBatch._eliminate`` passes of up to ``rows`` rows over n slots, reused pass after pass."""
+
+    def __init__(self, n: int, rows: int):
+        self.rows = rows
+        self.index = np.empty(n * rows, np.int64)  # flat step indices
+        self.sums = np.empty((n + 1) * rows)
+        self.pivots = np.empty(n * rows)
+        self.inv = np.empty(rows)
+        self.acc = np.empty(rows)
+        self.cols = np.arange(rows)
+
+
 class TreeBatch:
     """Many trees of one order, eliminated together over numpy arrays.
 
@@ -271,7 +284,13 @@ class TreeBatch:
     ``TreeBatch(levels, weights)`` checks its level sequences and builds
     that table with Python loops over n. ``from_steps`` takes a table
     already built, as ``enumeration.free_tree_level_chunks`` gathers it for
-    every free tree, and checks nothing.
+    every free tree, and checks nothing; ``put`` overwrites some of its
+    rows, so one batch can serve as a pool whose rows change between
+    probes.
+
+    A batch owns one elimination workspace (``_Workspace``), allocated at
+    its first probe and grown only for a longer pass: every probe of the
+    batch reuses it.
 
     ``weights``, shaped like ``levels``, weight each vertex's edge to its
     parent: a child adds w/d, not 1/d, to its parent's sum, the pivot
@@ -302,6 +321,7 @@ class TreeBatch:
         up[post[1:] * rows + cols] = np.take_along_axis(post, parent[1:], axis=0)
         self.n = n
         self._w = None  # unit weights
+        self._work = None
         if weights is not None:
             weights = np.asarray(weights, dtype=float)
             if weights.shape != levels.shape or not np.isfinite(weights).all() or (weights < 0).any():
@@ -318,39 +338,57 @@ class TreeBatch:
         """A unit-weight batch over a (rows, n) integer step table; no check and no loop.
 
         Row r, slot j holds the postorder slot of slot j's parent, n at the
-        root. The table is widened to int64 once, as ``_steps`` scales it by
-        the row count.
+        root. The table keeps its integer type: each probe widens the rows
+        it takes into the workspace's int64 index buffer.
         """
         batch = cls.__new__(cls)
-        batch._up = np.ascontiguousarray(steps.T, dtype=np.int64)
+        batch._up = np.ascontiguousarray(steps.T)
         batch.n = batch._up.shape[0]
         batch._w = None
+        batch._work = None
         return batch
+
+    def put(self, rows, steps):
+        """Overwrite rows ``rows`` of a ``from_steps`` batch with the (len(rows), n) step table ``steps``; unchecked."""
+        self._up[:, rows] = steps.T
 
     def __len__(self) -> int:
         return self._up.shape[1]
 
     def _steps(self, rows):
-        """Flat indices into an (n+1, len(rows)) table, one array per postorder step, and their weights."""
+        """Flat indices into an (n+1, len(rows)) table, one row per postorder step, their weights, the workspace.
+
+        The indices are a view of the workspace's index buffer, valid until
+        the batch's next ``_steps``.
+        """
         m = len(rows)
+        if self._work is None or self._work.rows < m:
+            self._work = _Workspace(self.n, m)
+        work = self._work
+        steps = work.index[:self.n * m].reshape(self.n, m)
+        np.multiply(self._up[:, rows], m, out=steps, dtype=np.int64)
+        steps += work.cols[:m]
         w = [1.0] * self.n if self._w is None else list(self._w[:, rows])
-        return self._up[:, rows] * m + np.arange(m), w
+        return steps, w, work
 
     @staticmethod
-    def _eliminate(steps, w, x):
-        """(above, equal, repairs) per row at probe values x.
+    def _eliminate(steps, w, work, x):
+        """(above, equal, repairs) per row at probe values x; the one batched elimination loop.
 
-        0.0 - x equals -x except at x = 0, where it signs a zero pivot +0.0
-        as the limit form needs (the scalar only tests == 0.0). Sums may
-        overflow to +-inf for probes within about 1e-300 of 0, exactly as in
-        the scalar kernel; no pivot can then be exactly zero, so an inf sum
-        never meets a zero child's +inf (numpy would warn of the NaN).
+        ``steps`` are ``_steps``' flat indices, m rows wide; the child sums
+        and pivots live in ``work``, a ``_Workspace`` of at least m rows,
+        whose sums are zeroed here. 0.0 - x equals -x except at x = 0,
+        where it signs a zero pivot +0.0 as the limit form needs (the scalar
+        only tests == 0.0). Sums may overflow to +-inf for probes within
+        about 1e-300 of 0, exactly as in the scalar kernel; no pivot can
+        then be exactly zero, so an inf sum never meets a zero child's +inf
+        (numpy would warn of the NaN).
         """
         n, m = steps.shape
-        s = np.zeros((n + 1) * m)  # child sums, one table row per postorder slot
-        d = np.empty((n, m))
-        inv = np.empty(m)
-        acc = np.empty(m)
+        s = work.sums[:(n + 1) * m]  # child sums, one table row per postorder slot
+        s.fill(0.0)
+        d = work.pivots[:n * m].reshape(n, m)
+        inv, acc = work.inv[:m], work.acc[:m]
         neg_x = 0.0 - x
         with np.errstate(divide="ignore", over="ignore"):
             for k, dk in enumerate(d):

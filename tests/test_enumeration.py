@@ -25,6 +25,12 @@ A000055 = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106, 11:
            14: 3159, 15: 7741, 16: 19320, 17: 48629, 18: 123867, 19: 317955}
 
 
+def test_free_tree_count_is_the_sum_of_chunk_lengths():
+    # the count sums the first subtrees' runs and gathers no chunk
+    for n in range(1, 18):
+        assert count_free_trees(n) == sum(len(c) for c in free_tree_level_chunks(n)), n
+
+
 def test_free_tree_counts_match_frozen_oracle_values():
     for n, want in A000055.items():
         assert count_free_trees(n) == want, n

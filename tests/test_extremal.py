@@ -514,8 +514,8 @@ class TestSearch:
         kept = []
         scan = extremal._Scan.__call__
 
-        def recording(self, levels):
-            out = scan(self, levels)
+        def recording(self, chunks):
+            out = scan(self, chunks)
             kept.extend(out[0])
             return out
 
@@ -567,13 +567,77 @@ class TestSearch:
         probes = [0]
         eliminate = TreeBatch._eliminate
 
-        def counting(steps, w, x):
+        def counting(steps, w, work, x):
             probes[0] += steps.shape[1]
-            return eliminate(steps, w, x)
+            return eliminate(steps, w, work, x)
 
         monkeypatch.setattr(TreeBatch, "_eliminate", staticmethod(counting))
         res = search_extremal(14, alpha=None, objective="min", key="gap")
         assert res.scanned == 3159 and probes[0] <= 8 * 3159, probes[0]
+
+    def test_scan_pass_budget(self, monkeypatch):
+        # the pool is topped up from the next chunk whenever half of it has finished, so
+        # the gap's minimum at n = 16 (19320 classes in 10 chunks) takes at most 120 batched
+        # passes, against 273 when each chunk ran alone, and exactly the same row-probes
+        passes, probes = [0], [0]
+        eliminate = TreeBatch._eliminate
+
+        def counting(steps, w, work, x):
+            passes[0] += 1
+            probes[0] += steps.shape[1]
+            return eliminate(steps, w, work, x)
+
+        monkeypatch.setattr(TreeBatch, "_eliminate", staticmethod(counting))
+        res = search_extremal(16, alpha=None, objective="min", key="gap")
+        assert res.scanned == 19320 and passes[0] <= 120 and probes[0] == 98605, (passes[0], probes[0])
+
+    def test_streaming_scan_matches_each_chunk_alone(self, monkeypatch):
+        # a row's probes depend only on its own brackets and the floor, so a run streamed
+        # through one pool keeps the rows, in order, with the brackets, far and count that
+        # scans of its chunks one at a time give, bit for bit: the point floor of every key
+        # and objective, two with excluded codes up to n = 12, the sum minimum's two-hub cut
+        # and the comet hull, at n = 10-14, in five chunks each twice the pool (a chunk is
+        # split between top-ups) and in nine each a third of it
+        scans, call = {n: [] for n in range(10, 15)}, extremal._Scan.__call__
+
+        def recording(self, chunks):
+            scans[self.fam.n].append(self)
+            return call(self, chunks)
+
+        def exact(out):
+            rows, far, count = out
+            return [(m, *(v.hex() for iv in ivs for v in iv)) for m, *ivs in rows], far, count
+
+        monkeypatch.setattr(extremal._Scan, "__call__", recording)
+        keys = [("psi", 0.3)] + [(k, None) for k in ("sum", "lam1", "lam2", "gap")]
+        for n in scans:
+            for key, alpha in keys:
+                for objective in ("max", "min"):
+                    res = search_extremal(n, alpha=alpha, objective=objective, key=key)
+                    if (key, objective) in (("sum", "min"), ("lam2", "max")) and n <= 12:
+                        search_extremal(n, alpha=alpha, objective=objective, key=key, exclude=res.winner_codes)
+            envelope(n)
+            assert len(scans[n]) == 2 * len(keys) + 1 + 2 * (n <= 12)
+        for n, recorded in scans.items():
+            fifth, ninth = count_free_trees(n) // 5 + 1, count_free_trees(n) // 9 + 1
+            for chunk_rows, pool_rows in ((fifth, fifth // 2), (ninth, 3 * ninth)):
+                monkeypatch.setattr(enumeration, "CHUNK_ROWS", chunk_rows)
+                monkeypatch.setattr(extremal, "CHUNK_ROWS", pool_rows)
+                chunks = list(enumeration.free_tree_level_chunks(n))
+                for scan in recorded:
+                    alone = [exact(call(scan, [chunk])) for chunk in chunks]
+                    streamed = exact(call(scan, chunks))
+                    assert streamed[0] == [r for rows, _, _ in alone for r in rows], (n, pool_rows, scan.at)
+                    far = max(far for _, far, _ in alone)
+                    assert (streamed[1].hex(), streamed[2]) == (far.hex(), sum(c for _, _, c in alone)), (n, scan.at)
+        monkeypatch.undo()
+        # runs of consecutive chunks, 100 rows each, over a fork pool give every answer again
+        monkeypatch.setattr(enumeration, "CHUNK_ROWS", 100)
+        for key, objective in (("gap", "min"), ("sum", "min"), ("lam2", "max")):
+            runs = [repr(search_extremal(14, alpha=None, objective=objective, key=key, jobs=jobs)) for jobs in (1, 2)]
+            assert runs[0] == runs[1], (key, objective)
+        runs = [repr(extremal._AllTrees(14)._screened(extremal._hull_floor, False, jobs)) for jobs in (1, 2)]
+        assert runs[0] == runs[1]
 
     def test_bad_arguments(self):
         for bad in (3.5, "7", 1, 0, -2):
@@ -715,9 +779,9 @@ class TestEnvelope:
         rows = [0]
         eliminate = TreeBatch._eliminate
 
-        def counting(steps, w, x):
+        def counting(steps, w, work, x):
             rows[0] += steps.shape[1]
-            return eliminate(steps, w, x)
+            return eliminate(steps, w, work, x)
 
         monkeypatch.setattr(TreeBatch, "_eliminate", staticmethod(counting))
         for n in (60, 1000):
@@ -735,9 +799,9 @@ class TestEnvelope:
         rows = [0]
         eliminate = TreeBatch._eliminate
 
-        def counting(steps, w, x):
+        def counting(steps, w, work, x):
             rows[0] += steps.shape[1]
-            return eliminate(steps, w, x)
+            return eliminate(steps, w, work, x)
 
         guesses = extremal._path_guesses
         helpers = {"eigvalsh": guesses, "none": lambda w: (np.full(len(w), math.nan),) * 2,

@@ -647,9 +647,9 @@ def test_guided_bisect_equals_unguided(monkeypatch):
     rows_probed = [0]
     eliminate = TreeBatch._eliminate
 
-    def counting(steps, w, x):
+    def counting(steps, w, work, x):
         rows_probed[0] += steps.shape[1]
-        return eliminate(steps, w, x)
+        return eliminate(steps, w, work, x)
 
     monkeypatch.setattr(TreeBatch, "_eliminate", staticmethod(counting))
     offsets = [0.0, 1e-14, -1e-14, 1e-9, -1e-9, 1e-3, -1e-3]
