@@ -105,7 +105,10 @@ _COARSE_TOL = 1e-6
 _SAFETY = 1e-9  # slack for the rounding of the float-evaluated comet screen and two-hub bounds
 _ORDER_MARGIN = 1e-13  # relative slack for the rounding of a whole path order's comet bound, about 450 ulps
 _DENSE_GUESS_ORDER = 16  # longest comet quotient given an eigvalsh guess: O(L^3) against ~90 probes of O(L)
-_RUN_CHUNKS = 4  # consecutive chunks a worker streams through one pool when jobs > 1
+# consecutive chunks a worker streams through one pool when jobs > 1: a task carries at most 4 * CHUNK_ROWS rows
+# whatever n; at jobs = 2 (gap and sum minima) runs of 4 beat runs of 1 and 2 at n = 16-19, and runs of 8 and 16 are
+# slower at n = 16-17 and up to 20 % faster at n = 18-19; up to n = 15 (at most 4 chunks) the scan is one task
+_RUN_CHUNKS = 4
 
 
 @dataclass(frozen=True)
