@@ -30,11 +30,19 @@ inertia scan needs of each tree: its postorder step table, its largest
 degree and its largest sum of one vertex's neighbours' degrees. The forest
 tables hold these per forest, composed by the same gathers as the level
 rows, so no table is rebuilt from the level sequences.
+
+Repeated scans at one order share its chunks: an order whose chunks take
+at most ``_MEMO_BYTES`` (8 MB, n <= 18) is kept once streamed, and a later
+``free_tree_level_chunks`` call replays it, building no table and
+gathering nothing; the memo holds at most that many bytes in all. A
+larger order streams in the memory of its tables and one chunk each call.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +55,9 @@ CHUNK_ROWS = 2048
 DC_BLOCK_ROWS = 16384  # comets per block of double_comet_arrays
 _FULL_ORACLE_ORDER = 8  # full n^(n-2) scan up to here, covering subset beyond
 _ORACLE_ROWS = {}  # n -> the oracle's code-sorted (code, edges) rows, read only
+_MEMO_BYTES = 8 << 20  # the most bytes of chunks _MEMO holds: n = 15-18 together at 2048 rows a chunk
+_MEMO = OrderedDict()  # (n, rows per chunk) -> that order's read-only LevelChunks, least recently used first
+_MEMO_LOCK = threading.Lock()  # searches on several threads share _MEMO
 
 
 # -- free trees ----------------------------------------------------------------
@@ -286,6 +297,10 @@ class LevelChunk:
     def __len__(self) -> int:
         return len(self.levels)
 
+    @property
+    def nbytes(self) -> int:
+        return self.levels.nbytes + self.steps.nbytes + self.max_degree.nbytes + self.max_degree_sum.nbytes
+
 
 def _chunk(*arrays):
     """A ``LevelChunk`` of ``arrays``, each made read-only."""
@@ -304,24 +319,45 @@ def free_tree_level_chunks(n: int):
     the other T1's root) 2|T1| < n, or 2|T1| = n and T1 <= [0] + F + 1.
     So each T1 takes a run of consecutive rows of its forest table, and a
     chunk is gathered from the runs it covers: memory stays at the tables,
-    a few bytes per T1 and one chunk, whatever the class count.
+    a few bytes per T1 and one chunk, whatever the class count, besides
+    the memo below, which never passes ``_MEMO_BYTES``.
 
     The step tables and degree counts come by the same gathers. In
     postorder, T1's forest takes slots 0..k-2, k = |T1|, its roots stepping
     to T1's root at slot k-1; F takes slots k..n-2, its roots stepping to
     the root at slot n-1. The counts are the stats of the root's children,
     T1 followed by F, closed off at a root without a parent.
+
+    ``n`` is checked at the call, not at the first chunk. An order whose
+    chunks take at most ``_MEMO_BYTES`` (n <= 18 at 2048 rows a chunk, 2n
+    + 2 bytes a row) is recorded as it streams and, once every chunk is
+    out, kept in ``_MEMO`` under ``(n, CHUNK_ROWS)``; a later call replays
+    those chunks, building no table and gathering nothing. The memo holds
+    at most ``_MEMO_BYTES`` in all, dropping the least recently used
+    orders first. A larger order is never recorded.
     """
     n = _integer("n", n, 1, MAX_EXHAUSTIVE_ORDER)
+    key = (n, CHUNK_ROWS)
+    with _MEMO_LOCK:
+        chunks = _MEMO.get(key)
+        if chunks is not None:
+            _MEMO.move_to_end(key)
+    return _gathered(*key) if chunks is None else iter(chunks)
+
+
+def _gathered(n: int, size: int):
+    """``free_tree_level_chunks(n)`` gathered from the forest tables in chunks of ``size`` rows, recorded if it fits."""
     if n <= 2:  # the root alone, or the root over one leaf: n - 1 is its largest degree and degree sum
         levels, steps, top = np.arange(n, dtype=np.int8), np.arange(1, n + 1, dtype=np.int8), np.full(1, n - 1, np.int8)
         yield _chunk(levels.reshape(1, n), steps.reshape(1, n), top, top)
         return
     flat, flat_steps, stats, lead, sizes, t1_row, f_row, counts = _first_subtree_runs(n)
     ends = np.cumsum(counts)
+    total = int(ends[-1])
+    kept = [] if total * (2 * n + 2) <= _MEMO_BYTES else None  # the bytes of every chunk's four arrays
     cols = np.arange(2, n, dtype=np.int8)
-    for r0 in range(0, int(ends[-1]), CHUNK_ROWS):
-        r = np.arange(r0, min(r0 + CHUNK_ROWS, int(ends[-1])))
+    for r0 in range(0, total, size):
+        r = np.arange(r0, min(r0 + size, total))
         t1 = np.searchsorted(ends, r, side="right")
         k = sizes[t1, None]
         in_t1 = cols <= k  # columns 2..k hold T1's forest plus 2, the rest F plus 1
@@ -340,7 +376,16 @@ def free_tree_level_chunks(n: int):
         steps[np.arange(len(r)), k[:, 0] - 1] = n - 1  # T1's root steps to the root
         steps[:, n - 1] = n
         roots, top, inner, outer, rootdeg = _compose(stats.take(t1f, axis=0), stats.take(rest, axis=0)).T
-        yield _chunk(out, steps, np.maximum(roots, top), np.maximum(np.maximum(inner, outer + roots), rootdeg))
+        chunk = _chunk(out, steps, np.maximum(roots, top), np.maximum(np.maximum(inner, outer + roots), rootdeg))
+        if kept is not None:
+            kept.append(chunk)
+        yield chunk
+    if kept is not None:
+        with _MEMO_LOCK:
+            _MEMO.pop((n, size), None)  # kept by a stream that ran beside this one
+            _MEMO[n, size] = tuple(kept)
+            while sum(c.nbytes for chunks in _MEMO.values() for c in chunks) > _MEMO_BYTES:
+                _MEMO.popitem(last=False)
 
 
 def coded_free_trees(n: int):

@@ -1,3 +1,8 @@
+import random
+import sys
+import threading
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
@@ -147,6 +152,87 @@ def test_level_chunks_stream_every_class_once():
         assert len(seqs) == len(set(seqs)) == count_free_trees(n)
     with pytest.raises(ValueError):
         next(free_tree_level_chunks(25))
+
+
+def test_level_chunks_check_the_order_at_the_call():
+    # a bad order fails where the chunks are asked for, not at the first chunk, which a worker may draw
+    for bad in (25, 0, 3.5, "7", True):
+        with pytest.raises(ValueError, match=f"n={bad!r}"):
+            free_tree_level_chunks(bad)
+
+
+def test_replayed_chunks_equal_a_fresh_gather(monkeypatch):
+    monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+    for n in (3, 9, 16):
+        first = list(free_tree_level_chunks(n))
+        assert list(enumeration._MEMO) == [(n, CHUNK_ROWS)]  # recorded as it streamed
+        replay = list(free_tree_level_chunks(n))
+        fresh = list(enumeration._gathered(n, CHUNK_ROWS))
+        assert len(replay) == len(fresh) and all(a is b for a, b in zip(replay, first))
+        for old, new in zip(replay, fresh):
+            for a, b in zip(vars(old).values(), vars(new).values()):
+                assert not a.flags.writeable and (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        enumeration._MEMO.clear()
+
+
+def test_memo_is_keyed_on_the_chunk_size(monkeypatch):
+    # an order kept at CHUNK_ROWS rows a chunk streams in chunks of a patched size, gathered and then replayed,
+    # as the scan tests that patch the size rely on
+    want = np.concatenate([c.levels for c in free_tree_level_chunks(12)])
+    assert (12, CHUNK_ROWS) in enumeration._MEMO
+    monkeypatch.setattr(enumeration, "CHUNK_ROWS", 100)
+    for _ in range(2):
+        chunks = list(free_tree_level_chunks(12))
+        assert [len(c) for c in chunks] == [100] * 5 + [51]
+        assert np.array_equal(np.concatenate([c.levels for c in chunks]), want)
+    assert (12, 100) in enumeration._MEMO
+
+
+def test_memo_holds_only_orders_within_its_budget(monkeypatch):
+    # a sweep keeps every order up to 18 (7.5 MB of chunks in all) and records neither 19 (12.7 MB) nor 20
+    monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+    for n in range(2, 21):
+        for _ in free_tree_level_chunks(n):
+            pass
+        held = sum(c.nbytes for chunks in enumeration._MEMO.values() for c in chunks)
+        assert held <= enumeration._MEMO_BYTES, (n, held)
+    assert list(enumeration._MEMO) == [(n, CHUNK_ROWS) for n in range(3, 19)]
+    # least recently used first: a replay of 15 keeps it, and 16 goes to make room for 17 within 2 MB
+    monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+    monkeypatch.setattr(enumeration, "_MEMO_BYTES", 2 << 20)
+    for n in (15, 16, 15, 17, 18):
+        list(free_tree_level_chunks(n))
+    assert list(enumeration._MEMO) == [(15, CHUNK_ROWS), (17, CHUNK_ROWS)]
+
+
+def test_memo_is_shared_safely_by_threads(monkeypatch):
+    # eight threads stream orders 6-11, one row a chunk, over a memo of 8000 bytes, less than orders 10 and 11
+    # take, so keeps, replays and evictions interleave (without the lock, a keep's byte count iterates the memo
+    # while a replay reorders it); every stream is whole and the memo stays within its budget
+    monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+    monkeypatch.setattr(enumeration, "_MEMO_BYTES", 8000)
+    monkeypatch.setattr(enumeration, "CHUNK_ROWS", 1)
+    want = {n: count_free_trees(n) for n in range(6, 12)}
+    errors, interval = [], sys.getswitchinterval()
+
+    def stream(seed):
+        try:
+            for n in random.Random(seed).choices(list(want), k=40):
+                assert sum(len(c) for c in free_tree_level_chunks(n)) == want[n]
+        except Exception as e:  # reported by the main thread
+            errors.append(e)
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=stream, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not errors, errors
+    assert sum(c.nbytes for chunks in enumeration._MEMO.values() for c in chunks) <= 8000
 
 
 def test_oracle_agrees_with_generator_small():

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import OrderedDict
 from dataclasses import astuple
 from fractions import Fraction
 from functools import partial
@@ -638,6 +639,24 @@ class TestSearch:
             assert runs[0] == runs[1], (key, objective)
         runs = [repr(extremal._AllTrees(14)._screened(extremal._hull_floor, False, jobs)) for jobs in (1, 2)]
         assert runs[0] == runs[1]
+
+    def test_a_second_scan_of_an_order_builds_no_forest_table(self, monkeypatch):
+        # the first search at n = 14 builds the forest tables once; every later search or envelope there
+        # replays its chunks, with the same answers
+        builds, build = [0], enumeration._forest_tables
+
+        def counting(n):
+            builds[0] += 1
+            return build(n)
+
+        monkeypatch.setattr(enumeration, "_forest_tables", counting)
+        monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+        first = repr(search_extremal(14, alpha=None, key="sum"))
+        assert builds[0] == 1
+        for key, objective in (("sum", "min"), ("lam2", "max"), ("gap", "min")):
+            search_extremal(14, alpha=None, objective=objective, key=key)
+        envelope(14)
+        assert repr(search_extremal(14, alpha=None, key="sum")) == first and builds[0] == 1
 
     def test_bad_arguments(self):
         for bad in (3.5, "7", 1, 0, -2):
