@@ -5,8 +5,7 @@ eigenvalues (``_coeffs``): psi is the convex combination alpha*lam1 +
 (1-alpha)*lam2, and the spectral sum, lam1, lam2 and the gap are (1, 1),
 (1, 0), (0, 1) and (1, -1). Key intervals, the comet screening bound and
 the scan's early stops all derive from (c1, c2) and the tree facts
-0 <= lam2 <= lam1 (n >= 3); the one bound tied to a key is the two-hub
-bound on the spectral sum's minimum. A minimum is searched as the maximum of the
+0 <= lam2 <= lam1 (n >= 3). A minimum is searched as the maximum of the
 negated key, min c.lam = -max(-c.lam), so every layer below
 ``search_extremal`` only maximizes. Searches keep certified enclosures for
 every candidate, prune against a deterministic floor, and certify every
@@ -82,7 +81,6 @@ from .spectra import (
     TOL,
     TreeBatch,
     _dc_closed,
-    _parents,
     _star_intervals,
     dc_top_two_closed,
     top_two,
@@ -102,7 +100,7 @@ from .trees import (
 _FIXED_COEFFS = {"sum": (1.0, 1.0), "lam1": (1.0, 0.0), "lam2": (0.0, 1.0), "gap": (1.0, -1.0)}
 KEYS = ("psi", *_FIXED_COEFFS)
 _COARSE_TOL = 1e-6
-_SAFETY = 1e-9  # slack for the rounding of the float-evaluated comet screen and two-hub bounds
+_SAFETY = 1e-9  # slack for the rounding of the float-evaluated comet screen
 _ORDER_MARGIN = 1e-13  # relative slack for the rounding of a whole path order's comet bound, about 450 ulps
 _DENSE_GUESS_ORDER = 16  # longest comet quotient given an eigvalsh guess: O(L^3) against ~90 probes of O(L)
 # consecutive chunks a worker streams through one pool when jobs > 1: a task carries at most 4 * CHUNK_ROWS rows
@@ -387,13 +385,11 @@ class _Scan:
     stays at most lam1_hi. A row's probes depend only on its own brackets
     and the floor, never on the rows beside it, so every bracket, kept row
     and ``far`` is the one a scan of its chunk alone gives, bit for bit.
-    The sum's minimum, coefficients (-1, -1), first applies
-    ``_two_hub_bound``, a theorem about that minimum, which also folds into
-    ``far``; stars keep their exact brackets uncut, and excluded rows are
-    left out first, never dropped. It returns the kept rows (level sequence
-    as bytes, lam1 and lam2 brackets) in run order, ``far`` and the run's
-    row count, and builds no Tree and no code unless the family excludes
-    some.
+    Stars and excluded rows are handled first: stars keep their exact
+    brackets uncut, and excluded rows are left out, never dropped. It
+    returns the kept rows (level sequence as bytes, lam1 and lam2 brackets)
+    in run order, ``far`` and the run's row count, and builds no Tree and
+    no code unless the family excludes some.
     """
 
     fam: _AllTrees
@@ -419,9 +415,9 @@ class _Scan:
                         if chunk is None:
                             chunks = None  # the whole run is in the pool
                             break
-                        stars, todo, start, cut = self._start(chunk)
+                        stars, todo, start = self._start(chunk)
                         kept += [(scanned + r, chunk.levels[r].tobytes(), *_star_intervals(n)) for r in stars.tolist()]
-                        base, scanned, far = scanned, scanned + len(chunk), max(far, cut)
+                        base, scanned = scanned, scanned + len(chunk)
                         continue
                     rows, slots = todo[:len(free) - taken], free[taken:taken + len(todo)]
                     pool.put(slots, chunk.steps[rows])
@@ -458,22 +454,18 @@ class _Scan:
         return [row for _, *row in kept], far, scanned
 
     def _start(self, chunk):
-        """A chunk's star rows; the rows left to bisect and their start brackets (4, rows); the two-hub cut's ``far``.
+        """A chunk's star rows; the rows left to bisect; their start brackets (4, rows).
 
-        A row starts from ``_start_brackets`` for lam1 and [0, lam1_hi] for lam2.
+        Excluded rows are left out. A row starts from ``_start_brackets`` for
+        lam1 and [0, lam1_hi] for lam2.
         """
-        n, levels = self.fam.n, chunk.levels
-        (c1, c2), low = self.at(0.0, 0.0)
-        rows, far = np.arange(len(levels)), -math.inf
+        rows = np.arange(len(chunk))
         if self.fam.exclude:  # no Python loop over the chunk unless something is excluded
-            rows = rows[[not self.fam.excluded(seq.tobytes()) for seq in levels]]
-        if (c1, c2) == (-1.0, -1.0) and n > 2:  # the bound needs lam2 >= 0, which K2 breaks
-            keep, far = _drop(-_two_hub_bound(levels[rows]), low)
-            rows = rows[keep]
-        star = chunk.max_degree[rows] == n - 1
+            rows = rows[[not self.fam.excluded(seq.tobytes()) for seq in chunk.levels]]
+        star = chunk.max_degree[rows] == self.fam.n - 1
         todo = rows[~star]
         lo, hi = _start_brackets(chunk, todo)
-        return rows[star], todo, np.stack((lo, hi, np.zeros_like(lo), hi)), far
+        return rows[star], todo, np.stack((lo, hi, np.zeros_like(lo), hi))
 
 
 def _start_brackets(chunk, rows):
@@ -486,30 +478,6 @@ def _start_brackets(chunk, rows):
     """
     top, sums = (a[rows].astype(float) for a in (chunk.max_degree, chunk.max_degree_sum))
     return np.nextafter(np.sqrt(top), 0.0), np.nextafter(np.sqrt(sums), math.inf)
-
-
-def _two_hub_bound(levels):
-    """Certified lower bounds on the spectral sum of each level-sequence row of ``levels``.
-
-    lam1 + lam2 >= sqrt(d1) + sqrt(d2) for hubs at distance >= 3, and
-    lam1 >= sqrt(d1) alone, which is d2 = 0 when no vertex is that far;
-    the hubs tried are the three highest-degree vertices, ties to the lower id.
-    """
-    m, n = levels.shape
-    par = np.ascontiguousarray(_parents(np.ascontiguousarray(levels.T, dtype=np.int64)).T)
-    deg = np.bincount((par[:, 1:] + n * np.arange(m)[:, None]).ravel(), minlength=m * n).reshape(m, n)
-    deg[:, 1:] += 1  # the edge to the parent
-    ar = np.arange(m)
-    grand = np.where(par >= 0, np.take_along_axis(par, np.maximum(par, 0), axis=1), -1)
-    vs = np.arange(n)
-    bound = np.full(m, -math.inf)
-    for u in np.argsort(-deg, axis=1, kind="stable")[:, :3].T:
-        du = deg[ar, u]
-        pu, gu, u = par[ar, u][:, None], grand[ar, u][:, None], u[:, None]
-        near = (vs == u) | (par == u) | (vs == pu) | (grand == u) | (vs == gu) | ((par == pu) & (pu >= 0))
-        best = np.where(near, 0, deg).max(axis=1)
-        bound = np.maximum(bound, np.sqrt(du) + np.sqrt(best) - _SAFETY)
-    return bound
 
 
 # -- families --------------------------------------------------------------------

@@ -556,8 +556,8 @@ class TestSearch:
                 assert [[x.hex() for x in a.tolist()] for a in got] == [[x.hex() for x in a.tolist()] for a in want], n
                 single_first += int((levels[:, 2:3] == 1).sum()) if n > 2 else 0
         assert single_first > 0
-        # the sum's minimum rebuilds parents for its two-hub bound; over a fork pool, as the
-        # envelope's screened pass, every answer repeats
+        # the sum's minimum and the envelope's screened pass give the same answers over a
+        # fork pool as in one process
         runs = [(repr(search_extremal(12, alpha=None, key="sum", objective="min", jobs=jobs)),
                  repr(extremal._AllTrees(12)._screened(extremal._hull_floor, False, jobs))) for jobs in (1, 2)]
         assert runs[0] == runs[1]
@@ -596,7 +596,7 @@ class TestSearch:
         # a row's probes depend only on its own brackets and the floor, so a run streamed
         # through one pool keeps the rows, in order, with the brackets, far and count that
         # scans of its chunks one at a time give, bit for bit: the point floor of every key
-        # and objective, two with excluded codes up to n = 12, the sum minimum's two-hub cut
+        # and objective, two with excluded codes up to n = 12, the sum minimum
         # and the comet hull, at n = 10-14, in five chunks each twice the pool (a chunk is
         # split between top-ups) and in nine each a third of it
         scans, call = {n: [] for n in range(10, 15)}, extremal._Scan.__call__
