@@ -32,10 +32,13 @@ tables hold these per forest, composed by the same gathers as the level
 rows, so no table is rebuilt from the level sequences.
 
 Repeated scans at one order share its chunks: an order whose chunks take
-at most ``_MEMO_BYTES`` (8 MB, n <= 18) is kept once streamed, and a later
-``free_tree_level_chunks`` call replays it, building no table and
-gathering nothing; the memo holds at most that many bytes in all. A
-larger order streams in the memory of its tables and one chunk each call.
+at most ``_MEMO_BYTES`` (16 MiB, n <= 18) is kept once streamed, and a
+later ``free_tree_level_chunks`` call replays it, building no table and
+gathering nothing; the memo holds at most that many bytes in all. The
+chunks of such an order also carry each row's count facts (``facts``),
+which every scan tightens and later scans read, so they share their
+inertia counts too. A larger order streams in the memory of its tables
+and one chunk each call, and carries no facts.
 """
 
 from __future__ import annotations
@@ -55,8 +58,8 @@ CHUNK_ROWS = 2048
 DC_BLOCK_ROWS = 16384  # comets per block of double_comet_arrays
 _FULL_ORACLE_ORDER = 8  # full n^(n-2) scan up to here, covering subset beyond
 _ORACLE_ROWS = {}  # n -> the oracle's code-sorted (code, edges) rows, read only
-_MEMO_BYTES = 8 << 20  # the most bytes of chunks _MEMO holds: n = 15-18 together at 2048 rows a chunk
-_MEMO = OrderedDict()  # (n, rows per chunk) -> that order's read-only LevelChunks, least recently used first
+_MEMO_BYTES = 16 << 20  # the most bytes of chunks and facts _MEMO holds: n = 3-18 take 13.4 MiB at 2048 rows a chunk
+_MEMO = OrderedDict()  # (n, rows per chunk) -> that order's LevelChunks, least recently used first
 _MEMO_LOCK = threading.Lock()  # searches on several threads share _MEMO
 
 
@@ -286,27 +289,38 @@ class LevelChunk:
     postorder slot, the slot of its parent, n at the root). ``max_degree``
     and ``max_degree_sum`` are int8 per row: the largest degree, and the
     largest sum of one vertex's neighbours' degrees, the largest row sum of
-    A^2. Every array is read-only.
+    A^2. These four arrays are read-only.
+
+    ``facts`` is None, or, for a chunk of an order the memo keeps, a
+    writable (4, rows) float64 array of what inertia counts have shown of
+    each row: lam1 in [L1, H1] and lam2 in [L2, H2], rows (L1, H1, L2,
+    H2), from (-inf, +inf, -inf, +inf). Each end is a start bound or a
+    point where the elimination kernel counted; ``extremal._Scan`` tightens
+    them as rows leave its pool and answers later probes from them.
     """
 
     levels: np.ndarray
     steps: np.ndarray
     max_degree: np.ndarray
     max_degree_sum: np.ndarray
+    facts: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.levels)
 
     @property
     def nbytes(self) -> int:
-        return self.levels.nbytes + self.steps.nbytes + self.max_degree.nbytes + self.max_degree_sum.nbytes
+        return sum(a.nbytes for a in vars(self).values() if a is not None)
 
 
-def _chunk(*arrays):
-    """A ``LevelChunk`` of ``arrays``, each made read-only."""
+_NO_FACTS = np.array([-np.inf, np.inf, -np.inf, np.inf])[:, None]  # each bound before any count
+
+
+def _chunk(*arrays, facts=None):
+    """A ``LevelChunk`` of ``arrays``, each made read-only, and ``facts``."""
     for a in arrays:
         a.flags.writeable = False
-    return LevelChunk(*arrays)
+    return LevelChunk(*arrays, facts)
 
 
 def free_tree_level_chunks(n: int):
@@ -330,11 +344,13 @@ def free_tree_level_chunks(n: int):
 
     ``n`` is checked at the call, not at the first chunk. An order whose
     chunks take at most ``_MEMO_BYTES`` (n <= 18 at 2048 rows a chunk, 2n
-    + 2 bytes a row) is recorded as it streams and, once every chunk is
-    out, kept in ``_MEMO`` under ``(n, CHUNK_ROWS)``; a later call replays
-    those chunks, building no table and gathering nothing. The memo holds
-    at most ``_MEMO_BYTES`` in all, dropping the least recently used
-    orders first. A larger order is never recorded.
+    + 34 bytes a row with its facts) is recorded as it streams and, once
+    every chunk is out, kept in ``_MEMO`` under ``(n, CHUNK_ROWS)``; a
+    later call replays those chunks, building no table and gathering
+    nothing. Only such an order's chunks carry ``facts``, from the first
+    stream on, so the scans of that stream record into them too. The memo
+    holds at most ``_MEMO_BYTES`` in all, dropping the least recently used
+    orders first. A larger order is never recorded and carries no facts.
     """
     n = _integer("n", n, 1, MAX_EXHAUSTIVE_ORDER)
     key = (n, CHUNK_ROWS)
@@ -354,7 +370,8 @@ def _gathered(n: int, size: int):
     flat, flat_steps, stats, lead, sizes, t1_row, f_row, counts = _first_subtree_runs(n)
     ends = np.cumsum(counts)
     total = int(ends[-1])
-    kept = [] if total * (2 * n + 2) <= _MEMO_BYTES else None  # the bytes of every chunk's four arrays
+    kept = [] if total * (2 * n + 34) <= _MEMO_BYTES else None  # the bytes of every chunk's arrays and facts
+    facts = None if kept is None else np.repeat(_NO_FACTS, total, axis=1)  # one block: each chunk takes a view
     cols = np.arange(2, n, dtype=np.int8)
     for r0 in range(0, total, size):
         r = np.arange(r0, min(r0 + size, total))
@@ -376,7 +393,8 @@ def _gathered(n: int, size: int):
         steps[np.arange(len(r)), k[:, 0] - 1] = n - 1  # T1's root steps to the root
         steps[:, n - 1] = n
         roots, top, inner, outer, rootdeg = _compose(stats.take(t1f, axis=0), stats.take(rest, axis=0)).T
-        chunk = _chunk(out, steps, np.maximum(roots, top), np.maximum(np.maximum(inner, outer + roots), rootdeg))
+        chunk = _chunk(out, steps, np.maximum(roots, top), np.maximum(np.maximum(inner, outer + roots), rootdeg),
+                       facts=None if facts is None else facts[:, r0:r0 + len(r)])
         if kept is not None:
             kept.append(chunk)
         yield chunk

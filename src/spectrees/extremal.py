@@ -50,7 +50,11 @@ joint lam1/lam2 bisection per row from degree bounds, over the step
 tables and degree counts each chunk carries, which stops once the row's
 key is certified below the floor or _COARSE_TOL wide. All of a pool's
 probes share one elimination workspace; it never materialises a class
-list and certifies only the rows left.
+list and certifies only the rows left. Scans of an order the enumeration
+keeps (n <= 18) share their inertia counts as well: each kept chunk
+carries its rows' count facts, which every scan tightens as rows leave
+its pool, and a later scan answers from them, without eliminating, every
+probe they decide, so its brackets and answers are the same bit for bit.
 
 The envelope treats each tree as the line alpha -> lam2 + alpha*(lam1 -
 lam2) and keeps the upper hull in one monotone-chain pass (``_upper_hull``);
@@ -72,6 +76,7 @@ import numpy as np
 from .enumeration import (
     CHUNK_ROWS,
     MAX_EXHAUSTIVE_ORDER,
+    _NO_FACTS,
     _level_seq_edges,
     count_double_comets,
     double_comet_arrays,
@@ -102,6 +107,7 @@ KEYS = ("psi", *_FIXED_COEFFS)
 _COARSE_TOL = 1e-6
 _SAFETY = 1e-9  # slack for the rounding of the float-evaluated comet screen
 _ORDER_MARGIN = 1e-13  # relative slack for the rounding of a whole path order's comet bound, about 450 ulps
+_FACT_MARGIN = 8 * np.finfo(float).eps  # times n * (|x| + n): over twice the rounding zones of two counts in [0, n]
 _DENSE_GUESS_ORDER = 16  # longest comet quotient given an eigvalsh guess: O(L^3) against ~90 probes of O(L)
 # consecutive chunks a worker streams through one pool when jobs > 1: a task carries at most 4 * CHUNK_ROWS rows
 # whatever n; at jobs = 2 (gap and sum minima) runs of 4 beat runs of 1 and 2 at n = 16-19, and runs of 8 and 16 are
@@ -390,6 +396,38 @@ class _Scan:
     returns the kept rows (level sequence as bytes, lam1 and lam2 brackets)
     in run order, ``far`` and the run's row count, and builds no Tree and
     no code unless the family excludes some.
+
+    Scans of one kept order share their counts through the chunks'
+    ``facts`` (``LevelChunk``): lam1 in [L1, H1] and lam2 in [L2, H2] per
+    row (``_PoolFacts``). A row brings its facts into the pool; when it
+    leaves, dropped or kept, its brackets tighten them (the larger lower
+    end, the smaller upper end) before its slot is reused, if the kernel
+    counted it in this scan: a row whose every probe was answered has
+    nothing new to add. A probe at x needs one bit per bracket it lies
+    inside: at least 1 eigenvalue above x for lam1's, at least 2 for
+    lam2's. The facts decide a bit when x equals the fact's point, or lies
+    below L - m (the bit is set) or above H + m (it is clear), m =
+    ``_FACT_MARGIN`` * n * (|x| + n); only rows with a needed bit left
+    undecided are eliminated. At equality the fact is the kernel's own
+    count there: the kernel is deterministic per row and x, and no probe
+    equals a start bound, as probes lie strictly inside brackets that start
+    there. Beyond the margin the count cannot differ, by the argument the
+    guided replay of ``TreeBatch.bisect`` rests on, that a count far enough
+    from every eigenvalue is exact. An eliminated count at x is exact for a
+    matrix whose eigenvalues each lie within the rounding zone r(x) =
+    eps*deg*(|x| + deg) of the tree's (``count_eigenvalues_above``: each
+    pivot's roundings fold into relative changes of O(deg*eps) to its edge
+    weights). A count of at least k at L puts lam_k at or above L - r(L);
+    every bracket lies in [0, n] and deg < n, so r(x) + r(L) <= 3*eps*n*(|x|
+    + n), well below m, and at x < L - m the k-th eigenvalue counted at x
+    still lies above x: the count there is at least k too. An upper end is
+    the mirror image. So every bit answered is the one the kernel gives,
+    and every bracket moves as in a scan without facts, bit for bit. Each
+    end a scan records is then one a scan without facts reaches: a start
+    bound or a point where the kernel's count is what the fact says. With
+    ``jobs`` > 1 the workers read the facts their chunks carry and their
+    writes are lost; threads may lose one another's tightenings, but every
+    value stored is a fact, so no lock is taken.
     """
 
     fam: _AllTrees
@@ -401,12 +439,14 @@ class _Scan:
         levels, ids = np.empty((size, n), np.int8), np.empty(size, np.int64)  # per slot: its row and run position
         brackets = np.empty((4, size))
         l1_lo, l1_hi, l2_lo, l2_hi = brackets  # per slot
+        facts = _PoolFacts(size)
         live = todo = np.empty(0, np.int64)
         kept, far, scanned, chunks = [], -math.inf, 0, iter(chunks)
         while True:
             if len(live) < size // 2 and chunks is not None:  # top the pool up from the run's next rows
                 free = np.ones(size, dtype=bool)
                 free[live] = False
+                facts.record(free, ids, brackets)  # before the slots are reused
                 free = np.flatnonzero(free)
                 taken = 0
                 while taken < len(free):
@@ -417,17 +457,20 @@ class _Scan:
                             break
                         stars, todo, start = self._start(chunk)
                         kept += [(scanned + r, chunk.levels[r].tobytes(), *_star_intervals(n)) for r in stars.tolist()]
+                        facts.open(chunk.facts, scanned)
                         base, scanned = scanned, scanned + len(chunk)
                         continue
                     rows, slots = todo[:len(free) - taken], free[taken:taken + len(todo)]
                     pool.put(slots, chunk.steps[rows])
                     levels[slots], ids[slots] = chunk.levels[rows], base + rows
                     brackets[:, slots] = start[:, :len(rows)]
+                    facts.fill(slots, chunk.facts, rows)
                     todo, start, taken = todo[len(rows):], start[:, len(rows):], taken + len(rows)
                 live = np.concatenate((live, free[:taken]))
             if not len(live):
+                facts.record(np.ones(size, dtype=bool), ids, brackets)
                 break
-            a, b, c, d = brackets[:, live]
+            a, b, c, d = brackets.take(live, axis=1)
             (c1, c2), value = at(b, d)
             lo_key, hi_key = _key_interval((c1, c2), (a, b), (c, d))
             keep, dropped = _drop(hi_key, value)
@@ -444,12 +487,12 @@ class _Scan:
             if not len(live):
                 continue
             a, b, c, d = a[go], b[go], c[go], d[go]
-            above = pool.count_above(x, live)[0]
             in1, in2 = (a < x) & (x < b), (c < x) & (x < d)
-            l1_lo[live] = np.where(in1 & (above >= 1), x, a)
-            l1_hi[live] = np.where(in1 & (above < 1), x, b)
-            l2_lo[live] = np.where(in2 & (above >= 2), x, c)
-            l2_hi[live] = np.minimum(np.where(in2 & (above < 2), x, d), l1_hi[live])
+            ge1, ge2 = facts.counts(pool, live, x, in1, in2)
+            l1_lo[live] = np.where(in1 & ge1, x, a)
+            l1_hi[live] = np.where(in1 & ~ge1, x, b)
+            l2_lo[live] = np.where(in2 & ge2, x, c)
+            l2_hi[live] = np.minimum(np.where(in2 & ~ge2, x, d), l1_hi[live])
         kept.sort()  # run positions are distinct, so no two level sequences are compared
         return [row for _, *row in kept], far, scanned
 
@@ -466,6 +509,87 @@ class _Scan:
         todo = rows[~star]
         lo, hi = _start_brackets(chunk, todo)
         return rows[star], todo, np.stack((lo, hi, np.zeros_like(lo), hi))
+
+
+_TIGHTER = (np.maximum, np.minimum, np.maximum, np.minimum)  # how each of (L1, H1, L2, H2) takes a new end
+
+
+class _PoolFacts:
+    """The count facts of the rows in a ``_Scan`` pool: read as rows come in, tightened as they leave.
+
+    ``sources`` holds the ``facts`` of each chunk the run has opened (None
+    for a chunk without) and ``starts`` its first run position. Per slot,
+    ``home`` is its chunk, ``known`` its row's facts when it came in and
+    ``counted`` whether the kernel has counted it since. Nothing is
+    recorded until a chunk with facts opens (``recording``), and no fact is
+    read nor probe answered until one with a fact known does (``warm``).
+    """
+
+    def __init__(self, size: int):
+        self.sources, self.starts = [], []
+        self.home, self.counted = np.zeros(size, np.int64), np.zeros(size, dtype=bool)
+        self.known = np.repeat(_NO_FACTS, size, axis=1)
+        self.recording = self.warm = False
+
+    def open(self, facts, start: int):
+        """Take the next chunk's ``facts``, its rows from run position ``start`` on."""
+        self.sources.append(facts)
+        self.starts.append(start)
+        if facts is not None:
+            self.recording = True
+            self.warm = self.warm or bool(facts[0].max() > -math.inf)
+
+    def fill(self, slots, facts, rows):
+        """Rows ``rows`` of the chunk last opened, with its ``facts``, come into ``slots``."""
+        self.home[slots] = len(self.sources) - 1
+        if self.warm:  # until then every slot keeps the facts that know nothing
+            self.known[:, slots] = _NO_FACTS if facts is None else facts.take(rows, axis=1)
+
+    def counts(self, pool, live, x, in1, in2):
+        """(at least 1 above x, at least 2 above x) for each row of slots ``live``, each at its own x.
+
+        A bit the facts decide (see ``_Scan``) is taken from them, needed
+        only where x lies inside its bracket (``in1``, ``in2``); every row
+        with a needed bit left undecided is eliminated in the ``pool``.
+        """
+        if not self.warm:
+            above = pool.count_above(x, live)[0]
+            if self.recording:
+                self.counted[live] = True
+            return above >= 1, above >= 2
+        l1, h1, l2, h2 = self.known.take(live, axis=1)
+        n = pool.n
+        m = _FACT_MARGIN * n * (np.abs(x) + n)
+        below, over = x - m, x + m
+        ge1, ge2 = (l1 == x) | (l1 > over), (l2 == x) | (l2 > over)
+        ask = (in1 & ~(ge1 | (h1 == x) | (h1 < below))) | (in2 & ~(ge2 | (h2 == x) | (h2 < below)))
+        if ask.any():
+            asked = live[ask]
+            above = pool.count_above(x[ask], asked)[0]
+            ge1[ask], ge2[ask], self.counted[asked] = above >= 1, above >= 2, True
+        return ge1, ge2
+
+    def record(self, leaving, ids, brackets):
+        """Tighten the facts of the counted rows in the slots masked ``leaving`` with their ``brackets``.
+
+        A lower end takes the larger value, an upper end the smaller. The
+        slots' ``ids`` are run positions. Their marks are cleared.
+        """
+        if not self.recording:
+            return
+        out = np.flatnonzero(leaving & self.counted)
+        if not len(out):
+            return
+        self.counted[out] = False
+        home = self.home[out]
+        first, last = int(home.min()), int(home.max())
+        for j in range(first, last + 1):  # the few chunks in the pool at once
+            facts = self.sources[j]
+            if facts is not None:
+                slots = out if first == last else out[home == j]
+                rows = ids[slots] - self.starts[j]
+                for fact, ends, tighter in zip(facts, brackets.take(slots, axis=1), _TIGHTER):
+                    tighter.at(fact, rows, ends)
 
 
 def _start_brackets(chunk, rows):

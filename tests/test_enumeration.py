@@ -170,9 +170,18 @@ def test_replayed_chunks_equal_a_fresh_gather(monkeypatch):
         fresh = list(enumeration._gathered(n, CHUNK_ROWS))
         assert len(replay) == len(fresh) and all(a is b for a, b in zip(replay, first))
         for old, new in zip(replay, fresh):
-            for a, b in zip(vars(old).values(), vars(new).values()):
+            for name in ("levels", "steps", "max_degree", "max_degree_sum"):
+                a, b = getattr(old, name), getattr(new, name)
                 assert not a.flags.writeable and (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            # a kept order's count facts are writable, one column per row, and start knowing nothing
+            for facts in (old.facts, new.facts):
+                assert facts.flags.writeable and facts.dtype == np.float64 and facts.shape == (4, len(old))
+                assert (facts == np.array([-np.inf, np.inf, -np.inf, np.inf])[:, None]).all()
         enumeration._MEMO.clear()
+    # only an order the memo can keep carries facts: not n <= 2, nor one too large to record
+    assert next(free_tree_level_chunks(2)).facts is None
+    monkeypatch.setattr(enumeration, "_MEMO_BYTES", 0)
+    assert next(free_tree_level_chunks(9)).facts is None and not enumeration._MEMO
 
 
 def test_memo_is_keyed_on_the_chunk_size(monkeypatch):
@@ -189,7 +198,8 @@ def test_memo_is_keyed_on_the_chunk_size(monkeypatch):
 
 
 def test_memo_holds_only_orders_within_its_budget(monkeypatch):
-    # a sweep keeps every order up to 18 (7.5 MB of chunks in all) and records neither 19 (12.7 MB) nor 20
+    # a sweep keeps every order up to 18 (13.4 MiB of chunks and facts in all) and records neither 19 (21.8 MiB)
+    # nor 20
     monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
     for n in range(2, 21):
         for _ in free_tree_level_chunks(n):
@@ -197,9 +207,9 @@ def test_memo_holds_only_orders_within_its_budget(monkeypatch):
         held = sum(c.nbytes for chunks in enumeration._MEMO.values() for c in chunks)
         assert held <= enumeration._MEMO_BYTES, (n, held)
     assert list(enumeration._MEMO) == [(n, CHUNK_ROWS) for n in range(3, 19)]
-    # least recently used first: a replay of 15 keeps it, and 16 goes to make room for 17 within 2 MB
+    # least recently used first: a replay of 15 keeps it, and 16 goes to make room for 17 (3.15 MiB) within 4.5 MiB
     monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
-    monkeypatch.setattr(enumeration, "_MEMO_BYTES", 2 << 20)
+    monkeypatch.setattr(enumeration, "_MEMO_BYTES", 9 << 19)
     for n in (15, 16, 15, 17, 18):
         list(free_tree_level_chunks(n))
     assert list(enumeration._MEMO) == [(15, CHUNK_ROWS), (17, CHUNK_ROWS)]

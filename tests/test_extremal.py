@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from collections import OrderedDict
 from dataclasses import astuple
 from fractions import Fraction
@@ -573,6 +575,7 @@ class TestSearch:
             return eliminate(steps, w, work, x)
 
         monkeypatch.setattr(TreeBatch, "_eliminate", staticmethod(counting))
+        monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())  # cold: no count facts to answer from
         res = search_extremal(14, alpha=None, objective="min", key="gap")
         assert res.scanned == 3159 and probes[0] <= 8 * 3159, probes[0]
 
@@ -589,8 +592,124 @@ class TestSearch:
             return eliminate(steps, w, work, x)
 
         monkeypatch.setattr(TreeBatch, "_eliminate", staticmethod(counting))
+        monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())  # cold: no count facts to answer from
         res = search_extremal(16, alpha=None, objective="min", key="gap")
         assert res.scanned == 19320 and passes[0] <= 120 and probes[0] == 98605, (passes[0], probes[0])
+
+    def test_a_repeated_scan_eliminates_nothing(self, monkeypatch):
+        # a second gap minimum at n = 16 answers every probe from the count facts the first scan left on
+        # the kept chunks: no row-probe, and the same answer
+        monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+        first = repr(search_extremal(16, alpha=None, objective="min", key="gap"))
+        probes = [0]
+        eliminate = TreeBatch._eliminate
+
+        def counting(steps, w, work, x):
+            probes[0] += steps.shape[1]
+            return eliminate(steps, w, work, x)
+
+        monkeypatch.setattr(TreeBatch, "_eliminate", staticmethod(counting))
+        assert repr(search_extremal(16, alpha=None, objective="min", key="gap")) == first and probes[0] == 0
+
+    def test_answers_do_not_depend_on_call_history(self, monkeypatch):
+        # every key and objective, psi at five alphas and the envelope at n = 3-12, called in a shuffled order in
+        # one process, so each scan meets count facts left by others, equal the same calls made on an empty memo;
+        # at n = 12 and 14, calls over two workers, which read the facts but whose writes are lost, mixed in
+        def call(n, key, alpha, objective, jobs=1):
+            if key == "envelope":
+                return [(repr(s), s.lam1.hex(), s.lam2.hex(), s.alpha_lo.hex()) for s in envelope(n).segments]
+            res = search_extremal(n, alpha=alpha, objective=objective, key=key, jobs=jobs)
+            gap = res.runner_up_gap
+            return repr(res), [(w.lo.hex(), w.hi.hex()) for w in res.winners], gap if gap is None else gap.hex()
+
+        def calls(n):
+            keys = [(k, None) for k in ("sum", "lam1", "lam2", "gap")] + [("psi", a) for a in (0, 0.3, 0.5, 0.7, 1)]
+            return [(n, k, a, o) for k, a in keys for o in ("max", "min")] + [(n, "envelope", None, None)]
+
+        def fresh(args):
+            monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+            return call(*args)
+
+        rng = random.Random(32)
+        history = [args for n in range(3, 13) for args in calls(n)]
+        rng.shuffle(history)
+        monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+        warm = [call(*args) for args in history]
+        assert warm == [fresh(args) for args in history]
+        for n in (12, 14):
+            history = [(*args, rng.choice((1, 2))) for args in calls(n)[:-1] * 2]
+            rng.shuffle(history)
+            monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+            warm = [call(*args) for args in history]
+            assert warm == [fresh(args[:-1]) for args in history], n
+
+    def test_count_facts_answer_a_probe_only_at_it_or_beyond_the_margin(self, monkeypatch):
+        # one row scanned alone: a count fact at its first probe x saves that elimination, one that lies
+        # within the margin of x, on either side, saves none, and one beyond the margin saves it again;
+        # every fact is true of the row, whose eigenvalues all lie far from x, and the scan's answer never moves
+        n, probes = 9, []
+        eliminate = TreeBatch._eliminate
+
+        def counting(steps, w, work, x):
+            counts = eliminate(steps, w, work, x)
+            probes.extend(zip(x.tolist(), counts[0].tolist()))
+            return counts
+
+        monkeypatch.setattr(TreeBatch, "_eliminate", staticmethod(counting))
+        monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+        chunk = next(enumeration.free_tree_level_chunks(n))
+        r = int(np.flatnonzero(chunk.max_degree == 3)[0])  # neither path nor star
+        row = [a[r:r + 1] for a in (chunk.levels, chunk.steps, chunk.max_degree, chunk.max_degree_sum)]
+        scan = extremal._Scan(extremal._AllTrees(n), partial(extremal._point_at, (1.0, 1.0), -math.inf))
+
+        def run(facts):
+            probes.clear()
+            out = scan([enumeration.LevelChunk(*row, facts)])
+            return repr(out), len(probes)
+
+        cold, cold_probes = run(None)
+        x, above = probes[0]
+        adjacency = np.zeros((n, n))
+        for u, v in _level_seq_edges(chunk.levels[r].tolist()):
+            adjacency[u, v] = adjacency[v, u] = 1.0
+        lam = np.linalg.eigvalsh(adjacency)
+        assert np.abs(lam - x).min() > 1e-3
+        m = extremal._FACT_MARGIN * n * (abs(x) + n)
+        for offset, saved in ((0.0, 1), (0.5 * m, 0), (-0.5 * m, 0), (2.0 * m, 1)):
+            # a count of at least k at x shows lam_k above any point below it, fewer than k below any above
+            at_least = [above >= k for k in (1, 2)]
+            sides = [x + (offset if yes else -offset) for yes in at_least]
+            facts = np.array([[-math.inf], [math.inf], [-math.inf], [math.inf]])
+            for k, (yes, at) in enumerate(zip(at_least, sides)):
+                facts[2 * k + (not yes)] = at
+            assert run(facts) == (cold, cold_probes - saved), (offset, facts)
+
+    def test_count_facts_are_shared_safely_by_threads(self, monkeypatch):
+        # four threads search different keys at n = 14 over one memo, so their scans read and tighten the
+        # same rows' count facts while they switch every microsecond; each answer equals its fresh one
+        keys = [("sum", "max"), ("gap", "min"), ("lam2", "max"), ("lam1", "min")]
+        want = {}
+        for key, objective in keys:
+            monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+            want[key, objective] = repr(search_extremal(14, alpha=None, objective=objective, key=key))
+        monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+        got, interval = {}, sys.getswitchinterval()
+
+        def search(key, objective):
+            got[key, objective] = [repr(search_extremal(14, alpha=None, objective=objective, key=key))
+                                   for _ in range(3)]
+
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=search, args=ko) for ko in keys]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {ko: [w] * 3 for ko, w in want.items()}
 
     def test_streaming_scan_matches_each_chunk_alone(self, monkeypatch):
         # a row's probes depend only on its own brackets and the floor, so a run streamed
