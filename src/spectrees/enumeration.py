@@ -291,12 +291,14 @@ class LevelChunk:
     largest sum of one vertex's neighbours' degrees, the largest row sum of
     A^2. These four arrays are read-only.
 
-    ``facts`` is None, or, for a chunk of an order the memo keeps, a
-    writable (4, rows) float64 array of what inertia counts have shown of
-    each row: lam1 in [L1, H1] and lam2 in [L2, H2], rows (L1, H1, L2,
-    H2), from (-inf, +inf, -inf, +inf). Each end is a start bound or a
-    point where the elimination kernel counted; ``extremal._Scan`` tightens
-    them as rows leave its pool and answers later probes from them.
+    ``facts`` is None, or, for a chunk of an order the memo keeps, the
+    order's one writable (4, classes) float64 block of what inertia counts
+    have shown of each row: lam1 in [L1, H1] and lam2 in [L2, H2], rows
+    (L1, H1, L2, H2), from (-inf, +inf, -inf, +inf). The chunk's rows are
+    its columns from ``first`` on. Each end is a start bound or a point
+    where the elimination kernel counted; ``extremal._Scan`` tightens them
+    (``tighten_facts``) as rows leave its pool and answers later probes
+    from them.
     """
 
     levels: np.ndarray
@@ -304,23 +306,32 @@ class LevelChunk:
     max_degree: np.ndarray
     max_degree_sum: np.ndarray
     facts: np.ndarray | None = None
+    first: int = 0
 
     def __len__(self) -> int:
         return len(self.levels)
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in vars(self).values() if a is not None)
+        """The bytes of its four arrays and of its rows' columns of ``facts``."""
+        own = 0 if self.facts is None else self.facts[:, self.first:self.first + len(self)].nbytes
+        return self.levels.nbytes + self.steps.nbytes + self.max_degree.nbytes + self.max_degree_sum.nbytes + own
 
 
-_NO_FACTS = np.array([-np.inf, np.inf, -np.inf, np.inf])[:, None]  # each bound before any count
+_NO_FACTS = np.array([-np.inf, np.inf, -np.inf, np.inf])[:, None]  # (L1, H1, L2, H2) before any count
 
 
-def _chunk(*arrays, facts=None):
-    """A ``LevelChunk`` of ``arrays``, each made read-only, and ``facts``."""
+def tighten_facts(facts, rows, ends):
+    """Tighten the ``facts`` columns ``rows`` with ``ends`` (4, len(rows)): the larger lower end, the smaller upper."""
+    for fact, end, tighter in zip(facts, ends, (np.maximum, np.minimum, np.maximum, np.minimum)):
+        tighter.at(fact, rows, end)
+
+
+def _chunk(*arrays, facts=None, first=0):
+    """A ``LevelChunk`` of ``arrays``, each made read-only, with ``facts`` from column ``first``."""
     for a in arrays:
         a.flags.writeable = False
-    return LevelChunk(*arrays, facts)
+    return LevelChunk(*arrays, facts, first)
 
 
 def free_tree_level_chunks(n: int):
@@ -371,7 +382,7 @@ def _gathered(n: int, size: int):
     ends = np.cumsum(counts)
     total = int(ends[-1])
     kept = [] if total * (2 * n + 34) <= _MEMO_BYTES else None  # the bytes of every chunk's arrays and facts
-    facts = None if kept is None else np.repeat(_NO_FACTS, total, axis=1)  # one block: each chunk takes a view
+    facts = None if kept is None else np.repeat(_NO_FACTS, total, axis=1)  # one block, shared by every chunk
     cols = np.arange(2, n, dtype=np.int8)
     for r0 in range(0, total, size):
         r = np.arange(r0, min(r0 + size, total))
@@ -394,7 +405,7 @@ def _gathered(n: int, size: int):
         steps[:, n - 1] = n
         roots, top, inner, outer, rootdeg = _compose(stats.take(t1f, axis=0), stats.take(rest, axis=0)).T
         chunk = _chunk(out, steps, np.maximum(roots, top), np.maximum(np.maximum(inner, outer + roots), rootdeg),
-                       facts=None if facts is None else facts[:, r0:r0 + len(r)])
+                       facts=facts, first=r0)
         if kept is not None:
             kept.append(chunk)
         yield chunk

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from itertools import islice
 from multiprocessing import get_context
@@ -76,11 +76,11 @@ import numpy as np
 from .enumeration import (
     CHUNK_ROWS,
     MAX_EXHAUSTIVE_ORDER,
-    _NO_FACTS,
     _level_seq_edges,
     count_double_comets,
     double_comet_arrays,
     free_tree_level_chunks,
+    tighten_facts,
 )
 from .spectra import (
     TOL,
@@ -108,6 +108,7 @@ _COARSE_TOL = 1e-6
 _SAFETY = 1e-9  # slack for the rounding of the float-evaluated comet screen
 _ORDER_MARGIN = 1e-13  # relative slack for the rounding of a whole path order's comet bound, about 450 ulps
 _FACT_MARGIN = 8 * np.finfo(float).eps  # times n * (|x| + n): over twice the rounding zones of two counts in [0, n]
+_AT_LEAST = np.array([[1], [2]])  # the eigenvalues above x that set a probe's bit for lam1's bracket, for lam2's
 _DENSE_GUESS_ORDER = 16  # longest comet quotient given an eigvalsh guess: O(L^3) against ~90 probes of O(L)
 # consecutive chunks a worker streams through one pool when jobs > 1: a task carries at most 4 * CHUNK_ROWS rows
 # whatever n; at jobs = 2 (gap and sum minima) runs of 4 beat runs of 1 and 2 at n = 16-19, and runs of 8 and 16 are
@@ -399,11 +400,11 @@ class _Scan:
 
     Scans of one kept order share their counts through the chunks'
     ``facts`` (``LevelChunk``): lam1 in [L1, H1] and lam2 in [L2, H2] per
-    row (``_PoolFacts``). A row brings its facts into the pool; when it
-    leaves, dropped or kept, its brackets tighten them (the larger lower
-    end, the smaller upper end) before its slot is reused, if the kernel
-    counted it in this scan: a row whose every probe was answered has
-    nothing new to add. A probe at x needs one bit per bracket it lies
+    row (``_PoolFacts``). Each probe reads the row's facts; when the row
+    leaves the pool, dropped or kept, its brackets tighten them (the larger
+    lower end, the smaller upper end) before its slot is reused, if the
+    kernel counted it in this scan: a row whose every probe was answered
+    has nothing new to add. A probe at x needs one bit per bracket it lies
     inside: at least 1 eigenvalue above x for lam1's, at least 2 for
     lam2's. The facts decide a bit when x equals the fact's point, or lies
     below L - m (the bit is set) or above H + m (it is clear), m =
@@ -425,9 +426,10 @@ class _Scan:
     and every bracket moves as in a scan without facts, bit for bit. Each
     end a scan records is then one a scan without facts reaches: a start
     bound or a point where the kernel's count is what the fact says. With
-    ``jobs`` > 1 the workers read the facts their chunks carry and their
-    writes are lost; threads may lose one another's tightenings, but every
-    value stored is a fact, so no lock is taken.
+    ``jobs`` > 1 the workers get their chunks without facts, as their
+    tightenings would be lost, and count every probe; threads may lose one
+    another's tightenings, but every value stored is a fact, so no lock is
+    taken.
     """
 
     fam: _AllTrees
@@ -446,7 +448,7 @@ class _Scan:
             if len(live) < size // 2 and chunks is not None:  # top the pool up from the run's next rows
                 free = np.ones(size, dtype=bool)
                 free[live] = False
-                facts.record(free, ids, brackets)  # before the slots are reused
+                facts.record(free, brackets)  # before the slots are reused
                 free = np.flatnonzero(free)
                 taken = 0
                 while taken < len(free):
@@ -457,18 +459,17 @@ class _Scan:
                             break
                         stars, todo, start = self._start(chunk)
                         kept += [(scanned + r, chunk.levels[r].tobytes(), *_star_intervals(n)) for r in stars.tolist()]
-                        facts.open(chunk.facts, scanned)
                         base, scanned = scanned, scanned + len(chunk)
                         continue
                     rows, slots = todo[:len(free) - taken], free[taken:taken + len(todo)]
                     pool.put(slots, chunk.steps[rows])
                     levels[slots], ids[slots] = chunk.levels[rows], base + rows
                     brackets[:, slots] = start[:, :len(rows)]
-                    facts.fill(slots, chunk.facts, rows)
+                    facts.fill(slots, chunk, rows)
                     todo, start, taken = todo[len(rows):], start[:, len(rows):], taken + len(rows)
                 live = np.concatenate((live, free[:taken]))
             if not len(live):
-                facts.record(np.ones(size, dtype=bool), ids, brackets)
+                facts.record(np.ones(size, dtype=bool), brackets)
                 break
             a, b, c, d = brackets.take(live, axis=1)
             (c1, c2), value = at(b, d)
@@ -487,8 +488,8 @@ class _Scan:
             if not len(live):
                 continue
             a, b, c, d = a[go], b[go], c[go], d[go]
-            in1, in2 = (a < x) & (x < b), (c < x) & (x < d)
-            ge1, ge2 = facts.counts(pool, live, x, in1, in2)
+            in1, in2 = inside = np.array(((a < x) & (x < b), (c < x) & (x < d)))
+            ge1, ge2 = facts.counts(pool, live, x, inside)
             l1_lo[live] = np.where(in1 & ge1, x, a)
             l1_hi[live] = np.where(in1 & ~ge1, x, b)
             l2_lo[live] = np.where(in2 & ge2, x, c)
@@ -511,85 +512,62 @@ class _Scan:
         return rows[star], todo, np.stack((lo, hi, np.zeros_like(lo), hi))
 
 
-_TIGHTER = (np.maximum, np.minimum, np.maximum, np.minimum)  # how each of (L1, H1, L2, H2) takes a new end
-
-
 class _PoolFacts:
     """The count facts of the rows in a ``_Scan`` pool: read as rows come in, tightened as they leave.
 
-    ``sources`` holds the ``facts`` of each chunk the run has opened (None
-    for a chunk without) and ``starts`` its first run position. Per slot,
-    ``home`` is its chunk, ``known`` its row's facts when it came in and
-    ``counted`` whether the kernel has counted it since. Nothing is
-    recorded until a chunk with facts opens (``recording``), and no fact is
-    read nor probe answered until one with a fact known does (``warm``).
+    ``block`` is the ``facts`` of the run's chunks, which all share one
+    order's block or all carry none. Per slot, ``row`` is its row's column
+    in that block and ``counted`` whether the kernel has counted it since
+    it came in. ``told`` is whether any row has come in knowing a fact:
+    until then the facts decide nothing, and every probe is counted
+    without comparing x to them; the comparisons added 2-9 % to a cold
+    call at n = 18.
     """
 
     def __init__(self, size: int):
-        self.sources, self.starts = [], []
-        self.home, self.counted = np.zeros(size, np.int64), np.zeros(size, dtype=bool)
-        self.known = np.repeat(_NO_FACTS, size, axis=1)
-        self.recording = self.warm = False
+        self.block, self.told = None, False
+        self.row, self.counted = np.zeros(size, np.int64), np.zeros(size, dtype=bool)
 
-    def open(self, facts, start: int):
-        """Take the next chunk's ``facts``, its rows from run position ``start`` on."""
-        self.sources.append(facts)
-        self.starts.append(start)
-        if facts is not None:
-            self.recording = True
-            self.warm = self.warm or bool(facts[0].max() > -math.inf)
+    def fill(self, slots, chunk, rows):
+        """Rows ``rows`` of the ``LevelChunk`` ``chunk`` come into ``slots``."""
+        self.block = chunk.facts
+        if self.block is not None:
+            self.row[slots] = rows = chunk.first + rows
+            self.told = self.told or bool(self.block[0].take(rows).max() > -math.inf)  # a recorded row knows all four
 
-    def fill(self, slots, facts, rows):
-        """Rows ``rows`` of the chunk last opened, with its ``facts``, come into ``slots``."""
-        self.home[slots] = len(self.sources) - 1
-        if self.warm:  # until then every slot keeps the facts that know nothing
-            self.known[:, slots] = _NO_FACTS if facts is None else facts.take(rows, axis=1)
-
-    def counts(self, pool, live, x, in1, in2):
-        """(at least 1 above x, at least 2 above x) for each row of slots ``live``, each at its own x.
+    def counts(self, pool, live, x, inside):
+        """(at least 1 above x, at least 2 above x), (2, rows) bool, for the rows of slots ``live``, each at its x.
 
         A bit the facts decide (see ``_Scan``) is taken from them, needed
-        only where x lies inside its bracket (``in1``, ``in2``); every row
-        with a needed bit left undecided is eliminated in the ``pool``.
+        only where x lies inside its bracket (``inside``, lam1's then
+        lam2's); every row with a needed bit left undecided is eliminated
+        in the ``pool``.
         """
-        if not self.warm:
-            above = pool.count_above(x, live)[0]
-            if self.recording:
-                self.counted[live] = True
-            return above >= 1, above >= 2
-        l1, h1, l2, h2 = self.known.take(live, axis=1)
-        n = pool.n
-        m = _FACT_MARGIN * n * (np.abs(x) + n)
-        below, over = x - m, x + m
-        ge1, ge2 = (l1 == x) | (l1 > over), (l2 == x) | (l2 > over)
-        ask = (in1 & ~(ge1 | (h1 == x) | (h1 < below))) | (in2 & ~(ge2 | (h2 == x) | (h2 < below)))
-        if ask.any():
-            asked = live[ask]
-            above = pool.count_above(x[ask], asked)[0]
-            ge1[ask], ge2[ask], self.counted[asked] = above >= 1, above >= 2, True
-        return ge1, ge2
+        if not self.told:
+            self.counted[live] = True
+            return pool.count_above(x, live)[0] >= _AT_LEAST
+        m = _FACT_MARGIN * pool.n * (np.abs(x) + pool.n)
+        facts = self.block.take(self.row.take(live), axis=1)
+        lo, hi = facts[0::2], facts[1::2]  # (L1, L2), (H1, H2)
+        ge = (lo == x) | (lo > x + m)
+        open1, open2 = inside & ~(ge | (hi == x) | (hi < x - m))
+        asked = np.flatnonzero(open1 | open2)
+        if len(asked):
+            rows = live.take(asked)
+            ge[:, asked] = pool.count_above(x.take(asked), rows)[0] >= _AT_LEAST
+            self.counted[rows] = True
+        return ge
 
-    def record(self, leaving, ids, brackets):
-        """Tighten the facts of the counted rows in the slots masked ``leaving`` with their ``brackets``.
+    def record(self, leaving, brackets):
+        """Tighten the block's facts of the counted rows in the slots masked ``leaving`` with their ``brackets``.
 
-        A lower end takes the larger value, an upper end the smaller. The
-        slots' ``ids`` are run positions. Their marks are cleared.
+        Their marks are cleared.
         """
-        if not self.recording:
+        if self.block is None:
             return
         out = np.flatnonzero(leaving & self.counted)
-        if not len(out):
-            return
         self.counted[out] = False
-        home = self.home[out]
-        first, last = int(home.min()), int(home.max())
-        for j in range(first, last + 1):  # the few chunks in the pool at once
-            facts = self.sources[j]
-            if facts is not None:
-                slots = out if first == last else out[home == j]
-                rows = ids[slots] - self.starts[j]
-                for fact, ends, tighter in zip(facts, brackets.take(slots, axis=1), _TIGHTER):
-                    tighter.at(fact, rows, ends)
+        tighten_facts(self.block, self.row[out], brackets.take(out, axis=1))
 
 
 def _start_brackets(chunk, rows):
@@ -682,7 +660,7 @@ class _AllTrees(_Family):
         if jobs == 1:
             results = [scan(chunks)]
         else:
-            runs = iter(lambda: list(islice(chunks, _RUN_CHUNKS)), [])
+            runs = iter(lambda: [replace(c, facts=None) for c in islice(chunks, _RUN_CHUNKS)], [])  # see _Scan on facts
             with get_context("fork").Pool(jobs) as workers:
                 results = list(workers.imap(scan, runs))
         rows = [r for chunk, _, _ in results for r in chunk]

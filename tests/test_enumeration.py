@@ -173,10 +173,14 @@ def test_replayed_chunks_equal_a_fresh_gather(monkeypatch):
             for name in ("levels", "steps", "max_degree", "max_degree_sum"):
                 a, b = getattr(old, name), getattr(new, name)
                 assert not a.flags.writeable and (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-            # a kept order's count facts are writable, one column per row, and start knowing nothing
-            for facts in (old.facts, new.facts):
-                assert facts.flags.writeable and facts.dtype == np.float64 and facts.shape == (4, len(old))
-                assert (facts == np.array([-np.inf, np.inf, -np.inf, np.inf])[:, None]).all()
+        # a kept order's chunks share one writable block of count facts, a column per row from their first on,
+        # which starts knowing nothing
+        for chunks in (first, fresh):
+            block = chunks[0].facts
+            assert all(c.facts is block for c in chunks)
+            assert [c.first for c in chunks] == np.cumsum([0] + [len(c) for c in chunks[:-1]]).tolist()
+            assert block.flags.writeable and block.dtype == np.float64 and block.shape == (4, count_free_trees(n))
+            assert (block == np.array([-np.inf, np.inf, -np.inf, np.inf])[:, None]).all()
         enumeration._MEMO.clear()
     # only an order the memo can keep carries facts: not n <= 2, nor one too large to record
     assert next(free_tree_level_chunks(2)).facts is None

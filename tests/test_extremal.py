@@ -598,8 +598,10 @@ class TestSearch:
 
     def test_a_repeated_scan_eliminates_nothing(self, monkeypatch):
         # a second gap minimum at n = 16 answers every probe from the count facts the first scan left on
-        # the kept chunks: no row-probe, and the same answer
+        # the kept chunks: no row-probe, and the same answer; the first meets a sum maximum's facts, so it
+        # records the rows it counted beside answered ones
         monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+        search_extremal(16, alpha=None, objective="max", key="sum")
         first = repr(search_extremal(16, alpha=None, objective="min", key="gap"))
         probes = [0]
         eliminate = TreeBatch._eliminate
@@ -614,7 +616,7 @@ class TestSearch:
     def test_answers_do_not_depend_on_call_history(self, monkeypatch):
         # every key and objective, psi at five alphas and the envelope at n = 3-12, called in a shuffled order in
         # one process, so each scan meets count facts left by others, equal the same calls made on an empty memo;
-        # at n = 12 and 14, calls over two workers, which read the facts but whose writes are lost, mixed in
+        # at n = 12 and 14, calls over two workers, whose chunks reach them without facts, mixed in
         def call(n, key, alpha, objective, jobs=1):
             if key == "envelope":
                 return [(repr(s), s.lam1.hex(), s.lam2.hex(), s.alpha_lo.hex()) for s in envelope(n).segments]
