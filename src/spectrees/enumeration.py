@@ -31,21 +31,18 @@ degree and its largest sum of one vertex's neighbours' degrees. The forest
 tables hold these per forest, composed by the same gathers as the level
 rows, so no table is rebuilt from the level sequences.
 
-Repeated scans at one order share its chunks: an order whose chunks take
-at most ``_MEMO_BYTES`` (16 MiB, n <= 18) is kept once streamed, and a
-later ``free_tree_level_chunks`` call replays it, building no table and
-gathering nothing; the memo holds at most that many bytes in all. The
-chunks of such an order also carry each row's count facts (``facts``),
-which every scan tightens and later scans read, so they share their
-inertia counts too. A larger order streams in the memory of its tables
-and one chunk each call, and carries no facts.
+Repeated scans at one order share its chunks: every order 3 <= n <= 18
+is kept once streamed (13.4 MiB of chunks and facts in all), and a later
+``free_tree_level_chunks`` call replays it, building no table and
+gathering nothing. The chunks of such an order also carry each row's
+count facts (``facts``), which every scan tightens and later scans read,
+so they share their inertia counts too. A larger order streams in the
+memory of its tables and one chunk each call, and carries no facts.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,9 +55,8 @@ CHUNK_ROWS = 2048
 DC_BLOCK_ROWS = 16384  # comets per block of double_comet_arrays
 _FULL_ORACLE_ORDER = 8  # full n^(n-2) scan up to here, covering subset beyond
 _ORACLE_ROWS = {}  # n -> the oracle's code-sorted (code, edges) rows, read only
-_MEMO_BYTES = 16 << 20  # the most bytes of chunks and facts _MEMO holds: n = 3-18 take 13.4 MiB at 2048 rows a chunk
-_MEMO = OrderedDict()  # (n, rows per chunk) -> that order's LevelChunks, least recently used first
-_MEMO_LOCK = threading.Lock()  # searches on several threads share _MEMO
+_MEMO_ORDER = 18  # the largest order _MEMO keeps: orders 3-18 take 13.4 MiB of chunks and facts (2n + 34 bytes a row)
+_MEMO = {}  # (n, rows per chunk) -> that order's LevelChunks
 
 
 # -- free trees ----------------------------------------------------------------
@@ -291,7 +287,7 @@ class LevelChunk:
     largest sum of one vertex's neighbours' degrees, the largest row sum of
     A^2. These four arrays are read-only.
 
-    ``facts`` is None, or, for a chunk of an order the memo keeps, the
+    ``facts`` is None, or, for a chunk of an order the memo keeps (3-18), the
     order's one writable (4, classes) float64 block of what inertia counts
     have shown of each row: lam1 in [L1, H1] and lam2 in [L2, H2], rows
     (L1, H1, L2, H2), from (-inf, +inf, -inf, +inf). The chunk's rows are
@@ -310,12 +306,6 @@ class LevelChunk:
 
     def __len__(self) -> int:
         return len(self.levels)
-
-    @property
-    def nbytes(self) -> int:
-        """The bytes of its four arrays and of its rows' columns of ``facts``."""
-        own = 0 if self.facts is None else self.facts[:, self.first:self.first + len(self)].nbytes
-        return self.levels.nbytes + self.steps.nbytes + self.max_degree.nbytes + self.max_degree_sum.nbytes + own
 
 
 _NO_FACTS = np.array([-np.inf, np.inf, -np.inf, np.inf])[:, None]  # (L1, H1, L2, H2) before any count
@@ -345,7 +335,7 @@ def free_tree_level_chunks(n: int):
     So each T1 takes a run of consecutive rows of its forest table, and a
     chunk is gathered from the runs it covers: memory stays at the tables,
     a few bytes per T1 and one chunk, whatever the class count, besides
-    the memo below, which never passes ``_MEMO_BYTES``.
+    the memo below: orders 3-18, 13.4 MiB in all.
 
     The step tables and degree counts come by the same gathers. In
     postorder, T1's forest takes slots 0..k-2, k = |T1|, its roots stepping
@@ -353,27 +343,24 @@ def free_tree_level_chunks(n: int):
     the root at slot n-1. The counts are the stats of the root's children,
     T1 followed by F, closed off at a root without a parent.
 
-    ``n`` is checked at the call, not at the first chunk. An order whose
-    chunks take at most ``_MEMO_BYTES`` (n <= 18 at 2048 rows a chunk, 2n
-    + 34 bytes a row with its facts) is recorded as it streams and, once
-    every chunk is out, kept in ``_MEMO`` under ``(n, CHUNK_ROWS)``; a
-    later call replays those chunks, building no table and gathering
-    nothing. Only such an order's chunks carry ``facts``, from the first
-    stream on, so the scans of that stream record into them too. The memo
-    holds at most ``_MEMO_BYTES`` in all, dropping the least recently used
-    orders first. A larger order is never recorded and carries no facts.
+    ``n`` is checked at the call, not at the first chunk. An order 3 <= n <=
+    ``_MEMO_ORDER`` (18; 2n + 34 bytes a row with its facts) is recorded as
+    it streams and, once every chunk is out, kept in ``_MEMO`` under
+    ``(n, CHUNK_ROWS)`` for the rest of the process; a later call replays
+    those chunks, building no table and gathering nothing. Only such an
+    order's chunks carry ``facts``, from the first stream on, so the scans
+    of that stream record into them too. A larger order (19 alone would
+    take 21.8 MiB) is never recorded and carries no facts. The memo needs no lock: a
+    dict's get and set are atomic, and of two first streams of one order,
+    each with its own facts, the later store wins.
     """
     n = _integer("n", n, 1, MAX_EXHAUSTIVE_ORDER)
-    key = (n, CHUNK_ROWS)
-    with _MEMO_LOCK:
-        chunks = _MEMO.get(key)
-        if chunks is not None:
-            _MEMO.move_to_end(key)
-    return _gathered(*key) if chunks is None else iter(chunks)
+    chunks = _MEMO.get((n, CHUNK_ROWS))
+    return _gathered(n, CHUNK_ROWS) if chunks is None else iter(chunks)
 
 
 def _gathered(n: int, size: int):
-    """``free_tree_level_chunks(n)`` gathered from the forest tables in chunks of ``size`` rows, recorded if it fits."""
+    """``free_tree_level_chunks(n)`` gathered from the forest tables in chunks of ``size`` rows, recorded if kept."""
     if n <= 2:  # the root alone, or the root over one leaf: n - 1 is its largest degree and degree sum
         levels, steps, top = np.arange(n, dtype=np.int8), np.arange(1, n + 1, dtype=np.int8), np.full(1, n - 1, np.int8)
         yield _chunk(levels.reshape(1, n), steps.reshape(1, n), top, top)
@@ -381,7 +368,7 @@ def _gathered(n: int, size: int):
     flat, flat_steps, stats, lead, sizes, t1_row, f_row, counts = _first_subtree_runs(n)
     ends = np.cumsum(counts)
     total = int(ends[-1])
-    kept = [] if total * (2 * n + 34) <= _MEMO_BYTES else None  # the bytes of every chunk's arrays and facts
+    kept = [] if n <= _MEMO_ORDER else None
     facts = None if kept is None else np.repeat(_NO_FACTS, total, axis=1)  # one block, shared by every chunk
     cols = np.arange(2, n, dtype=np.int8)
     for r0 in range(0, total, size):
@@ -410,11 +397,7 @@ def _gathered(n: int, size: int):
             kept.append(chunk)
         yield chunk
     if kept is not None:
-        with _MEMO_LOCK:
-            _MEMO.pop((n, size), None)  # kept by a stream that ran beside this one
-            _MEMO[n, size] = tuple(kept)
-            while sum(c.nbytes for chunks in _MEMO.values() for c in chunks) > _MEMO_BYTES:
-                _MEMO.popitem(last=False)
+        _MEMO[n, size] = tuple(kept)
 
 
 def coded_free_trees(n: int):

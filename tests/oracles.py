@@ -1,17 +1,19 @@
-"""Whole-chunk references for the batched scan, built from level sequences alone.
+"""References for the batched scan and the inertia counts, built without the code they check.
 
 ``TreeBatch(levels)`` checks its rows and builds its step table by Python
 loops over n, independently of the forest-table gathers behind
 ``free_tree_level_chunks``; these helpers add the degrees and the two
-whole-chunk answers the scan once computed from them.
+whole-chunk answers the scan once computed from them. ``exact_tree_counts``
+counts one tree's eigenvalues above a point over Fractions.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from spectrees import spectra
-from spectrees.spectra import TOL, TreeBatch
+from spectrees.spectra import TOL, TreeBatch, _rooted
 
 
 def level_degrees(levels):
@@ -53,3 +55,26 @@ def batch_top_two(levels):
     l1_lo[rest], l1_hi[rest] = batch.bisect(1, 0.0, math.sqrt(n - 1), TOL, rest)
     l2_lo[rest], l2_hi[rest] = batch.bisect(2, 0.0, l1_hi[rest], TOL, rest)
     return l1_lo, l1_hi, l2_lo, l2_hi
+
+
+def exact_tree_counts(t, x):
+    """(above, equal) of tree t at x, by the pivot recurrence over Fractions.
+
+    Pivots are eliminated leaf to root; a zero child pivot takes the repair
+    (Jacobs and Trevisan): it becomes 2, the parent's -1/2, and the parent's
+    edge onward is cut.
+    """
+    post, up = _rooted(t)
+    x = Fraction(x)
+    d, s, zero_child = {}, [Fraction(0)] * (t.n + 1), [False] * (t.n + 1)
+    for v in post:
+        if zero_child[v]:
+            d[v] = Fraction(-1, 2)
+            continue
+        d[v] = -x - s[v]
+        if d[v] == 0 and up[v] < t.n and not zero_child[up[v]]:
+            zero_child[up[v]] = True
+            d[v] = Fraction(2)
+        elif d[v]:
+            s[up[v]] += 1 / d[v]
+    return sum(p > 0 for p in d.values()), sum(p == 0 for p in d.values())

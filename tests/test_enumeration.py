@@ -1,7 +1,6 @@
 import random
 import sys
 import threading
-from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -162,7 +161,7 @@ def test_level_chunks_check_the_order_at_the_call():
 
 
 def test_replayed_chunks_equal_a_fresh_gather(monkeypatch):
-    monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+    monkeypatch.setattr(enumeration, "_MEMO", {})
     for n in (3, 9, 16):
         first = list(free_tree_level_chunks(n))
         assert list(enumeration._MEMO) == [(n, CHUNK_ROWS)]  # recorded as it streamed
@@ -182,15 +181,16 @@ def test_replayed_chunks_equal_a_fresh_gather(monkeypatch):
             assert block.flags.writeable and block.dtype == np.float64 and block.shape == (4, count_free_trees(n))
             assert (block == np.array([-np.inf, np.inf, -np.inf, np.inf])[:, None]).all()
         enumeration._MEMO.clear()
-    # only an order the memo can keep carries facts: not n <= 2, nor one too large to record
+    # only an order the memo keeps carries facts: not n <= 2, nor one above the largest kept order
     assert next(free_tree_level_chunks(2)).facts is None
-    monkeypatch.setattr(enumeration, "_MEMO_BYTES", 0)
+    monkeypatch.setattr(enumeration, "_MEMO_ORDER", 8)
     assert next(free_tree_level_chunks(9)).facts is None and not enumeration._MEMO
 
 
 def test_memo_is_keyed_on_the_chunk_size(monkeypatch):
     # an order kept at CHUNK_ROWS rows a chunk streams in chunks of a patched size, gathered and then replayed,
-    # as the scan tests that patch the size rely on
+    # as the scan tests that patch the size rely on; a fresh memo, so no entry of the patched size outlives the test
+    monkeypatch.setattr(enumeration, "_MEMO", {})
     want = np.concatenate([c.levels for c in free_tree_level_chunks(12)])
     assert (12, CHUNK_ROWS) in enumeration._MEMO
     monkeypatch.setattr(enumeration, "CHUNK_ROWS", 100)
@@ -202,29 +202,25 @@ def test_memo_is_keyed_on_the_chunk_size(monkeypatch):
 
 
 def test_memo_holds_only_orders_within_its_budget(monkeypatch):
-    # a sweep keeps every order up to 18 (13.4 MiB of chunks and facts in all) and records neither 19 (21.8 MiB)
-    # nor 20
-    monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+    # a sweep keeps every order 3-18, 13.4 MiB of chunks and facts in all, and records neither 19 (21.8 MiB)
+    # nor 20 (58 MiB)
+    monkeypatch.setattr(enumeration, "_MEMO", {})
     for n in range(2, 21):
         for _ in free_tree_level_chunks(n):
             pass
-        held = sum(c.nbytes for chunks in enumeration._MEMO.values() for c in chunks)
-        assert held <= enumeration._MEMO_BYTES, (n, held)
     assert list(enumeration._MEMO) == [(n, CHUNK_ROWS) for n in range(3, 19)]
-    # least recently used first: a replay of 15 keeps it, and 16 goes to make room for 17 (3.15 MiB) within 4.5 MiB
-    monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
-    monkeypatch.setattr(enumeration, "_MEMO_BYTES", 9 << 19)
-    for n in (15, 16, 15, 17, 18):
-        list(free_tree_level_chunks(n))
-    assert list(enumeration._MEMO) == [(15, CHUNK_ROWS), (17, CHUNK_ROWS)]
+    arrays = sum(a.nbytes for chunks in enumeration._MEMO.values() for c in chunks
+                 for a in (c.levels, c.steps, c.max_degree, c.max_degree_sum))
+    facts = sum(chunks[0].facts.nbytes for chunks in enumeration._MEMO.values())  # one block per order
+    assert arrays + facts < 14 << 20, (arrays, facts)
 
 
 def test_memo_is_shared_safely_by_threads(monkeypatch):
-    # eight threads stream orders 6-11, one row a chunk, over a memo of 8000 bytes, less than orders 10 and 11
-    # take, so keeps, replays and evictions interleave (without the lock, a keep's byte count iterates the memo
-    # while a replay reorders it); every stream is whole and the memo stays within its budget
-    monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
-    monkeypatch.setattr(enumeration, "_MEMO_BYTES", 8000)
+    # eight threads stream orders 6-11, one row a chunk, over a memo that keeps orders up to 9, so keeps, replays,
+    # first streams of one order beside each other and orders never kept interleave; every stream is whole, and
+    # the memo holds exactly the kept orders
+    monkeypatch.setattr(enumeration, "_MEMO", {})
+    monkeypatch.setattr(enumeration, "_MEMO_ORDER", 9)
     monkeypatch.setattr(enumeration, "CHUNK_ROWS", 1)
     want = {n: count_free_trees(n) for n in range(6, 12)}
     errors, interval = [], sys.getswitchinterval()
@@ -246,7 +242,7 @@ def test_memo_is_shared_safely_by_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and not errors, errors
-    assert sum(c.nbytes for chunks in enumeration._MEMO.values() for c in chunks) <= 8000
+    assert set(enumeration._MEMO) == {(n, 1) for n in range(6, 10)}
 
 
 def test_oracle_agrees_with_generator_small():

@@ -2,14 +2,13 @@ import math
 import random
 import sys
 import threading
-from collections import OrderedDict
 from dataclasses import astuple
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
-from oracles import batch_top_two, degree_brackets, level_degrees
+from oracles import batch_top_two, degree_brackets, exact_tree_counts, level_degrees
 
 from spectrees import enumeration, extremal
 from spectrees.enumeration import (
@@ -35,7 +34,7 @@ from spectrees.extremal import (
     tuned_dc2_params,
     tuned_dc3_params,
 )
-from spectrees.spectra import TOL, TreeBatch, _rooted, top_two
+from spectrees.spectra import TOL, TreeBatch, top_two
 from spectrees.suites import envelope_to_csv
 from spectrees.trees import (
     DoubleCometParams,
@@ -112,29 +111,6 @@ def exact_quotient_counts(p, x):
             d.append(-x - (w / d[-1] if fed else 0))
             fed = True
     return sum(v > 0 for v in d), sum(v == 0 for v in d)
-
-
-def exact_tree_counts(t, x):
-    """(above, equal) of tree t at x, by the pivot recurrence over Fractions.
-
-    Pivots are eliminated leaf to root; a zero child pivot takes the repair
-    (Jacobs and Trevisan): it becomes 2, the parent's -1/2, and the parent's
-    edge onward is cut.
-    """
-    post, up = _rooted(t)
-    x = Fraction(x)
-    d, s, zero_child = {}, [Fraction(0)] * (t.n + 1), [False] * (t.n + 1)
-    for v in post:
-        if zero_child[v]:
-            d[v] = Fraction(-1, 2)
-            continue
-        d[v] = -x - s[v]
-        if d[v] == 0 and up[v] < t.n and not zero_child[up[v]]:
-            zero_child[up[v]] = True
-            d[v] = Fraction(2)
-        elif d[v]:
-            s[up[v]] += 1 / d[v]
-    return sum(p > 0 for p in d.values()), sum(p == 0 for p in d.values())
 
 
 def assert_star_pair(n, l1, l2):
@@ -575,7 +551,7 @@ class TestSearch:
             return eliminate(steps, w, work, x)
 
         monkeypatch.setattr(TreeBatch, "_eliminate", staticmethod(counting))
-        monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())  # cold: no count facts to answer from
+        monkeypatch.setattr(enumeration, "_MEMO", {})  # cold: no count facts to answer from
         res = search_extremal(14, alpha=None, objective="min", key="gap")
         assert res.scanned == 3159 and probes[0] <= 8 * 3159, probes[0]
 
@@ -592,7 +568,7 @@ class TestSearch:
             return eliminate(steps, w, work, x)
 
         monkeypatch.setattr(TreeBatch, "_eliminate", staticmethod(counting))
-        monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())  # cold: no count facts to answer from
+        monkeypatch.setattr(enumeration, "_MEMO", {})  # cold: no count facts to answer from
         res = search_extremal(16, alpha=None, objective="min", key="gap")
         assert res.scanned == 19320 and passes[0] <= 120 and probes[0] == 98605, (passes[0], probes[0])
 
@@ -600,7 +576,7 @@ class TestSearch:
         # a second gap minimum at n = 16 answers every probe from the count facts the first scan left on
         # the kept chunks: no row-probe, and the same answer; the first meets a sum maximum's facts, so it
         # records the rows it counted beside answered ones
-        monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+        monkeypatch.setattr(enumeration, "_MEMO", {})
         search_extremal(16, alpha=None, objective="max", key="sum")
         first = repr(search_extremal(16, alpha=None, objective="min", key="gap"))
         probes = [0]
@@ -629,19 +605,19 @@ class TestSearch:
             return [(n, k, a, o) for k, a in keys for o in ("max", "min")] + [(n, "envelope", None, None)]
 
         def fresh(args):
-            monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+            monkeypatch.setattr(enumeration, "_MEMO", {})
             return call(*args)
 
         rng = random.Random(32)
         history = [args for n in range(3, 13) for args in calls(n)]
         rng.shuffle(history)
-        monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+        monkeypatch.setattr(enumeration, "_MEMO", {})
         warm = [call(*args) for args in history]
         assert warm == [fresh(args) for args in history]
         for n in (12, 14):
             history = [(*args, rng.choice((1, 2))) for args in calls(n)[:-1] * 2]
             rng.shuffle(history)
-            monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+            monkeypatch.setattr(enumeration, "_MEMO", {})
             warm = [call(*args) for args in history]
             assert warm == [fresh(args[:-1]) for args in history], n
 
@@ -658,7 +634,7 @@ class TestSearch:
             return counts
 
         monkeypatch.setattr(TreeBatch, "_eliminate", staticmethod(counting))
-        monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+        monkeypatch.setattr(enumeration, "_MEMO", {})
         chunk = next(enumeration.free_tree_level_chunks(n))
         r = int(np.flatnonzero(chunk.max_degree == 3)[0])  # neither path nor star
         row = [a[r:r + 1] for a in (chunk.levels, chunk.steps, chunk.max_degree, chunk.max_degree_sum)]
@@ -692,9 +668,9 @@ class TestSearch:
         keys = [("sum", "max"), ("gap", "min"), ("lam2", "max"), ("lam1", "min")]
         want = {}
         for key, objective in keys:
-            monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+            monkeypatch.setattr(enumeration, "_MEMO", {})
             want[key, objective] = repr(search_extremal(14, alpha=None, objective=objective, key=key))
-        monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+        monkeypatch.setattr(enumeration, "_MEMO", {})
         got, interval = {}, sys.getswitchinterval()
 
         def search(key, objective):
@@ -740,6 +716,7 @@ class TestSearch:
                         search_extremal(n, alpha=alpha, objective=objective, key=key, exclude=res.winner_codes)
             envelope(n)
             assert len(scans[n]) == 2 * len(keys) + 1 + 2 * (n <= 12)
+        monkeypatch.setattr(enumeration, "_MEMO", {})  # no entry of a patched chunk size outlives the test
         for n, recorded in scans.items():
             fifth, ninth = count_free_trees(n) // 5 + 1, count_free_trees(n) // 9 + 1
             for chunk_rows, pool_rows in ((fifth, fifth // 2), (ninth, 3 * ninth)):
@@ -754,6 +731,7 @@ class TestSearch:
                     assert (streamed[1].hex(), streamed[2]) == (far.hex(), sum(c for _, _, c in alone)), (n, scan.at)
         monkeypatch.undo()
         # runs of consecutive chunks, 100 rows each, over a fork pool give every answer again
+        monkeypatch.setattr(enumeration, "_MEMO", {})
         monkeypatch.setattr(enumeration, "CHUNK_ROWS", 100)
         for key, objective in (("gap", "min"), ("sum", "min"), ("lam2", "max")):
             runs = [repr(search_extremal(14, alpha=None, objective=objective, key=key, jobs=jobs)) for jobs in (1, 2)]
@@ -771,7 +749,7 @@ class TestSearch:
             return build(n)
 
         monkeypatch.setattr(enumeration, "_forest_tables", counting)
-        monkeypatch.setattr(enumeration, "_MEMO", OrderedDict())
+        monkeypatch.setattr(enumeration, "_MEMO", {})
         first = repr(search_extremal(14, alpha=None, key="sum"))
         assert builds[0] == 1
         for key, objective in (("sum", "min"), ("lam2", "max"), ("gap", "min")):

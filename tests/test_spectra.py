@@ -2,13 +2,12 @@ import math
 import pickle
 import random
 from dataclasses import astuple
-from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import batch_top_two
+from oracles import batch_top_two, exact_tree_counts
 
 from spectrees import spectra
 from spectrees.enumeration import _level_seq_edges, decode_parent_report, enumerate_free_trees, free_tree_level_chunks
@@ -198,14 +197,9 @@ class TestTopTwo:
         t = [Tree(100, [(rng.randrange(v), v) for v in range(1, 100)]) for _ in range(30)][26]
         with pytest.raises(ValueError, match="TOL"):
             top_two(t, 1e-14)
-        post, up = _rooted(t)
 
         def exact_above(x):
-            d, s, x = {}, [0] * (t.n + 1), Fraction(x)
-            for v in post:  # a non-integer float is no subtree's eigenvalue, so no pivot is 0
-                d[v] = -x - s[v]
-                s[up[v]] += 1 / d[v]
-            return sum(p > 0 for p in d.values())
+            return exact_tree_counts(t, x)[0]
 
         tt = top_two(t)
         assert (exact_above(tt.lam1_lo), exact_above(tt.lam1_hi)) == (1, 0)
