@@ -38,6 +38,7 @@ eigenvector-eigenvalue identity.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -167,24 +168,271 @@ def count_eigenvalues_above(t: Tree, x: float) -> SignCount:
     return SignCount(above, equal, t.n - above - equal)
 
 
-def _bisect_count(post, up, k: int, lo: float, hi: float, tol: float):
+_STEPS = 200  # the most midpoints one bisection takes, replayed ones included
+
+
+def _open(lo, hi, mid, tol, left):
+    """Whether a bisection of [lo, hi] goes on to its midpoint mid; floats, or arrays with one bracket per row.
+
+    The one stop rule: a bracket stops at width tol, at float resolution
+    (mid not strictly inside), or with no step left of its ``_STEPS``.
+    """
+    return (hi - lo > tol) & (lo < mid) & (mid < hi) & (left > 0)
+
+
+def _walk(lo, hi, tol, guess, margin):
+    """(lo, hi, steps): the bisection's own midpoints, each decided by its side of the guess, no count taken.
+
+    Floats, or arrays with one bracket per row. A bracket walks while
+    ``_open`` lets it and its midpoint lies more than margin from a finite
+    guess; NaN or +-inf is no guess and takes no step. Its counts decide the
+    same midpoints the same way, and so reach the same bracket, if the
+    eigenvalue lies on the guess's side of each of them: always when the
+    guess lies within margin of it.
+    """
+    steps = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        go = _open(lo, hi, mid, tol, _STEPS - steps) & (abs(mid - guess) > margin) & (abs(guess) < math.inf)
+        if isinstance(go, np.ndarray):
+            if not go.any():
+                return lo, hi, steps
+            lo, hi = np.where(go & (mid < guess), mid, lo), np.where(go & (mid > guess), mid, hi)
+        elif not go:
+            return lo, hi, steps
+        elif mid < guess:
+            lo = mid
+        else:
+            hi = mid
+        steps = steps + go
+
+
+def _bisect_count(post, up, k: int, lo: float, hi: float, tol: float, guess: float = math.nan, margin: float = 0.0):
     """Shrink [lo, hi] around the k-th largest eigenvalue of the forest (post, up).
 
     Each probe is ``_count_above``. Precondition: at least k eigenvalues
     exceed lo (or lo is a known valid floor) and fewer than k exceed hi.
-    Stops at width tol, at float resolution, or after 200 probes.
+    Stops by ``_open``'s rules. A guess ``_walk``s the bracket first, its
+    margin at least tol/4, and two counts check the ends it reached: if both
+    agree, bisection goes on from there with the steps left, else from
+    [lo, hi] unguided. Either way the bracket is the unguided one, bit for
+    bit (``TreeBatch.bisect`` gives the argument).
     """
-    for _ in range(200):
-        if hi - lo <= tol:
-            break
+    left = _STEPS
+    a, b, steps = _walk(lo, hi, tol, guess, max(margin, 0.25 * tol))
+    if steps and _count_above(post, up, a)[0] >= k and _count_above(post, up, b)[0] < k:
+        lo, hi, left = a, b, _STEPS - steps
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
+        if not _open(lo, hi, mid, tol, left):
+            return lo, hi
+        left -= 1
         if _count_above(post, up, mid)[0] >= k:
             lo = mid
         else:
             hi = mid
-    return lo, hi
+
+
+# -- guesses from Lanczos --------------------------------------------------------
+
+_LANCZOS_ORDER = 400  # least order whose top_two takes Lanczos guesses (measurements: CHANGES.md)
+_LANCZOS_STEPS = 144  # most Lanczos steps per tree
+_LANCZOS_LOOK = 24  # Lanczos steps between looks at the Ritz values
+_LANCZOS_SHRINK = 3.0  # least factor a look's awaited residual must fall by, or the run stalls
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_PIVMIN = 1e-290  # stands in for a zero pivot of the Lanczos tridiagonal
+_NO_GUESS = (math.nan, 0.0)
+_MISSING = (math.nan, math.inf, math.nan)  # a guess _guesses could not give: (theta, residual, margin)
+
+
+def _lanczos_guesses(post, up, tol: float):
+    """((g1, d1), (g2, d2)): guesses for lam1 and lam2 of the tree (post, up) and their margins.
+
+    Three-term Lanczos (Paige 1980) on the adjacency matrix: each matvec is
+    one ``np.bincount`` and one gather over the parent array, the vertices
+    renumbered by depth so that parents come first. O(n) memory, no
+    reorthogonalization, and a fixed start vector, so a call repeats
+    exactly. Every ``_LANCZOS_LOOK`` steps ``_ritz`` gives the largest Ritz
+    values with their residuals, and ``_guesses`` the two largest distinct
+    ones with margins of at least tol/4.
+
+    The run stops when both margins are tol/4, or after ``_LANCZOS_STEPS``
+    with the guesses as they stand, or when it stalls: when the residual it
+    waits for (lam1's until its margin is tol/4, then lam2's) fell less than
+    fourfold since the last look. Ritz values stall on clustered tops, as on
+    long paths, where margins from Ritz gaps do not hold; a stalled run
+    keeps only the guesses whose margins reached tol/4. A guess that misses
+    costs ``_bisect_count`` two counts and a restart, never its bracket.
+    """
+    n = len(post)
+    order = np.array(post[::-1])  # by depth, so parents come first
+    at = np.empty(n, dtype=np.int64)
+    at[order] = np.arange(n)
+    parent = at[np.array(up)[order[1:]]]  # of vertex i + 1 in the new numbering
+    q = np.arange(1.0, n + 1.0) * _GOLDEN % 1.0 + 0.5  # positive, so it meets the Perron vector, and irregular
+    q /= math.sqrt(q @ q)
+    prev, gathered = np.zeros(n), np.empty(n - 1)
+    alpha, beta, b = [], [], 0.0
+    floor = 0.25 * tol
+    read, waited = [], (None, math.inf)
+    for j in range(1, _LANCZOS_STEPS + 1):
+        w = np.bincount(parent, weights=q[1:], minlength=n)  # A q: each vertex's children, then its parent
+        w[1:] += np.take(q, parent, out=gathered)
+        prev *= b
+        w -= prev
+        a = float(q @ w)
+        np.multiply(q, a, out=prev)
+        w -= prev
+        b = math.sqrt(w @ w)
+        alpha.append(a)
+        invariant = b <= floor  # every Ritz value then lies within tol/4 of an eigenvalue
+        if invariant or j % _LANCZOS_LOOK == 0 or j == _LANCZOS_STEPS:
+            guesses, read = _guesses(_ritz(alpha, beta, b, read), floor)
+            done = [margin <= floor for _, _, margin in guesses]
+            if all(done) or invariant or j == _LANCZOS_STEPS:
+                return tuple(_NO_GUESS if theta != theta else (theta, margin) for theta, _, margin in guesses)
+            i = int(done[0])  # the guess waited for: lam1's until its margin is tol/4, then lam2's
+            if waited[0] == i and guesses[i][1] * _LANCZOS_SHRINK > waited[1]:
+                return tuple((theta, margin) if ok else _NO_GUESS for (theta, _, margin), ok in zip(guesses, done))
+            waited = (i, guesses[i][1])
+        beta.append(b)
+        w /= b
+        prev, q = q, w
+    raise AssertionError("unreachable: the last step looks")
+
+
+def _guesses(ritz, floor: float):
+    """The two largest distinct Ritz values as (theta, residual, margin), and the Ritz values read.
+
+    ``ritz`` yields (theta, residual) pairs, largest first. A value within
+    the residuals of the last one kept is a copy of it: a ghost of a
+    converged value, or one still converging to it (Cullum and Willoughby
+    1985). Reading stops at the third value kept. A kept value's margin is
+    its residual rho, or rho^2/gap when its kept neighbours, less their own
+    residuals, lie a gap away (Parlett 1980, the gap theorem), and at least
+    ``floor``. A guess that is missing reads (NaN, inf, NaN).
+    """
+    kept, read = [], []
+    for theta, rho in ritz:
+        read.append(theta)
+        if not kept and rho * rho > 2.0 * theta * floor:
+            break  # lam1's margin stays above floor whatever its gap, less than 2 lam1 in a tree's spectrum
+        if not kept or kept[-1][0] - theta > kept[-1][1] + rho:
+            kept.append((theta, rho))
+            if len(kept) == 3:
+                break
+    if not kept:
+        return [(theta, rho, rho), _MISSING], read
+    guesses = []
+    for i, (theta, rho) in enumerate(kept[:2]):
+        gaps = [up - theta - r for up, r in kept[i - 1:i]] + [theta - down - r for down, r in kept[i + 1:i + 2]]
+        gap = min(gaps, default=0.0)
+        guesses.append((theta, rho, max(rho * min(1.0, rho / gap) if gap > 0.0 else rho, floor)))
+    guesses += [_MISSING] * (2 - len(guesses))
+    return guesses, read
+
+
+def _ritz(alpha, beta, last: float, warm):
+    """Yield the Ritz values of the Lanczos tridiagonal, largest first, each with its residual.
+
+    ``alpha`` is the diagonal, ``beta`` the off-diagonal, and ``last`` the
+    off-diagonal the next step would add. The residual of a Ritz value is
+    last * |s|, s the last entry of its unit eigenvector: some eigenvalue
+    of the tree lies within it (Parlett 1980). ``_root`` brackets each
+    value by Sturm counts and polishes it by Newton steps, starting from
+    ``warm``'s value of the same rank at the last look, which interlacing
+    puts at or below it. Values closer than float resolution allows come
+    out equal. Every pass is O(j) Python: no dense matrix, no LAPACK call.
+    """
+    j = len(alpha)
+    beta2 = [0.0] + [e * e for e in beta]
+    edge = [0.0, *beta, 0.0]
+    floor = min(a - edge[i] - edge[i + 1] for i, a in enumerate(alpha))  # Gershgorin
+    hi = max(a + edge[i] + edge[i + 1] for i, a in enumerate(alpha))
+    tiny = 4.0 * sys.float_info.epsilon * max(-floor, hi)
+    lo, c_lo = hi, 0  # the lower end of the last value's bracket, and the eigenvalues above it
+    for m in range(1, j + 1):
+        if c_lo < m:  # the next value lies below lo; else it is the last one again
+            lo, hi, c_lo, c_hi = floor, lo, j, c_lo
+            x = warm[m - 1] if m <= len(warm) and lo < warm[m - 1] < hi else 0.5 * (lo + hi)
+            theta, lo, c_lo = _root(alpha, beta2, m, lo, hi, c_lo, c_hi, x, tiny)
+        yield theta, last * _last_entry(alpha, beta, theta)
+
+
+def _sturm(alpha, beta2, x: float):
+    """(above, step): the tridiagonal's eigenvalues above x, by its pivots at x, and Newton's step on its determinant.
+
+    ``beta2`` holds the squared off-diagonals after a leading 0. A zero
+    pivot counts as -``_PIVMIN``.
+    """
+    above, d, r, g = 0, 1.0, 0.0, 0.0  # r = d'/d for the pivot d, g their sum, the determinant's log-derivative
+    for a, b2 in zip(alpha, beta2):
+        c = b2 / d
+        d = a - x - c
+        if not d:
+            d = -_PIVMIN
+        r = (c * r - 1.0) / d
+        g += r
+        above += d > 0.0
+    return above, -1.0 / g if g else 0.0
+
+
+def _root(alpha, beta2, m: int, lo: float, hi: float, c_lo: int, c_hi: int, x: float, tiny: float):
+    """(theta, lo, c_lo): the m-th largest eigenvalue of the tridiagonal, and the lower end of its final bracket.
+
+    The bracket [lo, hi] has c_lo >= m eigenvalues above lo and c_hi < m
+    above hi. Each pass at x narrows it by its count. Once it holds one
+    eigenvalue alone, Newton steps from x are taken while they stay inside
+    and at least halve; bisection otherwise. Done at a Newton step or a
+    bracket within ``tiny``.
+    """
+    width = hi - lo
+    while hi - lo > tiny:
+        above, step = _sturm(alpha, beta2, x)
+        if above >= m:
+            lo, c_lo = x, above
+        else:
+            hi, c_hi = x, above
+        if c_lo - c_hi == 1:
+            if abs(step) <= tiny:
+                return x, lo, c_lo
+            if lo < x + step < hi and abs(step) <= 0.5 * width:
+                x, width = x + step, abs(step)
+                continue
+        x, width = 0.5 * (lo + hi), hi - lo
+    return 0.5 * (lo + hi), lo, c_lo
+
+
+def _last_entry(alpha, beta, theta: float) -> float:
+    """|s|, s the last entry of the tridiagonal's unit eigenvector at its eigenvalue theta.
+
+    A twisted factorization (Dhillon and Parlett): pivots of T - theta I
+    from the top (``down``) and from the bottom (``up``) meet at the row k
+    where their sum less the diagonal, gamma, is smallest; v_k = 1 and the
+    other entries follow outward from k by each side's pivots.
+    """
+    j = len(alpha)
+    down, d = [], 1.0
+    for a, b in zip(alpha, [0.0, *beta]):
+        d = a - theta - b * b / d
+        d = d if d else -_PIVMIN
+        down.append(d)
+    up, d = [0.0] * j, 1.0
+    for i in range(j - 1, -1, -1):
+        b = beta[i] if i < j - 1 else 0.0
+        d = alpha[i] - theta - b * b / d
+        up[i] = d = d if d else -_PIVMIN
+    k = min(range(j), key=lambda i: abs(down[i] + up[i] - alpha[i] + theta))
+    norm2 = 1.0
+    v = 1.0
+    for i in range(k - 1, -1, -1):
+        v *= -beta[i] / down[i]
+        norm2 += v * v
+    v = 1.0
+    for i in range(k, j - 1):
+        v *= -beta[i] / up[i + 1]
+        norm2 += v * v
+    return abs(v) / math.sqrt(norm2) if norm2 < math.inf else 0.0
 
 
 def _star_intervals(n: int):
@@ -229,8 +477,9 @@ def top_two(t: Tree, tol: float = TOL) -> TopTwo:
         (l1_lo, l1_hi), (l2_lo, l2_hi) = _star_intervals(n)
     else:
         post, up = _rooted(t)
-        l1_lo, l1_hi = _bisect_count(post, up, 1, 0.0, math.sqrt(n - 1), tol)
-        l2_lo, l2_hi = _bisect_count(post, up, 2, 0.0, l1_hi, tol)
+        g1, g2 = _lanczos_guesses(post, up, tol) if n >= _LANCZOS_ORDER else (_NO_GUESS, _NO_GUESS)
+        l1_lo, l1_hi = _bisect_count(post, up, 1, 0.0, math.sqrt(n - 1), tol, *g1)
+        l2_lo, l2_hi = _bisect_count(post, up, 2, 0.0, l1_hi, tol, *g2)
     tt = TopTwo(l1_lo, l1_hi, l2_lo, l2_hi, tol)
     if tol == TOL:
         t._top_two = tt
@@ -423,18 +672,19 @@ class TreeBatch:
         """``_bisect_count`` on every row of ``rows`` (all by default) at once; returns (lo, hi) arrays.
 
         Bounds are scalars or one value per row. Each row stops by the scalar
-        rules (width, float resolution, 200 probes), so it holds the bracket
-        the scalar bisection returns, bit for bit.
+        rules (``_open``), so it holds the bracket the scalar bisection
+        returns, bit for bit.
 
         ``guess``, one float per row, is where each row's eigenvalue is
-        expected; NaN or +-inf is no guess. A guided row replays the
+        expected; NaN or +-inf is no guess. A guided row ``_walk``s the
         bisection's own midpoints without eliminating, each decided by its
-        side of the guess, while they lie more than tol/4 from it, then
-        probes the two ends it reached in one batched pass. Replayed steps
+        side of the guess, while they lie more than a margin delta from it
+        (here tol/4; the scalar ``_bisect_count`` takes any delta >= tol/4),
+        then probes the two ends it reached in one batched pass. Walked steps
         count toward the 200. If both counts agree, the row goes on from
         there; if not, it restarts from its bounds, unguided. Either way it
-        returns the unguided bracket: a replayed midpoint lies at or beyond
-        a checked end, and more than tol/2 from the eigenvalue unless it is
+        returns the unguided bracket: a walked midpoint lies at or beyond a
+        checked end, and more than tol/2 from the eigenvalue unless it is
         that end, so its count is the one the unguided bisection would take
         as exact. A guess is only ever checked, never trusted.
         """
@@ -444,53 +694,34 @@ class TreeBatch:
         m = len(rows)
         lo = np.array(np.broadcast_to(lo, (m,)), dtype=float)
         hi = np.array(np.broadcast_to(hi, (m,)), dtype=float)
-        budget = np.full(m, 200)
+        left = np.full(m, _STEPS)
         if guess is not None:
             guess = np.asarray(guess, dtype=float)
             if guess.shape != (m,):
                 raise ValueError(f"guess must hold one float per row, shape ({m},), got shape {guess.shape}")
-            self._replay(k, lo, hi, tol, rows, guess, budget)
+            a, b, steps = _walk(lo, hi, tol, guess, 0.25 * tol)
+            at = np.flatnonzero(steps)
+            if len(at):
+                above = self.count_above(np.concatenate((a[at], b[at])), rows[np.concatenate((at, at))])[0]
+                at = at[(above[:len(at)] >= k) & (above[len(at):] < k)]
+                lo[at], hi[at], left[at] = a[at], b[at], _STEPS - steps[at]
         live = np.arange(m)
         steps = self._steps(rows)
         while len(live):
             a, b = lo[live], hi[live]
             mid = 0.5 * (a + b)
-            go = ~((b - a <= tol) | (mid <= a) | (mid >= b) | (budget[live] == 0))
+            go = _open(a, b, mid, tol, left[live])
             if not go.all():
                 live, mid = live[go], mid[go]
                 steps = self._steps(rows[live])
                 if not len(live):
                     break
-            budget[live] -= 1
+            left[live] -= 1
             above = self._eliminate(*steps, mid)[0]
             up = above >= k
             lo[live[up]] = mid[up]
             hi[live[~up]] = mid[~up]
         return lo, hi
-
-    def _replay(self, k, lo, hi, tol, rows, guess, budget):
-        """Move the guided rows' brackets in place to where their guesses lead, if two counts confirm it.
-
-        Rows whose counts disagree keep their bounds and their 200 probes.
-        """
-        at = np.flatnonzero(np.isfinite(guess))
-        if not len(at):
-            return
-        a, b, g = lo[at], hi[at], guess[at]
-        spent = np.zeros(len(at), dtype=budget.dtype)
-        go = np.ones(len(at), dtype=bool)
-        while go.any():
-            mid = 0.5 * (a + b)
-            go &= ~((b - a <= tol) | (mid <= a) | (mid >= b) | (np.abs(mid - g) <= 0.25 * tol) | (spent == 200))
-            below = mid < g
-            a = np.where(go & below, mid, a)
-            b = np.where(go & ~below, mid, b)
-            spent += go
-        above = self.count_above(np.concatenate((a, b)), rows[np.concatenate((at, at))])[0]
-        ok = (above[:len(at)] >= k) & (above[len(at):] < k)
-        at, a, b, spent = at[ok], a[ok], b[ok], spent[ok]
-        lo[at], hi[at] = a, b
-        budget[at] -= spent
 
 
 def lambda1_interval_of_vertices(t: Tree, vertices):

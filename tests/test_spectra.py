@@ -249,6 +249,137 @@ class TestTopTwo:
                 assert top_two(t).lam1_hi >= floor
 
 
+def _hexes(tt):
+    return tuple(x.hex() for x in (tt.lam1_lo, tt.lam1_hi, tt.lam2_lo, tt.lam2_hi))
+
+
+def _unguided(t, tol=TOL):
+    """top_two's brackets as the unguided bisection gives them."""
+    post, up = _rooted(t)
+    l1 = _bisect_count(post, up, 1, 0.0, math.sqrt(t.n - 1), tol)
+    return tuple(x.hex() for x in (*l1, *_bisect_count(post, up, 2, 0.0, l1[1], tol)))
+
+
+class TestGuidedTopTwo:
+    """Lanczos guesses move where top_two probes, never its brackets."""
+
+    @pytest.fixture
+    def guide(self, monkeypatch):
+        """The guide forced on at every order; records each run's guesses."""
+        monkeypatch.setattr(spectra, "_LANCZOS_ORDER", 2)
+        runs = []
+        lanczos = spectra._lanczos_guesses
+        monkeypatch.setattr(spectra, "_lanczos_guesses", lambda *a: runs.append(lanczos(*a)) or runs[-1])
+        return runs
+
+    def test_every_small_class(self, guide):
+        for n in range(4, 13):
+            for chunk in free_tree_level_chunks(n):
+                for levels in chunk.levels:
+                    t = Tree(n, _level_seq_edges(levels))
+                    if t.max_degree() < n - 1:
+                        assert _hexes(top_two(t)) == _unguided(t), levels
+        # a Krylov space this small is invariant: every run gives both guesses
+        assert len(guide) == 975 and all(g == g for run in guide for g, _ in run)
+
+    def test_prufer_trees_and_their_kelmans_rewirings(self, guide):
+        # HEAD's brackets, pinned; every guess checks, so none restarts
+        want = {
+            (200, False): ("0x1.7af9f4cb82a60p+1", "0x1.7af9f4cb8316ep+1", "0x1.500031894f9e4p+1", "0x1.500031894ffd0p+1"),
+            (200, True): ("0x1.7af9f66a9e744p+1", "0x1.7af9f66a9ee51p+1", "0x1.500039f01f39ep+1", "0x1.500039f01f98ap+1"),
+            (700, False): ("0x1.8e2c33ce8b2f4p+1", "0x1.8e2c33ce8b990p+1", "0x1.7716ef0fcaf46p+1", "0x1.7716ef0fcb57fp+1"),
+            (700, True): ("0x1.8e2c33ce8b2f4p+1", "0x1.8e2c33ce8b990p+1", "0x1.7716ef0fcaf46p+1", "0x1.7716ef0fcb57fp+1"),
+            (1300, False): ("0x1.7ed8474547066p+1", "0x1.7ed84745474e7p+1", "0x1.7709406ed2aaap+1", "0x1.7709406ed30a5p+1"),
+            (1300, True): ("0x1.7ed8474547066p+1", "0x1.7ed84745474e7p+1", "0x1.7709436f147d9p+1", "0x1.7709436f14dd4p+1"),
+            (2100, False): ("0x1.82e6b4d760ea0p+1", "0x1.82e6b4d76145ap+1", "0x1.71aea18d29716p+1", "0x1.71aea18d29d21p+1"),
+            (2100, True): ("0x1.82e6b4d760ea0p+1", "0x1.82e6b4d76145ap+1", "0x1.71aea18d29716p+1", "0x1.71aea18d29d21p+1"),
+            (3000, False): ("0x1.800a7f6552dc6p+1", "0x1.800a7f655349ep+1", "0x1.7245beb25bb1ep+1", "0x1.7245beb25c11ep+1"),
+            (3000, True): ("0x1.800a7f6552dc6p+1", "0x1.800a7f655349ep+1", "0x1.7245beb25bb1ep+1", "0x1.7245beb25c11ep+1"),
+        }
+        rng = random.Random(34)
+        probes = []
+        count = spectra._count_above
+        for n in (200, 700, 1300, 2100, 3000):
+            t = random_tree(rng, n)
+            u, v = rng.choice([(u, v) for u, v in t.edges() if t.degree(u) > 1 and t.degree(v) > 1])
+            for rewired, tree in ((False, t), (True, kelmans(t, u, v).after)):
+                post, up = _rooted(tree)
+                spectra._count_above = lambda *a: probes.append(a[2]) or count(*a)
+                try:
+                    got = _hexes(top_two(tree))
+                finally:
+                    spectra._count_above = count
+                assert got == want[n, rewired] == _unguided(tree), (n, rewired)
+        assert all(g == g for run in guide for g, _ in run)
+        assert len(probes) < 10 * 20  # two checks per guess and a few probes each, against about 88 per tree
+
+    def test_bisect_count_checks_every_guess(self):
+        # exact, near, far, the other eigenvalue, none, on a midpoint, a huge margin:
+        # the bracket is the unguided one, in float hex, at each width
+        rng = random.Random(3)
+        trees = [make_path(5), DC223, *(random_tree(rng, n) for n in (9, 12, 40))]
+        for t in trees:
+            post, up = _rooted(t)
+            lam = sorted(np.linalg.eigvalsh(adjacency_matrix(t)), reverse=True)
+            for tol in (TOL, 1e-9):
+                hi = math.sqrt(t.n - 1)
+                for k in (1, 2):
+                    want = _bisect_count(post, up, k, 0.0, hi, tol)
+                    exact, other = lam[k - 1], lam[2 - k]
+                    guesses = [(exact, 0.0), (exact + 1e-8, 0.0), (exact - 1e-8, 0.0), (exact + 1e-8, 2e-8),
+                               (exact - 1e-8, 2e-8), (other, 0.0), (math.nan, 0.0), (math.inf, 0.0),
+                               (-math.inf, 0.0), (want[0], 0.0), (want[1], 0.0), (0.5 * hi, 0.0),
+                               (exact, 1e300), (exact, math.inf), (exact + 0.1, 0.2)]
+                    for guess, margin in guesses:
+                        got = _bisect_count(post, up, k, 0.0, hi, tol, guess, margin)
+                        assert [x.hex() for x in got] == [x.hex() for x in want], (t.edges(), k, guess, margin)
+                    hi = want[1]
+
+    def test_a_margin_that_covers_the_error_saves_probes(self, monkeypatch):
+        t = random_tree(random.Random(6), 300)
+        post, up = _rooted(t)
+        lam1 = float(np.linalg.eigvalsh(adjacency_matrix(t))[-1])
+        probes = [0]
+        count = spectra._count_above
+        monkeypatch.setattr(spectra, "_count_above", lambda *a: probes.__setitem__(0, probes[0] + 1) or count(*a))
+        spent = {}
+        for margin in (0.0, 2e-8):
+            probes[0] = 0
+            _bisect_count(post, up, 1, 0.0, math.sqrt(t.n - 1), TOL, lam1 + 1e-8, margin)
+            spent[margin] = probes[0]
+        # 1e-8 above lam1 but margin tol/4, the walk passes lam1: the first check
+        # fails and the bisection restarts, 1 + 44 probes; within its margin, the
+        # guess passes both checks and leaves a bracket 2e-8 to 8e-8 wide, 2 + 18
+        assert spent == {0.0: 45, 2e-8: 20}, spent
+
+    def test_a_ghost_of_lam1_is_skipped(self, monkeypatch):
+        # a spider with ten legs of 40 and 39: lam1 = 10/3 converges within 24 steps,
+        # and by step 48 a copy of it lies 1.5e-11 below, within their residuals;
+        # lam2, near 2 among the legs' crowded eigenvalues, stalls and goes unguided
+        t = Tree(400, [(0, 1 + i) if i % 40 == 0 else (i, 1 + i) for i in range(399)])
+        looks = []
+        ritz = spectra._ritz
+        monkeypatch.setattr(spectra, "_ritz", lambda *a: iter(looks.append(list(ritz(*a))[:4]) or looks[-1]))
+        (g1, d1), g2 = spectra._lanczos_guesses(*_rooted(t), TOL)
+        (top, r1), (copy, r2) = looks[-1][:2]
+        assert len(looks) == 2 and 0.0 < top - copy <= r1 + r2 and top - copy < 1e-10
+        assert abs(g1 - 10 / 3) <= d1 == TOL / 4 and g2 == spectra._NO_GUESS
+        monkeypatch.setattr(spectra, "_LANCZOS_ORDER", 2)
+        assert _hexes(top_two(t)) == _unguided(t)
+
+    def test_a_clustered_top_falls_back(self, monkeypatch):
+        # the path's top eigenvalues crowd together: its Ritz values stall, and the
+        # run stops at its second look with no guess
+        t = make_path(3000)
+        steps = []
+        ritz = spectra._ritz
+        monkeypatch.setattr(spectra, "_ritz", lambda alpha, *a: steps.append(len(alpha)) or ritz(alpha, *a))
+        assert spectra._lanczos_guesses(*_rooted(t), TOL) == (spectra._NO_GUESS, spectra._NO_GUESS)
+        assert steps == [24, 48]
+        assert _hexes(top_two(t)) == _unguided(t) == (
+            "0x1.ffffed9d2dba8p+0", "0x1.ffffed9d2e959p+0", "0x1.ffffb674b990ap+0", "0x1.ffffb674ba90ap+0")
+
+
 class TestClosedForms:
     def test_quartic_rejects_long_path(self):
         with pytest.raises(ValueError):
