@@ -21,9 +21,16 @@ forest (post, up), so whole trees and induced forests share it.
 numpy: ``count_above`` probes any subset of rows, each at its own x, and
 ``bisect`` reproduces the scalar brackets bit for bit; with edge weights
 it also runs the double comets' equitable-partition quotients, which are
-weighted paths. Given a guess per row, ``bisect`` checks it with two
-counts instead of searching for it, and returns the same brackets.
-The one enclosure not from counts is the star's (``_star_intervals``).
+weighted paths. Both loops stop by one rule (``_open``), and both take
+guesses the same way (``_walk``): a guided bracket replays the
+bisection's own midpoints by the side of its guess, uncounted, while they
+lie more than a margin delta >= tol/4 from it, and two counts then check
+the ends it reached; a guess that fails restarts its bracket unguided.
+Either way the bracket is the unguided one, bit for bit: a guess is only
+ever checked, never trusted. ``top_two`` of a non-star tree of order
+``_LANCZOS_ORDER`` or more takes its guesses and margins from a
+three-term Lanczos run on the tree (``_lanczos_guesses``). The one
+enclosure not from counts is the star's (``_star_intervals``).
 
 Everything else builds on or cross-checks that kernel: ``_branches``, the
 same pass over every branch of the tree, whose pivots give eigenvectors (a
@@ -38,7 +45,6 @@ eigenvector-eigenvalue identity.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
 
@@ -190,10 +196,10 @@ def _walk(lo, hi, tol, guess, margin):
     eigenvalue lies on the guess's side of each of them: always when the
     guess lies within margin of it.
     """
-    steps = 0
+    steps, guided = 0, abs(guess) < math.inf
     while True:
         mid = 0.5 * (lo + hi)
-        go = _open(lo, hi, mid, tol, _STEPS - steps) & (abs(mid - guess) > margin) & (abs(guess) < math.inf)
+        go = _open(lo, hi, mid, tol, _STEPS - steps) & (abs(mid - guess) > margin) & guided
         if isinstance(go, np.ndarray):
             if not go.any():
                 return lo, hi, steps
@@ -236,12 +242,12 @@ def _bisect_count(post, up, k: int, lo: float, hi: float, tol: float, guess: flo
 # -- guesses from Lanczos --------------------------------------------------------
 
 _LANCZOS_ORDER = 400  # least order whose top_two takes Lanczos guesses (measurements: CHANGES.md)
-_LANCZOS_STEPS = 144  # most Lanczos steps per tree
+_LANCZOS_STEPS = 144  # most Lanczos steps per tree, a multiple of _LANCZOS_LOOK
 _LANCZOS_LOOK = 24  # Lanczos steps between looks at the Ritz values
 _LANCZOS_SHRINK = 3.0  # least factor a look's awaited residual must fall by, or the run stalls
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _PIVMIN = 1e-290  # stands in for a zero pivot of the Lanczos tridiagonal
-_NO_GUESS = (math.nan, 0.0)
+_NO_GUESS = (math.nan, 0.0)  # (guess, margin) that guides nothing
 _MISSING = (math.nan, math.inf, math.nan)  # a guess _guesses could not give: (theta, residual, margin)
 
 
@@ -258,17 +264,18 @@ def _lanczos_guesses(post, up, tol: float):
 
     The run stops when both margins are tol/4, or after ``_LANCZOS_STEPS``
     with the guesses as they stand, or when it stalls: when the residual it
-    waits for (lam1's until its margin is tol/4, then lam2's) fell less than
-    fourfold since the last look. Ritz values stall on clustered tops, as on
-    long paths, where margins from Ritz gaps do not hold; a stalled run
-    keeps only the guesses whose margins reached tol/4. A guess that misses
-    costs ``_bisect_count`` two counts and a restart, never its bracket.
+    waits for (lam1's until its margin is tol/4, then lam2's) fell by less
+    than ``_LANCZOS_SHRINK`` since the last look. Ritz values stall on
+    clustered tops, as on long paths, where margins from Ritz gaps do not
+    hold; a stalled run keeps only the guesses whose margins reached tol/4.
+    A guess that misses costs ``_bisect_count`` a count or two and a
+    restart, never its bracket.
     """
     n = len(post)
-    order = np.array(post[::-1])  # by depth, so parents come first
+    order = np.fromiter(reversed(post), np.int64, n)  # by depth, so parents come first
     at = np.empty(n, dtype=np.int64)
     at[order] = np.arange(n)
-    parent = at[np.array(up)[order[1:]]]  # of vertex i + 1 in the new numbering
+    parent = at[np.fromiter(up, np.int64, n)[order[1:]]]  # of vertex i + 1 in the new numbering
     q = np.arange(1.0, n + 1.0) * _GOLDEN % 1.0 + 0.5  # positive, so it meets the Perron vector, and irregular
     q /= math.sqrt(q @ q)
     prev, gathered = np.zeros(n), np.empty(n - 1)
@@ -277,7 +284,7 @@ def _lanczos_guesses(post, up, tol: float):
     read, waited = [], (None, math.inf)
     for j in range(1, _LANCZOS_STEPS + 1):
         w = np.bincount(parent, weights=q[1:], minlength=n)  # A q: each vertex's children, then its parent
-        w[1:] += np.take(q, parent, out=gathered)
+        w[1:] += q.take(parent, out=gathered)
         prev *= b
         w -= prev
         a = float(q @ w)
@@ -286,11 +293,11 @@ def _lanczos_guesses(post, up, tol: float):
         b = math.sqrt(w @ w)
         alpha.append(a)
         invariant = b <= floor  # every Ritz value then lies within tol/4 of an eigenvalue
-        if invariant or j % _LANCZOS_LOOK == 0 or j == _LANCZOS_STEPS:
+        if invariant or j % _LANCZOS_LOOK == 0:
             guesses, read = _guesses(_ritz(alpha, beta, b, read), floor)
             done = [margin <= floor for _, _, margin in guesses]
-            if all(done) or invariant or j == _LANCZOS_STEPS:
-                return tuple(_NO_GUESS if theta != theta else (theta, margin) for theta, _, margin in guesses)
+            if all(done) or invariant:
+                break
             i = int(done[0])  # the guess waited for: lam1's until its margin is tol/4, then lam2's
             if waited[0] == i and guesses[i][1] * _LANCZOS_SHRINK > waited[1]:
                 return tuple((theta, margin) if ok else _NO_GUESS for (theta, _, margin), ok in zip(guesses, done))
@@ -298,7 +305,7 @@ def _lanczos_guesses(post, up, tol: float):
         beta.append(b)
         w /= b
         prev, q = q, w
-    raise AssertionError("unreachable: the last step looks")
+    return tuple(_NO_GUESS if theta != theta else (theta, margin) for theta, _, margin in guesses)
 
 
 def _guesses(ritz, floor: float):
@@ -322,10 +329,10 @@ def _guesses(ritz, floor: float):
             if len(kept) == 3:
                 break
     if not kept:
-        return [(theta, rho, rho), _MISSING], read
+        return [(theta, rho, max(rho, floor)), _MISSING], read
     guesses = []
     for i, (theta, rho) in enumerate(kept[:2]):
-        gaps = [up - theta - r for up, r in kept[i - 1:i]] + [theta - down - r for down, r in kept[i + 1:i + 2]]
+        gaps = [above - theta - r for above, r in kept[i - 1:i]] + [theta - below - r for below, r in kept[i + 1:i + 2]]
         gap = min(gaps, default=0.0)
         guesses.append((theta, rho, max(rho * min(1.0, rho / gap) if gap > 0.0 else rho, floor)))
     guesses += [_MISSING] * (2 - len(guesses))
@@ -349,7 +356,7 @@ def _ritz(alpha, beta, last: float, warm):
     edge = [0.0, *beta, 0.0]
     floor = min(a - edge[i] - edge[i + 1] for i, a in enumerate(alpha))  # Gershgorin
     hi = max(a + edge[i] + edge[i + 1] for i, a in enumerate(alpha))
-    tiny = 4.0 * sys.float_info.epsilon * max(-floor, hi)
+    tiny = 4.0 * math.ulp(1.0) * max(-floor, hi)
     lo, c_lo = hi, 0  # the lower end of the last value's bracket, and the eigenvalues above it
     for m in range(1, j + 1):
         if c_lo < m:  # the next value lies below lo; else it is the last one again
@@ -465,6 +472,11 @@ def top_two(t: Tree, tol: float = TOL) -> TopTwo:
     on the inertia counts over [0, sqrt(n-1)], the star's spectral radius,
     which no other tree of order n reaches; the bracket stays valid for
     lam2 because every non-star tree on n >= 3 vertices has lam2 >= 0.
+    From order ``_LANCZOS_ORDER`` on, Lanczos guesses guide each bisection
+    (``_lanczos_guesses``), each with a margin delta >= tol/4 from its Ritz
+    residual and gap: about 5-9 probes per tree instead of about 88. The
+    guesses are checked by counts, so the brackets are the unguided ones,
+    bit for bit; a run that stalls gives no guess.
 
     The answer at ``TOL`` is kept on the tree (``Tree._top_two``), so later
     calls at ``TOL`` return it; a wider ``tol`` neither reads nor writes it.
@@ -678,9 +690,11 @@ class TreeBatch:
         ``guess``, one float per row, is where each row's eigenvalue is
         expected; NaN or +-inf is no guess. A guided row ``_walk``s the
         bisection's own midpoints without eliminating, each decided by its
-        side of the guess, while they lie more than a margin delta from it
-        (here tol/4; the scalar ``_bisect_count`` takes any delta >= tol/4),
-        then probes the two ends it reached in one batched pass. Walked steps
+        side of the guess, while they lie more than a margin delta from it,
+        then probes the two ends it reached in one batched pass. Here delta
+        is tol/4, enough for the comet quotients' closed-form and
+        ``eigvalsh`` guesses; the scalar ``_bisect_count`` takes any
+        delta >= tol/4, as ``top_two``'s Lanczos guesses need. Walked steps
         count toward the 200. If both counts agree, the row goes on from
         there; if not, it restarts from its bounds, unguided. Either way it
         returns the unguided bracket: a walked midpoint lies at or beyond a
