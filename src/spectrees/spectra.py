@@ -277,7 +277,7 @@ def _lanczos_guesses(post, up, tol: float):
     at[order] = np.arange(n)
     parent = at[np.fromiter(up, np.int64, n)[order[1:]]]  # of vertex i + 1 in the new numbering
     q = np.arange(1.0, n + 1.0) * _GOLDEN % 1.0 + 0.5  # positive, so it meets the Perron vector, and irregular
-    q /= math.sqrt(q @ q)
+    q /= math.sqrt(_dot(q, q))
     prev, gathered = np.zeros(n), np.empty(n - 1)
     alpha, beta, b = [], [], 0.0
     floor = 0.25 * tol
@@ -287,10 +287,10 @@ def _lanczos_guesses(post, up, tol: float):
         w[1:] += q.take(parent, out=gathered)
         prev *= b
         w -= prev
-        a = float(q @ w)
+        a = _dot(q, w)
         np.multiply(q, a, out=prev)
         w -= prev
-        b = math.sqrt(w @ w)
+        b = math.sqrt(_dot(w, w))
         alpha.append(a)
         invariant = b <= floor  # every Ritz value then lies within tol/4 of an eigenvalue
         if invariant or j % _LANCZOS_LOOK == 0:
@@ -306,6 +306,11 @@ def _lanczos_guesses(post, up, tol: float):
         w /= b
         prev, q = q, w
     return tuple(_NO_GUESS if theta != theta else (theta, margin) for theta, _, margin in guesses)
+
+
+def _dot(x, y) -> float:
+    """x . y without BLAS: OpenBLAS threads its dot from 10^4 entries, and on a busy machine the hand-off between threads cost 8 ms a call."""
+    return float(np.einsum("i,i", x, y))
 
 
 def _guesses(ritz, floor: float):
