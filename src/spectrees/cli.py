@@ -95,6 +95,10 @@ def _maybe_write(args, text: str):
         emit_csv([text], args.out)
 
 
+def _winners_csv(res) -> str:
+    return "".join(["code,lo,hi\n", *(f"{w.code},{w.lo:.15g},{w.hi:.15g}\n" for w in res.winners)])
+
+
 def _cmd_enumerate(args) -> int:
     if args.count_only:
         total = count_free_trees(args.n) if args.family == "all" else count_double_comets(args.n)
@@ -157,9 +161,7 @@ def _cmd_extremal(args) -> int:
             extra = "" if w.params is None else f"  dc:{w.params.k1},{w.params.k2},{w.params.ell}"
             print(f"  [{w.lo:.15g}, {w.hi:.15g}]  {w.code}{extra}")
         print(f"resolved={res.resolved} tie_proven={res.tie_proven} scanned={res.scanned}")
-    lines = ["code,lo,hi"]
-    lines.extend(f"{w.code},{w.lo:.15g},{w.hi:.15g}" for w in res.winners)
-    _maybe_write(args, "\n".join(lines) + "\n")
+    _maybe_write(args, _winners_csv(res))
     return 0
 
 
@@ -195,9 +197,7 @@ def _cmd_gap(args) -> int:
             print(f"gap in [{w.lo:.15g}, {w.hi:.15g}]  {w.code}")
         print(f"minimizers all balanced double comets: {rep.all_balanced_comets}")
         print(f"gap maximized by a star: {rep.star_maximizes_gap}")
-    lines = ["code,lo,hi"]
-    lines.extend(f"{w.code},{w.lo:.15g},{w.hi:.15g}" for w in res.winners)
-    _maybe_write(args, "\n".join(lines) + "\n")
+    _maybe_write(args, _winners_csv(res))
     return 0
 
 

@@ -13,12 +13,14 @@ candidate that can still win once, at ``TOL``: a winner separates from the
 rest at that width or a tie is reported. All pruning bounds are one-sided
 certificates, so reported winners are exact regardless of worker count.
 
-Both families (all trees, double comets) are ``_Family`` objects whose
-members are level sequences stored as bytes or (k1, k2, ell) tuples. Each
-has one screened pass, ``_screened``, for searches (``search_rows``) and
-envelopes (``midpoints``) alike: it keeps the members that can reach a
-floor, certified at ``TOL``, and builds no Tree and no code for the rest. A
-floor is ``at(l1_hi, l2_hi) -> (c, value)``, the breakpoint c = (c1, c2)
+Both families (all trees, double comets) are ``_Family`` objects. Each has
+one screened pass, ``_screened``, that searches and envelopes call alike: it
+keeps the members that can reach a floor, certified at ``TOL``, and builds
+no Tree and no code for the rest. Members and brackets go from scan to
+answer as ``(ms, br)``: ``ms`` a 2-D integer array, one member per row (an
+int8 level sequence for all trees, int64 (k1, k2, ell) for comets), and
+``br`` one (4, m) float array of (l1_lo, l1_hi, l2_lo, l2_hi). A floor is
+``at(l1_hi, l2_hi) -> (c, value)``, the breakpoint c = (c1, c2)
 where each member's upper line comes closest to it and its value there. A
 search's (``_point_floor``) is one point, its key at the best lower end of
 a few evaluated members; an envelope's (``_hull_floor``) is the upper hull
@@ -32,10 +34,9 @@ the floor from them. A long comet's bound is at most B(c)*sqrt(n - ell +
 finds the first path order that drops whole (``_whole_order_cut``); the
 pass screens the long comets before it as leaf-count arrays, a fixed-size
 block of the family at a time, by ``_dc_upper_bound`` at the breakpoint
-each comet's bound ends pick, makes member tuples only for the comets it
-keeps, and leaves the rest unseen: O(n) comets per path order screened.
-Every comet but the star goes through the batched inertia kernel
-(``spectra.TreeBatch``) as its quotient, a weighted path
+each comet's bound ends pick, and leaves the rest unseen: O(n) comets per
+path order screened. Every comet but the star goes through the batched
+inertia kernel (``spectra.TreeBatch``) as its quotient, a weighted path
 (``_dc_pair_intervals``); path orders 2 and 3 hand the bisection their
 closed forms as guesses, and quotients of up to 16 vertices eigvalsh's
 (``_path_guesses``). Counts check every guess, which never encloses
@@ -205,30 +206,23 @@ def _drop(hi, floor):
     return keep, float(np.maximum.reduce(hi, where=~keep, initial=-math.inf))
 
 
-def _screen(at, l1, l2):
-    """``_drop`` of the members with (lo, hi) arrays ``l1``, ``l2`` against floor ``at``, each at its own breakpoint."""
-    c, value = at(l1[1], l2[1])
-    return _drop(_key_interval(c, l1, l2)[1], value)
-
-
-def _point_floor(coeffs, ivs):
-    """A search's floor: the key ``coeffs`` at the best lower end among ``ivs`` (-inf if none), for every member."""
-    l1, l2 = np.array(ivs, dtype=float).reshape(-1, 2, 2).transpose(1, 2, 0)
-    return partial(_point_at, coeffs, float(np.max(_key_interval(coeffs, l1, l2)[0], initial=-math.inf)))
+def _point_floor(coeffs, br):
+    """A search's floor: the key ``coeffs`` at the best lower end of the brackets ``br`` (-inf if none)."""
+    return partial(_point_at, coeffs, float(np.max(_key_interval(coeffs, br[:2], br[2:])[0], initial=-math.inf)))
 
 
 def _point_at(coeffs, value, l1_hi, l2_hi):
     return coeffs, value
 
 
-def _hull_floor(ivs):
-    """An envelope's floor: the upper hull of the lower-end lines of ``ivs``, less _SAFETY.
+def _hull_floor(br):
+    """An envelope's floor: the upper hull of the lower-end lines of the brackets ``br``, less _SAFETY.
 
     A member's upper line minus the convex hull is concave: it peaks at the
     breakpoint x where the hull's slope passes the line's, key (x, 1 - x).
     A member below the floor there lies over _SAFETY below the hull on [0, 1].
     """
-    hull = _upper_hull([(l1[0], l2[0]) for l1, l2 in ivs])
+    hull = _upper_hull(list(zip(br[0].tolist(), br[2].tolist())))
     xs = np.array([lo for lo, _, _ in hull] + [1.0])
     slopes = np.array([l1 - l2 for _, _, (l1, l2) in hull])
     values = np.array([l2 + x * (l1 - l2) for x, (*_, (l1, l2)) in zip(xs.tolist(), hull + hull[-1:])]) - _SAFETY
@@ -244,7 +238,7 @@ def _hull_at(xs, slopes, values, l1_hi, l2_hi):
 
 
 def _dc_pair_intervals(comets):
-    """Certified (lam1, lam2) intervals, ``TOL`` wide, for each comet (k1, k2, ell) of ``comets``, in order.
+    """Brackets (4, m), ``TOL`` wide, of the comets, (k1, k2, ell) rows, in order: (l1_lo, l1_hi, l2_lo, l2_hi).
 
     A star (path order 1, or a quotient on at most 3 vertices, K2
     included) takes ``_star_intervals``. Every other comet goes through
@@ -263,10 +257,10 @@ def _dc_pair_intervals(comets):
     """
     k1, k2, ell = np.asarray(comets, dtype=np.int64).reshape(-1, 3).T
     order = ell + (k1 > 0) + (k2 > 0)
-    out = np.empty((len(ell), 4))
+    out = np.empty((4, len(ell)))
     star = (ell == 1) | (order <= 3)
     for i in np.flatnonzero(star).tolist():
-        out[i] = [v for iv in _star_intervals(int(k1[i] + k2[i] + ell[i])) for v in iv]
+        out[:, i] = [v for iv in _star_intervals(int(k1[i] + k2[i] + ell[i])) for v in iv]
     todo = np.flatnonzero(~star)
     todo = todo[np.argsort(ell[todo], kind="stable")]
     for start in range(0, len(todo), CHUNK_ROWS):
@@ -283,10 +277,9 @@ def _dc_pair_intervals(comets):
         dense = ~short & (m <= _DENSE_GUESS_ORDER)
         if dense.any():
             g1[dense], g2[dense] = _path_guesses(weights[dense, :m[dense].max()])
-        l1_lo, l1_hi = batch.bisect(1, 0.0, np.sqrt(a + b + c - 1) * (1.0 + 1e-12) + 1e-12, TOL, guess=g1)
-        l2_lo, l2_hi = batch.bisect(2, 0.0, l1_hi, TOL, guess=g2)
-        out[idx] = np.column_stack((l1_lo, l1_hi, l2_lo, l2_hi))
-    return [((a, b), (c, d)) for a, b, c, d in out.tolist()]
+        out[:2, idx] = batch.bisect(1, 0.0, np.sqrt(a + b + c - 1) * (1.0 + 1e-12) + 1e-12, TOL, guess=g1)
+        out[2:, idx] = batch.bisect(2, 0.0, out[1, idx], TOL, guess=g2)
+    return out
 
 
 def _path_guesses(weights):
@@ -394,9 +387,9 @@ class _Scan:
     and ``far`` is the one a scan of its chunk alone gives, bit for bit.
     Stars and excluded rows are handled first: stars keep their exact
     brackets uncut, and excluded rows are left out, never dropped. It
-    returns the kept rows (level sequence as bytes, lam1 and lam2 brackets)
-    in run order, ``far`` and the run's row count, and builds no Tree and
-    no code unless the family excludes some.
+    returns the kept rows in run order as ``(ms, br)``, their level
+    sequences and their (4, m) brackets, then ``far`` and the run's row
+    count, and builds no Tree and no code unless the family excludes some.
 
     Scans of one kept order share their counts through the chunks'
     ``facts`` (``LevelChunk``): lam1 in [L1, H1] and lam2 in [L2, H2] per
@@ -443,7 +436,9 @@ class _Scan:
         l1_lo, l1_hi, l2_lo, l2_hi = brackets  # per slot
         facts = _PoolFacts(size)
         live = todo = np.empty(0, np.int64)
-        kept, far, scanned, chunks = [], -math.inf, 0, iter(chunks)
+        star_br = np.array([v for iv in _star_intervals(n) for v in iv])[:, None]
+        kept = [(ids[:0], levels[:0], brackets[:, :0])]  # (run positions, level sequences, brackets) per batch kept
+        far, scanned, chunks = -math.inf, 0, iter(chunks)
         while True:
             if len(live) < size // 2 and chunks is not None:  # top the pool up from the run's next rows
                 free = np.ones(size, dtype=bool)
@@ -458,7 +453,7 @@ class _Scan:
                             chunks = None  # the whole run is in the pool
                             break
                         stars, todo, start = self._start(chunk)
-                        kept += [(scanned + r, chunk.levels[r].tobytes(), *_star_intervals(n)) for r in stars.tolist()]
+                        kept.append((scanned + stars, chunk.levels[stars], np.repeat(star_br, len(stars), axis=1)))
                         base, scanned = scanned, scanned + len(chunk)
                         continue
                     rows, slots = todo[:len(free) - taken], free[taken:taken + len(todo)]
@@ -481,8 +476,7 @@ class _Scan:
             go = keep & ~((hi_key - lo_key <= _COARSE_TOL) | (fine1 & fine2))
             done = live[keep & ~go]
             if len(done):
-                l1, l2 = (zip(*brackets[i:i + 2, done].tolist()) for i in (0, 2))
-                kept += zip(ids[done].tolist(), [row.tobytes() for row in levels[done]], l1, l2)
+                kept.append((ids[done], levels[done], brackets[:, done]))
             first = ~fine1 & (fine2 | (np.abs(c1) * (b - a) >= np.abs(c2) * (d - c)))  # probe lam1's bracket
             live, x = live[go], np.where(first, mid1, mid2)[go]
             if not len(live):
@@ -494,8 +488,9 @@ class _Scan:
             l1_hi[live] = np.where(in1 & ~ge1, x, b)
             l2_lo[live] = np.where(in2 & ge2, x, c)
             l2_hi[live] = np.minimum(np.where(in2 & ~ge2, x, d), l1_hi[live])
-        kept.sort()  # run positions are distinct, so no two level sequences are compared
-        return [row for _, *row in kept], far, scanned
+        ids, ms, br = zip(*kept)
+        order = np.argsort(np.concatenate(ids))  # run positions are distinct
+        return np.concatenate(ms)[order], np.concatenate(br, axis=1)[:, order], far, scanned
 
     def _start(self, chunk):
         """A chunk's star rows; the rows left to bisect; their start brackets (4, rows).
@@ -505,7 +500,7 @@ class _Scan:
         """
         rows = np.arange(len(chunk))
         if self.fam.exclude:  # no Python loop over the chunk unless something is excluded
-            rows = rows[[not self.fam.excluded(seq.tobytes()) for seq in chunk.levels]]
+            rows = rows[[not self.fam.excluded(seq) for seq in chunk.levels]]
         star = chunk.max_degree[rows] == self.fam.n - 1
         todo = rows[~star]
         lo, hi = _start_brackets(chunk, todo)
@@ -591,12 +586,13 @@ class _Family:
 
     ``_screened(floor, minimize, jobs)``, each family's one pass, takes a
     floor maker (``_point_floor`` bound to a key, or ``_hull_floor``) and
-    returns the members that can reach the floor, their (lam1, lam2)
-    intervals certified at ``TOL``, the family size and the largest upper
-    end screened out. ``code`` and ``candidate`` are only called for the
-    members a search reports or an envelope witnesses, and by ``excluded``
-    when ``exclude``, the canonical codes a search leaves out (checked by
-    ``_family``), is nonempty; envelopes exclude nothing.
+    returns ``(ms, br, size, far)``: the members that can reach the floor,
+    one per row of ``ms``, their brackets ``br`` (4, m) certified at
+    ``TOL``, the family size and the largest upper end screened out.
+    ``code`` and ``candidate`` take one row of ``ms``; they are only called
+    for the members a search reports or an envelope witnesses, and by
+    ``excluded`` when ``exclude``, the canonical codes a search leaves out
+    (checked by ``_family``), is nonempty; envelopes exclude nothing.
     """
 
     n: int
@@ -609,37 +605,27 @@ class _Family:
         """True when member ``m`` is excluded; it is coded only when the set is nonempty."""
         return bool(self.exclude) and self.code(m) in self.exclude
 
-    def search_rows(self, coeffs, minimize: bool, jobs: int):
-        """Every screened row, certified at TOL, the family size and the largest upper end screened out."""
-        ms, ivs, size, far = self._screened(partial(_point_floor, coeffs), minimize, jobs)
-        return [(m, *_key_interval(coeffs, *iv)) for m, iv in zip(ms, ivs)], size, far
-
-    def midpoints(self):
-        """(lam1, lam2, member) per member that can reach the hull of the comets' lower-end lines."""
-        ms, ivs, _, _ = self._screened(_hull_floor, False, 1)
-        for m, ((l1_lo, l1_hi), (l2_lo, l2_hi)) in zip(ms, ivs):
-            yield 0.5 * (l1_lo + l1_hi), 0.5 * (l2_lo + l2_hi), m
-
 
 class _AllTrees(_Family):
-    """All free trees of order n; a member is a level sequence stored as bytes."""
+    """All free trees of order n; a member is a level sequence, an int8 row."""
 
     def edges(self, m):
         """Edges (parent, child) in level-sequence order, the level sequence's own labelling."""
-        return tuple(_level_seq_edges(m))
+        return tuple(_level_seq_edges(m.tolist()))
 
     def tree(self, m) -> Tree:
         return Tree(self.n, self.edges(m))
 
     def pair_intervals(self, ms):
+        """The brackets (4, m) of the level sequences ``ms``, certified by one ``top_two`` each."""
         tts = [top_two(self.tree(m), TOL) for m in ms]
-        return [((tt.lam1_lo, tt.lam1_hi), (tt.lam2_lo, tt.lam2_hi)) for tt in tts]
+        return np.array([(tt.lam1_lo, tt.lam1_hi, tt.lam2_lo, tt.lam2_hi) for tt in tts]).reshape(-1, 4).T
 
     def candidate(self, m, lo: float, hi: float) -> Candidate:
         return Candidate(self.code(m), self.edges(m), lo, hi)
 
     def _screened(self, floor, minimize: bool, jobs: int):
-        """The free trees that can reach the floor ``floor`` makes, certified; the class count; ``far``.
+        """The free trees that can reach the floor ``floor`` makes and their brackets; the class count; ``far``.
 
         The floor comes from the comets ``_Comets._screened`` keeps (same
         exclusion) for a maximum or an envelope, from path and star for a
@@ -650,12 +636,11 @@ class _AllTrees(_Family):
         certified by one ``top_two`` each.
         """
         if minimize:
-            ms = [m for m in (bytes(range(self.n)), bytes([0] + [1] * (self.n - 1)))  # level sequences of path and star
-                  if not self.excluded(m)]
-            ivs = self.pair_intervals(ms)
+            ms = np.array([range(self.n), [0] + [1] * (self.n - 1)], np.int8)  # level sequences of path and star
+            br = self.pair_intervals(ms[[not self.excluded(m) for m in ms]])
         else:
-            ivs = _Comets(self.n, self.exclude)._screened(floor, False, 1)[1]
-        scan = _Scan(self, floor(ivs))
+            br = _Comets(self.n, self.exclude)._screened(floor, False, 1)[1]
+        scan = _Scan(self, floor(br))
         chunks = free_tree_level_chunks(self.n)
         if jobs == 1:
             results = [scan(chunks)]
@@ -663,27 +648,25 @@ class _AllTrees(_Family):
             runs = iter(lambda: [replace(c, facts=None) for c in islice(chunks, _RUN_CHUNKS)], [])  # see _Scan on facts
             with get_context("fork").Pool(jobs) as workers:
                 results = list(workers.imap(scan, runs))
-        rows = [r for chunk, _, _ in results for r in chunk]
-        scanned = sum(count for _, _, count in results)
-        far = max(far for _, far, _ in results)  # does not depend on run order
-        l1_lo, l1_hi, l2_lo, l2_hi = np.array([(*l1, *l2) for _, l1, l2 in rows]).reshape(-1, 4).T
-        keep, dropped = _screen(floor([iv for _, *iv in rows]), (l1_lo, l1_hi), (l2_lo, l2_hi))
-        rows = [r for r, k in zip(rows, keep.tolist()) if k]
-        wide = [max(l1[1] - l1[0], l2[1] - l2[0]) > TOL for _, l1, l2 in rows]  # a star's brackets are not
-        fresh = iter(self.pair_intervals([m for (m, _, _), w in zip(rows, wide) if w]))
-        ivs = [next(fresh) if w else (l1, l2) for (_, l1, l2), w in zip(rows, wide)]
-        return [m for m, _, _ in rows], ivs, scanned, max(far, dropped)
+        ms, br, fars, counts = zip(*results)
+        ms, br = np.concatenate(ms), np.concatenate(br, axis=1)
+        c, value = floor(br)(br[1], br[3])
+        keep, dropped = _drop(_key_interval(c, br[:2], br[2:])[1], value)
+        ms, br = ms[keep], br[:, keep]
+        wide = np.maximum(br[1] - br[0], br[3] - br[2]) > TOL  # a star's brackets are not
+        br[:, wide] = self.pair_intervals(ms[wide])
+        return ms, br, sum(counts), max(*fars, dropped)  # far does not depend on run order
 
 
 class _Comets(_Family):
-    """The double comets of order n; a member is its (k1, k2, ell) tuple.
+    """The double comets of order n; a member is an int64 row (k1, k2, ell).
 
     A ``DoubleCometParams`` is built only for a member that is coded, built
     as a tree or reported: never by the screen.
     """
 
     def _screened(self, floor, minimize: bool, jobs: int):
-        """The comets that can reach the floor ``floor`` makes, with their intervals; the family size; ``far``.
+        """The comets that can reach the floor ``floor`` makes and their brackets; the family size; ``far``.
 
         The floor comes from the short comets, path order <= 3, in one
         process whatever ``minimize`` and ``jobs``; they lead the family, but
@@ -696,37 +679,47 @@ class _Comets(_Family):
         floor, or a negative c leaves it unbounded; ``far`` is the largest
         bound dropped, plus _SAFETY for its rounding. So the kept comets, and
         a search's ``far``, are those of a screen of every comet. Excluded
-        comets are left out, never counted as screened out; the family size
-        is ``count_double_comets``.
+        comets are left out before the screen, never counted as screened
+        out; the family size is ``count_double_comets``.
         """
+        tops = [_tree_from_code(code).max_degree() for code in self.exclude]
         short = []
         for ell, k1, k2 in double_comet_arrays(self.n):
-            here = ell <= 3
-            short += self._members(k1[here], k2[here], ell[here])
+            short.append(self._members(k1, k2, ell, ell <= 3, tops))
             if 4 <= ell[-1] < self.n:  # a long comet that is not the path: the short ones are all seen
                 break
-        ivs = _dc_pair_intervals(short)
-        at = floor(ivs)
+        short = np.concatenate(short)
+        br = _dc_pair_intervals(short)
+        at = floor(br)
         cut = _whole_order_cut(at, self.n)
         kept, far = [], -math.inf
         for ell, k1, k2 in double_comet_arrays(self.n):
             past = cut < ell[-1] < self.n  # past the cut order, not the leading path: that order is all seen
-            long = ell >= 4
-            ell, k1, k2 = ell[long], k1[long], k2[long]
-            u1, u2 = _dc_upper_bound(k1, k2)
+            ms = self._members(k1, k2, ell, ell >= 4, tops)
+            u1, u2 = _dc_upper_bound(ms[:, 0], ms[:, 1])
             (c1, c2), value = at(u1, u2)
             bound = np.where((c1 >= 0) & (c2 >= 0), c1 * u1 + c2 * u2, math.inf)
             keep, dropped = _drop(bound, value - _SAFETY)
-            kept += self._members(k1[keep], k2[keep], ell[keep])
+            kept.append(ms[keep])
             far = max(far, dropped + _SAFETY)
             if past:
                 break
-        return short + kept, ivs + _dc_pair_intervals(kept), count_double_comets(self.n), far
+        kept = np.concatenate(kept)
+        br = np.hstack((br, _dc_pair_intervals(kept)))
+        return np.concatenate((short, kept)), br, count_double_comets(self.n), far
 
-    def _members(self, k1, k2, ell):
-        """The (k1, k2, ell) tuples of the comets of these arrays that are not excluded."""
-        members = list(zip(k1.tolist(), k2.tolist(), ell.tolist()))
-        return [m for m in members if not self.excluded(m)] if self.exclude else members
+    def _members(self, k1, k2, ell, mask, tops):
+        """The (k1, k2, ell) rows masked ``mask`` of the comets that are not excluded.
+
+        Only a comet whose largest degree (k1 + 1, or 2 on a longer path, or k1 + k2 for the star of path order 1)
+        is in ``tops``, the excluded trees', is coded.
+        """
+        ms = np.column_stack((k1, k2, ell))[mask]
+        k1, k2, ell = ms.T
+        maybe = np.flatnonzero(np.isin(np.where(ell == 1, k1 + k2, np.maximum(k1 + 1, np.minimum(ell - 1, 2))), tops))
+        out = np.zeros(len(ms), dtype=bool)
+        out[maybe] = [self.excluded(m) for m in ms[maybe]]
+        return ms[~out]
 
     def tree(self, m) -> Tree:
         return make_double_comet(DoubleCometParams(*m))
@@ -805,16 +798,17 @@ def search_extremal(
     minimize = objective == "min"
     if minimize:  # min c.lam = -max(-c.lam): every layer below only maximizes
         coeffs = (-coeffs[0], -coeffs[1])
-    pool, scanned, discard_bound = fam.search_rows(coeffs, minimize, jobs)
-    if not pool:
+    ms, br, scanned, discard_bound = fam._screened(partial(_point_floor, coeffs), minimize, jobs)
+    if not len(ms):
         raise ValueError("search excluded every tree in the family")
+    lo, hi = _key_interval(coeffs, br[:2], br[2:])
     # the rows that can still win: those not certified below the best lower end
-    keep, dropped = _drop(np.array([hi for _, _, hi in pool]), max(lo for _, lo, _ in pool))
-    pool, discard_bound = [r for r, k in zip(pool, keep.tolist()) if k], max(dropped, discard_bound)
-    runner_up_gap = min(lo for _, lo, _ in pool) - discard_bound if math.isfinite(discard_bound) else None
+    keep, dropped = _drop(hi, lo.max())
+    ms, lo, hi, discard_bound = ms[keep], lo[keep], hi[keep], max(dropped, discard_bound)
+    runner_up_gap = float(lo.min()) - discard_bound if math.isfinite(discard_bound) else None
     if minimize:  # 0.0 - x, not -x, so that an exact zero stays +0.0
-        pool = [(m, 0.0 - hi, 0.0 - lo) for m, lo, hi in pool]
-    winners = tuple(sorted((fam.candidate(*r) for r in pool), key=lambda c: c.code))
+        lo, hi = 0.0 - hi, 0.0 - lo
+    winners = tuple(sorted(map(fam.candidate, ms, lo.tolist(), hi.tolist()), key=lambda c: c.code))
     tie_proven = len(winners) > 1 and _tie_proven_exact(winners)
     resolved = len(winners) == 1 or tie_proven
     return ExtremalResult(
@@ -873,7 +867,7 @@ class PiecewiseLinear:
 
 
 def _envelope_lines(fam: _Family):
-    """(lam1, lam2, members) per line of the family, deduplicated at 1e-12 resolution.
+    """(lam1, lam2, members) per line of the family's screened pass, members as rows of ``ms``, deduplicated at 1e-12.
 
     Members with the line's exact floats stay uncoded in its list; a
     member that rounds onto the line with different floats is coded at
@@ -881,17 +875,18 @@ def _envelope_lines(fam: _Family):
     code is smaller. A line's witness, the smallest code of its members,
     is only built for lines on the hull.
     """
+    ms, br, _, _ = fam._screened(_hull_floor, False, 1)
     lines = {}
-    for l1, l2, member in fam.midpoints():
+    for i, (l1, l2) in enumerate(zip((0.5 * (br[0] + br[1])).tolist(), (0.5 * (br[2] + br[3])).tolist())):
         key = (round(l1, 12), round(l2, 12))
         cur = lines.get(key)
         if cur is None:
-            lines[key] = (l1, l2, [member])
+            lines[key] = (l1, l2, [i])
         elif (l1, l2) == cur[:2]:
-            cur[2].append(member)
-        elif fam.code(member) < min(map(fam.code, cur[2])):
-            lines[key] = (l1, l2, [member])
-    return list(lines.values())
+            cur[2].append(i)
+        elif fam.code(ms[i]) < min(fam.code(ms[j]) for j in cur[2]):
+            lines[key] = (l1, l2, [i])
+    return [(l1, l2, ms[rows]) for l1, l2, rows in lines.values()]
 
 
 def _upper_hull(lines):
@@ -925,7 +920,7 @@ def envelope(n: int, family: str = "all") -> PiecewiseLinear:
     """Exact upper envelope of the family's lines over alpha in [0, 1], by ``_upper_hull``.
 
     Only the lines that can reach the hull of the comets' lower-end lines
-    are offered (``_Family.midpoints``), each certified at ``TOL``; the rest
+    are offered (``_envelope_lines``), each certified at ``TOL``; the rest
     lie over _SAFETY - TOL below it, so no segment, witness or float changes.
     """
     fam = _family(n, family)
@@ -1088,8 +1083,9 @@ def dc_structure_probe(n: int, alpha: float) -> ProbeReport:
     Above 1/2 the winner should have path order 2 with the big hub holding
     about t = alpha^2/(alpha^2+(1-alpha)^2) of the vertices; below 1/2 the
     balanced order-3 comet (odd n) or the parity-dependent order-3/4 shapes
-    (even n, threshold (sqrt(5)-1)/(2 sqrt(5))) should win. ``alpha`` lies in [0, 1).
+    (even n, threshold (sqrt(5)-1)/(2 sqrt(5))) should win. n >= 3; ``alpha`` lies in [0, 1).
     """
+    n = _integer("n", n, 3)
     alpha = _real("alpha", alpha, 0.0, math.nextafter(1.0, 0.0))
     res = search_extremal(n, alpha=alpha, objective="max", family="dc", key="psi")
     w = res.winners[0]

@@ -71,6 +71,7 @@ from .transforms import (
 from .trees import (
     DoubleCometParams,
     Tree,
+    _integer,
     canonical_code,
     double_comet_code,
     make_double_comet,
@@ -665,6 +666,7 @@ SUITES = {
 def run_suite(name: str, seed: int = 0, jobs: int = 1) -> VerifyReport:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    seed, jobs = _integer("seed", seed, -math.inf), _integer("jobs", jobs, 1)
     start = time.perf_counter()
     rep = SUITES[name](seed, jobs)
     rep.runtime = time.perf_counter() - start

@@ -26,6 +26,16 @@ def test_run_suite_unknown_name():
         run_suite("figure2", n_hi=3)
 
 
+def test_run_suite_checks_seed_and_jobs():
+    # at the call, whether or not the suite draws from the seed or searches
+    for bad in ("a", 1.5, None, True):
+        with pytest.raises(ValueError, match=f"seed={bad!r}"):
+            run_suite("figure3", seed=bad)
+    for bad in (0, -1, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"jobs={bad!r}"):
+            run_suite("figure2", jobs=bad)
+
+
 def test_figure2_report_shape():
     rep = run_suite("figure2")
     assert rep.all_pass

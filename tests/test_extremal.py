@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from dataclasses import astuple
 from fractions import Fraction
 from functools import partial
@@ -39,6 +40,7 @@ from spectrees.suites import envelope_to_csv
 from spectrees.trees import (
     DoubleCometParams,
     Tree,
+    TreeError,
     canonical_code,
     double_comet_code,
     make_double_comet,
@@ -89,6 +91,23 @@ alpha_lo,alpha_hi,lambda1,lambda2,witness_code
 
 def code_of(*params):
     return canonical_code(make_double_comet(DoubleCometParams(*params))).decode()
+
+
+def as_pairs(br):
+    """((l1_lo, l1_hi), (l2_lo, l2_hi)) per column of a (4, m) bracket array, as Python floats."""
+    return [((a, b), (c, d)) for a, b, c, d in br.T.tolist()]
+
+
+def hexes(br):
+    """The float hex of the four ends per column of a (4, m) bracket array: equal only bit for bit."""
+    return [tuple(map(float.hex, b)) for b in br.T.tolist()]
+
+
+def exact(out):
+    """A pass's ``(ms, br, ...)``: one (member tuple, *bracket hexes) per row, the floats after it in hex."""
+    ms, br, *rest = out
+    rows = [(tuple(m), *b) for m, b in zip(ms.tolist(), hexes(br))]
+    return rows, [x.hex() if isinstance(x, float) else x for x in rest]
 
 
 def exact_quotient_counts(p, x):
@@ -295,6 +314,19 @@ class TestSearch:
             assert res.winner_codes == (path,)
             assert res.runner_up_gap is None
 
+    def test_excluded_comets_are_not_discards(self):
+        # an excluded long comet is left out before the screen, so its bound never becomes the discard bound: at
+        # n = 30, alpha = 1/2, with every short comet but the winner excluded and DC(13,10,7) too, the margin is
+        # measured against the largest bound of a comet left in, DC(14,9,7)'s, 0.5*(sqrt(17) + sqrt(12))
+        best = search_extremal(30, alpha=0.5, family="dc")
+        (win,) = best.winners
+        excluded = [p for p in double_comet_params(30) if p.ell <= 3 and p != win.params]
+        excluded.append(DoubleCometParams(13, 10, 7))
+        res = search_extremal(30, alpha=0.5, family="dc", exclude={code_of(*astuple(p)) for p in excluded})
+        assert res.winners == best.winners
+        bound = 0.5 * math.sqrt(17.0) + 0.5 * math.sqrt(12.0)  # _dc_upper_bound's ends for k1, k2 = 14, 9
+        assert res.runner_up_gap == win.lo - (bound + extremal._SAFETY) > best.runner_up_gap
+
     def test_excluding_every_comet(self):
         # the comet baseline is gone, so an all-tree search runs unpruned
         comets = {code_of(p.k1, p.k2, p.ell) for p in double_comet_params(6)}
@@ -310,6 +342,12 @@ class TestSearch:
         for objective in ("max", "min"):
             with pytest.raises(ValueError, match="search excluded every tree in the family"):
                 search_extremal(9, objective=objective, family="dc", exclude=comets)
+        # every comet but one excluded leaves that one, path, star, brooms and short comets alike
+        for n in (2, 3, 4, 5, 9, 12):
+            codes = {code_of(p.k1, p.k2, p.ell): p for p in double_comet_params(n)}
+            for code in codes:
+                res = search_extremal(n, family="dc", exclude=set(codes) - {code})
+                assert res.winner_codes == (code,) and res.runner_up_gap is None, (n, codes[code])
 
     def test_excluding_every_tree(self):
         # the scan leaves no row for the survivor filter, in one process or over a pool
@@ -350,7 +388,7 @@ class TestSearch:
     def test_comet_screen_is_sound(self, monkeypatch):
         # every long comet the screen leaves out of the pool is certified below the
         # discard bound, and the screen builds no DoubleCometParams, its members being
-        # (k1, k2, ell) tuples; a resolved search then has a positive margin, which
+        # (k1, k2, ell) rows; a resolved search then has a positive margin, which
         # every other comet's far end respects
         built = []
 
@@ -364,13 +402,13 @@ class TestSearch:
         for n in (30, 61, 90):
             family = [astuple(p) for p in double_comet_params(n)]
             long_comets = [p for p in family if p[2] >= 4]
-            intervals = dict(zip(family, _dc_pair_intervals(family)))
+            intervals = dict(zip(family, as_pairs(_dc_pair_intervals(family))))
             for key, alpha in keys:
                 c = extremal._coeffs(key, alpha)
                 built.clear()
-                pool, size, discard_bound = extremal._Comets(n).search_rows(c, False, 1)
+                ms, _, size, discard_bound = extremal._Comets(n)._screened(partial(extremal._point_floor, c), False, 1)
                 assert size == len(family) and not built
-                kept = {p for p, _, _ in pool}
+                kept = set(map(tuple, ms.tolist()))
                 dropped = [p for p in long_comets if p not in kept]
                 assert dropped, (n, key, alpha)
                 for p in dropped:
@@ -392,7 +430,7 @@ class TestSearch:
         pair_intervals, memo = extremal._dc_pair_intervals, {}
 
         def cached(comets):
-            key = tuple(comets)
+            key = np.asarray(comets, dtype=np.int64).tobytes()
             if key not in memo:
                 memo[key] = pair_intervals(comets)
             return memo[key]
@@ -416,7 +454,7 @@ class TestSearch:
                 bound = np.where((c1 >= 0) & (c2 >= 0), c1 * u1 + c2 * u2, math.inf)
                 keep, dropped = extremal._drop(bound, value - extremal._SAFETY)
                 ms, _, size, far = extremal._Comets(n)._screened(floor, False, 1)
-                assert ms == short + [tuple(p) for p in long_comets[keep].tolist()], (n, floor)
+                assert ms.tolist() == [list(p) for p in short] + long_comets[keep].tolist(), (n, floor)
                 assert far == dropped + extremal._SAFETY and size == count_double_comets(n) == len(family)
                 c1, c2 = (np.broadcast_to(c, u1.shape) for c in (c1, c2))
                 c1s, first, which = np.unique(c1, return_index=True, return_inverse=True)  # c2 follows c1
@@ -425,6 +463,20 @@ class TestSearch:
                 assert (excess < extremal._ORDER_MARGIN * bound).all(), (n, floor, excess.max())
                 cuts.append(extremal._whole_order_cut(at, n))
             assert n < 40 or min(cuts) < n - 2, (n, cuts)
+
+    def test_comet_pass_keeps_arrays_only(self):
+        # the comet pass hands on its members and brackets as arrays, so a psi(0.7) pass at n = 5000 (about 5000
+        # members) leaves under 1 MB live, against about 2 MB when each member was a tuple with nested bracket tuples
+        floor = partial(extremal._point_floor, (0.7, 0.3))
+        extremal._Comets(5000)._screened(floor, False, 1)  # any first-call caches are made before the count starts
+        tracemalloc.start()
+        try:
+            out = extremal._Comets(5000)._screened(floor, False, 1)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out[0].dtype == np.int64 and out[0].shape[1] == 3 and out[1].shape == (4, len(out[0]))
+        assert live < 1e6, live
 
     def test_searches_code_only_winners(self, monkeypatch):
         # and certify each all-tree member once, at TOL: no refinement schedule re-bisects it
@@ -483,7 +535,7 @@ class TestSearch:
                 for levels, (l1_lo, l1_hi, l2_lo, l2_hi) in chunks:
                     lo, hi = extremal._key_interval(c, (l1_lo, l1_hi), (l2_lo, l2_hi))
                     rows = np.flatnonzero(hi > bound if objective == "max" else lo < bound)
-                    past |= {fam.code(levels[r].tobytes()) for r in rows}
+                    past |= {fam.code(levels[r]) for r in rows}
                 assert past == set(res.winner_codes), (n, key, objective)
 
     def test_scan_brackets_enclose_the_eigenvalues(self, monkeypatch):
@@ -495,7 +547,7 @@ class TestSearch:
 
         def recording(self, chunks):
             out = scan(self, chunks)
-            kept.extend(out[0])
+            kept.extend(zip(out[0].tolist(), as_pairs(out[1])))
             return out
 
         monkeypatch.setattr(extremal._Scan, "__call__", recording)
@@ -513,7 +565,7 @@ class TestSearch:
                     search_extremal(n, alpha=alpha, objective=objective, key=key)
             envelope(n)
             assert kept, n
-            for m, l1, l2 in kept:
+            for m, (l1, l2) in kept:
                 t = Tree(n, _level_seq_edges(m))
                 for k, (lo, hi) in ((1, l1), (2, l2)):
                     assert sum(exact_tree_counts(t, lo)) >= k and exact_tree_counts(t, hi)[0] < k, (m, k, lo, hi)
@@ -537,7 +589,7 @@ class TestSearch:
         # the sum's minimum and the envelope's screened pass give the same answers over a
         # fork pool as in one process
         runs = [(repr(search_extremal(12, alpha=None, key="sum", objective="min", jobs=jobs)),
-                 repr(extremal._AllTrees(12)._screened(extremal._hull_floor, False, jobs))) for jobs in (1, 2)]
+                 exact(extremal._AllTrees(12)._screened(extremal._hull_floor, False, jobs))) for jobs in (1, 2)]
         assert runs[0] == runs[1]
 
     def test_scan_probe_budget(self, monkeypatch):
@@ -643,7 +695,7 @@ class TestSearch:
         def run(facts):
             probes.clear()
             out = scan([enumeration.LevelChunk(*row, facts)])
-            return repr(out), len(probes)
+            return exact(out), len(probes)
 
         cold, cold_probes = run(None)
         x, above = probes[0]
@@ -702,10 +754,6 @@ class TestSearch:
             scans[self.fam.n].append(self)
             return call(self, chunks)
 
-        def exact(out):
-            rows, far, count = out
-            return [(m, *(v.hex() for iv in ivs for v in iv)) for m, *ivs in rows], far, count
-
         monkeypatch.setattr(extremal._Scan, "__call__", recording)
         keys = [("psi", 0.3)] + [(k, None) for k in ("sum", "lam1", "lam2", "gap")]
         for n in scans:
@@ -724,11 +772,11 @@ class TestSearch:
                 monkeypatch.setattr(extremal, "CHUNK_ROWS", pool_rows)
                 chunks = list(enumeration.free_tree_level_chunks(n))
                 for scan in recorded:
-                    alone = [exact(call(scan, [chunk])) for chunk in chunks]
-                    streamed = exact(call(scan, chunks))
-                    assert streamed[0] == [r for rows, _, _ in alone for r in rows], (n, pool_rows, scan.at)
-                    far = max(far for _, far, _ in alone)
-                    assert (streamed[1].hex(), streamed[2]) == (far.hex(), sum(c for _, _, c in alone)), (n, scan.at)
+                    alone = [call(scan, [chunk]) for chunk in chunks]
+                    streamed = call(scan, chunks)
+                    assert exact(streamed)[0] == [r for out in alone for r in exact(out)[0]], (n, pool_rows, scan.at)
+                    far = max(far for _, _, far, _ in alone)
+                    assert (streamed[2].hex(), streamed[3]) == (far.hex(), sum(c for *_, c in alone)), (n, scan.at)
         monkeypatch.undo()
         # runs of consecutive chunks, 100 rows each, over a fork pool give every answer again
         monkeypatch.setattr(enumeration, "_MEMO", {})
@@ -736,7 +784,7 @@ class TestSearch:
         for key, objective in (("gap", "min"), ("sum", "min"), ("lam2", "max")):
             runs = [repr(search_extremal(14, alpha=None, objective=objective, key=key, jobs=jobs)) for jobs in (1, 2)]
             assert runs[0] == runs[1], (key, objective)
-        runs = [repr(extremal._AllTrees(14)._screened(extremal._hull_floor, False, jobs)) for jobs in (1, 2)]
+        runs = [exact(extremal._AllTrees(14)._screened(extremal._hull_floor, False, jobs)) for jobs in (1, 2)]
         assert runs[0] == runs[1]
 
     def test_a_second_scan_of_an_order_builds_no_forest_table(self, monkeypatch):
@@ -797,7 +845,7 @@ def test_comet_and_star_brackets_pass_exact_inertia():
             k2 = rng.randrange(ell == 2, (n - ell) // 2 + 1)
             sample.append(DoubleCometParams(n - ell - k2, k2, ell))
     params = [p for n in (3, 10, 60) for p in double_comet_params(n)] + sample
-    for p, (l1, l2) in zip(params, _dc_pair_intervals([astuple(p) for p in params])):
+    for p, (l1, l2) in zip(params, as_pairs(_dc_pair_intervals([astuple(p) for p in params]))):
         if p.ell == 1 or p.n <= 3 or max(p.k1, p.k2) + 1 == p.n - 1:  # a vertex of degree n-1
             assert_star_pair(p.n, l1, l2)
             continue
@@ -807,7 +855,7 @@ def test_comet_and_star_brackets_pass_exact_inertia():
         tt = top_two(make_star(n))
         b = [a[0] for a in batch_top_two([[0] + [1] * (n - 1)])]
         pairs = [((tt.lam1_lo, tt.lam1_hi), (tt.lam2_lo, tt.lam2_hi)), ((b[0], b[1]), (b[2], b[3]))]
-        for l1, l2 in pairs + _dc_pair_intervals([(n - 1, 0, 1)]):
+        for l1, l2 in pairs + as_pairs(_dc_pair_intervals([(n - 1, 0, 1)])):
             assert Fraction(l1[0]) ** 2 < n - 1 < Fraction(l1[1]) ** 2, (n, l1)
             assert_star_pair(n, l1, l2)
 
@@ -864,7 +912,8 @@ class TestEnvelope:
         for n in range(5, 41):
             on_line = {}
             params = double_comet_params(n)
-            for p, ((l1_lo, l1_hi), (l2_lo, l2_hi)) in zip(params, _dc_pair_intervals([astuple(p) for p in params])):
+            brackets = _dc_pair_intervals([astuple(p) for p in params])
+            for p, (l1_lo, l1_hi, l2_lo, l2_hi) in zip(params, brackets.T.tolist()):
                 l1, l2 = 0.5 * (l1_lo + l1_hi), 0.5 * (l2_lo + l2_hi)
                 on_line.setdefault((round(l1, 12), round(l2, 12)), []).append((code_of(p.k1, p.k2, p.ell), l1, l2))
             for s in envelope(n, "dc").segments:
@@ -877,7 +926,9 @@ class TestEnvelope:
         broom = (2.3027756377318678, 1.3, (4, 0, 4))
         assert code_of(4, 0, 4) < code_of(3, 3, 2)
         for members in ([comet, broom], [broom, comet]):
-            monkeypatch.setattr(extremal._Comets, "midpoints", lambda self, members=members: iter(members))
+            # brackets of width 0, whose midpoints are the members' floats
+            ms, br = np.array([m for _, _, m in members]), np.array([(a, a, b, b) for a, b, _ in members]).T
+            monkeypatch.setattr(extremal._Comets, "_screened", lambda self, *_, ms=ms, br=br: (ms, br, 2, -math.inf))
             (seg,) = envelope(8, "dc").segments
             assert (seg.lam1, seg.lam2, seg.witness_code) == (*broom[:2], code_of(4, 0, 4))
 
@@ -887,8 +938,8 @@ class TestEnvelope:
         monkeypatch.setattr(extremal, "CHUNK_ROWS", 7)
         params = [astuple(p) for p in double_comet_params(9) + double_comet_params(16)[::-1]] + [
             (1, 3, 6), (5, 1, 4), (0, 2, 5)]
-        alone = [_dc_pair_intervals([p])[0] for p in params]
-        assert repr(_dc_pair_intervals(params)) == repr(alone)
+        alone = [h for p in params for h in hexes(_dc_pair_intervals([p]))]
+        assert hexes(_dc_pair_intervals(params)) == alone
 
     def test_short_comets_check_their_closed_forms(self, monkeypatch):
         # path orders 2 and 3 pass their closed forms as guesses: two checks and a
@@ -929,14 +980,14 @@ class TestEnvelope:
         kept = []
         for alpha in (0.3, 0.7):
             ms = extremal._Comets(1000)._screened(partial(extremal._point_floor, (alpha, 1.0 - alpha)), False, 1)[0]
-            kept += [m for m in ms if m[2] >= 4]
+            kept += ms[ms[:, 2] >= 4].tolist()
         monkeypatch.setattr(TreeBatch, "_eliminate", staticmethod(counting))
         brackets, spent = {}, {}
         for name, helper in helpers.items():
             monkeypatch.setattr(extremal, "_path_guesses", helper)
             for which, comets in (("small", small), ("kept", kept)):
                 rows[0] = 0
-                brackets[name, which] = [tuple(v.hex() for iv in ivs for v in iv) for ivs in _dc_pair_intervals(comets)]
+                brackets[name, which] = hexes(_dc_pair_intervals(comets))
                 spent[name, which] = rows[0]
         for which in ("small", "kept"):
             for name in ("eigvalsh", "up", "down"):
@@ -967,7 +1018,7 @@ class TestEnvelope:
         evaluated = set()
 
         def recording(params):
-            evaluated.update(params)
+            evaluated.update(map(tuple, params.tolist()))
             return pair_intervals(params)
 
         monkeypatch.setattr(extremal, "_dc_pair_intervals", recording)
@@ -978,18 +1029,17 @@ class TestEnvelope:
             assert skipped, n
             ends = np.array([a for s in env.segments for a in (s.alpha_lo, s.alpha_hi)])
             floor = np.array([env.value(a) for a in ends.tolist()])
-            ivs = pair_intervals(skipped)
-            l1, l2 = np.array([a[1] for a, _ in ivs]), np.array([b[1] for _, b in ivs])
+            _, l1, _, l2 = pair_intervals(skipped)
             gap = floor - (l2[:, None] + ends * (l1 - l2)[:, None])
             assert gap.min() > 1e-9, (n, skipped[int(gap.min(axis=1).argmin())])
         monkeypatch.setattr(extremal, "_dc_pair_intervals", pair_intervals)
-        kept = {m for _, _, m in extremal._AllTrees(12).midpoints()}
+        kept = set(map(tuple, extremal._AllTrees(12)._screened(extremal._hull_floor, False, 1)[0].tolist()))
         env = envelope(12)
         ends = np.array([a for s in env.segments for a in (s.alpha_lo, s.alpha_hi)])
         floor = np.array([env.value(a) for a in ends.tolist()])
         dropped = 0
         for chunk in enumeration.free_tree_level_chunks(12):
-            out = np.array([seq.tobytes() not in kept for seq in chunk.levels])
+            out = np.array([tuple(seq) not in kept for seq in chunk.levels.tolist()])
             _, l1, _, l2 = (a[out, None] for a in batch_top_two(chunk.levels))
             if out.any():
                 assert (floor - (l2 + ends * (l1 - l2))).min() > extremal._SAFETY - TOL
@@ -1075,8 +1125,8 @@ class TestEnvelope:
     def test_straddling_slopes_keep_the_higher_line(self, monkeypatch):
         # slopes 2.2e-16 apart on either side of a 12-decimal rounding boundary: the
         # first line lies 0.5 above the second on all of [0, 1] and alone makes the hull
-        high = (1.0 + 0.12345678901249979, 1.0, [(2, 2, 3)])
-        low = (0.5 + 0.12345678901250001, 0.5, [(4, 1, 2)])
+        high = (1.0 + 0.12345678901249979, 1.0, np.array([[2, 2, 3]]))
+        low = (0.5 + 0.12345678901250001, 0.5, np.array([[4, 1, 2]]))
         monkeypatch.setattr(extremal, "_envelope_lines", lambda fam: [low, high])
         (seg,) = envelope(7, "dc").segments
         assert (seg.alpha_lo, seg.alpha_hi, seg.lam1, seg.lam2) == (0.0, 1.0, *high[:2])
@@ -1170,6 +1220,15 @@ class TestProbeAndGap:
         for bad in (1.0, -0.1, math.nan, True, "0.5", None):
             with pytest.raises(ValueError, match="alpha"):
                 dc_structure_probe(20, bad)
+
+    def test_probe_checks_n_before_searching(self, monkeypatch):
+        # n = 2 has no comet to predict at alpha <= 1/2 and no hub share above it: a ValueError naming n, not a
+        # TreeError from building the predicted comet
+        monkeypatch.setattr(extremal, "search_extremal", None)  # a search would raise TypeError
+        for n, alpha in ((2, 0.3), (2, 0.5), (2, 0.7), (2.0, 0.3), ("5", 0.3)):
+            with pytest.raises(ValueError, match=f"n >= 3, got n={n!r}") as info:
+                dc_structure_probe(n, alpha)
+            assert not isinstance(info.value, TreeError)
 
     def test_gap_n4(self):
         rep = spectral_gap_min(4)

@@ -407,7 +407,7 @@ class TestClosedForms:
             c1, c2 = dc_top_two_closed(p)
             tt = top_two(make_double_comet(p))
             assert abs(tt.lam1 - c1) < 1e-9 and abs(tt.lam2 - c2) < 1e-9
-            [((q1l, q1h), (q2l, q2h))] = _dc_pair_intervals([astuple(p)])
+            q1l, q1h, q2l, q2h = _dc_pair_intervals([astuple(p)])[:, 0].tolist()
             assert abs(0.5 * (q1l + q1h) - c1) < 1e-9
             assert abs(0.5 * (q2l + q2h) - c2) < 1e-9
 
@@ -419,7 +419,7 @@ class TestClosedForms:
             k1 = rng.randrange(0, n - ell + 1)
             k2 = n - ell - k1
             tt = top_two(make_double_comet(DoubleCometParams(k1, k2, ell)))
-            [((q1l, q1h), (q2l, q2h))] = _dc_pair_intervals([(k1, k2, ell)])
+            q1l, q1h, q2l, q2h = _dc_pair_intervals([(k1, k2, ell)])[:, 0].tolist()
             assert abs(tt.lam1 - 0.5 * (q1l + q1h)) < 1e-9
             assert abs(tt.lam2 - 0.5 * (q2l + q2h)) < 1e-9
 
