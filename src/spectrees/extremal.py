@@ -68,7 +68,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 from itertools import islice
 from multiprocessing import get_context
 
@@ -495,12 +495,20 @@ class _Scan:
     def _start(self, chunk):
         """A chunk's star rows; the rows left to bisect; their start brackets (4, rows).
 
-        Excluded rows are left out. A row starts from ``_start_brackets`` for
-        lam1 and [0, lam1_hi] for lam2.
+        Excluded rows are left out. Only a row whose largest degree and
+        largest neighbour-degree sum are an excluded tree's
+        (``_Family.excluded_degrees``) is coded. A row starts from
+        ``_start_brackets`` for lam1 and [0, lam1_hi] for lam2.
         """
         rows = np.arange(len(chunk))
-        if self.fam.exclude:  # no Python loop over the chunk unless something is excluded
-            rows = rows[[not self.fam.excluded(seq) for seq in chunk.levels]]
+        if self.fam.exclude:  # a Python loop only over the rows whose degrees match an excluded tree's
+            maybe = np.zeros(len(chunk), dtype=bool)
+            for top, total in self.fam.excluded_degrees:
+                maybe |= (chunk.max_degree == top) & (chunk.max_degree_sum == total)
+            maybe = np.flatnonzero(maybe)
+            out = np.zeros(len(chunk), dtype=bool)
+            out[maybe] = [self.fam.excluded(seq) for seq in chunk.levels[maybe]]
+            rows = rows[~out]
         star = chunk.max_degree[rows] == self.fam.n - 1
         todo = rows[~star]
         lo, hi = _start_brackets(chunk, todo)
@@ -605,6 +613,12 @@ class _Family:
         """True when member ``m`` is excluded; it is coded only when the set is nonempty."""
         return bool(self.exclude) and self.code(m) in self.exclude
 
+    @cached_property
+    def excluded_degrees(self):
+        """The excluded trees' (largest degree, largest neighbour-degree sum) pairs; only a match is coded."""
+        trees = [_tree_from_code(code).adjacency for code in self.exclude]
+        return {(max(map(len, adj)), max(sum(len(adj[w]) for w in a) for a in adj)) for adj in trees}
+
 
 class _AllTrees(_Family):
     """All free trees of order n; a member is a level sequence, an int8 row."""
@@ -682,7 +696,7 @@ class _Comets(_Family):
         comets are left out before the screen, never counted as screened
         out; the family size is ``count_double_comets``.
         """
-        tops = [_tree_from_code(code).max_degree() for code in self.exclude]
+        tops = [top for top, _ in self.excluded_degrees]
         short = []
         for ell, k1, k2 in double_comet_arrays(self.n):
             short.append(self._members(k1, k2, ell, ell <= 3, tops))

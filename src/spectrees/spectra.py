@@ -33,8 +33,10 @@ three-term Lanczos run on the tree (``_lanczos_guesses``). The one
 enclosure not from counts is the star's (``_star_intervals``).
 
 Everything else builds on or cross-checks that kernel: ``_branches``, the
-same pass over every branch of the tree, whose pivots give eigenvectors (a
-twisted factorization) and whose counts locate the spectral center; float
+same pass over every branch of the tree in two flat loops over
+preallocated lists, whose pivots give eigenvectors (a twisted
+factorization, spread over the tree's kept rooting) and whose counts
+locate the spectral center; float
 closed forms for double comets with path order 2 or 3 and for paths
 (guesses that counts check, and values to compare against, never
 enclosures); a dense cyclic plane-rotation (Jacobi) oracle for small
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 
 import numpy as np
 
@@ -115,19 +116,24 @@ def _root_forest(adj):
 
     ``up[v]`` is v's parent, or n for a root. ``post`` is the breadth-first
     order stably sorted by decreasing depth: every vertex comes after its
-    children, and a vertex's children in the breadth-first order.
+    children, and a vertex's children in the breadth-first order. The walk
+    marks each vertex in a flat list of seen flags as it reaches it.
     """
     n = len(adj)
-    order, up, depth = [], [n] * n, [0] * n
-    seen = set()
+    order, up, depth, seen = [], [n] * n, [0] * n, [False] * n
     for r in range(n):
-        if r not in seen:
-            comp, parent = _bfs(adj, r)
-            for v in comp[1:]:
-                up[v] = p = parent[v]
-                depth[v] = depth[p] + 1
+        if not seen[r]:
+            seen[r] = True
+            comp = [r]
+            for v in comp:
+                dw = depth[v] + 1
+                for w in adj[v]:
+                    if not seen[w]:
+                        seen[w] = True
+                        up[w] = v
+                        depth[w] = dw
+                        comp.append(w)
             order += comp
-            seen.update(comp)
     return sorted(order, key=depth.__getitem__, reverse=True), up
 
 
@@ -891,38 +897,52 @@ def _branches(post, up, x: float):
     the branch at v's parent avoiding v, slot 2n + v the whole tree
     eliminated toward v. The postorder pass is ``_count_above``'s, its
     child terms added one at a time, so every subtree pivot is the same
-    float. The preorder pass sums the other neighbours' terms as prefix
-    plus suffix, never a difference, so its counts are as exact as
-    ``_count_above``'s; a zero pivot takes the same limit form.
+    float; each parent's zero child pivots and child counts are summed in
+    flat lists as its children pass. The preorder pass takes v's up-branch
+    term first, then its children's terms: a child's branch sums the terms
+    before it (prefix) plus those after it (suffix, built by one reversed
+    loop and kept in the children's up slots), never a difference, so its
+    counts are as exact as ``_count_above``'s; a zero pivot takes the same
+    limit form.
     """
     n = len(post)
     piv = [0.0] * (3 * n)
     cnt = [0] * (3 * n)
     s = [0.0] * (n + 1)
-    parent = [-1 if p == n else p for p in up]
+    zeros = [0] * (n + 1)  # zero pivots among each vertex's children
+    below = [0] * (n + 1)  # the children's counts, summed
     children = [[] for _ in range(n + 1)]  # in post order, as s sums them
+    inf = math.inf
     neg_x = 0.0 - x
     for v in post:
-        cs = children[v]
         piv[v] = d = neg_x - s[v]
-        s[up[v]] += 1.0 / d if d else math.inf
-        cnt[v] = (d > 0.0) + (0.0 in [piv[c] for c in cs]) + sum(cnt[c] for c in cs)
-        children[up[v]].append(v)
+        cnt[v] = c = (d > 0.0) + (zeros[v] > 0) + below[v]
+        p = up[v]
+        s[p] += 1.0 / d if d else inf
+        zeros[p] += not d
+        below[p] += c
+        children[p].append(v)
     for v in reversed(post):
-        nb = children[v] if parent[v] < 0 else [n + v, *children[v]]  # v's neighbours' branches
-        terms = [1.0 / piv[j] if piv[j] else math.inf for j in nb]
-        suffix = list(accumulate(reversed(terms), initial=0.0))[::-1]
-        zeros = sum(not piv[j] for j in nb)
-        k = sum(cnt[j] for j in nb)
-        s = 0.0
-        for i, j in enumerate(nb):
-            if j < n:
-                piv[n + j] = u = neg_x - (s + suffix[i + 1])
-                cnt[n + j] = (u > 0.0) + (zeros > (not piv[j])) + k - cnt[j]
-            s += terms[i]
-        piv[2 * n + v] = g = neg_x - s
-        cnt[2 * n + v] = (g > 0.0) + (zeros > 0) + k
-    return parent, piv, cnt
+        cs = children[v]
+        z, k, acc = zeros[v], below[v], 0.0
+        if up[v] < n:  # the up branch's term comes first
+            d = piv[n + v]
+            acc += 1.0 / d if d else inf
+            z += not d
+            k += cnt[n + v]
+        suffix = 0.0
+        for c in reversed(cs):
+            piv[n + c] = suffix
+            d = piv[c]
+            suffix += 1.0 / d if d else inf
+        for c in cs:
+            d = piv[c]
+            piv[n + c] = u = neg_x - (acc + piv[n + c])
+            cnt[n + c] = (u > 0.0) + (z > (not d)) + k - cnt[c]
+            acc += 1.0 / d if d else inf
+        piv[2 * n + v] = g = neg_x - acc
+        cnt[2 * n + v] = (g > 0.0) + (z > 0) + k
+    return [-1 if p == n else p for p in up], piv, cnt
 
 
 def _slot(parent, w: int, v: int) -> int:
@@ -954,33 +974,46 @@ def eigenvector(t: Tree, which: int) -> EigenvectorData:
     At mu, the midpoint of the certified bracket, z is 1 at the vertex of
     smallest whole-tree pivot |gamma| and spreads out by z_w = -z_v / pivot
     of the branch at w avoiding v: a twisted factorization (Dhillon and
-    Parlett) on a tree. A branch whose pivot is exactly 0 has mu as an
-    eigenvalue (P3 at mu = 0); its root comes from v's eigen-equation once
-    v's other neighbours are set. The first entry of largest magnitude is
-    positive, so the Perron vector is positive.
+    Parlett) on a tree. The spread follows the tree's kept rooting
+    (``_rooted``): up the start's path to the root first, then parents
+    before children over the reversed postorder, each vertex setting its
+    neighbours away from the start. A branch whose pivot is exactly 0 has
+    mu as an eigenvalue (P3 at mu = 0); its root comes from v's
+    eigen-equation once v's other neighbours are set. The first entry of
+    largest magnitude is positive, so the Perron vector is positive.
     """
     which = _integer("which", which, 1, 2)
     n = t.n
     if n < 2:
         raise ValueError("eigenvectors need n >= 2")
     mu = _simple_lam2(t).lam2 if which == 2 else top_two(t, TOL).lam1
-    parent, piv, _ = _branches(*_rooted(t), mu)
+    post, up = _rooted(t)
+    piv = _branches(post, up, mu)[1]
     A = t.adjacency
     start = min(range(n), key=lambda v: abs(piv[2 * n + v]))
     z = [0.0] * n
     z[start] = 1.0
-    order, toward_start = _bfs(A, start)
-    for v in order:
-        held = []
+    # each entry comes from the neighbour back toward start: the path up to the root first, then parents first
+    back = list(up)
+    back[start] = -1
+    path = [start]
+    while up[path[-1]] < n:
+        back[up[path[-1]]] = path[-1]
+        path.append(up[path[-1]])
+    held = []
+    for v in path + [v for v in reversed(post) if back[v] == up[v]]:
+        b = back[v]
         for w in A[v]:
-            if w != toward_start[v]:
-                d = piv[_slot(parent, w, v)]
+            if w != b:
+                d = piv[w] if up[w] == v else piv[n + v]  # the branch at w avoiding v
                 if d:
                     z[w] = -z[v] / d
                 else:
                     held.append(w)
-        for w in held:
-            z[w] = mu * z[v] - sum(z[x] for x in A[v])
+        if held:
+            for w in held:
+                z[w] = mu * z[v] - sum(z[x] for x in A[v])
+            held.clear()
     norm = math.sqrt(sum(v * v for v in z))
     z = [v / norm for v in z]
     if max(z, key=abs) < 0:

@@ -118,9 +118,9 @@ class Tree:
     """An unrooted tree on vertices ``0..n-1``.
 
     ``adjacency[v]`` is the sorted tuple of neighbors of ``v``. The
-    constructor validates the edge list and raises :class:`TreeError` for
-    anything that is not a tree; the family constructors build the named
-    shapes.
+    constructor validates the edge list in one union-find pass and raises
+    :class:`TreeError` for anything that is not a tree, naming the first
+    bad edge; the family constructors build the named shapes.
 
     Three caches fill on first use and live as long as the tree, which is
     immutable; pickling and equality ignore them:
@@ -134,16 +134,9 @@ class Tree:
 
     def __init__(self, n: int, edges):
         n = _integer("n", n, 1, reason="vertex-count")
-        # union-find over the edges in order: a failed merge closes a cycle, n-1 merges connect
+        # union-find over the edges in order, its find inlined (path halving): a failed merge is a
+        # duplicate when the edge is already kept and closes a cycle otherwise; n-1 merges connect
         parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        seen = set()
         adj = [[] for _ in range(n)]
         try:
             for u, v in edges:
@@ -154,13 +147,16 @@ class Tree:
                     v = _integer("vertex", v, 0, n - 1, "vertex-range")
                 if u == v:
                     raise TreeError("self-loop", f"self-loop at vertex {u}")
-                key = (u, v) if u < v else (v, u)
-                if key in seen:
-                    raise TreeError("duplicate-edge", f"duplicate edge ({key[0]}, {key[1]})")
-                seen.add(key)
-                ru, rv = find(u), find(v)
+                ru, rv = u, v
+                while parent[ru] != ru:
+                    parent[ru] = ru = parent[parent[ru]]
+                while parent[rv] != rv:
+                    parent[rv] = rv = parent[parent[rv]]
                 if ru == rv:
-                    raise TreeError("cyclic", f"edge ({key[0]}, {key[1]}) closes a cycle")
+                    lo, hi = (u, v) if u < v else (v, u)
+                    if v in adj[u]:
+                        raise TreeError("duplicate-edge", f"duplicate edge ({lo}, {hi})")
+                    raise TreeError("cyclic", f"edge ({lo}, {hi}) closes a cycle")
                 parent[ru] = rv
                 adj[u].append(v)
                 adj[v].append(u)
@@ -168,8 +164,9 @@ class Tree:
             raise
         except (TypeError, ValueError):  # an edge that is not a pair, or a vertex that is not an integer
             raise TreeError("vertex-range", f"edges must be pairs of integer vertex ids for n={n}") from None
-        if len(seen) < n - 1:
-            raise TreeError("disconnected", f"{len(seen)} edges cannot connect {n} vertices")
+        kept = sum(map(len, adj)) // 2
+        if kept < n - 1:
+            raise TreeError("disconnected", f"{kept} edges cannot connect {n} vertices")
         self.n = n
         self.adjacency = tuple(tuple(sorted(a)) for a in adj)
         self._code = None

@@ -305,6 +305,22 @@ class TestSearch:
         assert par == search_extremal(12, objective="max", family="all", key="lam2", exclude={best})
         assert par.winner_codes == (code_of(4, 5, 3),)
 
+    def test_exclusion_codes_only_rows_of_an_excluded_degree_pair(self, monkeypatch):
+        # a chunk row is coded only when its largest degree and largest neighbour-degree sum are an excluded
+        # tree's: the lam2 maximum of order 16, its winner excluded, codes under 1% of the 19320 classes
+        # (coding every row took 0.75 s against 0.02 s for the search without exclusion)
+        every = extremal._AllTrees(9)
+        for chunk in enumeration.free_tree_level_chunks(9):
+            for m, top, total in zip(chunk.levels, chunk.max_degree, chunk.max_degree_sum):
+                assert extremal._AllTrees(9, frozenset({every.code(m)})).excluded_degrees == {(top, total)}, m
+        best = search_extremal(16, key="lam2").winner_codes
+        calls = []
+        code = extremal._AllTrees.code
+        monkeypatch.setattr(extremal._AllTrees, "code", lambda fam, m: calls.append(m) or code(fam, m))
+        res = search_extremal(16, key="lam2", exclude=best)
+        assert res.resolved and res.scanned == 19320 and best[0] not in res.winner_codes
+        assert 0 < len(calls) < 190, len(calls)
+
     def test_excluded_trees_are_not_discards(self):
         # only the path is left: nothing was certified out, so no runner-up bound exists
         path = canonical_code(make_path(7)).decode()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import batch_top_two, exact_tree_counts
+from oracles import batch_top_two, bfs_eigenvector, branches, exact_tree_counts
 
 from spectrees import spectra
 from spectrees.enumeration import _level_seq_edges, decode_parent_report, enumerate_free_trees, free_tree_level_chunks
@@ -125,6 +125,26 @@ class TestCounting:
                     branches = sum(cnt[_slot(parent, w, v)] for w in t.adjacency[v])
                     assert branches == _count_above(*_root_forest(forest), x)[0], (t.edges(), x, v)
         assert zeros > 0, "no probe met a zero branch pivot"
+
+    def test_branch_pass_matches_the_list_reference(self):
+        # the flat pass gives the list-based pass's pivots and counts bit for bit: every tree of order <= 10 at
+        # probes that hit exact eigenvalues, where zero pivots take the limit form, and seeded random trees of
+        # order 9-700 at the midpoints of their lam1 and lam2 brackets
+        def zero_pivots(t, x):
+            post, up = _rooted(t)
+            got, want = _branches(post, up, x), branches(post, up, x)
+            assert got[0] == want[0] and got[2] == want[2], (t.edges(), x)
+            assert [p.hex() for p in got[1]] == [p.hex() for p in want[1]], (t.edges(), x)
+            return got[1].count(0.0)
+
+        probes = [0.0, -0.0, 1.0, -1.0, 2.0, 0.37, math.sqrt(2), math.sqrt(3)]
+        assert sum(zero_pivots(t, x) for n in range(1, 11) for t in enumerate_free_trees(n) for x in probes) > 0
+        rng = random.Random(41)
+        for _ in range(25):
+            t = random_tree(rng, rng.randrange(9, 701))
+            tt = top_two(t)
+            zero_pivots(t, tt.lam1)
+            zero_pivots(t, tt.lam2)
 
 
 def test_walks_by_brute_force():
@@ -533,6 +553,26 @@ class TestEigenvectors:
                 assert ev.residual <= 1e-11, (t.edges(), which)
                 assert abs(ev.value - vals[which - 1]) < 1e-9
             assert all(x > 0 for x in eigenvector(t, 1).entries), t.edges()
+
+    def test_spread_matches_the_breadth_first_reference(self):
+        # up the start's path to the root, then parents first, the spread sets every entry to the float the
+        # breadth-first spread from the start sets, an entry at a zero branch pivot (P3's mu = 0) included
+        rng = random.Random(43)
+        trees = [t for n in range(2, 10) for t in enumerate_free_trees(n)] + [make_path(n) for n in (3, 10, 101)]
+        trees += [random_tree(rng, rng.randrange(50, 701)) for _ in range(10)]
+
+        def hexed(ev):
+            return [ev.value.hex(), ev.residual.hex(), *(z.hex() for z in ev.entries)]
+
+        for t in trees:
+            for which in (1, 2):
+                try:
+                    want = bfs_eigenvector(t, which)
+                except Lambda2MultiplicityError:
+                    with pytest.raises(Lambda2MultiplicityError):
+                        eigenvector(t, which)
+                    continue
+                assert hexed(eigenvector(t, which)) == hexed(want), (t.edges(), which)
 
 
 class TestSpectralCenter:

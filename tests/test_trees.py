@@ -97,6 +97,21 @@ def test_from_edge_list_errors(n, edges, reason):
     assert err.value.reason == reason
 
 
+@pytest.mark.parametrize(
+    "n,edges,reason,message",
+    [
+        # a duplicate fails its merge as a cycle-closing edge does; the edge already kept tells them apart
+        (3, [(1, 2), (2, 1)], "duplicate-edge", "duplicate edge (1, 2)"),
+        (4, [(3, 0), (1, 2), (0, 3)], "duplicate-edge", "duplicate edge (0, 3)"),
+        (5, [(0, 1), (1, 2), (3, 4), (2, 0)], "cyclic", "edge (0, 2) closes a cycle"),
+    ],
+)
+def test_failed_merges_name_their_edge(n, edges, reason, message):
+    with pytest.raises(TreeError) as err:
+        Tree(n, edges)
+    assert (err.value.reason, str(err.value)) == (reason, message)
+
+
 def test_from_edge_list_ok():
     t = Tree(2, [(0, 1)])
     assert t.n == 2 and t.degree(0) == 1
